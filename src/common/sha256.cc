@@ -1,7 +1,6 @@
 #include "src/common/sha256.h"
 
-#include <array>
-#include <cstdint>
+#include <algorithm>
 #include <cstring>
 
 namespace philly {
@@ -69,42 +68,63 @@ void Compress(std::array<uint32_t, 8>& state, const unsigned char* block) {
 
 }  // namespace
 
-std::string Sha256Hex(std::string_view data) {
-  std::array<uint32_t, 8> state = {0x6a09e667, 0xbb67ae85, 0x3c6ef372,
-                                   0xa54ff53a, 0x510e527f, 0x9b05688c,
-                                   0x1f83d9ab, 0x5be0cd19};
+void Sha256::Update(std::string_view data) {
   const auto* bytes = reinterpret_cast<const unsigned char*>(data.data());
   size_t remaining = data.size();
+  total_bytes_ += remaining;
+  if (block_bytes_ > 0) {
+    const size_t take = std::min(remaining, block_.size() - block_bytes_);
+    std::memcpy(block_.data() + block_bytes_, bytes, take);
+    block_bytes_ += take;
+    bytes += take;
+    remaining -= take;
+    if (block_bytes_ < block_.size()) {
+      return;
+    }
+    Compress(state_, block_.data());
+    block_bytes_ = 0;
+  }
   while (remaining >= 64) {
-    Compress(state, bytes);
+    Compress(state_, bytes);
     bytes += 64;
     remaining -= 64;
   }
+  std::memcpy(block_.data(), bytes, remaining);
+  block_bytes_ = remaining;
+}
+
+std::string Sha256::FinishHex() {
   // Final block(s): message tail, 0x80, zero padding, 64-bit big-endian
   // bit length.
   unsigned char tail[128] = {};
-  std::memcpy(tail, bytes, remaining);
-  tail[remaining] = 0x80;
-  const size_t padded = remaining + 1 + 8 <= 64 ? 64 : 128;
-  const uint64_t bit_length = static_cast<uint64_t>(data.size()) * 8;
+  std::memcpy(tail, block_.data(), block_bytes_);
+  tail[block_bytes_] = 0x80;
+  const size_t padded = block_bytes_ + 1 + 8 <= 64 ? 64 : 128;
+  const uint64_t bit_length = total_bytes_ * 8;
   for (int i = 0; i < 8; ++i) {
     tail[padded - 8 + static_cast<size_t>(i)] =
         static_cast<unsigned char>(bit_length >> (56 - 8 * i));
   }
-  Compress(state, tail);
+  Compress(state_, tail);
   if (padded == 128) {
-    Compress(state, tail + 64);
+    Compress(state_, tail + 64);
   }
 
   static constexpr char kHex[] = "0123456789abcdef";
   std::string hex;
   hex.reserve(64);
-  for (uint32_t word : state) {
+  for (uint32_t word : state_) {
     for (int shift = 28; shift >= 0; shift -= 4) {
       hex.push_back(kHex[(word >> shift) & 0xF]);
     }
   }
   return hex;
+}
+
+std::string Sha256Hex(std::string_view data) {
+  Sha256 hash;
+  hash.Update(data);
+  return hash.FinishHex();
 }
 
 }  // namespace philly

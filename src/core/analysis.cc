@@ -314,6 +314,17 @@ TelemetryDigest ComputeUtilDigest(const std::vector<JobRecord>& jobs,
   return digest;
 }
 
+TelemetryDigest TelemetryStreamDigest(const ClusterTimeSeries& timeseries,
+                                      const std::vector<JobRecord>& jobs) {
+  TelemetryDigest digest = timeseries.SampleDigest();
+  const TelemetryDigest jobs_half = ComputeUtilDigest(jobs);
+  digest.jobs = jobs_half.jobs;
+  digest.segments = jobs_half.segments;
+  digest.util_weight = jobs_half.util_weight;
+  digest.util_weighted_sum = jobs_half.util_weighted_sum;
+  return digest;
+}
+
 // ------------------------------------------------------------------- Fig 7
 
 HostResourceResult::HostResourceResult()

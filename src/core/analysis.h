@@ -127,6 +127,12 @@ UtilizationResult AnalyzeUtilization(const std::vector<JobRecord>& jobs,
 TelemetryDigest ComputeUtilDigest(const std::vector<JobRecord>& jobs,
                                   SamplerConfig sampler = {}, uint64_t seed = 17);
 
+// The digest line a telemetry stream ends with: the sample half over every
+// sample `timeseries` recorded, written out or held
+// (ClusterTimeSeries::SampleDigest), and the job half from `jobs`.
+TelemetryDigest TelemetryStreamDigest(const ClusterTimeSeries& timeseries,
+                                      const std::vector<JobRecord>& jobs);
+
 // ---------------------------------------------------------------- Figure 7
 struct HostResourceResult {
   StreamingHistogram cpu_util;     // percent of allocated CPU, job-time weighted

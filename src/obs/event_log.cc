@@ -74,7 +74,7 @@ bool SchedEventKindFromString(std::string_view text, SchedEventKind* kind) {
 }
 
 SchedEvent& EventLog::Append(SchedEventKind kind, SimTime time, JobId job) {
-  SchedEvent& event = events_.emplace_back();
+  SchedEvent& event = events_.Append();
   event.kind = kind;
   event.time = time;
   event.job = job;
@@ -219,12 +219,6 @@ bool SchedEventFromNdjsonLine(std::string_view line, SchedEvent* event,
   e.detail = v["detail"].AsString();
   *event = std::move(e);
   return true;
-}
-
-void EventLog::WriteNdjson(std::ostream& out) const {
-  for (const SchedEvent& event : events_) {
-    out << ToNdjsonLine(event) << '\n';
-  }
 }
 
 std::vector<SchedEvent> EventLog::ReadNdjson(std::istream& in,

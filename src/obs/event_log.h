@@ -23,6 +23,7 @@
 
 #include "src/cluster/cluster.h"
 #include "src/common/sim_time.h"
+#include "src/obs/record_buffer.h"
 
 namespace philly {
 
@@ -115,27 +116,44 @@ struct SchedEvent {
   std::string detail;
 };
 
+// Serialization of a single event (the NDJSON line, without the newline).
+std::string ToNdjsonLine(const SchedEvent& event);
+bool SchedEventFromNdjsonLine(std::string_view line, SchedEvent* event,
+                              std::string* error);
+
+// The scheduler stream of one run, buffered or streamed to disk as the run
+// produces it (record_buffer.h).
 class EventLog {
  public:
-  // Appends and returns a new event for the caller to fill in.
+  // Writes every later full batch of events to `out` instead of keeping the
+  // whole stream; WriteNdjson then writes the tail. Call before the run.
+  void StreamTo(std::ostream* out) { events_.StreamTo(out); }
+
+  // Appends and returns a new event for the caller to fill in. The reference
+  // is valid until the next Append.
   SchedEvent& Append(SchedEventKind kind, SimTime time, JobId job);
 
   // Pre-sizes the stream. Growth reallocations move every buffered event
-  // (~176 bytes each), which dominates append cost on hot paths; the
-  // simulation reserves an events-per-job estimate up front.
-  void Reserve(size_t n) { events_.reserve(n); }
+  // (~216 bytes each), which dominates append cost on hot paths; the
+  // simulation reserves an events-per-job estimate up front. A streaming
+  // log reserves at most one batch.
+  void Reserve(size_t n) { events_.Reserve(n); }
 
   // Drops buffered events but keeps capacity, so one log can be reused
   // across sequential runs (write the stream out, clear, run again) without
   // re-faulting its buffer. A log still belongs to one run at a time.
-  void Clear() { events_.clear(); }
+  void Clear() { events_.Clear(); }
 
-  const std::vector<SchedEvent>& events() const { return events_; }
+  // The events still held: the whole stream when buffered, the current batch
+  // when streaming.
+  const std::vector<SchedEvent>& events() const { return events_.held(); }
+  // Events appended since the last Clear, written out or held.
   size_t size() const { return events_.size(); }
-  bool empty() const { return events_.empty(); }
+  bool empty() const { return size() == 0; }
 
-  // One JSON object per line, fixed key order, default-valued fields omitted.
-  void WriteNdjson(std::ostream& out) const;
+  // One JSON object per line, fixed key order, default-valued fields
+  // omitted; writes the events still held.
+  void WriteNdjson(std::ostream& out) const { events_.WriteNdjson(out); }
 
   // Parses a stream written by WriteNdjson. Stops at the first malformed
   // line and reports it via *error (error stays empty on success).
@@ -143,13 +161,8 @@ class EventLog {
                                             std::string* error = nullptr);
 
  private:
-  std::vector<SchedEvent> events_;
+  RecordBuffer<SchedEvent> events_;
 };
-
-// Serialization of a single event (the NDJSON line, without the newline).
-std::string ToNdjsonLine(const SchedEvent& event);
-bool SchedEventFromNdjsonLine(std::string_view line, SchedEvent* event,
-                              std::string* error);
 
 }  // namespace philly
 

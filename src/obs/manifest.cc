@@ -1,9 +1,9 @@
 #include "src/obs/manifest.h"
 
-#include <fstream>
 #include <ostream>
 
 #include "src/common/strings.h"
+#include "src/obs/output_file.h"
 
 namespace philly {
 namespace {
@@ -38,12 +38,12 @@ void RunManifest::WriteJson(std::ostream& out) const {
 }
 
 bool RunManifest::WriteFile(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) {
+  OutputFile file(path);
+  if (!file.is_open()) {
     return false;
   }
-  WriteJson(out);
-  return out.good();
+  WriteJson(file.stream());
+  return file.Commit();
 }
 
 }  // namespace philly

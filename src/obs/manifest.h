@@ -30,7 +30,8 @@ struct RunManifest {
   std::map<std::string, std::string> digests;
 
   void WriteJson(std::ostream& out) const;
-  // Writes the manifest to `path`; returns false if the file cannot be opened.
+  // Writes the manifest to `path` through an OutputFile; returns false if
+  // the file cannot be written.
   bool WriteFile(const std::string& path) const;
 };
 

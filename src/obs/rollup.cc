@@ -75,15 +75,19 @@ bool JobAggregatesEqual(const TelemetryDigest& a, const TelemetryDigest& b) {
          a.util_weighted_sum == b.util_weighted_sum;
 }
 
+void FoldSample(const TelemetrySample& s, TelemetryDigest* digest) {
+  ++digest->samples;
+  digest->used_gpu_samples += s.used_gpus;
+  digest->queue_depth_max = std::max<int64_t>(digest->queue_depth_max, s.queued_jobs);
+  digest->occupancy_sum += s.occupancy;
+  digest->util_expected_sum += s.util_expected_pct;
+  digest->util_observed_sum += s.util_observed_pct;
+}
+
 TelemetryDigest DigestOfSamples(const std::vector<TelemetrySample>& samples) {
   TelemetryDigest digest;
   for (const TelemetrySample& s : samples) {
-    ++digest.samples;
-    digest.used_gpu_samples += s.used_gpus;
-    digest.queue_depth_max = std::max<int64_t>(digest.queue_depth_max, s.queued_jobs);
-    digest.occupancy_sum += s.occupancy;
-    digest.util_expected_sum += s.util_expected_pct;
-    digest.util_observed_sum += s.util_observed_pct;
+    FoldSample(s, &digest);
   }
   return digest;
 }

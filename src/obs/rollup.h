@@ -1,12 +1,12 @@
 // Rollups and integrity digests for the telemetry stream (timeseries.h).
 //
-// TelemetryDigest is the stream's self-check record: order-sensitive exact
-// aggregates over the sample lines (recomputable by any reader, in file
-// order, with bitwise-equal results) plus the Table 3 utilization aggregates
-// the writer derived from the native job records. `phillyctl analyze
-// --telemetry` recomputes both sides and exits non-zero on any mismatch —
-// the same reconstruct-and-cross-check discipline event_join.h applies to
-// the scheduler stream.
+// TelemetryDigest (declared in timeseries.h) is the stream's self-check
+// record: order-sensitive exact aggregates over the sample lines
+// (recomputable by any reader, in file order, with bitwise-equal results)
+// plus the Table 3 utilization aggregates the writer derived from the native
+// job records. `phillyctl analyze --telemetry` recomputes both sides and
+// exits non-zero on any mismatch — the same reconstruct-and-cross-check
+// discipline event_join.h applies to the scheduler stream.
 //
 // TelemetryRollup downsamples a stream into fixed windows (default one hour)
 // for reporting, with Histogram-backed percentile digests; MergeFrom folds
@@ -31,35 +31,14 @@
 
 namespace philly {
 
-// Exact aggregates for cross-checking a telemetry stream. All sums are
-// accumulated in a fixed order (file order for samples, job order for the
-// utilization aggregates), so equal inputs give bitwise-equal digests.
-struct TelemetryDigest {
-  // Size classes for the utilization aggregates: the paper's representative
-  // job sizes (1, 4, 8, 16 GPUs) plus an all-jobs overall class.
-  static constexpr int kNumClasses = 5;
-  static constexpr int kOverallClass = 4;
-
-  // --- derived from the sample lines, in file order ---
-  int64_t samples = 0;
-  int64_t used_gpu_samples = 0;  // sum of used_gpus
-  int64_t queue_depth_max = 0;
-  double occupancy_sum = 0.0;
-  double util_expected_sum = 0.0;  // percent-valued samples
-  double util_observed_sum = 0.0;
-
-  // --- derived from the native job records (ComputeUtilDigest) ---
-  int64_t jobs = 0;
-  int64_t segments = 0;
-  std::array<double, kNumClasses> util_weight = {};        // sample weights
-  std::array<double, kNumClasses> util_weighted_sum = {};  // value * weight
-
-  bool operator==(const TelemetryDigest&) const = default;
-};
-
 // Exact-equality views for the two digest halves.
 bool SampleAggregatesEqual(const TelemetryDigest& a, const TelemetryDigest& b);
 bool JobAggregatesEqual(const TelemetryDigest& a, const TelemetryDigest& b);
+
+// Folds one sample into the sample-derived half. Folding a stream's samples
+// in file order is the definition of that half, which is what lets a
+// streaming ClusterTimeSeries digest samples it no longer holds.
+void FoldSample(const TelemetrySample& sample, TelemetryDigest* digest);
 
 // Recomputes the sample-derived half from a stream, in file order.
 TelemetryDigest DigestOfSamples(const std::vector<TelemetrySample>& samples);

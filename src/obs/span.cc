@@ -160,12 +160,6 @@ bool SpanRecordFromNdjsonLine(std::string_view line, SpanRecord* span,
   return true;
 }
 
-void SpanLog::WriteNdjson(std::ostream& out) const {
-  for (const SpanRecord& span : spans_) {
-    out << ToNdjsonLine(span) << '\n';
-  }
-}
-
 std::vector<SpanRecord> SpanLog::ReadNdjson(std::istream& in, std::string* error) {
   if (error != nullptr) {
     error->clear();

@@ -29,6 +29,7 @@
 
 #include "src/cluster/cluster.h"
 #include "src/common/sim_time.h"
+#include "src/obs/record_buffer.h"
 
 namespace philly {
 
@@ -92,24 +93,33 @@ std::string ToNdjsonLine(const SpanRecord& span);
 bool SpanRecordFromNdjsonLine(std::string_view line, SpanRecord* span,
                               std::string* error);
 
-// Buffered span stream, one per simulation run (EventLog discipline: not
-// thread-safe, fixed NDJSON key order, byte-identical across thread counts).
+// The span stream of one run (EventLog discipline: not thread-safe, fixed
+// NDJSON key order, byte-identical across thread counts), buffered or
+// streamed to disk as the run produces it (record_buffer.h).
 class SpanLog {
  public:
-  SpanRecord& Append() { return spans_.emplace_back(); }
-  void Reserve(size_t n) { spans_.reserve(n); }
-  void Clear() { spans_.clear(); }
+  // Writes every later full batch of spans to `out` instead of keeping the
+  // whole stream; WriteNdjson then writes the tail. Call before the run.
+  void StreamTo(std::ostream* out) { spans_.StreamTo(out); }
+  // The reference is valid until the next Append.
+  SpanRecord& Append() { return spans_.Append(); }
+  void Reserve(size_t n) { spans_.Reserve(n); }
+  void Clear() { spans_.Clear(); }
 
-  const std::vector<SpanRecord>& spans() const { return spans_; }
+  // The spans still held: the whole stream when buffered, the current batch
+  // when streaming.
+  const std::vector<SpanRecord>& spans() const { return spans_.held(); }
+  // Spans appended since the last Clear, written out or held.
   size_t size() const { return spans_.size(); }
-  bool empty() const { return spans_.empty(); }
+  bool empty() const { return size() == 0; }
 
-  void WriteNdjson(std::ostream& out) const;
+  // Writes the spans still held.
+  void WriteNdjson(std::ostream& out) const { spans_.WriteNdjson(out); }
   static std::vector<SpanRecord> ReadNdjson(std::istream& in,
                                             std::string* error = nullptr);
 
  private:
-  std::vector<SpanRecord> spans_;
+  RecordBuffer<SpanRecord> spans_;
 };
 
 // Chrome trace-event export (the TraceProfiler format): one complete slice

@@ -233,17 +233,19 @@ ClusterTimeSeries::ClusterTimeSeries(SimDuration period, SamplerConfig sampler)
   assert(period_ > 0);
 }
 
-void ClusterTimeSeries::Reserve(size_t samples) { samples_.reserve(samples); }
+void ClusterTimeSeries::Reserve(size_t samples) { samples_.Reserve(samples); }
 
 void ClusterTimeSeries::Clear() {
-  samples_.clear();
+  samples_.Clear();
+  written_digest_ = {};
   util_streams_.clear();
   last_index_ = 0;
   run_seed_ = 0;
 }
 
 void ClusterTimeSeries::BeginRun(uint64_t seed) {
-  samples_.clear();
+  samples_.Clear();
+  written_digest_ = {};
   util_streams_.clear();
   last_index_ = 0;
   run_seed_ = seed;
@@ -256,9 +258,18 @@ SimTime ClusterTimeSeries::NextSampleTime() const {
 TelemetrySample& ClusterTimeSeries::AppendSample(SimTime t) {
   assert(t == NextSampleTime());
   ++last_index_;
-  TelemetrySample& sample = samples_.emplace_back();
+  TelemetrySample& sample = samples_.Append(
+      [this](const TelemetrySample& done) { FoldSample(done, &written_digest_); });
   sample.time = t;
   return sample;
+}
+
+TelemetryDigest ClusterTimeSeries::SampleDigest() const {
+  TelemetryDigest digest = written_digest_;
+  for (const TelemetrySample& sample : samples_.held()) {
+    FoldSample(sample, &digest);
+  }
+  return digest;
 }
 
 double ClusterTimeSeries::ObserveUtilPct(JobId job, int attempt,
@@ -291,9 +302,7 @@ double ClusterTimeSeries::ObserveUtilPct(JobId job, int attempt,
 
 void ClusterTimeSeries::WriteNdjson(std::ostream& out,
                                     const TelemetryDigest* digest) const {
-  for (const TelemetrySample& sample : samples_) {
-    out << ToNdjsonLine(sample) << '\n';
-  }
+  samples_.WriteNdjson(out);
   if (digest != nullptr) {
     out << ToNdjsonLine(*digest) << '\n';
   }

@@ -30,6 +30,7 @@
 
 #include "src/cluster/cluster.h"
 #include "src/common/sim_time.h"
+#include "src/obs/record_buffer.h"
 #include "src/telemetry/sampler.h"
 
 namespace philly {
@@ -96,18 +97,49 @@ std::string ToNdjsonLine(const TelemetrySample& s);
 bool TelemetrySampleFromNdjsonLine(std::string_view line, TelemetrySample* sample,
                                    std::string* error);
 
-struct TelemetryDigest;  // rollup.h
+// Exact aggregates for cross-checking a telemetry stream. All sums are
+// accumulated in a fixed order (file order for samples, job order for the
+// utilization aggregates), so equal inputs give bitwise-equal digests.
+struct TelemetryDigest {
+  // Size classes for the utilization aggregates: the paper's representative
+  // job sizes (1, 4, 8, 16 GPUs) plus an all-jobs overall class.
+  static constexpr int kNumClasses = 5;
+  static constexpr int kOverallClass = 4;
+
+  // --- derived from the sample lines, in file order ---
+  int64_t samples = 0;
+  int64_t used_gpu_samples = 0;  // sum of used_gpus
+  int64_t queue_depth_max = 0;
+  double occupancy_sum = 0.0;
+  double util_expected_sum = 0.0;  // percent-valued samples
+  double util_observed_sum = 0.0;
+
+  // --- derived from the native job records (ComputeUtilDigest) ---
+  int64_t jobs = 0;
+  int64_t segments = 0;
+  std::array<double, kNumClasses> util_weight = {};        // sample weights
+  std::array<double, kNumClasses> util_weighted_sum = {};  // value * weight
+
+  bool operator==(const TelemetryDigest&) const = default;
+};
 
 // Deterministic per-minute recorder. The owning ClusterSimulation drives it:
 // BeginRun once, then AppendSample at every grid time crossed by the clock,
 // filling the returned sample in place; ObserveUtilPct advances the per-job
 // AR(1) jitter stream (exactly once per running job per sampled minute).
+// Samples are buffered or streamed to disk as the run produces them
+// (record_buffer.h).
 class ClusterTimeSeries {
  public:
   explicit ClusterTimeSeries(SimDuration period = Minutes(1),
                              SamplerConfig sampler = {});
 
   SimDuration period() const { return period_; }
+
+  // Writes every later full batch of samples to `out` instead of keeping the
+  // whole stream; WriteNdjson then writes the tail and the digest line. Call
+  // before the run.
+  void StreamTo(std::ostream* out) { samples_.StreamTo(out); }
 
   // Pre-sizes the sample buffer (cheap enabled-path, like EventLog::Reserve).
   void Reserve(size_t samples);
@@ -123,7 +155,8 @@ class ClusterTimeSeries {
   SimTime NextSampleTime() const;
 
   // Appends a sample at grid time `t` (must equal NextSampleTime()) and
-  // returns it for the caller to fill.
+  // returns it for the caller to fill. The reference is valid until the
+  // next AppendSample.
   TelemetrySample& AppendSample(SimTime t);
 
   // Advances the AR(1) jitter stream for `job` and returns the observed
@@ -131,10 +164,18 @@ class ClusterTimeSeries {
   // (re)seeded per (run seed, job, attempt).
   double ObserveUtilPct(JobId job, int attempt, double expected_util);
 
-  const std::vector<TelemetrySample>& samples() const { return samples_; }
+  // The samples still held: the whole stream when buffered, the current
+  // batch when streaming.
+  const std::vector<TelemetrySample>& samples() const { return samples_.held(); }
+  // Samples appended since BeginRun, written out or held.
+  size_t size() const { return samples_.size(); }
 
-  // NDJSON: one sample per line, fixed key order; when `digest` is non-null a
-  // final digest line is appended for self-integrity checks.
+  // The sample-derived half of the digest over every sample since BeginRun,
+  // written out or held; equal to DigestOfSamples of the whole stream.
+  TelemetryDigest SampleDigest() const;
+
+  // NDJSON: one line per held sample, fixed key order; when `digest` is
+  // non-null a final digest line is appended for self-integrity checks.
   void WriteNdjson(std::ostream& out, const TelemetryDigest* digest = nullptr) const;
 
   // Reads a stream written by WriteNdjson. Stops at the first malformed line
@@ -157,7 +198,9 @@ class ClusterTimeSeries {
   SamplerConfig sampler_;
   uint64_t run_seed_ = 0;
   int64_t last_index_ = 0;  // grid index of the last appended sample
-  std::vector<TelemetrySample> samples_;
+  RecordBuffer<TelemetrySample> samples_;
+  // Sample half of the digest over the samples already written out.
+  TelemetryDigest written_digest_;
   std::vector<UtilStream> util_streams_;  // indexed by JobId (dense ids)
 };
 

@@ -273,11 +273,11 @@ void PhillyTracesExporter::WriteMemUtil(const std::vector<JobRecord>& jobs,
 
 bool PhillyTracesExporter::WriteDirectory(const std::vector<JobRecord>& jobs,
                                           const std::string& directory) const {
-  std::ofstream job_log(directory + "/cluster_job_log");
-  std::ofstream machines(directory + "/cluster_machine_list");
-  std::ofstream gpu_util(directory + "/cluster_gpu_util");
-  std::ofstream cpu_util(directory + "/cluster_cpu_util");
-  std::ofstream mem_util(directory + "/cluster_mem_util");
+  std::ofstream job_log(directory + "/" + kFileNames[0]);
+  std::ofstream machines(directory + "/" + kFileNames[1]);
+  std::ofstream gpu_util(directory + "/" + kFileNames[2]);
+  std::ofstream cpu_util(directory + "/" + kFileNames[3]);
+  std::ofstream mem_util(directory + "/" + kFileNames[4]);
   if (!job_log || !machines || !gpu_util || !cpu_util || !mem_util) {
     return false;
   }

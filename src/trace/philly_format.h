@@ -23,6 +23,7 @@
 #ifndef SRC_TRACE_PHILLY_FORMAT_H_
 #define SRC_TRACE_PHILLY_FORMAT_H_
 
+#include <array>
 #include <iosfwd>
 #include <map>
 #include <string>
@@ -56,7 +57,13 @@ class PhillyTracesExporter {
   void WriteCpuUtil(const std::vector<JobRecord>& jobs, std::ostream& out) const;
   void WriteMemUtil(const std::vector<JobRecord>& jobs, std::ostream& out) const;
 
-  // Writes all five files into `directory`. Returns false on I/O failure.
+  // The files WriteDirectory writes, in the order of the five writers above.
+  static constexpr std::array<const char*, 5> kFileNames = {
+      "cluster_job_log", "cluster_machine_list", "cluster_gpu_util",
+      "cluster_cpu_util", "cluster_mem_util"};
+
+  // Writes all five files into `directory` (kFileNames). Returns false on
+  // I/O failure.
   bool WriteDirectory(const std::vector<JobRecord>& jobs,
                       const std::string& directory) const;
 

@@ -129,10 +129,10 @@ void TraceWriter::WriteStdoutLogs(const std::vector<JobRecord>& jobs,
 
 bool TraceWriter::WriteDirectory(const std::vector<JobRecord>& jobs,
                                  const std::string& directory) {
-  std::ofstream jobs_out(directory + "/jobs.csv");
-  std::ofstream attempts_out(directory + "/attempts.csv");
-  std::ofstream util_out(directory + "/gpu_util.csv");
-  std::ofstream log_out(directory + "/stdout.log");
+  std::ofstream jobs_out(directory + "/" + kFileNames[0]);
+  std::ofstream attempts_out(directory + "/" + kFileNames[1]);
+  std::ofstream util_out(directory + "/" + kFileNames[2]);
+  std::ofstream log_out(directory + "/" + kFileNames[3]);
   if (!jobs_out || !attempts_out || !util_out || !log_out) {
     return false;
   }

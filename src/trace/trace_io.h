@@ -25,6 +25,7 @@
 #ifndef SRC_TRACE_TRACE_IO_H_
 #define SRC_TRACE_TRACE_IO_H_
 
+#include <array>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -40,8 +41,12 @@ class TraceWriter {
   static void WriteUtilSegments(const std::vector<JobRecord>& jobs, std::ostream& out);
   static void WriteStdoutLogs(const std::vector<JobRecord>& jobs, std::ostream& out);
 
-  // Writes all four streams into `directory` (jobs.csv, attempts.csv,
-  // gpu_util.csv, stdout.log). Returns false if any file cannot be opened.
+  // The files WriteDirectory writes, in the order of the four writers above.
+  static constexpr std::array<const char*, 4> kFileNames = {
+      "jobs.csv", "attempts.csv", "gpu_util.csv", "stdout.log"};
+
+  // Writes all four streams into `directory` (kFileNames). Returns false if
+  // any file cannot be opened.
   static bool WriteDirectory(const std::vector<JobRecord>& jobs,
                              const std::string& directory);
 };

@@ -29,35 +29,10 @@
 #include "src/obs/rollup.h"
 #include "src/obs/span.h"
 #include "src/obs/timeseries.h"
+#include "tests/golden_configs.h"
 
 namespace philly {
 namespace {
-
-#ifndef PHILLY_TESTS_DIR
-#error "PHILLY_TESTS_DIR must point at the tests/ source directory"
-#endif
-
-std::string GoldenPath(const std::string& name) {
-  return std::string(PHILLY_TESTS_DIR) + "/golden/" + name;
-}
-
-// Small fixed workload: one day of arrivals at a fifth of the paper's rates
-// against a quarter-size cluster with a warm-start cohort near its capacity,
-// so the stream exercises queueing, fair-share vs fragmentation delays, and
-// locality relaxation but stays around a thousand events.
-ExperimentConfig GoldenConfig() {
-  ExperimentConfig config = ExperimentConfig::BenchScale(/*days=*/1, /*seed=*/7);
-  for (VcConfig& vc : config.workload.vcs) {
-    vc.arrival_rate_per_hour *= 0.3;
-  }
-  config.simulation.cluster.skus.clear();
-  config.simulation.cluster.skus.push_back(
-      {/*racks=*/4, /*servers_per_rack=*/16, /*gpus_per_server=*/8});
-  config.simulation.cluster.skus.push_back(
-      {/*racks=*/1, /*servers_per_rack=*/24, /*gpus_per_server=*/2});
-  config.workload.prepopulate_busy_gpus = 536;
-  return config;
-}
 
 std::string FormatFraction(double value) {
   char buf[32];
@@ -164,36 +139,12 @@ TEST(GoldenDeterminismTest, TelemetryStreamMatchesCommittedGolden) {
   config.simulation.obs.timeseries = &timeseries;
   const ExperimentRun run = RunExperiment(config);
 
-  TelemetryDigest digest = DigestOfSamples(timeseries.samples());
-  const TelemetryDigest jobs_half = ComputeUtilDigest(run.result.jobs);
-  digest.jobs = jobs_half.jobs;
-  digest.segments = jobs_half.segments;
-  digest.util_weight = jobs_half.util_weight;
-  digest.util_weighted_sum = jobs_half.util_weighted_sum;
+  const TelemetryDigest digest =
+      TelemetryStreamDigest(timeseries, run.result.jobs);
 
   std::ostringstream stream;
   timeseries.WriteNdjson(stream, &digest);
   CompareOrUpdate("telemetry.ndjson", stream.str());
-}
-
-// Fault-enabled golden: the same fixed workload with the calibrated machine
-// fault process (MTBFs compressed so the one-day window sees real kills) and
-// the checkpoint I/O model on under the cooperative-stagger policy. Guards
-// the fault timeline, the checkpoint write/stall cadence, and the new
-// ckpt_begin/ckpt_end/ckpt_stall event kinds plus the telemetry checkpoint
-// fields against accidental drift.
-ExperimentConfig FaultGoldenConfig() {
-  ExperimentConfig config = GoldenConfig();
-  config.simulation.fault = FaultProcessConfig::Calibrated();
-  config.simulation.fault.server_crash_mtbf_hours = 24.0 * 8;
-  config.simulation.fault.gpu_ecc_mtbf_hours = 24.0 * 12;
-  config.simulation.fault.rack_outage_mtbf_hours = 24.0 * 20;
-  config.simulation.scheduler.checkpoint_period = Minutes(30);
-  config.simulation.scheduler.checkpoint_policy =
-      CheckpointPolicy::kCooperativeStagger;
-  config.simulation.ckpt_io.rack_bandwidth_gbps = 0.5;
-  config.simulation.ckpt_io.size_gb_per_gpu = 4.0;
-  return config;
 }
 
 // Renders the Table 7 failure shares in a fixed 4-decimal encoding (same
@@ -236,12 +187,8 @@ TEST(GoldenDeterminismTest, FaultEnabledStreamsMatchCommittedGolden) {
 
   CompareOrUpdate("table7_fault.txt", RenderTable7(AnalyzeFailures(run.result.jobs)));
 
-  TelemetryDigest digest = DigestOfSamples(timeseries.samples());
-  const TelemetryDigest jobs_half = ComputeUtilDigest(run.result.jobs);
-  digest.jobs = jobs_half.jobs;
-  digest.segments = jobs_half.segments;
-  digest.util_weight = jobs_half.util_weight;
-  digest.util_weighted_sum = jobs_half.util_weighted_sum;
+  const TelemetryDigest digest =
+      TelemetryStreamDigest(timeseries, run.result.jobs);
   std::ostringstream stream;
   timeseries.WriteNdjson(stream, &digest);
   CompareOrUpdate("telemetry_fault.ndjson", stream.str());

@@ -11,12 +11,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/common/sha256.h"
 #include "src/core/event_join.h"
 #include "src/core/experiment.h"
@@ -493,19 +495,54 @@ TEST(ManifestTest, RecordsSinkDigests) {
 
 // ------------------------------------------------------------ sha256
 
+// FIPS 180-4 example vectors (message, digest).
+const std::pair<std::string, std::string> kSha256Vectors[] = {
+    {"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+    {"abc", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"},
+    {"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+     "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"},
+    {"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmnoijklmnop"
+     "jklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
+     "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1"},
+};
+
 TEST(Sha256Test, MatchesKnownVectors) {
-  // FIPS 180-2 test vectors.
-  EXPECT_EQ(Sha256Hex(""),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
-  EXPECT_EQ(Sha256Hex("abc"),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
-  EXPECT_EQ(Sha256Hex("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+  for (const auto& [message, digest] : kSha256Vectors) {
+    EXPECT_EQ(Sha256Hex(message), digest) << "'" << message << "'";
+  }
   // Block-boundary lengths (55/56/64 bytes) exercise the padding paths.
   EXPECT_EQ(Sha256Hex(std::string(55, 'a')),
             Sha256Hex(std::string(55, 'a')));
   EXPECT_EQ(Sha256Hex(std::string(1000000, 'a')),
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+// The incremental hash gives the one-shot digest wherever the input is split:
+// every vector at every split point, and a million 'a's fed in random chunks.
+TEST(Sha256Test, IncrementalMatchesOneShotAtEverySplit) {
+  for (const auto& [message, digest] : kSha256Vectors) {
+    for (size_t split = 0; split <= message.size(); ++split) {
+      Sha256 hash;
+      hash.Update(std::string_view(message).substr(0, split));
+      hash.Update(std::string_view(message).substr(split));
+      ASSERT_EQ(hash.FinishHex(), digest)
+          << "'" << message << "' split at " << split;
+    }
+  }
+  const std::string million(1000000, 'a');
+  Rng rng(180);
+  for (int round = 0; round < 3; ++round) {
+    Sha256 hash;
+    for (size_t done = 0; done < million.size();) {
+      const size_t chunk =
+          std::min(million.size() - done,
+                   static_cast<size_t>(rng.Between(0, 300)));
+      hash.Update(std::string_view(million).substr(done, chunk));
+      done += chunk;
+    }
+    EXPECT_EQ(hash.FinishHex(),
+              "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+  }
 }
 
 }  // namespace

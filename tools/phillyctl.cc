@@ -97,6 +97,7 @@
 //                         gains the "Why jobs waited" section
 
 #include <cerrno>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -104,6 +105,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -126,6 +128,7 @@
 #include "src/obs/manifest.h"
 #include "src/obs/metrics.h"
 #include "src/obs/observability.h"
+#include "src/obs/output_file.h"
 #include "src/obs/rollup.h"
 #include "src/obs/span.h"
 #include "src/obs/timeseries.h"
@@ -144,10 +147,6 @@ struct Args {
   std::string Get(const std::string& key, const std::string& fallback) const {
     const auto it = values.find(key);
     return it != values.end() ? it->second : fallback;
-  }
-  int GetInt(const std::string& key, int fallback) const {
-    const auto it = values.find(key);
-    return it != values.end() ? std::atoi(it->second.c_str()) : fallback;
   }
   bool Has(const std::string& key) const { return flags.count(key) > 0; }
 };
@@ -252,9 +251,9 @@ bool ApplySchedulerOptions(const Args& args, SchedulerConfig* sched) {
          ApplyCommonSchedulerOptions(args, sched);
 }
 
-// Strict numeric parsing for the fault/checkpoint knobs. std::atoi-style
-// silent defaulting would let a typo'd period or bandwidth invalidate a whole
-// fault study, so malformed values fail loudly instead (the same contract as
+// Strict numeric parsing for every numeric flag. std::atoi-style silent
+// defaulting would let a typo'd scale, seed, period or bandwidth invalidate a
+// whole study, so malformed values fail loudly instead (the same contract as
 // the PHILLY_BENCH_* env knobs).
 bool ParseStrictLong(const std::string& text, long* out) {
   char* end = nullptr;
@@ -277,6 +276,44 @@ bool ParseStrictDouble(const std::string& text, double* out) {
   }
   *out = value;
   return true;
+}
+
+// Reads integer flag `key` into *out (`fallback` when absent), strictly and
+// range-checked. A malformed or out-of-range value prints
+// "KEY 'X' is invalid: expected ..." and returns false.
+bool GetIntFlag(const Args& args, const std::string& key, int fallback,
+                long min, long max, const char* expected, int* out) {
+  const auto it = args.values.find(key);
+  if (it == args.values.end()) {
+    *out = fallback;
+    return true;
+  }
+  long value = 0;
+  if (!ParseStrictLong(it->second, &value) || value < min || value > max) {
+    std::fprintf(stderr, "%s '%s' is invalid: expected %s\n", key.c_str(),
+                 it->second.c_str(), expected);
+    return false;
+  }
+  *out = static_cast<int>(value);
+  return true;
+}
+
+// The run-scale flags every simulating command shares.
+struct RunFlags {
+  int days = 0;
+  int seed = 0;
+  int threads = 0;  // 0 = PHILLY_BENCH_THREADS or hardware concurrency
+};
+
+bool ParseRunFlags(const Args& args, int default_days, RunFlags* flags) {
+  return GetIntFlag(args, "--days", default_days, 1, INT_MAX,
+                    "an integer number of days, at least 1", &flags->days) &&
+         GetIntFlag(args, "--seed", 42, 0, INT_MAX,
+                    "an integer seed between 0 and 2147483647", &flags->seed) &&
+         GetIntFlag(args, "--threads", 0, 0, INT_MAX,
+                    "a non-negative integer thread count (0 = "
+                    "PHILLY_BENCH_THREADS or hardware concurrency)",
+                    &flags->threads);
 }
 
 // Parses and validates --checkpoint-mins and the --ckpt-* knobs into the
@@ -510,40 +547,126 @@ void ExportFigures(const std::vector<JobRecord>& jobs, const std::string& dir) {
   std::printf("figure series written to %s/\n", dir.c_str());
 }
 
-// Serializes `write(out)` into memory, writes the bytes to `path`, and on
-// success records the sink in the manifest: output path plus the SHA-256 of
-// exactly the bytes written, so a later reader can prove the file on disk is
-// the one this run produced.
-template <typename WriteFn>
-bool WriteObsFile(const std::string& path, const char* what, const char* sink,
-                  RunManifest* manifest, WriteFn write) {
-  std::ostringstream buffer;
-  write(buffer);
-  const std::string bytes = buffer.str();
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
+// Opens `path` for writing (as `<path>.partial` until committed), or prints
+// "cannot write WHAT to PATH" and returns null.
+std::unique_ptr<OutputFile> OpenOutput(const std::string& path, const char* what) {
+  auto file = std::make_unique<OutputFile>(path);
+  if (!file->is_open()) {
     std::fprintf(stderr, "cannot write %s to %s\n", what, path.c_str());
+    return nullptr;
+  }
+  return file;
+}
+
+// Finishes one output: `write(out)` adds whatever the run has not streamed
+// into the file yet, the file is committed under its final name, and the
+// sink is recorded in the manifest with the SHA-256 of every byte in it, so
+// a later reader can prove the file on disk is the one this run produced.
+template <typename WriteFn>
+bool FinishOutput(OutputFile& file, const char* what, const std::string& sink,
+                  RunManifest* manifest, WriteFn write) {
+  write(file.stream());
+  if (!file.Commit()) {
+    std::fprintf(stderr, "error while writing %s to %s\n", what,
+                 file.path().c_str());
     return false;
   }
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  if (!out.good()) {
-    std::fprintf(stderr, "error while writing %s to %s\n", what, path.c_str());
-    return false;
-  }
-  manifest->outputs[sink] = path;
-  manifest->digests[sink] = Sha256Hex(bytes);
+  manifest->outputs[sink] = file.path();
+  manifest->digests[sink] = file.sha256();
   return true;
+}
+
+// OpenOutput then FinishOutput, for an output written whole after its run.
+template <typename WriteFn>
+bool WriteObsFile(const std::string& path, const char* what,
+                  const std::string& sink, RunManifest* manifest, WriteFn write) {
+  const std::unique_ptr<OutputFile> file = OpenOutput(path, what);
+  return file != nullptr && FinishOutput(*file, what, sink, manifest, write);
+}
+
+// An output file and the flag that asked for it ("--out" for the fixed files
+// an output directory receives).
+struct OutputPath {
+  std::string flag;
+  std::string path;
+};
+
+// Rejects two outputs that name the same file. Their writers would
+// interleave bytes, and the manifest would record a digest for a file another
+// output then overwrote. Paths are compared absolute and normalized, with
+// symlinks resolved as far as the path exists.
+bool RejectSharedPaths(const std::vector<OutputPath>& outputs) {
+  std::map<std::filesystem::path, const OutputPath*> seen;
+  for (const OutputPath& output : outputs) {
+    std::error_code error;
+    const std::filesystem::path absolute =
+        std::filesystem::absolute(output.path, error);
+    std::filesystem::path key = std::filesystem::weakly_canonical(absolute, error);
+    if (error) {
+      key = absolute.lexically_normal();
+    }
+    const auto [it, inserted] = seen.emplace(key, &output);
+    if (!inserted) {
+      std::fprintf(stderr,
+                   "%s and %s both name %s: each output needs a file of its "
+                   "own\n",
+                   it->second->flag.c_str(), output.flag.c_str(),
+                   output.path.c_str());
+      return false;
+    }
+  }
+  return true;
+}
+
+// Creates an output directory, or prints why it cannot and returns false.
+bool CreateOutputDirectory(const std::string& dir) {
+  std::error_code error;
+  std::filesystem::create_directories(dir, error);
+  if (error) {
+    std::fprintf(stderr, "cannot create output directory %s: %s\n", dir.c_str(),
+                 error.message().c_str());
+    return false;
+  }
+  return true;
+}
+
+// Every file a simulate/report run writes, flag by flag.
+std::vector<OutputPath> SimulateOutputPaths(const Args& args, bool write_output,
+                                            const std::string& out_dir,
+                                            bool native, bool philly_traces) {
+  std::vector<OutputPath> paths;
+  if (write_output) {
+    if (native) {
+      for (const char* name : TraceWriter::kFileNames) {
+        paths.push_back({"--out", out_dir + "/" + name});
+      }
+    }
+    if (philly_traces) {
+      for (const char* name : PhillyTracesExporter::kFileNames) {
+        paths.push_back({"--out", out_dir + "/" + name});
+      }
+    }
+    paths.push_back({"--out", out_dir + "/manifest.json"});
+  }
+  for (const char* flag : {"--events-out", "--telemetry-out", "--spans-out",
+                           "--metrics-out", "--trace-out", "--spans-trace-out",
+                           "--html"}) {
+    if (std::string path = args.Get(flag, ""); !path.empty()) {
+      paths.push_back({flag, std::move(path)});
+    }
+  }
+  return paths;
 }
 
 // The manifest that lets a trace directory found on disk later be
 // regenerated: seed, scale, and every knob that changes the simulation.
 RunManifest ManifestFor(const Args& args, const ExperimentConfig& config,
-                        bool write_output) {
+                        const RunFlags& flags, bool write_output) {
   RunManifest manifest;
   manifest.tool = "phillyctl";
   manifest.command = write_output ? "simulate" : "report";
   manifest.seed = config.simulation.seed;
-  manifest.days = args.GetInt("--days", 10);
+  manifest.days = flags.days;
   manifest.threads = 1;
   manifest.knobs["scheduler"] = config.simulation.scheduler.name;
   manifest.knobs["retry"] = args.Get("--retry", "fixed");
@@ -567,9 +690,12 @@ RunManifest ManifestFor(const Args& args, const ExperimentConfig& config,
 }
 
 int RunSimulateOrReport(const Args& args, bool write_output) {
+  RunFlags flags;
+  if (!ParseRunFlags(args, /*default_days=*/10, &flags)) {
+    return 1;
+  }
   ExperimentConfig config =
-      ExperimentConfig::BenchScale(args.GetInt("--days", 10),
-                                   static_cast<uint64_t>(args.GetInt("--seed", 42)));
+      ExperimentConfig::BenchScale(flags.days, static_cast<uint64_t>(flags.seed));
   if (!ApplySchedulerOptions(args, &config.simulation.scheduler)) {
     return 2;
   }
@@ -582,6 +708,51 @@ int RunSimulateOrReport(const Args& args, bool write_output) {
     config.simulation.fault = FaultProcessConfig::Calibrated();
   }
 
+  const std::string events_out = args.Get("--events-out", "");
+  const std::string metrics_out = args.Get("--metrics-out", "");
+  const std::string trace_out = args.Get("--trace-out", "");
+  const std::string telemetry_out = args.Get("--telemetry-out", "");
+  const std::string spans_out = args.Get("--spans-out", "");
+  const std::string spans_trace_out = args.Get("--spans-trace-out", "");
+  const std::string html_out = args.Get("--html", "");
+  const std::string out_dir = args.Get("--out", "out/trace");
+  const std::string format = args.Get("--format", "native");
+  const bool native = format == "native" || format == "both";
+  const bool philly_traces = format == "philly-traces" || format == "both";
+
+  // Every output is checked and opened before the run, so a clash or an
+  // unwritable path fails before any simulation work.
+  if (!RejectSharedPaths(SimulateOutputPaths(args, write_output, out_dir,
+                                             native, philly_traces))) {
+    return 1;
+  }
+  if (write_output && !CreateOutputDirectory(out_dir)) {
+    return 1;
+  }
+  std::unique_ptr<OutputFile> events_file;
+  std::unique_ptr<OutputFile> metrics_file;
+  std::unique_ptr<OutputFile> trace_file;
+  std::unique_ptr<OutputFile> telemetry_file;
+  std::unique_ptr<OutputFile> spans_file;
+  std::unique_ptr<OutputFile> spans_trace_file;
+  std::unique_ptr<OutputFile> html_file;
+  std::unique_ptr<OutputFile> manifest_file;
+  const auto open = [](const std::string& path, const char* what,
+                       std::unique_ptr<OutputFile>* file) {
+    return path.empty() || (*file = OpenOutput(path, what)) != nullptr;
+  };
+  if (!open(events_out, "event log", &events_file) ||
+      !open(metrics_out, "metrics", &metrics_file) ||
+      !open(trace_out, "phase trace", &trace_file) ||
+      !open(telemetry_out, "telemetry", &telemetry_file) ||
+      !open(spans_out, "span stream", &spans_file) ||
+      !open(spans_trace_out, "span trace", &spans_trace_file) ||
+      !open(html_out, "dashboard", &html_file) ||
+      (write_output &&
+       !open(out_dir + "/manifest.json", "manifest", &manifest_file))) {
+    return 1;
+  }
+
   // Observability sinks attach only when their output was requested: a run
   // without these flags keeps config.simulation.obs all-null and is
   // byte-identical to a run from before the sinks existed.
@@ -590,13 +761,6 @@ int RunSimulateOrReport(const Args& args, bool write_output) {
   TraceProfiler profiler;
   ClusterTimeSeries timeseries;
   SpanTracer spans;
-  const std::string events_out = args.Get("--events-out", "");
-  const std::string metrics_out = args.Get("--metrics-out", "");
-  const std::string trace_out = args.Get("--trace-out", "");
-  const std::string telemetry_out = args.Get("--telemetry-out", "");
-  const std::string spans_out = args.Get("--spans-out", "");
-  const std::string spans_trace_out = args.Get("--spans-trace-out", "");
-  const std::string html_out = args.Get("--html", "");
   // The dashboard joins the telemetry and scheduler streams, so --html
   // implies both recorders even when their files were not asked for.
   if (!events_out.empty() || !html_out.empty()) {
@@ -618,34 +782,46 @@ int RunSimulateOrReport(const Args& args, bool write_output) {
   if (!spans_out.empty() || !spans_trace_out.empty()) {
     config.simulation.obs.spans = &spans;
   }
+  // A stream goes to disk while the run produces it, unless something in
+  // this process reads its records after the run: the dashboard reads
+  // events, samples and spans, the span Chrome trace reads spans. Streamed,
+  // a sink holds one batch of records instead of the whole run.
+  if (html_out.empty()) {
+    if (events_file != nullptr) {
+      event_log.StreamTo(&events_file->stream());
+    }
+    if (telemetry_file != nullptr) {
+      timeseries.StreamTo(&telemetry_file->stream());
+    }
+    if (spans_file != nullptr && spans_trace_out.empty()) {
+      spans.log().StreamTo(&spans_file->stream());
+    }
+  }
 
-  std::printf("simulating %d days (seed %d, scheduler %s)...\n",
-              args.GetInt("--days", 10), args.GetInt("--seed", 42),
-              config.simulation.scheduler.name.c_str());
+  std::printf("simulating %d days (seed %d, scheduler %s)...\n", flags.days,
+              flags.seed, config.simulation.scheduler.name.c_str());
   const ExperimentRun run = RunExperiment(config);
   std::printf("%lld jobs completed\n\n", static_cast<long long>(run.num_jobs));
 
-  RunManifest manifest = ManifestFor(args, config, write_output);
+  RunManifest manifest = ManifestFor(args, config, flags, write_output);
   if (write_output) {
-    const std::string out = args.Get("--out", "out/trace");
-    std::filesystem::create_directories(out);
-    const std::string format = args.Get("--format", "native");
-    if (format == "native" || format == "both") {
-      if (!TraceWriter::WriteDirectory(run.result.jobs, out)) {
-        std::fprintf(stderr, "cannot write native trace to %s\n", out.c_str());
+    if (native) {
+      if (!TraceWriter::WriteDirectory(run.result.jobs, out_dir)) {
+        std::fprintf(stderr, "cannot write native trace to %s\n", out_dir.c_str());
         return 1;
       }
-      manifest.outputs["trace"] = out;
-      std::printf("native trace written to %s/\n", out.c_str());
+      manifest.outputs["trace"] = out_dir;
+      std::printf("native trace written to %s/\n", out_dir.c_str());
     }
-    if (format == "philly-traces" || format == "both") {
+    if (philly_traces) {
       PhillyTracesExporter exporter(config.simulation.cluster);
-      if (!exporter.WriteDirectory(run.result.jobs, out)) {
-        std::fprintf(stderr, "cannot write philly-traces files to %s\n", out.c_str());
+      if (!exporter.WriteDirectory(run.result.jobs, out_dir)) {
+        std::fprintf(stderr, "cannot write philly-traces files to %s\n",
+                     out_dir.c_str());
         return 1;
       }
-      manifest.outputs["philly-traces"] = out;
-      std::printf("philly-traces-format files written to %s/\n", out.c_str());
+      manifest.outputs["philly-traces"] = out_dir;
+      std::printf("philly-traces-format files written to %s/\n", out_dir.c_str());
     }
   }
 
@@ -658,58 +834,54 @@ int RunSimulateOrReport(const Args& args, bool write_output) {
     }
   }
 
-  if (!events_out.empty()) {
-    if (!WriteObsFile(events_out, "event log", "events", &manifest,
+  if (events_file != nullptr) {
+    if (!FinishOutput(*events_file, "event log", "events", &manifest,
                       [&](std::ostream& out) { event_log.WriteNdjson(out); })) {
       return 1;
     }
     std::printf("%zu scheduler events written to %s\n", event_log.size(),
                 events_out.c_str());
   }
-  if (!metrics_out.empty()) {
-    if (!WriteObsFile(metrics_out, "metrics", "metrics", &manifest,
+  if (metrics_file != nullptr) {
+    if (!FinishOutput(*metrics_file, "metrics", "metrics", &manifest,
                       [&](std::ostream& out) { metrics.WriteJson(out); })) {
       return 1;
     }
     std::printf("metrics written to %s\n", metrics_out.c_str());
   }
-  if (!trace_out.empty()) {
-    if (!WriteObsFile(trace_out, "phase trace", "phase-trace", &manifest,
+  if (trace_file != nullptr) {
+    if (!FinishOutput(*trace_file, "phase trace", "phase-trace", &manifest,
                       [&](std::ostream& out) { profiler.WriteChromeTrace(out); })) {
       return 1;
     }
     std::printf("%zu phase slices written to %s (open in ui.perfetto.dev)\n",
                 profiler.size(), trace_out.c_str());
   }
-  if (!telemetry_out.empty()) {
+  if (telemetry_file != nullptr) {
     // The embedded digest carries both halves of the cross-check: exact
     // aggregates over the sample lines, and the Table 3 utilization
     // aggregates derived from the native job records.
-    TelemetryDigest digest = DigestOfSamples(timeseries.samples());
-    const TelemetryDigest jobs_half = ComputeUtilDigest(run.result.jobs);
-    digest.jobs = jobs_half.jobs;
-    digest.segments = jobs_half.segments;
-    digest.util_weight = jobs_half.util_weight;
-    digest.util_weighted_sum = jobs_half.util_weighted_sum;
-    if (!WriteObsFile(telemetry_out, "telemetry", "telemetry", &manifest,
+    const TelemetryDigest digest =
+        TelemetryStreamDigest(timeseries, run.result.jobs);
+    if (!FinishOutput(*telemetry_file, "telemetry", "telemetry", &manifest,
                       [&](std::ostream& out) {
                         timeseries.WriteNdjson(out, &digest);
                       })) {
       return 1;
     }
-    std::printf("%zu telemetry samples written to %s\n",
-                timeseries.samples().size(), telemetry_out.c_str());
+    std::printf("%zu telemetry samples written to %s\n", timeseries.size(),
+                telemetry_out.c_str());
   }
-  if (!spans_out.empty()) {
-    if (!WriteObsFile(spans_out, "span stream", "spans", &manifest,
+  if (spans_file != nullptr) {
+    if (!FinishOutput(*spans_file, "span stream", "spans", &manifest,
                       [&](std::ostream& out) { spans.log().WriteNdjson(out); })) {
       return 1;
     }
-    std::printf("%zu causal spans written to %s\n", spans.log().spans().size(),
+    std::printf("%zu causal spans written to %s\n", spans.log().size(),
                 spans_out.c_str());
   }
-  if (!spans_trace_out.empty()) {
-    if (!WriteObsFile(spans_trace_out, "span trace", "spans-trace", &manifest,
+  if (spans_trace_file != nullptr) {
+    if (!FinishOutput(*spans_trace_file, "span trace", "spans-trace", &manifest,
                       [&](std::ostream& out) {
                         WriteSpanChromeTrace(out, spans.log().spans());
                       })) {
@@ -718,18 +890,18 @@ int RunSimulateOrReport(const Args& args, bool write_output) {
     std::printf("span trace written to %s (open in ui.perfetto.dev)\n",
                 spans_trace_out.c_str());
   }
-  if (!html_out.empty()) {
+  if (html_file != nullptr) {
     HtmlDashboardInput dashboard;
     dashboard.title = "philly " + config.simulation.scheduler.name + " seed " +
                       std::to_string(config.simulation.seed) + ", " +
-                      std::to_string(args.GetInt("--days", 10)) + " days";
+                      std::to_string(flags.days) + " days";
     dashboard.samples = &timeseries.samples();
     dashboard.events = &event_log.events();
     dashboard.jobs = &run.result.jobs;
     if (config.simulation.obs.spans != nullptr) {
       dashboard.spans = &spans.log().spans();
     }
-    if (!WriteObsFile(html_out, "dashboard", "dashboard", &manifest,
+    if (!FinishOutput(*html_file, "dashboard", "dashboard", &manifest,
                       [&](std::ostream& out) {
                         out << RenderHtmlDashboard(dashboard);
                       })) {
@@ -737,14 +909,13 @@ int RunSimulateOrReport(const Args& args, bool write_output) {
     }
     std::printf("dashboard written to %s\n", html_out.c_str());
   }
-  if (write_output) {
-    const std::string manifest_path = args.Get("--out", "out/trace") +
-                                      "/manifest.json";
-    if (!manifest.WriteFile(manifest_path)) {
-      std::fprintf(stderr, "cannot write %s\n", manifest_path.c_str());
+  if (manifest_file != nullptr) {
+    manifest.WriteJson(manifest_file->stream());
+    if (!manifest_file->Commit()) {
+      std::fprintf(stderr, "cannot write %s\n", manifest_file->path().c_str());
       return 1;
     }
-    std::printf("manifest written to %s\n", manifest_path.c_str());
+    std::printf("manifest written to %s\n", manifest_file->path().c_str());
   }
   return 0;
 }
@@ -1086,6 +1257,10 @@ std::vector<std::string> SplitCsv(const std::string& list) {
 // (scheduler, retry, seed) order no matter how many worker threads execute
 // the simulations.
 int RunSweep(const Args& args) {
+  RunFlags flags;
+  if (!ParseRunFlags(args, /*default_days=*/10, &flags)) {
+    return 1;
+  }
   std::vector<uint64_t> seeds;
   for (const std::string& token : SplitCsv(args.Get("--seeds", "42"))) {
     char* end = nullptr;
@@ -1111,7 +1286,7 @@ int RunSweep(const Args& args) {
     return 2;
   }
 
-  const int days = args.GetInt("--days", 10);
+  const int days = flags.days;
   std::vector<ExperimentConfig> configs;
   for (const std::string& name : scheduler_names) {
     SchedulerConfig sched;
@@ -1141,7 +1316,7 @@ int RunSweep(const Args& args) {
     }
   }
 
-  const ExperimentPool pool(args.GetInt("--threads", 0));
+  const ExperimentPool pool(flags.threads);
   std::printf("sweeping %zu scheduler(s) x %zu retry policy(ies) x %zu "
               "seed(s) over %d days on %d worker thread(s)...\n\n",
               scheduler_names.size(), retry_names.size(), seeds.size(), days,
@@ -1194,11 +1369,37 @@ double P95QueueDelayMinutes(const std::vector<JobRecord>& jobs) {
   return delays[std::min(index, delays.size() - 1)];
 }
 
+// Every file a fleet run writes: the route stream, each member's streams and
+// the manifest under --out, and the --html dashboard.
+std::vector<OutputPath> FleetOutputPaths(const FleetConfig& config,
+                                         const std::string& out_dir,
+                                         const std::string& html_out) {
+  std::vector<OutputPath> paths;
+  if (!out_dir.empty()) {
+    paths.push_back({"--out", out_dir + "/fleet_events.ndjson"});
+    for (const FleetClusterSpec& cluster : config.clusters) {
+      for (const char* stream :
+           {".events.ndjson", ".telemetry.ndjson", ".spans.ndjson"}) {
+        paths.push_back({"--out", out_dir + "/" + cluster.name + stream});
+      }
+    }
+    paths.push_back({"--out", out_dir + "/manifest.json"});
+  }
+  if (!html_out.empty()) {
+    paths.push_back({"--html", html_out});
+  }
+  return paths;
+}
+
 // `fleet`: run N clusters behind the front-door router and summarize routing,
 // queueing, and the fleet GPU-time ledger. All three fleet knobs are strictly
 // validated: a malformed --clusters/--router/--spill-threshold exits 1 with a
 // clear message and never silently defaults.
 int RunFleet(const Args& args) {
+  RunFlags flags;
+  if (!ParseRunFlags(args, /*default_days=*/3, &flags)) {
+    return 1;
+  }
   const std::string clusters_spec = args.Get("--clusters", "3");
   std::vector<ClusterConfig> cluster_configs;
   std::string error;
@@ -1233,20 +1434,35 @@ int RunFleet(const Args& args) {
     router.spill_threshold = threshold;
   }
 
-  const int days = args.GetInt("--days", 3);
-  const uint64_t seed = static_cast<uint64_t>(args.GetInt("--seed", 42));
+  const int days = flags.days;
+  const uint64_t seed = static_cast<uint64_t>(flags.seed);
   const bool collect_spans = args.Has("--collect-spans");
   FleetConfig config;
   config.router = router;
   config.collect_events = true;
   config.collect_telemetry = true;
   config.collect_spans = collect_spans;
-  config.threads = args.GetInt("--threads", 0);
+  config.threads = flags.threads;
   for (size_t i = 0; i < cluster_configs.size(); ++i) {
     config.clusters.push_back(
         {"cluster" + std::to_string(i),
          FleetClusterExperiment(cluster_configs[i], days, seed,
                                 static_cast<int>(i))});
+  }
+
+  // The fleet keeps every stream in memory (its dashboard reads them all) and
+  // writes them after the run, but a clash between outputs or an unusable
+  // --out or --html path still fails before the run.
+  const std::string out_dir = args.Get("--out", "");
+  const std::string html_out = args.Get("--html", "");
+  if (!RejectSharedPaths(FleetOutputPaths(config, out_dir, html_out)) ||
+      (!out_dir.empty() && !CreateOutputDirectory(out_dir))) {
+    return 1;
+  }
+  std::unique_ptr<OutputFile> html_file;
+  if (!html_out.empty() &&
+      (html_file = OpenOutput(html_out, "dashboard")) == nullptr) {
+    return 1;
   }
 
   std::printf("simulating a %zu-cluster fleet for %d days (seed %llu, router "
@@ -1302,7 +1518,7 @@ int RunFleet(const Args& args) {
   manifest.command = "fleet";
   manifest.seed = seed;
   manifest.days = days;
-  manifest.threads = args.GetInt("--threads", 0);
+  manifest.threads = flags.threads;
   manifest.knobs["clusters"] = clusters_spec;
   manifest.knobs["router"] = router_name;
   if (router.policy == RouterPolicy::kSpillover) {
@@ -1312,9 +1528,7 @@ int RunFleet(const Args& args) {
     manifest.knobs["collect-spans"] = "on";
   }
 
-  const std::string out_dir = args.Get("--out", "");
   if (!out_dir.empty()) {
-    std::filesystem::create_directories(out_dir);
     if (!WriteObsFile(out_dir + "/fleet_events.ndjson", "fleet route stream",
                       "fleet-events", &manifest, [&](std::ostream& out) {
                         result.route_events.WriteNdjson(out);
@@ -1325,7 +1539,7 @@ int RunFleet(const Args& args) {
       const FleetClusterResult& cluster = result.clusters[i];
       const std::string base = out_dir + "/" + cluster.name;
       if (!WriteObsFile(base + ".events.ndjson", "event log",
-                        (cluster.name + "-events").c_str(), &manifest,
+                        cluster.name + "-events", &manifest,
                         [&](std::ostream& out) {
                           cluster.events.WriteNdjson(out);
                         })) {
@@ -1333,14 +1547,10 @@ int RunFleet(const Args& args) {
       }
       // Same embedded digest the simulate path writes, so each per-cluster
       // stream verifies under `analyze --telemetry` on its own.
-      TelemetryDigest digest = DigestOfSamples(cluster.telemetry.samples());
-      const TelemetryDigest jobs_half = ComputeUtilDigest(cluster.result.jobs);
-      digest.jobs = jobs_half.jobs;
-      digest.segments = jobs_half.segments;
-      digest.util_weight = jobs_half.util_weight;
-      digest.util_weighted_sum = jobs_half.util_weighted_sum;
+      const TelemetryDigest digest =
+          TelemetryStreamDigest(cluster.telemetry, cluster.result.jobs);
       if (!WriteObsFile(base + ".telemetry.ndjson", "telemetry",
-                        (cluster.name + "-telemetry").c_str(), &manifest,
+                        cluster.name + "-telemetry", &manifest,
                         [&](std::ostream& out) {
                           cluster.telemetry.WriteNdjson(out, &digest);
                         })) {
@@ -1348,7 +1558,7 @@ int RunFleet(const Args& args) {
       }
       if (collect_spans) {
         if (!WriteObsFile(base + ".spans.ndjson", "span stream",
-                          (cluster.name + "-spans").c_str(), &manifest,
+                          cluster.name + "-spans", &manifest,
                           [&](std::ostream& out) {
                             cluster.spans.log().WriteNdjson(out);
                           })) {
@@ -1359,8 +1569,7 @@ int RunFleet(const Args& args) {
     std::printf("fleet streams written to %s/\n", out_dir.c_str());
   }
 
-  const std::string html_out = args.Get("--html", "");
-  if (!html_out.empty()) {
+  if (html_file != nullptr) {
     // Fleet-wide inputs: concatenated streams (rollup-of-concatenation equals
     // the merged fleet rollup) plus the routing section.
     std::vector<TelemetrySample> all_samples;
@@ -1390,7 +1599,7 @@ int RunFleet(const Args& args) {
       dashboard.spans = &all_spans;
     }
     dashboard.fleet = &section;
-    if (!WriteObsFile(html_out, "dashboard", "dashboard", &manifest,
+    if (!FinishOutput(*html_file, "dashboard", "dashboard", &manifest,
                       [&](std::ostream& out) {
                         out << RenderHtmlDashboard(dashboard);
                       })) {
