@@ -1,6 +1,8 @@
 #include "src/common/json.h"
 
 #include <cctype>
+#include <charconv>
+#include <cstdint>
 #include <cstdlib>
 
 namespace philly {
@@ -50,18 +52,18 @@ size_t JsonValue::size() const {
 
 class JsonParser {
  public:
-  explicit JsonParser(std::string_view text) : text_(text) {}
+  JsonParser(std::string_view text, std::vector<JsonValue::Member>* members)
+      : text_(text), members_(members) {}
 
-  JsonValue Parse(std::string* error) {
+  JsonValue Parse(JsonValue::ParseError* error) {
     JsonValue value;
-    if (!ParseValue(&value) || (SkipSpace(), pos_ != text_.size())) {
-      if (error != nullptr && error->empty()) {
-        *error = error_.empty() ? "trailing content at byte " + std::to_string(pos_)
-                                : error_;
-      }
-      return JsonValue();
+    root_ = &value;
+    if (ParseValue(&value) &&
+        (SkipSpace(), pos_ == text_.size() || Fail("trailing content"))) {
+      return value;
     }
-    return value;
+    *error = error_;
+    return JsonValue();
   }
 
  private:
@@ -72,9 +74,9 @@ class JsonParser {
     }
   }
 
-  bool Fail(const std::string& what) {
-    if (error_.empty()) {
-      error_ = what + " at byte " + std::to_string(pos_);
+  bool Fail(const char* what) {
+    if (error_.what.empty()) {
+      error_ = {what, pos_};
     }
     return false;
   }
@@ -112,34 +114,43 @@ class JsonParser {
   }
 
   bool ParseObject(JsonValue* out) {
+    std::vector<JsonValue::Member>* members = out == root_ ? members_ : nullptr;
     out->type_ = JsonValue::Type::kObject;
-    ++pos_;  // '{'
+    size_t begin = pos_++;  // '{'
     SkipSpace();
-    if (Consume('}')) {
-      return true;
+    if (!Consume('}')) {
+      for (;;) {
+        SkipSpace();
+        std::string key;
+        if (pos_ >= text_.size() || text_[pos_] != '"' || !ParseString(&key)) {
+          return Fail("expected object key");
+        }
+        if (!Consume(':')) {
+          return Fail("expected ':'");
+        }
+        SkipSpace();
+        if (members != nullptr) {
+          members->push_back({begin, pos_, key});
+        }
+        // Values parse in place; a duplicated key's later value is dropped.
+        const auto [it, inserted] = out->object_.try_emplace(std::move(key));
+        JsonValue duplicate;
+        if (!ParseValue(inserted ? &it->second : &duplicate)) {
+          return false;
+        }
+        if (Consume('}')) {
+          break;
+        }
+        if (!Consume(',')) {
+          return Fail("expected ',' or '}'");
+        }
+        begin = pos_ - 1;
+      }
     }
-    for (;;) {
-      SkipSpace();
-      std::string key;
-      if (pos_ >= text_.size() || text_[pos_] != '"' || !ParseString(&key)) {
-        return Fail("expected object key");
-      }
-      if (!Consume(':')) {
-        return Fail("expected ':'");
-      }
-      JsonValue value;
-      if (!ParseValue(&value)) {
-        return false;
-      }
-      out->object_.emplace(std::move(key), std::move(value));
-      if (Consume(',')) {
-        continue;
-      }
-      if (Consume('}')) {
-        return true;
-      }
-      return Fail("expected ',' or '}'");
+    if (members != nullptr) {
+      members->push_back({pos_, pos_, {}});
     }
+    return true;
   }
 
   bool ParseArray(JsonValue* out) {
@@ -150,11 +161,9 @@ class JsonParser {
       return true;
     }
     for (;;) {
-      JsonValue value;
-      if (!ParseValue(&value)) {
+      if (!ParseValue(&out->array_.emplace_back())) {
         return false;
       }
-      out->array_.push_back(std::move(value));
       if (Consume(',')) {
         continue;
       }
@@ -195,9 +204,9 @@ class JsonParser {
             *out += '\f';
             break;
           case 'u':
-            // Unsupported escape: keep the raw text (identifiers in the
-            // trace never use it).
-            *out += "\\u";
+            if (!ParseUnicodeEscape(out)) {
+              return false;
+            }
             break;
           default:
             *out += esc;
@@ -208,6 +217,54 @@ class JsonParser {
       }
     }
     return Fail("unterminated string");
+  }
+
+  // Decodes the \uXXXX escape whose "\u" was just consumed, two of them for
+  // a UTF-16 surrogate pair, and appends the code point as UTF-8. A failure
+  // points at the backslash.
+  bool ParseUnicodeEscape(std::string* out) {
+    const size_t escape = pos_ - 2;
+    uint32_t code = 0;
+    if (!ParseHex4(&code)) {
+      pos_ = escape;
+      return Fail("malformed \\u escape");
+    }
+    if (code >= 0xD800 && code < 0xE000) {
+      uint32_t low = 0;
+      if (code >= 0xDC00 || text_.substr(pos_, 2) != "\\u" ||
+          (pos_ += 2, !ParseHex4(&low)) || low < 0xDC00 || low >= 0xE000) {
+        pos_ = escape;
+        return Fail("unpaired surrogate in \\u escape");
+      }
+      code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+    }
+    if (code < 0x80) {
+      *out += static_cast<char>(code);
+    } else if (code < 0x800) {
+      *out += static_cast<char>(0xC0 | (code >> 6));
+      *out += static_cast<char>(0x80 | (code & 0x3F));
+    } else if (code < 0x10000) {
+      *out += static_cast<char>(0xE0 | (code >> 12));
+      *out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+      *out += static_cast<char>(0x80 | (code & 0x3F));
+    } else {
+      *out += static_cast<char>(0xF0 | (code >> 18));
+      *out += static_cast<char>(0x80 | ((code >> 12) & 0x3F));
+      *out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+      *out += static_cast<char>(0x80 | (code & 0x3F));
+    }
+    return true;
+  }
+
+  // Exactly four hex digits.
+  bool ParseHex4(uint32_t* code) {
+    const char* begin = text_.data() + pos_;
+    if (text_.size() - pos_ < 4 ||
+        std::from_chars(begin, begin + 4, *code, 16).ptr != begin + 4) {
+      return false;
+    }
+    pos_ += 4;
+    return true;
   }
 
   bool ParseLiteral(JsonValue* out) {
@@ -235,30 +292,45 @@ class JsonParser {
     return Fail("invalid literal");
   }
 
+  // from_chars reads no further than the text and ignores the locale; a
+  // number out of double's range still reads as strtod has it (an infinity,
+  // or a denormal).
   bool ParseNumber(JsonValue* out) {
     const char* begin = text_.data() + pos_;
-    char* end = nullptr;
-    const double value = std::strtod(begin, &end);
+    const auto [end, ec] = std::from_chars(begin, text_.data() + text_.size(), out->number_);
     if (end == begin) {
       return Fail("invalid number");
     }
+    if (ec == std::errc::result_out_of_range) {
+      out->number_ = std::strtod(std::string(begin, end).c_str(), nullptr);
+    }
     out->type_ = JsonValue::Type::kNumber;
-    out->number_ = value;
     pos_ += static_cast<size_t>(end - begin);
     return true;
   }
 
   std::string_view text_;
+  std::vector<JsonValue::Member>* members_;  // the root object's, or null
+  const JsonValue* root_ = nullptr;
   size_t pos_ = 0;
-  std::string error_;
+  JsonValue::ParseError error_;
 };
 
 JsonValue JsonValue::Parse(std::string_view text, std::string* error) {
+  ParseError parse_error;
+  JsonValue value = Parse(text, &parse_error);
   if (error != nullptr) {
-    error->clear();
+    *error = parse_error.what.empty()
+                 ? std::string()
+                 : parse_error.what + " at byte " + std::to_string(parse_error.byte);
   }
-  JsonParser parser(text);
-  return parser.Parse(error);
+  return value;
+}
+
+JsonValue JsonValue::Parse(std::string_view text, ParseError* error,
+                           std::vector<Member>* members) {
+  *error = {};
+  return JsonParser(text, members).Parse(error);
 }
 
 }  // namespace philly

@@ -1,7 +1,8 @@
 // Minimal JSON parser — just enough to read the public philly-traces
-// cluster_job_log (objects, arrays, strings, numbers, booleans, null).
-// Not a general-purpose JSON library: no \uXXXX surrogate pairs, numbers are
-// parsed as double, input must fit in memory.
+// cluster_job_log and the NDJSON streams (objects, arrays, strings, numbers,
+// booleans, null). Not a general-purpose JSON library: numbers are parsed as
+// double, a duplicated object key keeps its first value, input must fit in
+// memory. \uXXXX escapes (surrogate pairs included) decode to UTF-8.
 
 #ifndef SRC_COMMON_JSON_H_
 #define SRC_COMMON_JSON_H_
@@ -35,6 +36,24 @@ class JsonValue {
   // Parses a complete JSON document. Returns a null value and sets *error on
   // malformed input (error stays empty on success).
   static JsonValue Parse(std::string_view text, std::string* error = nullptr);
+
+  // Why and where a parse failed: Parse's message is "<what> at byte <byte>".
+  struct ParseError {
+    std::string what;  // empty on success
+    size_t byte = 0;   // offset of the failure in the text
+  };
+  // A member of the top-level object as it sits in the text: from the ',' or
+  // '{' before its key, with its value from `value`.
+  struct Member {
+    size_t begin = 0;
+    size_t value = 0;
+    std::string key;
+  };
+  // Parse, with the failure in parts. With `members`, also lists the
+  // top-level object's members in text order (duplicates too, up to a
+  // failure), then one with no key just past the closing brace.
+  static JsonValue Parse(std::string_view text, ParseError* error,
+                         std::vector<Member>* members = nullptr);
 
  private:
   friend class JsonParser;

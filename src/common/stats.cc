@@ -4,6 +4,8 @@
 #include <cassert>
 #include <cmath>
 
+#include "src/common/hash.h"
+
 namespace philly {
 
 void RunningStats::Merge(const RunningStats& other) {
@@ -185,11 +187,7 @@ void Reservoir::Add(double x) {
     return;
   }
   // splitmix64 step for the replacement draw.
-  uint64_t z = (state_ += 0x9E3779B97F4A7C15ull);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  z ^= z >> 31;
-  const uint64_t j = z % seen_;
+  const uint64_t j = SplitMix64(state_) % seen_;
   if (j < capacity_) {
     samples_[static_cast<size_t>(j)] = x;
   }

@@ -69,6 +69,11 @@ std::string FormatPercent(double fraction, int digits) {
 std::string JsonEscape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
+  AppendJsonEscaped(out, s);
+  return out;
+}
+
+void AppendJsonEscaped(std::string& out, std::string_view s) {
   for (char c : s) {
     switch (c) {
       case '"':
@@ -96,7 +101,6 @@ std::string JsonEscape(std::string_view s) {
         }
     }
   }
-  return out;
 }
 
 }  // namespace philly

@@ -28,8 +28,10 @@ std::string FormatDouble(double v, int digits = 2);
 std::string FormatPercent(double fraction, int digits = 1);
 
 // Escapes `s` for use inside a double-quoted JSON string (no surrounding
-// quotes added).
+// quotes added). Control bytes other than \n, \r and \t become \u00xx.
 std::string JsonEscape(std::string_view s);
+// JsonEscape, appended to `out`.
+void AppendJsonEscaped(std::string& out, std::string_view s);
 
 }  // namespace philly
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <unordered_set>
 
+#include "src/common/hash.h"
 #include "src/failure/failure_logs.h"
 #include "src/telemetry/host_model.h"
 #include "src/workload/loss_curve.h"
@@ -31,15 +32,6 @@ int RepresentativeIndex(int num_gpus) {
     }
   }
   return -1;
-}
-
-uint64_t Mix64(uint64_t x) {
-  x ^= x >> 30;
-  x *= 0xBF58476D1CE4E5B9ull;
-  x ^= x >> 27;
-  x *= 0x94D049BB133111EBull;
-  x ^= x >> 31;
-  return x;
 }
 
 }  // namespace

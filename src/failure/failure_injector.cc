@@ -4,19 +4,9 @@
 #include <cassert>
 #include <cmath>
 
+#include "src/common/hash.h"
+
 namespace philly {
-namespace {
-
-uint64_t Mix64(uint64_t x) {
-  x ^= x >> 30;
-  x *= 0xBF58476D1CE4E5B9ull;
-  x ^= x >> 27;
-  x *= 0x94D049BB133111EBull;
-  x ^= x >> 31;
-  return x;
-}
-
-}  // namespace
 
 FailureInjector::FailureInjector(FailureInjectorConfig config) : config_(config) {
   const auto catalog = FailureCatalog();

@@ -6,19 +6,10 @@
 #include <stdexcept>
 #include <string>
 
+#include "src/common/hash.h"
+
 namespace philly {
 namespace {
-
-// splitmix64 finalizer, the same per-entity stream-seeding idiom the failure
-// injector uses for per-job plans.
-uint64_t Mix64(uint64_t x) {
-  x ^= x >> 30;
-  x *= 0xBF58476D1CE4E5B9ull;
-  x ^= x >> 27;
-  x *= 0x94D049BB133111EBull;
-  x ^= x >> 31;
-  return x;
-}
 
 SimDuration HoursToSeconds(double hours) {
   return std::max<SimDuration>(1, static_cast<SimDuration>(hours * 3600.0));

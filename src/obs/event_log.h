@@ -53,7 +53,6 @@ enum class SchedEventKind {
 inline constexpr int kNumSchedEventKinds = 14;
 
 std::string_view ToString(SchedEventKind kind);
-bool SchedEventKindFromString(std::string_view text, SchedEventKind* kind);
 
 // One scheduler decision. Only the fields relevant to `kind` are meaningful;
 // the rest keep their defaults and are omitted from the NDJSON encoding.
@@ -114,9 +113,11 @@ struct SchedEvent {
   // preemption mode ("fairshare" | "priority" | "timeslice"), or the
   // fault-kill failure reason.
   std::string detail;
+
+  bool operator==(const SchedEvent&) const = default;
 };
 
-// Serialization of a single event (the NDJSON line, without the newline).
+// An event's NDJSON line and strict reader (field table: event_log.cc).
 std::string ToNdjsonLine(const SchedEvent& event);
 bool SchedEventFromNdjsonLine(std::string_view line, SchedEvent* event,
                               std::string* error);
@@ -155,8 +156,8 @@ class EventLog {
   // omitted; writes the events still held.
   void WriteNdjson(std::ostream& out) const { events_.WriteNdjson(out); }
 
-  // Parses a stream written by WriteNdjson. Stops at the first malformed
-  // line and reports it via *error (error stays empty on success).
+  // Parses a stream written by WriteNdjson, up to the first line that is not
+  // canonical, which *error names ("line N, byte B, key "K": ..."; else empty).
   static std::vector<SchedEvent> ReadNdjson(std::istream& in,
                                             std::string* error = nullptr);
 

@@ -1,48 +1,28 @@
 #include "src/obs/rollup.h"
 
 #include <algorithm>
-#include <charconv>
 #include <ostream>
 #include <stdexcept>
 
-#include "src/common/json.h"
+#include "src/obs/ndjson_codec.h"
 
 namespace philly {
 namespace {
 
-void AppendDouble(std::string& out, double v) {
-  char buf[32];
-  const auto result = std::to_chars(buf, buf + sizeof(buf), v);
-  out.append(buf, result.ptr);
-}
-
-void AppendField(std::string& out, std::string_view key, int64_t value) {
-  out += ",\"";
-  out += key;
-  out += "\":";
-  out += std::to_string(value);
-}
-
-void AppendField(std::string& out, std::string_view key, double value) {
-  out += ",\"";
-  out += key;
-  out += "\":";
-  AppendDouble(out, value);
-}
-
-void AppendDoubleArray(std::string& out, std::string_view key,
-                       const std::array<double, TelemetryDigest::kNumClasses>& values) {
-  out += ",\"";
-  out += key;
-  out += "\":[";
-  for (size_t i = 0; i < values.size(); ++i) {
-    if (i > 0) {
-      out += ',';
-    }
-    AppendDouble(out, values[i]);
-  }
-  out += ']';
-}
+// The digest line, in key order; every field is always written.
+constexpr auto kDigestFields = std::tuple{
+    Constant{"digest", "1"},
+    Field{"samples", &TelemetryDigest::samples},
+    Field{"used_gpu_samples", &TelemetryDigest::used_gpu_samples},
+    Field{"queue_max", &TelemetryDigest::queue_depth_max},
+    Field{"occ_sum", &TelemetryDigest::occupancy_sum},
+    Field{"util_exp_sum", &TelemetryDigest::util_expected_sum},
+    Field{"util_obs_sum", &TelemetryDigest::util_observed_sum},
+    Field{"jobs", &TelemetryDigest::jobs},
+    Field{"segments", &TelemetryDigest::segments},
+    Field{"util_weight", &TelemetryDigest::util_weight},
+    Field{"util_wsum", &TelemetryDigest::util_weighted_sum},
+};
 
 // Decile bucket bounds in percent; the tenth (overflow) bucket catches
 // 90-100%. Used for the rollup's percentile digests — a custom Histogram
@@ -93,68 +73,16 @@ TelemetryDigest DigestOfSamples(const std::vector<TelemetrySample>& samples) {
 }
 
 std::string ToNdjsonLine(const TelemetryDigest& digest) {
-  std::string out;
-  out.reserve(256);
-  out += "{\"digest\":1";
-  AppendField(out, "samples", digest.samples);
-  AppendField(out, "used_gpu_samples", digest.used_gpu_samples);
-  AppendField(out, "queue_max", digest.queue_depth_max);
-  AppendField(out, "occ_sum", digest.occupancy_sum);
-  AppendField(out, "util_exp_sum", digest.util_expected_sum);
-  AppendField(out, "util_obs_sum", digest.util_observed_sum);
-  AppendField(out, "jobs", digest.jobs);
-  AppendField(out, "segments", digest.segments);
-  AppendDoubleArray(out, "util_weight", digest.util_weight);
-  AppendDoubleArray(out, "util_wsum", digest.util_weighted_sum);
-  out += '}';
-  return out;
+  return EncodeNdjson<kDigestFields>(digest);
 }
 
 bool IsTelemetryDigestLine(std::string_view line) {
-  return line.rfind("{\"digest\":", 0) == 0;
+  return line.starts_with("{\"digest\":");
 }
 
 bool TelemetryDigestFromNdjsonLine(std::string_view line, TelemetryDigest* digest,
                                    std::string* error) {
-  std::string parse_error;
-  const JsonValue v = JsonValue::Parse(line, &parse_error);
-  if (!parse_error.empty()) {
-    if (error != nullptr) {
-      *error = parse_error;
-    }
-    return false;
-  }
-  if (v.type() != JsonValue::Type::kObject || v["digest"].is_null()) {
-    if (error != nullptr) {
-      *error = "not a telemetry digest line";
-    }
-    return false;
-  }
-  TelemetryDigest d;
-  d.samples = static_cast<int64_t>(v["samples"].AsNumber());
-  d.used_gpu_samples = static_cast<int64_t>(v["used_gpu_samples"].AsNumber());
-  d.queue_depth_max = static_cast<int64_t>(v["queue_max"].AsNumber());
-  d.occupancy_sum = v["occ_sum"].AsNumber();
-  d.util_expected_sum = v["util_exp_sum"].AsNumber();
-  d.util_observed_sum = v["util_obs_sum"].AsNumber();
-  d.jobs = static_cast<int64_t>(v["jobs"].AsNumber());
-  d.segments = static_cast<int64_t>(v["segments"].AsNumber());
-  const auto& weights = v["util_weight"].AsArray();
-  const auto& sums = v["util_wsum"].AsArray();
-  const auto num_classes = static_cast<size_t>(TelemetryDigest::kNumClasses);
-  if (weights.size() != num_classes || sums.size() != num_classes) {
-    if (error != nullptr) {
-      *error = "digest class arrays must have " +
-               std::to_string(TelemetryDigest::kNumClasses) + " entries";
-    }
-    return false;
-  }
-  for (size_t i = 0; i < num_classes; ++i) {
-    d.util_weight[i] = weights[i].AsNumber();
-    d.util_weighted_sum[i] = sums[i].AsNumber();
-  }
-  *digest = d;
-  return true;
+  return DecodeNdjson<kDigestFields>(line, digest, error);
 }
 
 TelemetryRollup::TelemetryRollup(SimDuration window)

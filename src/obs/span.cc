@@ -1,11 +1,10 @@
 #include "src/obs/span.h"
 
 #include <cassert>
-#include <istream>
 #include <ostream>
 
-#include "src/common/json.h"
 #include "src/common/strings.h"
+#include "src/obs/ndjson_codec.h"
 
 namespace philly {
 namespace {
@@ -22,20 +21,23 @@ constexpr std::string_view kSpanKindNames[kNumSpanKinds] = {
     "ckpt",
 };
 
-void AppendField(std::string& out, std::string_view key, int64_t value) {
-  out += ",\"";
-  out += key;
-  out += "\":";
-  out += std::to_string(value);
+bool HasCode(const SpanRecord& s) {
+  return s.kind == SpanKind::kBlame || s.kind == SpanKind::kCkpt;
 }
 
-void AppendField(std::string& out, std::string_view key, std::string_view value) {
-  out += ",\"";
-  out += key;
-  out += "\":\"";
-  out += JsonEscape(value);
-  out += '"';
-}
+constexpr auto kFields = std::tuple{
+    Field{"t", &SpanRecord::start},
+    Field{.key = "sp", .member = &SpanRecord::kind, .tags = kSpanKindNames},
+    Field{"dur", &SpanRecord::dur},
+    Field{.key = "code", .member = &SpanRecord::code, .only_if = HasCode, .tags = kBlameNames},
+    Field{"job", &SpanRecord::job, When::kNotNoJob},
+    Field{"vc", &SpanRecord::vc, When::kNonNegative},
+    Field{"user", &SpanRecord::user, When::kNonNegative},
+    Field{"gpus", &SpanRecord::gpus, When::kPositive},
+    Field{"wait", &SpanRecord::wait_index, When::kNonNegative},
+    Field{"attempt", &SpanRecord::attempt, When::kNonNegative},
+    Field{"detail", &SpanRecord::detail, When::kNonEmpty},
+};
 
 }  // namespace
 
@@ -43,146 +45,20 @@ std::string_view ToString(BlameCode code) {
   return kBlameNames[static_cast<size_t>(code)];
 }
 
-bool BlameCodeFromString(std::string_view text, BlameCode* code) {
-  for (int i = 0; i < kNumBlameCodes; ++i) {
-    if (text == kBlameNames[static_cast<size_t>(i)]) {
-      *code = static_cast<BlameCode>(i);
-      return true;
-    }
-  }
-  return false;
-}
-
 std::string_view ToString(SpanKind kind) {
   return kSpanKindNames[static_cast<size_t>(kind)];
 }
 
-bool SpanKindFromString(std::string_view text, SpanKind* kind) {
-  for (int i = 0; i < kNumSpanKinds; ++i) {
-    if (text == kSpanKindNames[static_cast<size_t>(i)]) {
-      *kind = static_cast<SpanKind>(i);
-      return true;
-    }
-  }
-  return false;
+std::string ToNdjsonLine(const SpanRecord& span) {
+  return EncodeNdjson<kFields>(span);
 }
 
-std::string ToNdjsonLine(const SpanRecord& s) {
-  std::string out;
-  out.reserve(96);
-  out += "{\"t\":";
-  out += std::to_string(s.start);
-  out += ",\"sp\":\"";
-  out += ToString(s.kind);
-  out += '"';
-  AppendField(out, "dur", s.dur);
-  if (s.kind == SpanKind::kBlame || s.kind == SpanKind::kCkpt) {
-    AppendField(out, "code", ToString(s.code));
-  }
-  if (s.job != kNoJob) {
-    AppendField(out, "job", s.job);
-  }
-  if (s.vc >= 0) {
-    AppendField(out, "vc", static_cast<int64_t>(s.vc));
-  }
-  if (s.user >= 0) {
-    AppendField(out, "user", static_cast<int64_t>(s.user));
-  }
-  if (s.gpus > 0) {
-    AppendField(out, "gpus", static_cast<int64_t>(s.gpus));
-  }
-  if (s.wait_index >= 0) {
-    AppendField(out, "wait", static_cast<int64_t>(s.wait_index));
-  }
-  if (s.attempt >= 0) {
-    AppendField(out, "attempt", static_cast<int64_t>(s.attempt));
-  }
-  if (!s.detail.empty()) {
-    AppendField(out, "detail", s.detail);
-  }
-  out += '}';
-  return out;
-}
-
-bool SpanRecordFromNdjsonLine(std::string_view line, SpanRecord* span,
-                              std::string* error) {
-  std::string parse_error;
-  const JsonValue v = JsonValue::Parse(line, &parse_error);
-  if (!parse_error.empty()) {
-    if (error != nullptr) {
-      *error = parse_error;
-    }
-    return false;
-  }
-  if (v.type() != JsonValue::Type::kObject) {
-    if (error != nullptr) {
-      *error = "span line is not a JSON object";
-    }
-    return false;
-  }
-  // `t`, `sp`, and `dur` are written unconditionally, so a line missing any
-  // of them is truncation or hand-editing, not a default-omitted field.
-  if (v["t"].is_null() || v["dur"].is_null()) {
-    if (error != nullptr) {
-      *error = "span line is missing 't' or 'dur'";
-    }
-    return false;
-  }
-  SpanRecord s;
-  if (!SpanKindFromString(v["sp"].AsString(), &s.kind)) {
-    if (error != nullptr) {
-      *error = "unknown span kind '" + v["sp"].AsString() + "'";
-    }
-    return false;
-  }
-  if (s.kind == SpanKind::kBlame || s.kind == SpanKind::kCkpt) {
-    if (!BlameCodeFromString(v["code"].AsString(), &s.code)) {
-      if (error != nullptr) {
-        *error = "unknown blame code '" + v["code"].AsString() + "'";
-      }
-      return false;
-    }
-  }
-  const auto as_i64 = [&v](std::string_view key, int64_t fallback) {
-    const JsonValue& field = v[key];
-    return field.is_null() ? fallback : static_cast<int64_t>(field.AsNumber());
-  };
-  s.start = as_i64("t", 0);
-  s.dur = as_i64("dur", 0);
-  s.job = as_i64("job", kNoJob);
-  s.vc = static_cast<int32_t>(as_i64("vc", -1));
-  s.user = static_cast<int32_t>(as_i64("user", -1));
-  s.gpus = static_cast<int>(as_i64("gpus", 0));
-  s.wait_index = static_cast<int>(as_i64("wait", -1));
-  s.attempt = static_cast<int>(as_i64("attempt", -1));
-  s.detail = v["detail"].AsString();
-  *span = std::move(s);
-  return true;
+bool SpanRecordFromNdjsonLine(std::string_view line, SpanRecord* span, std::string* error) {
+  return DecodeNdjson<kFields>(line, span, error);
 }
 
 std::vector<SpanRecord> SpanLog::ReadNdjson(std::istream& in, std::string* error) {
-  if (error != nullptr) {
-    error->clear();
-  }
-  std::vector<SpanRecord> spans;
-  std::string line;
-  int64_t line_number = 0;
-  while (std::getline(in, line)) {
-    ++line_number;
-    if (line.empty()) {
-      continue;
-    }
-    SpanRecord span;
-    std::string line_error;
-    if (!SpanRecordFromNdjsonLine(line, &span, &line_error)) {
-      if (error != nullptr) {
-        *error = "line " + std::to_string(line_number) + ": " + line_error;
-      }
-      break;
-    }
-    spans.push_back(std::move(span));
-  }
-  return spans;
+  return ReadNdjsonRecords<SpanRecord, kFields>(in, error);
 }
 
 void WriteSpanChromeTrace(std::ostream& out, const std::vector<SpanRecord>& spans) {
@@ -191,19 +67,11 @@ void WriteSpanChromeTrace(std::ostream& out, const std::vector<SpanRecord>& span
   for (const SpanRecord& s : spans) {
     out << (first ? "\n" : ",\n");
     out << "  {\"name\": \"" << ToString(s.kind);
-    if (s.kind == SpanKind::kBlame || s.kind == SpanKind::kCkpt) {
+    if (HasCode(s)) {
       out << ':' << ToString(s.code);
     }
     if (!s.detail.empty()) {
-      // Details are identifier-ish tags we emit ourselves; escape the two
-      // characters that could still break the JSON string.
-      out << ':';
-      for (char c : s.detail) {
-        if (c == '"' || c == '\\') {
-          out << '\\';
-        }
-        out << c;
-      }
+      out << ':' << JsonEscape(s.detail);
     }
     // Simulated seconds -> trace microseconds; pid groups by VC, tid by job,
     // so Perfetto's track view shows one lifecycle lane per job.

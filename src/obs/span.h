@@ -58,7 +58,6 @@ enum class BlameCode {
 inline constexpr int kNumBlameCodes = 7;
 
 std::string_view ToString(BlameCode code);
-bool BlameCodeFromString(std::string_view text, BlameCode* code);
 
 // Span vocabulary. `queued` spans cover a whole waiting period and own the
 // `blame` children that tile it; `running` spans cover one placed (or prerun)
@@ -68,7 +67,6 @@ enum class SpanKind { kQueued, kBlame, kRunning, kCkpt };
 inline constexpr int kNumSpanKinds = 4;
 
 std::string_view ToString(SpanKind kind);
-bool SpanKindFromString(std::string_view text, SpanKind* kind);
 
 // One closed span. Only the fields relevant to `kind` are meaningful; the
 // rest keep defaults and are omitted from the NDJSON encoding.
@@ -87,8 +85,11 @@ struct SpanRecord {
   // "preempt" | "fault" | "fail" | "suspend" | "prerun");
   // ckpt: "write" | "interrupted".
   std::string detail;
+
+  bool operator==(const SpanRecord&) const = default;
 };
 
+// A span's NDJSON line and strict reader (field table: span.cc).
 std::string ToNdjsonLine(const SpanRecord& span);
 bool SpanRecordFromNdjsonLine(std::string_view line, SpanRecord* span,
                               std::string* error);

@@ -91,9 +91,12 @@ struct TelemetrySample {
   // Busy-GPU-weighted utilization, percent.
   double util_expected_pct = 0.0;  // from the loss-curve expectation
   double util_observed_pct = 0.0;  // with the Ganglia AR(1) jitter join
+
+  bool operator==(const TelemetrySample&) const = default;
 };
 
-std::string ToNdjsonLine(const TelemetrySample& s);
+// A sample's NDJSON line and strict reader (field table: timeseries.cc).
+std::string ToNdjsonLine(const TelemetrySample& sample);
 bool TelemetrySampleFromNdjsonLine(std::string_view line, TelemetrySample* sample,
                                    std::string* error);
 
@@ -178,9 +181,9 @@ class ClusterTimeSeries {
   // non-null a final digest line is appended for self-integrity checks.
   void WriteNdjson(std::ostream& out, const TelemetryDigest* digest = nullptr) const;
 
-  // Reads a stream written by WriteNdjson. Stops at the first malformed line
-  // ("line N: ..." in *error). A trailing digest line, when present, is
-  // decoded into *digest (found_digest reports whether one was seen).
+  // Reads a stream written by WriteNdjson, up to the first line that is not
+  // canonical ("line N, byte B, key "K": ..." in *error). The digest line is
+  // accepted once, last, into *digest (found_digest says if it was seen).
   static std::vector<TelemetrySample> ReadNdjson(std::istream& in,
                                                  TelemetryDigest* digest,
                                                  bool* found_digest,

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <ostream>
 
+#include "src/common/strings.h"
+
 namespace philly {
 
 int TraceProfiler::TrackForThisThreadLocked() {
@@ -61,16 +63,8 @@ void TraceProfiler::WriteChromeTrace(std::ostream& out) const {
   bool first = true;
   for (const Slice& slice : slices) {
     out << (first ? "\n" : ",\n");
-    out << "  {\"name\": \"";
-    // Phase names are identifiers we choose; escape the two characters that
-    // could still break the JSON string.
-    for (char c : slice.name) {
-      if (c == '"' || c == '\\') {
-        out << '\\';
-      }
-      out << c;
-    }
-    out << "\", \"ph\": \"X\", \"ts\": " << slice.ts_us
+    out << "  {\"name\": \"" << JsonEscape(slice.name)
+        << "\", \"ph\": \"X\", \"ts\": " << slice.ts_us
         << ", \"dur\": " << slice.dur_us << ", \"pid\": 0, \"tid\": "
         << slice.tid << "}";
     first = false;

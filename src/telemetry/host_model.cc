@@ -3,18 +3,10 @@
 #include <algorithm>
 
 #include "src/common/distributions.h"
+#include "src/common/hash.h"
 
 namespace philly {
 namespace {
-
-uint64_t Mix64(uint64_t x) {
-  x ^= x >> 30;
-  x *= 0xBF58476D1CE4E5B9ull;
-  x ^= x >> 27;
-  x *= 0x94D049BB133111EBull;
-  x ^= x >> 31;
-  return x;
-}
 
 double HashedNormal(uint64_t seed, uint64_t salt) {
   const uint64_t h = Mix64(seed ^ (salt * 0xD6E8FEB86659FD93ull));

@@ -18,6 +18,7 @@
 #include <cstdint>
 
 #include "src/common/distributions.h"
+#include "src/common/hash.h"
 #include "src/common/sim_time.h"
 
 namespace philly {
@@ -30,15 +31,6 @@ struct SamplerConfig {
 };
 
 namespace sampler_internal {
-
-inline uint64_t Mix64(uint64_t x) {
-  x ^= x >> 30;
-  x *= 0xBF58476D1CE4E5B9ull;
-  x ^= x >> 27;
-  x *= 0x94D049BB133111EBull;
-  x ^= x >> 31;
-  return x;
-}
 
 inline double HashedNormal(uint64_t seed, uint64_t index) {
   const uint64_t h = Mix64(seed ^ (index * 0x9E3779B97F4A7C15ull));

@@ -8,20 +8,12 @@
 #include <ostream>
 
 #include "src/common/csv.h"
+#include "src/common/hash.h"
 #include "src/common/json.h"
 #include "src/telemetry/host_model.h"
 
 namespace philly {
 namespace {
-
-uint64_t Mix64(uint64_t x) {
-  x ^= x >> 30;
-  x *= 0xBF58476D1CE4E5B9ull;
-  x ^= x >> 27;
-  x *= 0x94D049BB133111EBull;
-  x ^= x >> 31;
-  return x;
-}
 
 std::string Hex(uint64_t v, int digits) {
   // Keep exactly `digits` hex characters (the public trace uses short hashes).

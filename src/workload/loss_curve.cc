@@ -5,21 +5,9 @@
 #include <cmath>
 
 #include "src/common/distributions.h"
+#include "src/common/hash.h"
 
 namespace philly {
-namespace {
-
-uint64_t Mix64(uint64_t x) {
-  x ^= x >> 30;
-  x *= 0xBF58476D1CE4E5B9ull;
-  x ^= x >> 27;
-  x *= 0x94D049BB133111EBull;
-  x ^= x >> 31;
-  return x;
-}
-
-}  // namespace
-
 uint64_t LossCurveSeed(JobId id) {
   return Mix64(static_cast<uint64_t>(id) ^ 0x10552CA1B5EEDull);
 }

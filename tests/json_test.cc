@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+#include <string_view>
+#include <vector>
+
+#include "src/common/strings.h"
+
 namespace philly {
 namespace {
 
@@ -45,6 +52,81 @@ TEST(JsonTest, EscapesInStrings) {
                                        &error);
   ASSERT_TRUE(error.empty());
   EXPECT_EQ(v.AsString(), "line\nbreak \"quoted\" back\\slash");
+}
+
+TEST(JsonTest, DecodesUnicodeEscapesToUtf8) {
+  std::string error;
+  EXPECT_EQ(JsonValue::Parse(R"("a\u0001b")", &error).AsString(), "a\x01" "b");
+  EXPECT_EQ(JsonValue::Parse(R"("\u00e9\u20AC")", &error).AsString(),
+            "\xc3\xa9\xe2\x82\xac");
+  // A surrogate pair is one code point (U+1F600).
+  EXPECT_EQ(JsonValue::Parse(R"("\ud83d\ude00")", &error).AsString(),
+            "\xf0\x9f\x98\x80");
+  EXPECT_TRUE(error.empty()) << error;
+}
+
+TEST(JsonTest, EscapedStringsRoundTripEveryByte) {
+  // JsonEscape writes control bytes as \u00xx; the parser reads them back.
+  std::string text;
+  for (int c = 0x01; c <= 0x7f; ++c) {
+    text += static_cast<char>(c);
+  }
+  std::string error;
+  EXPECT_EQ(JsonValue::Parse("\"" + JsonEscape(text) + "\"", &error).AsString(),
+            text);
+  EXPECT_TRUE(error.empty()) << error;
+}
+
+TEST(JsonTest, RejectsMalformedUnicodeEscapesAtTheirOffset) {
+  // The error points at the backslash of the bad escape.
+  for (const char* text : {R"(["ok", "ab\u00zz"])", R"(["ok", "ab\u12"])",
+                           R"(["ok", "ab\ud83d"])", R"(["ok", "ab\ude00x"])"}) {
+    std::string error;
+    JsonValue::Parse(text, &error);
+    EXPECT_NE(error.find("escape at byte 10"), std::string::npos)
+        << text << ": " << error;
+  }
+}
+
+TEST(JsonTest, ListsTopLevelMembersWhereTheySit) {
+  JsonValue::ParseError error;
+  std::vector<JsonValue::Member> members;
+  JsonValue::Parse(R"({"a":1, "b": [2,{"c":3}],"a":4})", &error, &members);
+  ASSERT_TRUE(error.what.empty()) << error.what;
+  ASSERT_EQ(members.size(), 4u);  // the duplicate too, then the end
+  EXPECT_EQ(members[0].key, "a");
+  EXPECT_EQ(members[0].begin, 0u);
+  EXPECT_EQ(members[0].value, 5u);
+  EXPECT_EQ(members[1].key, "b");
+  EXPECT_EQ(members[1].begin, 6u);
+  EXPECT_EQ(members[1].value, 13u);
+  EXPECT_EQ(members[2].key, "a");
+  EXPECT_EQ(members[2].begin, 24u);
+  EXPECT_EQ(members[3].key, "");
+  EXPECT_EQ(members[3].begin, 31u);
+  members.clear();
+  JsonValue::Parse(R"({"a":1,"b":"x)", &error, &members);
+  EXPECT_EQ(error.what, "unterminated string");
+  EXPECT_EQ(error.byte, 13u);
+  ASSERT_EQ(members.size(), 2u);  // as far as it parsed
+  EXPECT_EQ(members[1].key, "b");
+}
+
+TEST(JsonTest, ReadsNumbersWithinTheTextOnly) {
+  std::string error;
+  // A view that stops inside a longer buffer reads only its own digits.
+  EXPECT_DOUBLE_EQ(JsonValue::Parse(std::string_view("123456", 3), &error).AsNumber(), 123.0);
+  // Out of double's range: an infinity, or zero, as strtod gives them.
+  EXPECT_EQ(JsonValue::Parse("[1e400, -1e400, 1e-400]", &error).AsArray()[1].AsNumber(),
+            -HUGE_VAL);
+  EXPECT_EQ(JsonValue::Parse("1e400", &error).AsNumber(), HUGE_VAL);
+  EXPECT_EQ(JsonValue::Parse("1e-400", &error).AsNumber(), 0.0);
+  EXPECT_TRUE(error.empty()) << error;
+  // JSON has no leading '+' and no hex numbers.
+  JsonValue::Parse("+1", &error);
+  EXPECT_FALSE(error.empty());
+  JsonValue::Parse("0x10", &error);
+  EXPECT_FALSE(error.empty());
 }
 
 TEST(JsonTest, ReportsErrors) {

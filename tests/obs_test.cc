@@ -1,4 +1,4 @@
-// Tests for the observability layer: NDJSON event-log round-trips, the
+// Tests for the observability layer: whole-run event-log round-trips, the
 // event-stream -> SimulationResult join (the paper-style log join), metrics
 // registry concurrency, phase tracing, and the two contracts the layer
 // guarantees — byte-identical event streams regardless of pool thread count,
@@ -41,71 +41,8 @@ std::string NdjsonOf(const EventLog& log) {
   return out.str();
 }
 
-// ------------------------------------------------------------ NDJSON codec
-
-TEST(EventLogTest, SingleEventRoundTripsAllFields) {
-  SchedEvent event;
-  event.time = 12345;
-  event.kind = SchedEventKind::kSchedule;
-  event.job = 42;
-  event.vc = 3;
-  event.user = 17;
-  event.gpus = 8;
-  event.attempt = 2;
-  event.ready_time = 12000;
-  event.wait = 345;
-  event.fair_share_time = 100;
-  event.fragmentation_time = 245;
-  event.sched_attempts = 6;
-  event.out_of_order = true;
-  event.benign = true;
-  event.placement = "3:4|9:4";
-  event.detail = "pass";
-
-  const std::string line = ToNdjsonLine(event);
-  SchedEvent parsed;
-  std::string error;
-  ASSERT_TRUE(SchedEventFromNdjsonLine(line, &parsed, &error)) << error;
-  EXPECT_EQ(parsed.time, event.time);
-  EXPECT_EQ(parsed.kind, event.kind);
-  EXPECT_EQ(parsed.job, event.job);
-  EXPECT_EQ(parsed.vc, event.vc);
-  EXPECT_EQ(parsed.user, event.user);
-  EXPECT_EQ(parsed.gpus, event.gpus);
-  EXPECT_EQ(parsed.attempt, event.attempt);
-  EXPECT_EQ(parsed.ready_time, event.ready_time);
-  EXPECT_EQ(parsed.wait, event.wait);
-  EXPECT_EQ(parsed.fair_share_time, event.fair_share_time);
-  EXPECT_EQ(parsed.fragmentation_time, event.fragmentation_time);
-  EXPECT_EQ(parsed.sched_attempts, event.sched_attempts);
-  EXPECT_EQ(parsed.out_of_order, event.out_of_order);
-  EXPECT_EQ(parsed.benign, event.benign);
-  EXPECT_EQ(parsed.placement, event.placement);
-  EXPECT_EQ(parsed.detail, event.detail);
-  // Re-serialization is byte-stable.
-  EXPECT_EQ(ToNdjsonLine(parsed), line);
-}
-
-TEST(EventLogTest, KindTagsRoundTrip) {
-  for (int k = 0; k < kNumSchedEventKinds; ++k) {
-    const auto kind = static_cast<SchedEventKind>(k);
-    SchedEventKind back;
-    ASSERT_TRUE(SchedEventKindFromString(ToString(kind), &back));
-    EXPECT_EQ(back, kind);
-  }
-  SchedEventKind ignored;
-  EXPECT_FALSE(SchedEventKindFromString("not_a_kind", &ignored));
-}
-
-TEST(EventLogTest, ReadNdjsonReportsMalformedLine) {
-  std::istringstream in(
-      "{\"t\":0,\"ev\":\"submit\",\"job\":1}\n"
-      "this is not json\n");
-  std::string error;
-  const auto events = EventLog::ReadNdjson(in, &error);
-  EXPECT_EQ(events.size(), 1u);
-  EXPECT_NE(error.find("line 2"), std::string::npos) << error;
-}
+// ------------------------------------------------------------ NDJSON stream
+// (line-level codec cases: ndjson_codec_test.cc)
 
 TEST(EventLogTest, FullRunStreamRoundTripsByteIdentically) {
   EventLog log;

@@ -1,5 +1,5 @@
-// Tests for the telemetry stream: NDJSON codec round-trips, the per-minute
-// sampling contract, digest self-checks (sample half and job half), rollup
+// Tests for the telemetry stream: stream reading (line-level codec cases are
+// in ndjson_codec_test.cc), the per-minute sampling contract, digest self-checks (sample half and job half), rollup
 // windowing/merging, and the two contracts shared with the event log —
 // byte-identical streams regardless of pool thread count, and zero
 // perturbation of simulation output when the sink is attached.
@@ -36,111 +36,13 @@ std::string NdjsonOf(const ClusterTimeSeries& ts,
   return out.str();
 }
 
-TelemetrySample FullySetSample() {
-  TelemetrySample s;
-  s.time = Minutes(7);
-  s.used_gpus = 96;
-  s.free_gpus = 32;
-  s.occupancy = 0.75;
-  s.running_jobs = 12;
-  s.queued_jobs = 5;
-  s.busy_servers = 14;
-  s.empty_servers = 2;
-  s.racks_with_empty = 1;
-  s.offline_servers = 3;
-  s.rack_free_gpus = {8, 0, 24};
-  s.vc_queued = {2, 3};
-  s.vc_running = {7, 5};
-  s.vc_used_gpus = {40, 56};
-  s.util_deciles = {0, 1, 0, 2, 3, 4, 2, 1, 1, 0};
-  s.locality_relaxations = 9;
-  s.backoffs = 4;
-  s.preemptions = 2;
-  s.migrations = 1;
-  s.fault_kills = 6;
-  s.lost_gpu_seconds = 1234.5;
-  s.util_expected_pct = 52.375;
-  s.util_observed_pct = 49.0625;
-  return s;
-}
-
-// ------------------------------------------------------------ NDJSON codec
-
-TEST(TimeSeriesCodecTest, SampleRoundTripsAllFields) {
-  const TelemetrySample s = FullySetSample();
-  const std::string line = ToNdjsonLine(s);
-  TelemetrySample parsed;
-  std::string error;
-  ASSERT_TRUE(TelemetrySampleFromNdjsonLine(line, &parsed, &error)) << error;
-  EXPECT_EQ(parsed.time, s.time);
-  EXPECT_EQ(parsed.used_gpus, s.used_gpus);
-  EXPECT_EQ(parsed.free_gpus, s.free_gpus);
-  EXPECT_EQ(parsed.occupancy, s.occupancy);
-  EXPECT_EQ(parsed.running_jobs, s.running_jobs);
-  EXPECT_EQ(parsed.queued_jobs, s.queued_jobs);
-  EXPECT_EQ(parsed.busy_servers, s.busy_servers);
-  EXPECT_EQ(parsed.empty_servers, s.empty_servers);
-  EXPECT_EQ(parsed.racks_with_empty, s.racks_with_empty);
-  EXPECT_EQ(parsed.offline_servers, s.offline_servers);
-  EXPECT_EQ(parsed.rack_free_gpus, s.rack_free_gpus);
-  EXPECT_EQ(parsed.vc_queued, s.vc_queued);
-  EXPECT_EQ(parsed.vc_running, s.vc_running);
-  EXPECT_EQ(parsed.vc_used_gpus, s.vc_used_gpus);
-  EXPECT_EQ(parsed.util_deciles, s.util_deciles);
-  EXPECT_EQ(parsed.locality_relaxations, s.locality_relaxations);
-  EXPECT_EQ(parsed.backoffs, s.backoffs);
-  EXPECT_EQ(parsed.preemptions, s.preemptions);
-  EXPECT_EQ(parsed.migrations, s.migrations);
-  EXPECT_EQ(parsed.fault_kills, s.fault_kills);
-  EXPECT_EQ(parsed.lost_gpu_seconds, s.lost_gpu_seconds);
-  EXPECT_EQ(parsed.util_expected_pct, s.util_expected_pct);
-  EXPECT_EQ(parsed.util_observed_pct, s.util_observed_pct);
-  // Re-serialization is byte-stable.
-  EXPECT_EQ(ToNdjsonLine(parsed), line);
-}
-
-TEST(TimeSeriesCodecTest, DefaultScalarsAreOmittedButArraysStay) {
-  TelemetrySample s;
-  s.time = Minutes(1);
-  s.rack_free_gpus = {64};
-  s.vc_queued = {0};
-  s.vc_running = {0};
-  s.vc_used_gpus = {0};
-  const std::string line = ToNdjsonLine(s);
-  EXPECT_EQ(line.find("\"used\""), std::string::npos) << line;
-  EXPECT_EQ(line.find("\"occ\""), std::string::npos) << line;
-  EXPECT_NE(line.find("\"rack_free\":[64]"), std::string::npos) << line;
-  EXPECT_NE(line.find("\"vc_queued\":[0]"), std::string::npos) << line;
-}
-
-TEST(TimeSeriesCodecTest, DigestLineRoundTripsBitwise) {
-  TelemetryDigest digest;
-  digest.samples = 1440;
-  digest.used_gpu_samples = 98304;
-  digest.queue_depth_max = 17;
-  digest.occupancy_sum = 1234.0000000000002;  // exercises shortest round-trip
-  digest.util_expected_sum = 0.1 + 0.2;
-  digest.util_observed_sum = 70000.125;
-  digest.jobs = 321;
-  digest.segments = 999;
-  for (int c = 0; c < TelemetryDigest::kNumClasses; ++c) {
-    digest.util_weight[static_cast<size_t>(c)] = 100.5 + c;
-    digest.util_weighted_sum[static_cast<size_t>(c)] = 5000.0625 * (c + 1);
-  }
-
-  const std::string line = ToNdjsonLine(digest);
-  ASSERT_TRUE(IsTelemetryDigestLine(line));
-  EXPECT_FALSE(IsTelemetryDigestLine(ToNdjsonLine(FullySetSample())));
-  TelemetryDigest parsed;
-  std::string error;
-  ASSERT_TRUE(TelemetryDigestFromNdjsonLine(line, &parsed, &error)) << error;
-  EXPECT_EQ(parsed, digest);  // bitwise via defaulted operator==
-}
+// ------------------------------------------------------------ NDJSON stream
+// (line-level codec cases: ndjson_codec_test.cc)
 
 TEST(TimeSeriesCodecTest, ReadNdjsonReportsMalformedLine) {
   std::istringstream in(
       "{\"t\":60,\"rack_free\":[],\"vc_queued\":[],\"vc_running\":[],"
-      "\"vc_gpus\":[],\"util_deciles\":[]}\n"
+      "\"vc_gpus\":[],\"util_deciles\":[0,0,0,0,0,0,0,0,0,0]}\n"
       "not json at all\n");
   TelemetryDigest digest;
   bool found_digest = false;

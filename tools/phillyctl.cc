@@ -48,6 +48,10 @@
 //       manifest.json recording the knobs; --html renders the dashboard with
 //       a fleet routing section.
 //
+//   Each subcommand accepts only the options listed for it below: an unknown
+//   option, a value flag with no value, or a positional argument exits 2
+//   with a message naming it and the subcommand.
+//
 //   Scheduler options (simulate/report; sweep takes all but --scheduler):
 //     --scheduler philly|fifo|optimus|tiresias|gandiva   (default philly)
 //     --retry fixed|adaptive|predictive                  (default fixed)
@@ -106,6 +110,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -151,41 +156,74 @@ struct Args {
   bool Has(const std::string& key) const { return flags.count(key) > 0; }
 };
 
-Args Parse(int argc, char** argv) {
-  Args args;
-  if (argc >= 2 && argv[1][0] != '-') {
-    args.command = argv[1];
+// The options each subcommand reads: flags that take a value, and switches.
+struct CommandOptions {
+  std::set<std::string> values;
+  std::set<std::string> switches;
+};
+
+const std::map<std::string, CommandOptions>& Commands() {
+  static const std::map<std::string, CommandOptions> commands = [] {
+    // Run scale, and the scheduler knobs and switches of every simulating command.
+    const std::set<std::string> run = {"--days", "--seed", "--threads"};
+    const std::set<std::string> knobs = {"--retry", "--checkpoint-mins", "--ckpt-policy",
+                                         "--ckpt-bw", "--ckpt-size-gb-per-gpu"};
+    const std::set<std::string> switches = {"--prerun", "--migration", "--dedicated",
+                                            "--strict-locality", "--faults"};
+    const auto with = [](std::set<std::string> a, std::set<std::string> b) {
+      a.merge(b);
+      return a;
+    };
+    const CommandOptions simulate = {
+        with(with(run, knobs), {"--scheduler", "--out", "--format", "--figures", "--events-out",
+                                "--metrics-out", "--trace-out", "--telemetry-out", "--spans-out",
+                                "--spans-trace-out", "--html"}),
+        switches};
+    return std::map<std::string, CommandOptions>{
+        {"simulate", simulate},
+        {"report", simulate},
+        {"analyze",
+         {{"--trace", "--figures", "--from-events", "--telemetry", "--spans"},
+          {"--philly-traces"}}},
+        {"sweep", {with(with(run, knobs), {"--seeds", "--schedulers", "--retries"}), switches}},
+        {"fleet",
+         {with(run, {"--clusters", "--router", "--spill-threshold", "--out", "--html"}),
+          {"--collect-spans"}}},
+        {"explain", {{"--job", "--spans"}, {}}},
+    };
+  }();
+  return commands;
+}
+
+// Parses argv against the subcommand's options. An unknown option, a value
+// flag with no value, or a positional argument prints what and where and
+// returns false; an unknown subcommand is left for main to reject.
+bool Parse(int argc, char** argv, Args* args) {
+  if (argc < 2 || Commands().count(argv[1]) == 0) {
+    return true;
   }
-  static const char* kValueKeys[] = {"--days",    "--seed",       "--out",
-                                     "--trace",   "--figures",    "--scheduler",
-                                     "--retry",   "--format",     "--seeds",
-                                     "--schedulers", "--threads", "--retries",
-                                     "--checkpoint-mins", "--ckpt-policy",
-                                     "--ckpt-bw", "--ckpt-size-gb-per-gpu",
-                                     "--events-out",
-                                     "--metrics-out", "--trace-out",
-                                     "--from-events", "--telemetry-out",
-                                     "--telemetry", "--html",
-                                     "--spans-out", "--spans-trace-out",
-                                     "--spans", "--job",
-                                     "--clusters", "--router",
-                                     "--spill-threshold"};
+  args->command = argv[1];
+  const CommandOptions& options = Commands().at(args->command);
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
-    bool takes_value = false;
-    for (const char* key : kValueKeys) {
-      if (arg == key) {
-        takes_value = true;
-        break;
+    const char* problem = nullptr;
+    if (options.values.count(arg) > 0) {
+      if (i + 1 < argc) {
+        args->values[arg] = argv[++i];
+        continue;
       }
+      problem = "needs a value";
+    } else if (options.switches.count(arg) > 0) {
+      args->flags[arg] = true;
+      continue;
+    } else {
+      problem = arg.starts_with("-") ? "is not an option of this command"
+                                     : "is an unexpected argument";
     }
-    if (takes_value && i + 1 < argc) {
-      args.values[arg] = argv[++i];
-    } else if (arg.rfind("--", 0) == 0) {
-      args.flags[arg] = true;
-    }
+    std::fprintf(stderr, "phillyctl %s: '%s' %s\n", args->command.c_str(), arg.c_str(), problem);
+    return false;
   }
-  return args;
+  return true;
 }
 
 int Usage() {
@@ -1668,7 +1706,10 @@ int RunExplain(const Args& args) {
 }  // namespace philly
 
 int main(int argc, char** argv) {
-  const philly::Args args = philly::Parse(argc, argv);
+  philly::Args args;
+  if (!philly::Parse(argc, argv, &args)) {
+    return 2;
+  }
   if (args.command == "simulate") {
     return philly::RunSimulateOrReport(args, /*write_output=*/true);
   }
