@@ -32,16 +32,16 @@ constexpr auto kFields = std::tuple{
     Field{"fair", &SchedEvent::fair_share_time, When::kAlways, IsSchedule},
     Field{"frag", &SchedEvent::fragmentation_time, When::kAlways, IsSchedule},
     Field{"evals", &SchedEvent::sched_attempts, When::kAlways, IsSchedule},
-    Field{"ooo", &SchedEvent::out_of_order, When::kSet, IsSchedule},
-    Field{"benign", &SchedEvent::benign, When::kSet, IsSchedule},
+    Field{"ooo", &SchedEvent::out_of_order, When::kNonZero, IsSchedule},
+    Field{"benign", &SchedEvent::benign, When::kNonZero, IsSchedule},
     Field{"placement", &SchedEvent::placement, When::kNonEmpty, IsSchedule},
-    Field{"failed", &SchedEvent::failed, When::kSet},
-    Field{"preempted", &SchedEvent::preempted, When::kSet},
-    Field{"mfault", &SchedEvent::machine_fault, When::kSet},
+    Field{"failed", &SchedEvent::failed, When::kNonZero},
+    Field{"preempted", &SchedEvent::preempted, When::kNonZero},
+    Field{"mfault", &SchedEvent::machine_fault, When::kNonZero},
     Field{"status", &SchedEvent::status, When::kNonNegative},
-    Field{"ooo_started", &SchedEvent::started_out_of_order, When::kSet},
-    Field{"ooo_benign", &SchedEvent::out_of_order_benign, When::kSet},
-    Field{"overtaken", &SchedEvent::overtaken, When::kSet},
+    Field{"ooo_started", &SchedEvent::started_out_of_order, When::kNonZero},
+    Field{"ooo_benign", &SchedEvent::out_of_order_benign, When::kNonZero},
+    Field{"overtaken", &SchedEvent::overtaken, When::kNonZero},
     Field{"relax", &SchedEvent::relax_level, When::kPositive},
     Field{"delay", &SchedEvent::delay, When::kPositive},
     Field{"lost_gpu_s", &SchedEvent::lost_gpu_seconds, When::kPositive},

@@ -45,8 +45,7 @@ enum class When {
   kNotNoJob,     // != kNoJob
   kNonNegative,  // >= 0
   kPositive,     // > 0
-  kNonZero,      // != 0
-  kSet,          // a set flag, written as 1
+  kNonZero,      // != 0; a set flag, written as 1
   kNonEmpty,     // a non-empty string or vector
 };
 
@@ -89,7 +88,7 @@ bool IsWritten(const Member& value) {
     return value >= 0;
   } else if constexpr (kWhen == When::kPositive) {
     return value > 0;
-  } else if constexpr (kWhen == When::kNonZero || kWhen == When::kSet) {
+  } else if constexpr (kWhen == When::kNonZero) {
     return value != 0;
   } else if constexpr (kWhen == When::kNonEmpty) {
     return !value.empty();

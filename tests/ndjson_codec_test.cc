@@ -5,7 +5,8 @@
 //     to an equal record and re-encode to the same line, and every committed
 //     golden stream reads back and re-encodes to its own bytes.
 //   - Rejections: one case per class of non-canonical line, each error
-//     naming the line, the byte and (where one is there) the key.
+//     naming the line, the byte and (where one is there) the key, and the
+//     stream reader returning the records before the bad line.
 //   - Fuzz: random byte flips, insertions and deletions of golden lines never
 //     crash or throw, and a mutated line is accepted only if it is canonical.
 //
@@ -355,13 +356,22 @@ struct Rejection {
   const char* why = "not the canonical encoding";  // the reason given
 };
 
+// What a stream reader returned: its error, and the records it kept,
+// re-encoded one line each.
+struct ReadResult {
+  std::string error;
+  std::string records;
+};
+
 // Reads `first` then `bad` as a two-line stream and checks that the error
-// names line 2, the byte, the key and the reason.
+// names line 2, the byte, the key and the reason, and that the record of
+// line 1 comes back.
 template <typename Read>
 void ExpectRejected(const std::string& first, const Rejection& r, Read read) {
   SCOPED_TRACE(std::string(r.what) + ": " + r.line);
   std::istringstream in(first + "\n" + r.line + "\n");
-  const std::string error = read(in);
+  const ReadResult result = read(in);
+  const std::string& error = result.error;
   const std::string where = "line 2, byte " + std::to_string(r.byte);
   EXPECT_EQ(error.rfind(where, 0), 0u) << error;
   if (*r.key != '\0') {
@@ -370,26 +380,32 @@ void ExpectRejected(const std::string& first, const Rejection& r, Read read) {
     EXPECT_EQ(error.rfind(where + ": ", 0), 0u) << error;
   }
   EXPECT_NE(error.find(r.why), std::string::npos) << error;
+  EXPECT_EQ(result.records, first + "\n");
 }
 
-std::string ReadEvents(std::istream& in) {
-  std::string error;
-  EventLog::ReadNdjson(in, &error);
-  return error;
+ReadResult ReadEvents(std::istream& in) {
+  ReadResult result;
+  result.records = Encode(EventLog::ReadNdjson(in, &result.error));
+  return result;
 }
 
-std::string ReadSpans(std::istream& in) {
-  std::string error;
-  SpanLog::ReadNdjson(in, &error);
-  return error;
+ReadResult ReadSpans(std::istream& in) {
+  ReadResult result;
+  result.records = Encode(SpanLog::ReadNdjson(in, &result.error));
+  return result;
 }
 
-std::string ReadTelemetry(std::istream& in) {
+// The digest, when found, is the last record.
+ReadResult ReadTelemetry(std::istream& in) {
+  ReadResult result;
   TelemetryDigest digest;
   bool found_digest = false;
-  std::string error;
-  ClusterTimeSeries::ReadNdjson(in, &digest, &found_digest, &error);
-  return error;
+  result.records =
+      Encode(ClusterTimeSeries::ReadNdjson(in, &digest, &found_digest, &result.error));
+  if (found_digest) {
+    result.records += ToNdjsonLine(digest) + "\n";
+  }
+  return result;
 }
 
 TEST(NdjsonCodecTest, EventLinesThatAreNotCanonicalAreRejected) {
@@ -482,11 +498,14 @@ TEST(NdjsonCodecTest, TelemetryLinesThatAreNotCanonicalAreRejected) {
   // A digest line is accepted once, and only last.
   for (const std::string& after : {ok, digest_line}) {
     std::istringstream in(ok + "\n" + digest_line + "\n" + after + "\n");
-    const std::string error = ReadTelemetry(in);
-    EXPECT_EQ(error.rfind("line 2, byte 0, key \"digest\": ", 0), 0u) << error;
+    const ReadResult result = ReadTelemetry(in);
+    EXPECT_EQ(result.error.rfind("line 2, byte 0, key \"digest\": ", 0), 0u) << result.error;
+    EXPECT_EQ(result.records, ok + "\n");
   }
   std::istringstream last(ok + "\n" + digest_line + "\n");
-  EXPECT_EQ(ReadTelemetry(last), "");
+  const ReadResult result = ReadTelemetry(last);
+  EXPECT_EQ(result.error, "");
+  EXPECT_EQ(result.records, ok + "\n" + digest_line + "\n");
 }
 
 // ------------------------------------------------------------------ fuzz

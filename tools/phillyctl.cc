@@ -156,76 +156,6 @@ struct Args {
   bool Has(const std::string& key) const { return flags.count(key) > 0; }
 };
 
-// The options each subcommand reads: flags that take a value, and switches.
-struct CommandOptions {
-  std::set<std::string> values;
-  std::set<std::string> switches;
-};
-
-const std::map<std::string, CommandOptions>& Commands() {
-  static const std::map<std::string, CommandOptions> commands = [] {
-    // Run scale, and the scheduler knobs and switches of every simulating command.
-    const std::set<std::string> run = {"--days", "--seed", "--threads"};
-    const std::set<std::string> knobs = {"--retry", "--checkpoint-mins", "--ckpt-policy",
-                                         "--ckpt-bw", "--ckpt-size-gb-per-gpu"};
-    const std::set<std::string> switches = {"--prerun", "--migration", "--dedicated",
-                                            "--strict-locality", "--faults"};
-    const auto with = [](std::set<std::string> a, std::set<std::string> b) {
-      a.merge(b);
-      return a;
-    };
-    const CommandOptions simulate = {
-        with(with(run, knobs), {"--scheduler", "--out", "--format", "--figures", "--events-out",
-                                "--metrics-out", "--trace-out", "--telemetry-out", "--spans-out",
-                                "--spans-trace-out", "--html"}),
-        switches};
-    return std::map<std::string, CommandOptions>{
-        {"simulate", simulate},
-        {"report", simulate},
-        {"analyze",
-         {{"--trace", "--figures", "--from-events", "--telemetry", "--spans"},
-          {"--philly-traces"}}},
-        {"sweep", {with(with(run, knobs), {"--seeds", "--schedulers", "--retries"}), switches}},
-        {"fleet",
-         {with(run, {"--clusters", "--router", "--spill-threshold", "--out", "--html"}),
-          {"--collect-spans"}}},
-        {"explain", {{"--job", "--spans"}, {}}},
-    };
-  }();
-  return commands;
-}
-
-// Parses argv against the subcommand's options. An unknown option, a value
-// flag with no value, or a positional argument prints what and where and
-// returns false; an unknown subcommand is left for main to reject.
-bool Parse(int argc, char** argv, Args* args) {
-  if (argc < 2 || Commands().count(argv[1]) == 0) {
-    return true;
-  }
-  args->command = argv[1];
-  const CommandOptions& options = Commands().at(args->command);
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const char* problem = nullptr;
-    if (options.values.count(arg) > 0) {
-      if (i + 1 < argc) {
-        args->values[arg] = argv[++i];
-        continue;
-      }
-      problem = "needs a value";
-    } else if (options.switches.count(arg) > 0) {
-      args->flags[arg] = true;
-      continue;
-    } else {
-      problem = arg.starts_with("-") ? "is not an option of this command"
-                                     : "is an unexpected argument";
-    }
-    std::fprintf(stderr, "phillyctl %s: '%s' %s\n", args->command.c_str(), arg.c_str(), problem);
-    return false;
-  }
-  return true;
-}
-
 int Usage() {
   std::fprintf(stderr,
                "usage: phillyctl <simulate|analyze|report|sweep|fleet|explain> "
@@ -1702,6 +1632,84 @@ int RunExplain(const Args& args) {
   return 0;
 }
 
+// A subcommand: what runs it, and the options it reads (flags that take a
+// value, and switches).
+struct Command {
+  int (*run)(const Args&);
+  std::set<std::string> values;
+  std::set<std::string> switches;
+};
+
+const std::map<std::string, Command>& Commands() {
+  static const std::map<std::string, Command> commands = [] {
+    // Run scale, and the scheduler knobs and switches of every simulating command.
+    const std::set<std::string> run = {"--days", "--seed", "--threads"};
+    const std::set<std::string> knobs = {"--retry", "--checkpoint-mins", "--ckpt-policy",
+                                         "--ckpt-bw", "--ckpt-size-gb-per-gpu"};
+    const std::set<std::string> switches = {"--prerun", "--migration", "--dedicated",
+                                            "--strict-locality", "--faults"};
+    const auto with = [](std::set<std::string> a, std::set<std::string> b) {
+      a.merge(b);
+      return a;
+    };
+    const std::set<std::string> simulate =
+        with(with(run, knobs), {"--scheduler", "--out", "--format", "--figures", "--events-out",
+                                "--metrics-out", "--trace-out", "--telemetry-out", "--spans-out",
+                                "--spans-trace-out", "--html"});
+    return std::map<std::string, Command>{
+        {"simulate",
+         {[](const Args& args) { return RunSimulateOrReport(args, /*write_output=*/true); },
+          simulate, switches}},
+        {"report",
+         {[](const Args& args) { return RunSimulateOrReport(args, /*write_output=*/false); },
+          simulate, switches}},
+        {"analyze",
+         {RunAnalyze,
+          {"--trace", "--figures", "--from-events", "--telemetry", "--spans"},
+          {"--philly-traces"}}},
+        {"sweep",
+         {RunSweep, with(with(run, knobs), {"--seeds", "--schedulers", "--retries"}), switches}},
+        {"fleet",
+         {RunFleet, with(run, {"--clusters", "--router", "--spill-threshold", "--out", "--html"}),
+          {"--collect-spans"}}},
+        {"explain", {RunExplain, {"--job", "--spans"}, {}}},
+    };
+  }();
+  return commands;
+}
+
+// Parses argv against the subcommand's options. An unknown subcommand prints
+// the usage; an unknown option, a value flag with no value, or a positional
+// argument prints what and where. Either returns false.
+bool Parse(int argc, char** argv, Args* args) {
+  if (argc < 2 || Commands().count(argv[1]) == 0) {
+    Usage();
+    return false;
+  }
+  args->command = argv[1];
+  const Command& command = Commands().at(args->command);
+  for (int i = 2; i < argc; ++i) {
+    const std::string arg = argv[i];
+    const char* problem = nullptr;
+    if (command.values.count(arg) > 0) {
+      if (i + 1 < argc) {
+        args->values[arg] = argv[++i];
+        continue;
+      }
+      problem = "needs a value";
+    } else if (command.switches.count(arg) > 0) {
+      args->flags[arg] = true;
+      continue;
+    } else {
+      problem = arg.starts_with("-") ? "is not an option of this command"
+                                     : "is an unexpected argument";
+    }
+    std::fprintf(stderr, "phillyctl %s: '%s' %s\n", args->command.c_str(), arg.c_str(), problem);
+    return false;
+  }
+  return true;
+}
+
 }  // namespace
 }  // namespace philly
 
@@ -1710,23 +1718,5 @@ int main(int argc, char** argv) {
   if (!philly::Parse(argc, argv, &args)) {
     return 2;
   }
-  if (args.command == "simulate") {
-    return philly::RunSimulateOrReport(args, /*write_output=*/true);
-  }
-  if (args.command == "report") {
-    return philly::RunSimulateOrReport(args, /*write_output=*/false);
-  }
-  if (args.command == "analyze") {
-    return philly::RunAnalyze(args);
-  }
-  if (args.command == "sweep") {
-    return philly::RunSweep(args);
-  }
-  if (args.command == "fleet") {
-    return philly::RunFleet(args);
-  }
-  if (args.command == "explain") {
-    return philly::RunExplain(args);
-  }
-  return philly::Usage();
+  return philly::Commands().at(args.command).run(args);
 }
