@@ -66,37 +66,24 @@ Cluster LoadedPaperCluster(const LocalityPlacer& placer) {
   return cluster;
 }
 
-// Pure placement search at a fixed cluster state: index-backed vs the legacy
-// full-scan reference (the second range arg selects the path). The spread
-// between the two is the per-query win of the free-capacity index.
+// Pure placement search at a fixed cluster state. bench/oracle_gate compares
+// the same search against the full-scan oracle.
 void BM_PlacementSearch(benchmark::State& state) {
-  PlacerConfig config;
-  config.use_scan_reference = state.range(1) != 0;
-  LocalityPlacer placer(config);
+  LocalityPlacer placer;
   const Cluster cluster = LoadedPaperCluster(placer);
   const int gpus = static_cast<int>(state.range(0));
   for (auto _ : state) {
     benchmark::DoNotOptimize(placer.FindPlacement(cluster, gpus, 2));
   }
   state.SetItemsProcessed(state.iterations());
-  state.SetLabel(config.use_scan_reference ? "scan" : "index");
 }
-BENCHMARK(BM_PlacementSearch)
-    ->Args({1, 0})
-    ->Args({1, 1})
-    ->Args({8, 0})
-    ->Args({8, 1})
-    ->Args({32, 0})
-    ->Args({32, 1});
+BENCHMARK(BM_PlacementSearch)->Arg(1)->Arg(8)->Arg(32);
 
 // Allocate/release churn through FindPlacement, the scheduler's actual hot
 // loop shape: every allocation and release also pays the incremental index
-// maintenance, so this measures search + upkeep together against the
-// maintenance-free scan.
+// maintenance, so this measures search + upkeep together.
 void BM_PlacementChurn(benchmark::State& state) {
-  PlacerConfig config;
-  config.use_scan_reference = state.range(0) != 0;
-  LocalityPlacer placer(config);
+  LocalityPlacer placer;
   Cluster cluster = LoadedPaperCluster(placer);
   Rng rng(17);
   JobId next = 1000000;
@@ -118,9 +105,8 @@ void BM_PlacementChurn(benchmark::State& state) {
     benchmark::DoNotOptimize(cluster.NumFreeGpus());
   }
   state.SetItemsProcessed(state.iterations());
-  state.SetLabel(config.use_scan_reference ? "scan" : "index");
 }
-BENCHMARK(BM_PlacementChurn)->Arg(0)->Arg(1);
+BENCHMARK(BM_PlacementChurn);
 
 void BM_UtilizationModel(benchmark::State& state) {
   UtilizationModel model;

@@ -34,6 +34,35 @@ int RepresentativeIndex(int num_gpus) {
   return -1;
 }
 
+// The one Ganglia sampling pass behind Table 3: jobs in order, each job's
+// segments in order, segment k of job J sampled with seed
+// Mix64(seed ^ J << 18 ^ k). Hands each sample to
+// `add(job, rep, segment, value, w)`, where rep is the job's representative
+// size index (-1 for none) and w the sample's weight times the job's GPUs.
+// AnalyzeUtilization and ComputeUtilDigest both accumulate from here, so the
+// telemetry digest sees exactly the samples, in exactly the order, that the
+// analysis does.
+template <typename Add>
+void ForEachUtilSample(const std::vector<JobRecord>& jobs, SamplerConfig sampler_config,
+                       uint64_t seed, Add add) {
+  GangliaSampler sampler(sampler_config);
+  for (const auto& job : jobs) {
+    const int rep = RepresentativeIndex(job.spec.num_gpus);
+    const double gpu_weight = job.spec.num_gpus;
+    int segment_index = 0;
+    for (const auto& segment : job.util_segments) {
+      const uint64_t seg_seed =
+          Mix64(seed ^ (static_cast<uint64_t>(job.spec.id) << 18) ^
+                static_cast<uint64_t>(segment_index));
+      ++segment_index;
+      sampler.SampleSegment(segment.expected_util, segment.duration, seg_seed,
+                            [&](double value, double weight) {
+                              add(job, rep, segment, value, weight * gpu_weight);
+                            });
+    }
+  }
+}
+
 }  // namespace
 
 // ------------------------------------------------------------------- Fig 2
@@ -229,80 +258,53 @@ double UtilizationResult::MeanForSize(int size_index) const {
 UtilizationResult AnalyzeUtilization(const std::vector<JobRecord>& jobs,
                                      SamplerConfig sampler_config, uint64_t seed) {
   UtilizationResult result;
-  GangliaSampler sampler(sampler_config);
-  for (const auto& job : jobs) {
-    const int rep = RepresentativeIndex(job.spec.num_gpus);
-    const double gpu_weight = job.spec.num_gpus;
-    int segment_index = 0;
-    for (const auto& segment : job.util_segments) {
-      const uint64_t seg_seed =
-          Mix64(seed ^ (static_cast<uint64_t>(job.spec.id) << 18) ^
-                static_cast<uint64_t>(segment_index));
-      ++segment_index;
-      sampler.SampleSegment(
-          segment.expected_util, segment.duration, seg_seed,
-          [&](double value, double weight) {
-            const double w = weight * gpu_weight;
-            result.all.Add(value, w);
-            if (rep >= 0) {
-              result.by_size[static_cast<size_t>(rep)].Add(value, w);
-              result
-                  .by_status_size[static_cast<size_t>(job.status)]
-                                 [static_cast<size_t>(rep)]
-                  .Add(value, w);
-            }
-            if (job.spec.num_gpus == 8 && segment.num_servers == 1) {
-              result.dedicated_8gpu.Add(value, w);
-            }
-            if (job.spec.num_gpus == 16) {
-              if (segment.num_servers == 2) {
-                result.dedicated_16gpu.Add(value, w);
-              }
-              auto it = result.sixteen_by_servers.find(segment.num_servers);
-              if (it == result.sixteen_by_servers.end()) {
-                it = result.sixteen_by_servers
-                         .emplace(segment.num_servers, PercentHistogram())
-                         .first;
-              }
-              it->second.Add(value, w);
-            }
-          });
-    }
-  }
+  ForEachUtilSample(
+      jobs, sampler_config, seed,
+      [&result](const JobRecord& job, int rep, const UtilSegment& segment,
+                double value, double w) {
+        result.all.Add(value, w);
+        if (rep >= 0) {
+          result.by_size[static_cast<size_t>(rep)].Add(value, w);
+          result
+              .by_status_size[static_cast<size_t>(job.status)][static_cast<size_t>(rep)]
+              .Add(value, w);
+        }
+        if (job.spec.num_gpus == 8 && segment.num_servers == 1) {
+          result.dedicated_8gpu.Add(value, w);
+        }
+        if (job.spec.num_gpus == 16) {
+          if (segment.num_servers == 2) {
+            result.dedicated_16gpu.Add(value, w);
+          }
+          auto it = result.sixteen_by_servers.find(segment.num_servers);
+          if (it == result.sixteen_by_servers.end()) {
+            it = result.sixteen_by_servers.emplace(segment.num_servers, PercentHistogram())
+                     .first;
+          }
+          it->second.Add(value, w);
+        }
+      });
   return result;
 }
 
 TelemetryDigest ComputeUtilDigest(const std::vector<JobRecord>& jobs,
                                   SamplerConfig sampler_config, uint64_t seed) {
   TelemetryDigest digest;
-  GangliaSampler sampler(sampler_config);
   digest.jobs = static_cast<int64_t>(jobs.size());
-  // Mirrors AnalyzeUtilization exactly — same per-segment seed, same sample
-  // stream, same accumulation order — so writer and checker agree bitwise.
   for (const auto& job : jobs) {
-    const int rep = RepresentativeIndex(job.spec.num_gpus);
-    const double gpu_weight = job.spec.num_gpus;
-    int segment_index = 0;
-    for (const auto& segment : job.util_segments) {
-      ++digest.segments;
-      const uint64_t seg_seed =
-          Mix64(seed ^ (static_cast<uint64_t>(job.spec.id) << 18) ^
-                static_cast<uint64_t>(segment_index));
-      ++segment_index;
-      sampler.SampleSegment(
-          segment.expected_util, segment.duration, seg_seed,
-          [&](double value, double weight) {
-            const double w = weight * gpu_weight;
-            digest.util_weight[TelemetryDigest::kOverallClass] += w;
-            digest.util_weighted_sum[TelemetryDigest::kOverallClass] +=
-                value * w;
-            if (rep >= 0) {
-              digest.util_weight[static_cast<size_t>(rep)] += w;
-              digest.util_weighted_sum[static_cast<size_t>(rep)] += value * w;
-            }
-          });
-    }
+    digest.segments += static_cast<int64_t>(job.util_segments.size());
   }
+  ForEachUtilSample(jobs, sampler_config, seed,
+                    [&digest](const JobRecord&, int rep, const UtilSegment&,
+                              double value, double w) {
+                      digest.util_weight[TelemetryDigest::kOverallClass] += w;
+                      digest.util_weighted_sum[TelemetryDigest::kOverallClass] +=
+                          value * w;
+                      if (rep >= 0) {
+                        digest.util_weight[static_cast<size_t>(rep)] += w;
+                        digest.util_weighted_sum[static_cast<size_t>(rep)] += value * w;
+                      }
+                    });
   return digest;
 }
 

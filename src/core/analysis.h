@@ -119,9 +119,9 @@ UtilizationResult AnalyzeUtilization(const std::vector<JobRecord>& jobs,
                                      SamplerConfig sampler = {}, uint64_t seed = 17);
 
 // Fills the job-derived half of a TelemetryDigest: exact Table 3 utilization
-// aggregates (per representative size class plus overall), accumulated with
-// the SAME per-segment sampling and iteration order as AnalyzeUtilization so
-// two invocations over equal job records are bitwise-equal. This is the
+// aggregates (per representative size class plus overall), accumulated from
+// the same sampling pass as AnalyzeUtilization, so two invocations over equal
+// job records are bitwise-equal. This is the
 // cross-check `phillyctl analyze --telemetry` runs against the digest the
 // writer embedded in the telemetry stream.
 TelemetryDigest ComputeUtilDigest(const std::vector<JobRecord>& jobs,

@@ -7,64 +7,9 @@
 namespace philly {
 namespace {
 
-// Racks ordered emptiest-first (by free GPUs, descending), ties by id for
-// determinism.
-std::vector<RackId> RankedRacks(const Cluster& cluster) {
-  std::vector<RackId> racks(static_cast<size_t>(cluster.NumRacks()));
-  for (int r = 0; r < cluster.NumRacks(); ++r) {
-    racks[static_cast<size_t>(r)] = r;
-  }
-  std::sort(racks.begin(), racks.end(), [&](RackId a, RackId b) {
-    const int fa = cluster.RackFreeGpus(a);
-    const int fb = cluster.RackFreeGpus(b);
-    if (fa != fb) {
-      return fa > fb;
-    }
-    return a < b;
-  });
-  return racks;
-}
-
-// Servers of one rack in the canonical order (free GPUs descending, server id
-// ascending). The id tie-break is explicit so the order is a property of the
-// comparator, not of stable_sort preserving ServersInRack()'s id ordering.
-std::vector<ServerId> RankedServers(const Cluster& cluster, RackId rack) {
-  std::vector<ServerId> servers = cluster.ServersInRack(rack);
-  std::sort(servers.begin(), servers.end(), [&](ServerId a, ServerId b) {
-    const int fa = cluster.ServerFree(a);
-    const int fb = cluster.ServerFree(b);
-    if (fa != fb) {
-      return fa > fb;
-    }
-    return a < b;
-  });
-  return servers;
-}
-
-// Greedy shard assignment over `servers`: biggest shards first.
-std::optional<Placement> TakeGreedy(const Cluster& cluster,
-                                    const std::vector<ServerId>& servers, int gpus,
-                                    int max_servers) {
-  Placement placement;
-  int remaining = gpus;
-  for (ServerId s : servers) {
-    if (remaining <= 0 || placement.NumServers() >= max_servers) {
-      break;
-    }
-    const int take = std::min(remaining, cluster.ServerFree(s));
-    if (take > 0) {
-      placement.shards.push_back({s, take});
-      remaining -= take;
-    }
-  }
-  if (remaining > 0) {
-    return std::nullopt;
-  }
-  return placement;
-}
-
-// Index-side counterpart of TakeGreedy: callers feed it candidate servers in
-// the canonical order and it accumulates shards under the same stop rules.
+// Greedy shard assignment, biggest shards first: callers feed it candidate
+// servers in the canonical order and it stops once the demand is met or the
+// server cap is reached.
 struct GreedyTake {
   int remaining = 0;
   int max_servers = 0;
@@ -100,11 +45,11 @@ LocalityPlacer::LocalityPlacer(PlacerConfig config) : config_(config) {}
 // --------------------------------------------------------------------------
 // Index-backed search. Every helper walks the Cluster's free-capacity buckets
 // in the canonical candidate order documented in placement.h, so the shards it
-// emits are byte-identical to the legacy scan's.
+// emits are byte-identical to the full-scan oracle's.
 
 int LocalityPlacer::SingleServerIndexed(const Cluster& cluster, int gpus,
                                         Placement* out) const {
-  // The legacy scan folds over servers in id order, keeping the tightest fit
+  // The scan oracle folds over servers in id order, keeping the tightest fit
   // (best-fit) for packing groups and the emptiest server otherwise, ties to
   // the lower id. Server ids are capacity-contiguous, so folding one champion
   // per capacity group in group order reproduces that fold exactly: within a
@@ -164,7 +109,7 @@ int LocalityPlacer::SingleRackIndexed(const Cluster& cluster, int gpus,
     const int rack_cap = cluster.RackMaxServerCapacity(rack);
     // Strict mode caps the job at the theoretical minimum server count for
     // this rack's SKU (static capacity, so an offline 8-GPU server still
-    // implies ceil(gpus/8) — matching the legacy scan).
+    // implies ceil(gpus/8) — matching the scan oracle).
     const int max_servers =
         min_servers ? (gpus + rack_cap - 1) / rack_cap : config_.max_spread_servers;
     GreedyTake take{gpus, max_servers, {}};
@@ -284,9 +229,6 @@ int LocalityPlacer::SearchIndexed(const Cluster& cluster, int gpus, int relax_le
 
 std::optional<Placement> LocalityPlacer::FindPlacement(const Cluster& cluster, int gpus,
                                                        int relax_level) const {
-  if (config_.use_scan_reference) {
-    return FindPlacementScan(cluster, gpus, relax_level);
-  }
   Placement placement;
   if (SearchIndexed(cluster, gpus, relax_level, &placement) < 0) {
     return std::nullopt;
@@ -296,158 +238,7 @@ std::optional<Placement> LocalityPlacer::FindPlacement(const Cluster& cluster, i
 
 bool LocalityPlacer::CanPlace(const Cluster& cluster, int gpus,
                               int relax_level) const {
-  if (config_.use_scan_reference) {
-    return FindPlacementScan(cluster, gpus, relax_level).has_value();
-  }
   return SearchIndexed(cluster, gpus, relax_level, /*out=*/nullptr) >= 0;
-}
-
-// --------------------------------------------------------------------------
-// Legacy full-scan reference implementation.
-
-std::optional<Placement> LocalityPlacer::PlaceOnSingleServer(const Cluster& cluster,
-                                                             int gpus) const {
-  ServerId best = -1;
-  int best_free = 0;
-  for (ServerId s = 0; s < cluster.NumServers(); ++s) {
-    const int free = cluster.ServerFree(s);
-    if (free < gpus) {
-      continue;
-    }
-    if (config_.pack_small_jobs && gpus < cluster.ServerCapacity(s)) {
-      // Best-fit: tightest server that fits, to limit fragmentation.
-      if (best == -1 || free < best_free) {
-        best = s;
-        best_free = free;
-      }
-    } else {
-      // Whole-server (or dedicated-placement mode): emptiest server first.
-      if (best == -1 || free > best_free) {
-        best = s;
-        best_free = free;
-      }
-    }
-  }
-  if (best == -1) {
-    return std::nullopt;
-  }
-  Placement placement;
-  placement.shards.push_back({best, gpus});
-  return placement;
-}
-
-std::optional<Placement> LocalityPlacer::PlaceInSingleRack(const Cluster& cluster,
-                                                           int gpus,
-                                                           bool min_servers) const {
-  for (RackId rack : RankedRacks(cluster)) {
-    if (cluster.RackFreeGpus(rack) < gpus) {
-      continue;
-    }
-    const std::vector<ServerId> servers = RankedServers(cluster, rack);
-    if (min_servers) {
-      // Strict: only fully-free (or max-capacity-free) shards so the job uses
-      // the theoretical minimum number of servers in this rack.
-      int max_cap = 0;
-      for (ServerId s : servers) {
-        max_cap = std::max(max_cap, cluster.ServerCapacity(s));
-      }
-      const int needed = (gpus + max_cap - 1) / max_cap;
-      auto placement = TakeGreedy(cluster, servers, gpus, needed);
-      if (placement.has_value()) {
-        return placement;
-      }
-      continue;
-    }
-    auto placement = TakeGreedy(cluster, servers, gpus, config_.max_spread_servers);
-    if (placement.has_value()) {
-      return placement;
-    }
-  }
-  return std::nullopt;
-}
-
-std::optional<Placement> LocalityPlacer::PlaceAnywhere(const Cluster& cluster, int gpus,
-                                                       bool min_servers) const {
-  // Rack-major scan, emptiest racks and servers first.
-  std::vector<ServerId> servers;
-  servers.reserve(static_cast<size_t>(cluster.NumServers()));
-  for (RackId rack : RankedRacks(cluster)) {
-    for (ServerId s : RankedServers(cluster, rack)) {
-      servers.push_back(s);
-    }
-  }
-  if (min_servers) {
-    // Emptiest-first across everything minimizes server count greedily. The
-    // comparator spells out the full canonical key — (free desc, rack free
-    // desc, rack id asc, server id asc) — which is exactly what stable-sorting
-    // the rack-major list by free GPUs used to produce implicitly.
-    std::sort(servers.begin(), servers.end(), [&](ServerId a, ServerId b) {
-      const int fa = cluster.ServerFree(a);
-      const int fb = cluster.ServerFree(b);
-      if (fa != fb) {
-        return fa > fb;
-      }
-      const RackId ra = cluster.ServerRack(a);
-      const RackId rb = cluster.ServerRack(b);
-      const int rfa = cluster.RackFreeGpus(ra);
-      const int rfb = cluster.RackFreeGpus(rb);
-      if (rfa != rfb) {
-        return rfa > rfb;
-      }
-      if (ra != rb) {
-        return ra < rb;
-      }
-      return a < b;
-    });
-  }
-  return TakeGreedy(cluster, servers, gpus, config_.max_spread_servers);
-}
-
-std::optional<Placement> LocalityPlacer::FindPlacementScan(const Cluster& cluster,
-                                                           int gpus,
-                                                           int relax_level) const {
-  assert(gpus > 0);
-  if (gpus > cluster.NumFreeGpus()) {
-    return std::nullopt;
-  }
-  const int max_server_cap = cluster.MaxServerCapacity();
-
-  if (gpus <= max_server_cap) {
-    // Sub-server or whole-server job: strict locality means one server.
-    auto single = PlaceOnSingleServer(cluster, gpus);
-    if (single.has_value() || relax_level == 0) {
-      return single;
-    }
-    // Relaxed: allow spreading within a rack, then anywhere.
-    if (relax_level >= 1) {
-      auto in_rack = PlaceInSingleRack(cluster, gpus, /*min_servers=*/false);
-      if (in_rack.has_value() &&
-          in_rack->NumServers() <= (relax_level == 1 ? 2 : 4)) {
-        return in_rack;
-      }
-    }
-    if (relax_level >= 2) {
-      // Even fully relaxed, a sub-server job never spreads beyond 4 servers:
-      // shards of one or two GPUs are all overhead and no locality.
-      auto anywhere = PlaceAnywhere(cluster, gpus, /*min_servers=*/true);
-      if (anywhere.has_value() && anywhere->NumServers() <= 4) {
-        return anywhere;
-      }
-    }
-    return std::nullopt;
-  }
-
-  // Multi-server job.
-  switch (relax_level) {
-    case 0:
-      return PlaceInSingleRack(cluster, gpus, /*min_servers=*/true);
-    case 1:
-      return PlaceInSingleRack(cluster, gpus, /*min_servers=*/false);
-    case 2:
-      return PlaceAnywhere(cluster, gpus, /*min_servers=*/true);
-    default:
-      return PlaceAnywhere(cluster, gpus, /*min_servers=*/false);
-  }
 }
 
 }  // namespace philly

@@ -16,8 +16,8 @@
 //   level 2 — minimum server count per rack-major scan, domains may be mixed
 //   level 3 — any free GPUs anywhere (up to a spread cap)
 //
-// Deterministic candidate order (the contract both implementations obey, and
-// the one the free-capacity index reproduces bit-for-bit — see
+// Deterministic candidate order (the contract the free-capacity index
+// reproduces bit-for-bit from the original full-scan search — see
 // docs/placement-index.md):
 //   racks:                (free GPUs descending, rack id ascending)
 //   servers in a rack:    (free GPUs descending, server id ascending)
@@ -34,9 +34,10 @@
 //
 // FindPlacement resolves these orders against the Cluster's incrementally
 // maintained free-capacity index in O(result) instead of scanning and
-// sorting every server per call. FindPlacementScan is the legacy full-scan
-// reference implementation; tests/placement_index_diff_test.cc holds the two
-// byte-identical over randomized alloc/release/offline sequences.
+// sorting every server per call. The full-scan search is kept as a test
+// oracle in tests/reference/scan_placer.h; tests/placement_index_diff_test.cc
+// holds the two byte-identical over randomized alloc/release/offline
+// sequences, and bench/oracle_gate times one against the other.
 
 #ifndef SRC_SCHED_PLACEMENT_H_
 #define SRC_SCHED_PLACEMENT_H_
@@ -57,10 +58,6 @@ struct PlacerConfig {
   // Upper bound on servers a fully relaxed job may spread over (the paper
   // observes >8-GPU jobs landing on up to 16 servers).
   int max_spread_servers = 16;
-  // Route FindPlacement through the legacy full-scan reference instead of
-  // the free-capacity index. Exists for differential testing and for the
-  // perf baseline in bench/placement_index.cc; results are identical.
-  bool use_scan_reference = false;
 };
 
 class LocalityPlacer {
@@ -77,19 +74,13 @@ class LocalityPlacer {
   // shards. Used by the scheduling pass's out-of-order benign precheck.
   bool CanPlace(const Cluster& cluster, int gpus, int relax_level) const;
 
-  // Legacy full-scan reference implementation (sorts racks and servers from
-  // scratch per call). Kept as the ground truth for the differential test
-  // harness and the perf baseline; FindPlacement must match it exactly.
-  std::optional<Placement> FindPlacementScan(const Cluster& cluster, int gpus,
-                                             int relax_level) const;
-
   const PlacerConfig& config() const { return config_; }
 
  private:
-  // --- index-backed search (shared by FindPlacement and CanPlace) ---
-  // Each helper returns the number of servers in the found placement, or -1
-  // if none exists. With a non-null `out`, the winning shards are appended;
-  // a failed search leaves `out` untouched.
+  // Index-backed search shared by FindPlacement and CanPlace. Each helper
+  // returns the number of servers in the found placement, or -1 if none
+  // exists. With a non-null `out`, the winning shards are appended; a failed
+  // search leaves `out` untouched.
   int SearchIndexed(const Cluster& cluster, int gpus, int relax_level,
                     Placement* out) const;
   int SingleServerIndexed(const Cluster& cluster, int gpus, Placement* out) const;
@@ -97,13 +88,6 @@ class LocalityPlacer {
                         Placement* out) const;
   int AnywhereIndexed(const Cluster& cluster, int gpus, bool min_servers,
                       Placement* out) const;
-
-  // --- legacy scan helpers ---
-  std::optional<Placement> PlaceOnSingleServer(const Cluster& cluster, int gpus) const;
-  std::optional<Placement> PlaceInSingleRack(const Cluster& cluster, int gpus,
-                                             bool min_servers) const;
-  std::optional<Placement> PlaceAnywhere(const Cluster& cluster, int gpus,
-                                         bool min_servers) const;
 
   PlacerConfig config_;
 };

@@ -31,7 +31,6 @@ FailureReason ReasonForFault(FaultKind kind) {
 
 ClusterSimulation::ClusterSimulation(SimulationConfig config, std::vector<JobSpec> jobs)
     : config_(std::move(config)),
-      sim_(config_.engine),
       cluster_(config_.cluster),
       placer_(config_.scheduler.placer),
       defrag_placer_([&] {
@@ -1824,16 +1823,7 @@ void ClusterSimulation::TakeSnapshot() {
   snap.occupancy = cluster_.Occupancy();
   snap.empty_server_fraction = cluster_.EmptyServerFraction();
   snap.racks_with_empty_servers = cluster_.RacksWithEmptyServers();
-  if (config_.legacy_snapshot_scan) {
-    // Pre-PR behavior, kept selectable for the bench baseline: O(jobs) per
-    // snapshot, which dominates long traces (456 snapshots x all jobs at the
-    // 75-day scale was the single largest profiler slice).
-    for (const auto& job : jobs_) {
-      snap.executed_epochs_total += job.record.executed_epochs;
-    }
-  } else {
-    snap.executed_epochs_total = executed_epochs_total_;
-  }
+  snap.executed_epochs_total = executed_epochs_total_;
   snap.offline_servers = cluster_.NumOfflineServers();
   snap.machine_fault_kills_total = result_.machine_fault_kills;
   snap.machine_fault_lost_gpu_seconds_total = result_.machine_fault_lost_gpu_seconds;

@@ -56,12 +56,6 @@ struct SimulationConfig {
   std::vector<VcConfig> vcs;
   uint64_t seed = 42;
   SimDuration snapshot_period = Hours(6);
-  // Core-engine selection for A/B benchmarking and differential tests. The
-  // legacy heap event queue plus the O(jobs)-per-snapshot epoch scan
-  // reproduce the pre-calendar core exactly; bench/end_to_end flips both to
-  // measure the in-process old-vs-new ratio on identical output streams.
-  SimEngine engine = SimEngine::kCalendar;
-  bool legacy_snapshot_scan = false;
   // Optional observability sinks (non-owning; all null by default). Sinks
   // observe scheduler decisions without influencing them: a run with sinks
   // attached produces byte-identical records to a run without.
@@ -143,7 +137,9 @@ class ClusterSimulation {
   struct VcState {
     VcConfig config;
     int used_gpus = 0;
-    std::vector<JobId> queue;  // maintained in arrival order; ordering applied per pass
+    // In policy order: EnqueueSorted inserts by queue key, ties in insertion
+    // order.
+    std::vector<JobId> queue;
   };
 
   // --- event handlers ---

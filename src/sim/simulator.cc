@@ -7,22 +7,12 @@
 
 namespace philly {
 
-Simulator::Simulator(SimEngine engine) : engine_(engine) {
-  if (engine_ == SimEngine::kCalendar) {
-    buckets_.resize(kNumBuckets);
-    occupied_.resize(kWordCount, 0);
-  }
-}
+Simulator::Simulator() : buckets_(kNumBuckets), occupied_(kWordCount, 0) {}
 
 EventId Simulator::ScheduleAt(SimTime t, Callback cb) {
   assert(t >= now_);
   assert(cb);
   const uint64_t seq = next_seq_++;
-  if (engine_ == SimEngine::kLegacyHeap) {
-    legacy_heap_.push(LegacyEntry{t, seq, std::move(cb)});
-    legacy_pending_.insert(seq);
-    return EventId{seq};
-  }
   uint32_t slot;
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
@@ -47,16 +37,9 @@ EventId Simulator::ScheduleAfter(SimDuration d, Callback cb) {
 }
 
 bool Simulator::Cancel(EventId id) {
-  if (engine_ == SimEngine::kLegacyHeap) {
-    if (legacy_pending_.erase(id.value) == 0) {
-      return false;  // never scheduled, already fired, or already cancelled
-    }
-    legacy_cancelled_.insert(id.value);
-    return true;
-  }
   const uint32_t low = static_cast<uint32_t>(id.value);
   if (low == 0) {
-    return false;  // EventId{} or a value this engine never issued
+    return false;  // EventId{} or a value this simulator never handed out
   }
   const uint32_t slot = low - 1;
   const uint32_t gen = static_cast<uint32_t>(id.value >> 32);
@@ -194,7 +177,7 @@ void Simulator::Compact() {
   physical_ = live_;
 }
 
-bool Simulator::CalendarStep() {
+bool Simulator::Step() {
   const PeekResult next = PeekNext();
   if (next.kind == PeekResult::kNone) {
     return false;
@@ -222,7 +205,7 @@ bool Simulator::CalendarStep() {
   return true;
 }
 
-void Simulator::CalendarRunUntil(SimTime deadline) {
+void Simulator::RunUntil(SimTime deadline) {
   for (;;) {
     const PeekResult next = PeekNext();
     if (next.kind == PeekResult::kNone) {
@@ -234,7 +217,7 @@ void Simulator::CalendarRunUntil(SimTime deadline) {
     if (t > deadline) {
       break;
     }
-    CalendarStep();
+    Step();
   }
   if (now_ < deadline) {
     if (time_advance_observer_) {
@@ -245,62 +228,8 @@ void Simulator::CalendarRunUntil(SimTime deadline) {
   }
 }
 
-bool Simulator::LegacySkipCancelled() {
-  while (!legacy_heap_.empty()) {
-    const LegacyEntry& top = legacy_heap_.top();
-    const auto it = legacy_cancelled_.find(top.seq);
-    if (it == legacy_cancelled_.end()) {
-      return true;
-    }
-    legacy_cancelled_.erase(it);
-    legacy_heap_.pop();
-  }
-  return false;
-}
-
-bool Simulator::LegacyStep() {
-  if (!LegacySkipCancelled()) {
-    return false;
-  }
-  LegacyEntry top = std::move(const_cast<LegacyEntry&>(legacy_heap_.top()));
-  legacy_heap_.pop();
-  legacy_pending_.erase(top.seq);
-  assert(top.time >= now_);
-  if (top.time > now_ && time_advance_observer_) {
-    time_advance_observer_(top.time);
-  }
-  now_ = top.time;
-  ++processed_;
-  top.callback();
-  return true;
-}
-
-void Simulator::LegacyRunUntil(SimTime deadline) {
-  while (LegacySkipCancelled() && legacy_heap_.top().time <= deadline) {
-    LegacyStep();
-  }
-  if (now_ < deadline) {
-    if (time_advance_observer_) {
-      time_advance_observer_(deadline);
-    }
-    now_ = deadline;
-  }
-}
-
-bool Simulator::Step() {
-  return engine_ == SimEngine::kCalendar ? CalendarStep() : LegacyStep();
-}
-
 void Simulator::Run() {
   while (Step()) {
-  }
-}
-
-void Simulator::RunUntil(SimTime deadline) {
-  if (engine_ == SimEngine::kCalendar) {
-    CalendarRunUntil(deadline);
-  } else {
-    LegacyRunUntil(deadline);
   }
 }
 

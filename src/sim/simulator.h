@@ -5,32 +5,26 @@
 // cancelled, which the scheduler uses for timeout/backoff machinery. There is
 // intentionally no global simulator instance.
 //
-// Two queue engines implement the same contract:
+// The queue is a calendar queue keyed on the minute grid. Events within a
+// ~2.8-day window live in per-minute ring buckets (each a small binary heap
+// ordered by (time, seq)); events beyond the window wait in an overflow heap
+// and migrate into the ring as the clock advances. Callback storage is a slot
+// slab with generation counters, so Cancel is O(1): it destroys the callback
+// immediately (freeing its captures), bumps the slot's generation, and leaves
+// a tombstone entry in the queue that is skipped when it surfaces. A
+// compaction sweep runs whenever tombstones outnumber live events, so internal
+// size stays O(live) under arbitrary cancel churn.
 //
-//  - kCalendar (default): a calendar queue keyed on the minute grid. Events
-//    within a ~2.8-day window live in per-minute ring buckets (each a small
-//    binary heap ordered by (time, seq)); events beyond the window wait in an
-//    overflow heap and migrate into the ring as the clock advances. Callback
-//    storage is a slot slab with generation counters, so Cancel is O(1): it
-//    destroys the callback immediately (freeing its captures), bumps the
-//    slot's generation, and leaves a tombstone entry in the queue that is
-//    skipped when it surfaces. A compaction sweep runs whenever tombstones
-//    outnumber live events, so internal size stays O(live) under arbitrary
-//    cancel churn.
-//  - kLegacyHeap: the original std::priority_queue + dual unordered_set
-//    design, kept as the reference implementation for differential tests and
-//    as the in-process baseline for bench/end_to_end.
-//
-// Both engines produce byte-identical event orderings; tests/sim_queue_test.cc
-// runs randomized schedules through both and compares traces.
+// tests/reference/heap_queue.h keeps the original priority_queue engine as a
+// test oracle: tests/sim_queue_test.cc requires byte-identical firing traces
+// from both over randomized schedules, and bench/oracle_gate times one
+// against the other.
 
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
 
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "src/common/sim_time.h"
@@ -45,21 +39,13 @@ struct EventId {
   bool operator==(const EventId&) const = default;
 };
 
-enum class SimEngine {
-  kCalendar,    // minute-bucket calendar queue (default)
-  kLegacyHeap,  // reference priority_queue implementation
-};
-
 class Simulator {
  public:
   using Callback = InlineCallback;
 
-  Simulator() : Simulator(SimEngine::kCalendar) {}
-  explicit Simulator(SimEngine engine);
+  Simulator();
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
-
-  SimEngine engine() const { return engine_; }
 
   SimTime Now() const { return now_; }
 
@@ -95,20 +81,14 @@ class Simulator {
   }
 
   // Number of live (scheduled, not yet fired or cancelled) events.
-  size_t PendingCount() const {
-    return engine_ == SimEngine::kCalendar ? live_ : legacy_pending_.size();
-  }
+  size_t PendingCount() const { return live_; }
   // Number of entries physically held in queue structures, including
   // cancelled tombstones awaiting compaction. The bounded-growth regression
   // test asserts PhysicalCount() = O(PendingCount()) under cancel churn.
-  size_t PhysicalCount() const {
-    return engine_ == SimEngine::kCalendar ? physical_ : legacy_heap_.size();
-  }
+  size_t PhysicalCount() const { return physical_; }
   uint64_t ProcessedCount() const { return processed_; }
 
  private:
-  // ---- calendar engine ----
-
   // Ring of 2^12 one-minute buckets: 4096 minutes ≈ 2.8 simulated days per
   // window lap, sized so that scheduler backoffs, quantum timers, and
   // checkpoint writes (minutes-to-hours scale) land in the ring and only
@@ -181,38 +161,11 @@ class Simulator {
     }
   }
 
-  bool CalendarStep();
-  void CalendarRunUntil(SimTime deadline);
-
-  // ---- legacy engine (reference) ----
-
-  struct LegacyEntry {
-    SimTime time = 0;
-    uint64_t seq = 0;
-    Callback callback;
-  };
-  struct LegacyLater {
-    bool operator()(const LegacyEntry& a, const LegacyEntry& b) const {
-      if (a.time != b.time) {
-        return a.time > b.time;
-      }
-      return a.seq > b.seq;
-    }
-  };
-
-  // Pops cancelled entries off the top; returns false when the queue is empty.
-  bool LegacySkipCancelled();
-  bool LegacyStep();
-  void LegacyRunUntil(SimTime deadline);
-
-  // ---- shared state ----
-  SimEngine engine_;
   SimTime now_ = 0;
   std::function<void(SimTime)> time_advance_observer_;
   uint64_t next_seq_ = 1;
   uint64_t processed_ = 0;
 
-  // ---- calendar state ----
   std::vector<Slot> slots_;
   std::vector<uint32_t> free_slots_;
   std::vector<std::vector<QEntry>> buckets_;  // size kNumBuckets
@@ -221,14 +174,6 @@ class Simulator {
   int64_t base_minute_ = 0;                   // == now_ / 60
   size_t live_ = 0;                           // scheduled, not fired/cancelled
   size_t physical_ = 0;                       // entries incl. tombstones
-
-  // ---- legacy state ----
-  std::priority_queue<LegacyEntry, std::vector<LegacyEntry>, LegacyLater>
-      legacy_heap_;
-  // Ids scheduled but not yet fired or cancelled.
-  std::unordered_set<uint64_t> legacy_pending_;
-  // Cancelled ids still physically present in the heap (lazy deletion).
-  std::unordered_set<uint64_t> legacy_cancelled_;
 };
 
 }  // namespace philly

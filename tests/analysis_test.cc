@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
+#include "src/core/experiment.h"
 #include "src/failure/failure_logs.h"
 #include "src/workload/loss_curve.h"
 
@@ -160,6 +163,27 @@ TEST(UtilizationAnalysisTest, WeightsByGpuCountAndDuration) {
   const auto result = AnalyzeUtilization(jobs, quiet);
   // 1 GPU-hour at 100% + 16 GPU-hours at 0% -> overall mean 100/17.
   EXPECT_NEAR(result.all.Mean(), 100.0 / 17.0, 0.1);
+}
+
+// The Table 3 histograms and the telemetry digest accumulate one sample
+// stream: the same weights added in the same order, so every weight total
+// matches exactly. The means differ only by Welford versus a plain sum.
+TEST(UtilizationAnalysisTest, DigestSeesTheAnalysisSampleStream) {
+  const ExperimentRun run =
+      RunExperiment(ExperimentConfig::BenchScale(/*days=*/2, /*seed=*/42));
+  const UtilizationResult util = AnalyzeUtilization(run.result.jobs);
+  const TelemetryDigest digest = ComputeUtilDigest(run.result.jobs);
+  constexpr size_t kOverall = TelemetryDigest::kOverallClass;
+  ASSERT_GT(util.all.Count(), 0.0);
+  EXPECT_EQ(util.all.Count(), digest.util_weight[kOverall]);
+  for (int r = 0; r < UtilizationResult::kNumRepresentative; ++r) {
+    EXPECT_EQ(util.by_size[static_cast<size_t>(r)].Count(),
+              digest.util_weight[static_cast<size_t>(r)])
+        << "size class " << r;
+  }
+  const double digest_mean =
+      digest.util_weighted_sum[kOverall] / digest.util_weight[kOverall];
+  EXPECT_NEAR(util.all.Mean(), digest_mean, 1e-12 * std::abs(digest_mean));
 }
 
 TEST(HostResourceAnalysisTest, WeightedByRunTime) {

@@ -1,8 +1,6 @@
-// Property-based placement tests, run against BOTH implementations — the
-// index-backed search and the legacy full-scan reference — over randomized
-// cluster states. Whatever else the two paths agree on (see
-// placement_index_diff_test.cc for exact equivalence), any placement either
-// returns must satisfy the placement contract:
+// Property-based placement tests over randomized cluster states. Apart from
+// matching the full-scan oracle exactly (placement_index_diff_test.cc), any
+// placement LocalityPlacer returns must satisfy the placement contract:
 //
 //   * shards sum to exactly the requested GPU count;
 //   * no shard exceeds its server's free capacity, and no server repeats,
@@ -99,17 +97,16 @@ void CheckPlacementContract(const Cluster& cluster, const PlacerConfig& config,
 }
 
 class PlacementProperty
-    : public ::testing::TestWithParam<std::tuple<uint64_t, bool, bool>> {};
+    : public ::testing::TestWithParam<std::tuple<uint64_t, bool>> {};
 
 TEST_P(PlacementProperty, PlacementsSatisfyTheContract) {
-  const auto [seed, mixed, use_scan] = GetParam();
+  const auto [seed, mixed] = GetParam();
   Rng rng(seed);
   Cluster cluster(mixed ? MixedSkus() : ClusterConfig::Small());
 
-  for (PlacerConfig config :
-       {PlacerConfig{}, PlacerConfig{/*pack_small_jobs=*/false, 16, false},
-        PlacerConfig{true, /*max_spread_servers=*/3, false}}) {
-    config.use_scan_reference = use_scan;
+  for (const PlacerConfig& config :
+       {PlacerConfig{}, PlacerConfig{/*pack_small_jobs=*/false, 16},
+        PlacerConfig{true, /*max_spread_servers=*/3}}) {
     const LocalityPlacer placer(config);
     Cluster state = cluster;
     Churn(rng, state, placer);
@@ -129,26 +126,21 @@ TEST_P(PlacementProperty, PlacementsSatisfyTheContract) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PlacementProperty,
                          ::testing::Combine(::testing::Values(5, 23, 59, 127),
-                                            ::testing::Bool(),
                                             ::testing::Bool()));
 
 // Demands above the free total (or above what any relax level could gather)
-// must fail on both paths without touching the cluster.
+// must fail without touching the cluster.
 TEST(PlacementPropertyTest, InfeasibleDemandsFailCleanly) {
-  for (const bool use_scan : {false, true}) {
-    PlacerConfig config;
-    config.use_scan_reference = use_scan;
-    const LocalityPlacer placer(config);
-    Cluster cluster(ClusterConfig::Small());
-    EXPECT_FALSE(placer.FindPlacement(cluster, cluster.NumGpus() + 1, 3).has_value());
-    EXPECT_FALSE(placer.CanPlace(cluster, cluster.NumGpus() + 1, 3));
-    // Entirely offline cluster: nothing is placeable.
-    for (ServerId s = 0; s < cluster.NumServers(); ++s) {
-      cluster.SetServerOffline(s, true);
-    }
-    for (int level = 0; level <= kMaxRelaxLevel; ++level) {
-      EXPECT_FALSE(placer.FindPlacement(cluster, 1, level).has_value());
-    }
+  const LocalityPlacer placer;
+  Cluster cluster(ClusterConfig::Small());
+  EXPECT_FALSE(placer.FindPlacement(cluster, cluster.NumGpus() + 1, 3).has_value());
+  EXPECT_FALSE(placer.CanPlace(cluster, cluster.NumGpus() + 1, 3));
+  // Entirely offline cluster: nothing is placeable.
+  for (ServerId s = 0; s < cluster.NumServers(); ++s) {
+    cluster.SetServerOffline(s, true);
+  }
+  for (int level = 0; level <= kMaxRelaxLevel; ++level) {
+    EXPECT_FALSE(placer.FindPlacement(cluster, 1, level).has_value());
   }
 }
 

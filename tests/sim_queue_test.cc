@@ -1,12 +1,13 @@
-// Regression and differential tests for the event-queue engines.
+// Regression and differential tests for the event queue.
 //
-// The calendar engine (SimEngine::kCalendar) must match the legacy heap
-// engine event-for-event while fixing its one real defect: cancelled entries
+// Simulator's calendar queue must match the original heap engine, kept as
+// the test oracle ReferenceHeapQueue (tests/reference/heap_queue.h),
+// event-for-event while fixing its one real defect: cancelled entries
 // accumulating in the heap without bound. These tests pin down
 //   * bounded physical size under cancel/reschedule churn (the bug fix),
 //   * FIFO ordering among same-tick events,
 //   * RunUntil / time-advance-observer interplay,
-//   * randomized schedule/cancel differential: legacy vs calendar traces,
+//   * randomized schedule/cancel differential: oracle vs calendar traces,
 //   * cross-thread determinism of the fired-event stream (tsan label).
 
 #include <gtest/gtest.h>
@@ -14,11 +15,13 @@
 #include <cstdint>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "src/common/rng.h"
 #include "src/common/sim_time.h"
 #include "src/sim/simulator.h"
+#include "tests/reference/heap_queue.h"
 
 namespace philly {
 namespace {
@@ -28,8 +31,9 @@ namespace {
 // every preemption. Live count stays tiny; total churn is large.
 constexpr int kChurnRounds = 50000;
 
-size_t ChurnPhysicalPeak(SimEngine engine) {
-  Simulator sim(engine);
+template <typename Queue>
+size_t ChurnPhysicalPeak() {
+  Queue sim;
   size_t peak = 0;
   EventId pending;
   for (int i = 0; i < kChurnRounds; ++i) {
@@ -47,25 +51,36 @@ size_t ChurnPhysicalPeak(SimEngine engine) {
 // compaction keeps physical storage O(live + compaction floor) no matter how
 // many cancels have happened.
 TEST(SimQueueBoundedGrowthTest, CalendarStaysBoundedUnderCancelChurn) {
-  const size_t peak = ChurnPhysicalPeak(SimEngine::kCalendar);
+  const size_t peak = ChurnPhysicalPeak<Simulator>();
   // Compaction triggers once tombstones exceed max(64, live); with live == 1
   // the physical size can never reach 256 entries, let alone kChurnRounds.
   EXPECT_LE(peak, 256u);
 }
 
-// The bug being fixed, kept as an executable record: the legacy heap retains
+// The bug being fixed, kept as an executable record: the heap oracle retains
 // every cancelled entry until it would surface, so the same churn grows the
 // queue to the full round count. (This is the pre-fix failure mode — the
-// bounded assertion above fails on kLegacyHeap.)
-TEST(SimQueueBoundedGrowthTest, LegacyHeapGrowsWithoutBound) {
-  const size_t peak = ChurnPhysicalPeak(SimEngine::kLegacyHeap);
+// bounded assertion above fails on ReferenceHeapQueue.)
+TEST(SimQueueBoundedGrowthTest, ReferenceHeapGrowsWithoutBound) {
+  const size_t peak = ChurnPhysicalPeak<ReferenceHeapQueue>();
   EXPECT_GE(peak, static_cast<size_t>(kChurnRounds));
 }
 
-class SimQueueEngineTest : public ::testing::TestWithParam<SimEngine> {};
+template <typename Queue>
+class SimQueueEngineTest : public ::testing::Test {};
 
-TEST_P(SimQueueEngineTest, SameTickEventsFireInScheduleOrder) {
-  Simulator sim(GetParam());
+struct EngineNames {
+  template <typename Queue>
+  static std::string GetName(int) {
+    return std::is_same_v<Queue, Simulator> ? "Calendar" : "ReferenceHeap";
+  }
+};
+
+using Engines = ::testing::Types<Simulator, ReferenceHeapQueue>;
+TYPED_TEST_SUITE(SimQueueEngineTest, Engines, EngineNames);
+
+TYPED_TEST(SimQueueEngineTest, SameTickEventsFireInScheduleOrder) {
+  TypeParam sim;
   std::vector<int> order;
   // Interleave two ticks so bucket-internal ordering (not just arrival
   // order into an empty queue) is exercised.
@@ -81,8 +96,8 @@ TEST_P(SimQueueEngineTest, SameTickEventsFireInScheduleOrder) {
   }
 }
 
-TEST_P(SimQueueEngineTest, ObserverSeesEveryAdvanceBeforeTheEvent) {
-  Simulator sim(GetParam());
+TYPED_TEST(SimQueueEngineTest, ObserverSeesEveryAdvanceBeforeTheEvent) {
+  TypeParam sim;
   std::vector<std::pair<SimTime, int>> log;  // (time, 0=observer / 1=event)
   sim.SetTimeAdvanceObserver([&](SimTime t) { log.push_back({t, 0}); });
   sim.ScheduleAt(10, [&] { log.push_back({10, 1}); });
@@ -95,8 +110,8 @@ TEST_P(SimQueueEngineTest, ObserverSeesEveryAdvanceBeforeTheEvent) {
   EXPECT_EQ(log, want);
 }
 
-TEST_P(SimQueueEngineTest, RunUntilAtNowDoesNotNotifyObserver) {
-  Simulator sim(GetParam());
+TYPED_TEST(SimQueueEngineTest, RunUntilAtNowDoesNotNotifyObserver) {
+  TypeParam sim;
   int advances = 0;
   sim.SetTimeAdvanceObserver([&](SimTime) { ++advances; });
   sim.ScheduleAt(5, [] {});
@@ -107,21 +122,13 @@ TEST_P(SimQueueEngineTest, RunUntilAtNowDoesNotNotifyObserver) {
   EXPECT_EQ(sim.Now(), 5);
 }
 
-INSTANTIATE_TEST_SUITE_P(Engines, SimQueueEngineTest,
-                         ::testing::Values(SimEngine::kCalendar,
-                                           SimEngine::kLegacyHeap),
-                         [](const auto& info) {
-                           return info.param == SimEngine::kCalendar
-                                      ? "Calendar"
-                                      : "LegacyHeap";
-                         });
-
 // One randomized driver both engines replay identically: schedules (near and
 // far beyond the calendar ring's window), cancels, reschedules from inside
 // callbacks, and interleaved RunUntil calls. Returns the serialized trace of
 // everything that fired.
-std::string TraceOf(SimEngine engine, uint64_t seed) {
-  Simulator sim(engine);
+template <typename Queue>
+std::string TraceOf(uint64_t seed) {
+  Queue sim;
   Rng rng(seed);
   std::string trace;
   std::vector<EventId> live;
@@ -166,11 +173,11 @@ std::string TraceOf(SimEngine engine, uint64_t seed) {
 
 class SimQueueDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(SimQueueDifferentialTest, CalendarMatchesLegacyTraceExactly) {
-  const std::string legacy = TraceOf(SimEngine::kLegacyHeap, GetParam());
-  const std::string calendar = TraceOf(SimEngine::kCalendar, GetParam());
-  EXPECT_FALSE(legacy.empty());
-  EXPECT_EQ(calendar, legacy);
+TEST_P(SimQueueDifferentialTest, CalendarMatchesReferenceTraceExactly) {
+  const std::string reference = TraceOf<ReferenceHeapQueue>(GetParam());
+  const std::string calendar = TraceOf<Simulator>(GetParam());
+  EXPECT_FALSE(reference.empty());
+  EXPECT_EQ(calendar, reference);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SimQueueDifferentialTest,
@@ -187,8 +194,8 @@ TEST(SimQueueThreadedTest, TracesAreByteIdenticalAcrossThreads) {
     for (int i = 0; i < kThreads; ++i) {
       workers.emplace_back([&traces, i] {
         traces[static_cast<size_t>(i)] =
-            TraceOf(i % 2 == 0 ? SimEngine::kCalendar : SimEngine::kLegacyHeap,
-                    /*seed=*/4242);
+            i % 2 == 0 ? TraceOf<Simulator>(/*seed=*/4242)
+                       : TraceOf<ReferenceHeapQueue>(/*seed=*/4242);
       });
     }
     for (auto& w : workers) {

@@ -26,11 +26,16 @@
 //       stretch of waiting was blamed on, when it ran, why each attempt
 //       ended — reconstructed from the span stream alone.
 //   phillyctl report [--days N] [--seed S] [options]
-//       Run a simulation and print the full analysis without writing files.
+//       Run a simulation and print the full analysis. Takes simulate's
+//       options except --out and --format: it writes no trace directory,
+//       only the observability outputs and figures it is asked for.
 //   phillyctl sweep [--days N] [--seeds S1,S2,...] [--schedulers a,b,...]
 //                   [--retries p1,p2,...] [--threads N] [options]
 //       Run the schedulers x retry-policies x seeds cross product through the
 //       parallel experiment pool and print one summary row per run.
+//       Each --seeds entry takes simulate's --seed range (0..2147483647), so
+//       any row can be rerun alone; sweep itself takes no --seed. An empty
+//       entry in --seeds, --schedulers or --retries exits 2.
 //       --retries defaults to the single --retry value; --threads overrides
 //       the pool size (default: PHILLY_BENCH_THREADS or hardware
 //       concurrency); results are identical for any thread count.
@@ -266,11 +271,12 @@ bool GetIntFlag(const Args& args, const std::string& key, int fallback,
   return true;
 }
 
-// The run-scale flags every simulating command shares.
+// The run-scale flags of the simulating commands. Each command's option table
+// decides which of them it takes; an absent flag reads as its default.
 struct RunFlags {
   int days = 0;
   int seed = 0;
-  int threads = 0;  // 0 = PHILLY_BENCH_THREADS or hardware concurrency
+  int threads = 0;  // sweep and fleet; 0 = PHILLY_BENCH_THREADS or hardware concurrency
 };
 
 bool ParseRunFlags(const Args& args, int default_days, RunFlags* flags) {
@@ -1208,16 +1214,21 @@ int RunAnalyze(const Args& args) {
   return 0;
 }
 
-std::vector<std::string> SplitCsv(const std::string& list) {
-  std::vector<std::string> out;
-  std::string item;
-  std::stringstream stream(list);
-  while (std::getline(stream, item, ',')) {
-    if (!item.empty()) {
-      out.push_back(item);
+// Reads the comma list flag `key` (`fallback` when absent) into *out. An
+// empty entry ("a,,b", a stray comma, or an empty value) prints a message
+// naming the flag and returns false.
+bool GetListFlag(const Args& args, const std::string& key,
+                 const std::string& fallback, std::vector<std::string>* out) {
+  const std::string list = args.Get(key, fallback);
+  for (const std::string_view entry : Split(list, ',')) {
+    if (entry.empty()) {
+      std::fprintf(stderr, "%s '%s' has an empty entry\n", key.c_str(),
+                   list.c_str());
+      return false;
     }
+    out->emplace_back(entry);
   }
-  return out;
+  return true;
 }
 
 // Runs the schedulers x retry-policies x seeds cross product through the
@@ -1229,29 +1240,30 @@ int RunSweep(const Args& args) {
   if (!ParseRunFlags(args, /*default_days=*/10, &flags)) {
     return 1;
   }
+  std::vector<std::string> seed_texts;
+  std::vector<std::string> scheduler_names;
+  // Third sweep dimension: retry policies. Defaults to the single --retry
+  // value so `sweep --retry adaptive` keeps working unchanged.
+  std::vector<std::string> retry_names;
+  const char* retries_flag = args.values.count("--retries") > 0 ? "--retries" : "--retry";
+  if (!GetListFlag(args, "--seeds", "42", &seed_texts) ||
+      !GetListFlag(args, "--schedulers", "philly", &scheduler_names) ||
+      !GetListFlag(args, retries_flag, "fixed", &retry_names)) {
+    return 2;
+  }
+  // Each entry takes simulate's --seed range, so any swept run can be
+  // reproduced alone with `simulate --seed`.
   std::vector<uint64_t> seeds;
-  for (const std::string& token : SplitCsv(args.Get("--seeds", "42"))) {
-    char* end = nullptr;
-    errno = 0;
-    const unsigned long long value = std::strtoull(token.c_str(), &end, 10);
-    if (errno != 0 || end == token.c_str() || *end != '\0') {
-      std::fprintf(stderr, "--seeds entry '%s' is not a valid seed\n",
-                   token.c_str());
+  for (const std::string& text : seed_texts) {
+    long value = 0;
+    if (!ParseStrictLong(text, &value) || value < 0 || value > INT_MAX) {
+      std::fprintf(stderr,
+                   "--seeds entry '%s' is invalid: expected an integer seed "
+                   "between 0 and 2147483647\n",
+                   text.c_str());
       return 2;
     }
     seeds.push_back(static_cast<uint64_t>(value));
-  }
-  const std::vector<std::string> scheduler_names =
-      SplitCsv(args.Get("--schedulers", "philly"));
-  // Third sweep dimension: retry policies. Defaults to the single --retry
-  // value so `sweep --retry adaptive` keeps working unchanged.
-  const std::vector<std::string> retry_names =
-      SplitCsv(args.Get("--retries", args.Get("--retry", "fixed")));
-  if (seeds.empty() || scheduler_names.empty() || retry_names.empty()) {
-    std::fprintf(stderr,
-                 "sweep needs at least one seed, one scheduler, and one "
-                 "retry policy\n");
-    return 2;
   }
 
   const int days = flags.days;
@@ -1642,8 +1654,9 @@ struct Command {
 
 const std::map<std::string, Command>& Commands() {
   static const std::map<std::string, Command> commands = [] {
-    // Run scale, and the scheduler knobs and switches of every simulating command.
-    const std::set<std::string> run = {"--days", "--seed", "--threads"};
+    // Run scale (sweep takes --seeds instead of --seed), and the scheduler
+    // knobs and switches of every single-cluster simulating command.
+    const std::set<std::string> run = {"--days", "--seed"};
     const std::set<std::string> knobs = {"--retry", "--checkpoint-mins", "--ckpt-policy",
                                          "--ckpt-bw", "--ckpt-size-gb-per-gpu"};
     const std::set<std::string> switches = {"--prerun", "--migration", "--dedicated",
@@ -1652,25 +1665,29 @@ const std::map<std::string, Command>& Commands() {
       a.merge(b);
       return a;
     };
-    const std::set<std::string> simulate =
-        with(with(run, knobs), {"--scheduler", "--out", "--format", "--figures", "--events-out",
-                                "--metrics-out", "--trace-out", "--telemetry-out", "--spans-out",
+    const std::set<std::string> report =
+        with(with(run, knobs), {"--scheduler", "--figures", "--events-out", "--metrics-out",
+                                "--trace-out", "--telemetry-out", "--spans-out",
                                 "--spans-trace-out", "--html"});
     return std::map<std::string, Command>{
         {"simulate",
          {[](const Args& args) { return RunSimulateOrReport(args, /*write_output=*/true); },
-          simulate, switches}},
+          with(report, {"--out", "--format"}), switches}},
         {"report",
          {[](const Args& args) { return RunSimulateOrReport(args, /*write_output=*/false); },
-          simulate, switches}},
+          report, switches}},
         {"analyze",
          {RunAnalyze,
           {"--trace", "--figures", "--from-events", "--telemetry", "--spans"},
           {"--philly-traces"}}},
         {"sweep",
-         {RunSweep, with(with(run, knobs), {"--seeds", "--schedulers", "--retries"}), switches}},
+         {RunSweep,
+          with(knobs, {"--days", "--threads", "--seeds", "--schedulers", "--retries"}),
+          switches}},
         {"fleet",
-         {RunFleet, with(run, {"--clusters", "--router", "--spill-threshold", "--out", "--html"}),
+         {RunFleet,
+          with(run, {"--threads", "--clusters", "--router", "--spill-threshold", "--out",
+                     "--html"}),
           {"--collect-spans"}}},
         {"explain", {RunExplain, {"--job", "--spans"}, {}}},
     };
