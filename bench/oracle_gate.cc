@@ -1,12 +1,14 @@
 // Perf gate for the event queue and the placer: each production component
-// timed against its test oracle on one seeded workload.
+// timed against its test oracle on the traffic a paper-scale simulation sends
+// it.
 //
 //   * queue:  Simulator vs ReferenceHeapQueue (tests/reference/heap_queue.h)
-//             on a schedule/cancel/chain mix of at least 400k firings;
+//             on the arrivals, attempt ends and scheduling passes of a
+//             WorkloadConfig::PaperScale() trace, about 420k firings;
 //   * placer: LocalityPlacer vs ScanPlacement (tests/reference/scan_placer.h)
-//             on a ClusterConfig::PaperScale() churn of at least 200k
-//             FindPlacement/CanPlace queries, with allocate, release,
-//             offline and repair steps between them.
+//             on a ClusterConfig::PaperScale() churn of about 206k
+//             FindPlacement/CanPlace calls, drawn with the demands, relax
+//             levels and release and fault rates counted in a 75-day run.
 //
 // Each side folds every firing (time, tag) or every answer (the shards, or
 // the CanPlace bit) into a hash. If the two sides' hashes differ, the gate
@@ -43,7 +45,10 @@
 #include "src/common/strings.h"
 #include "src/common/table.h"
 #include "src/sched/placement.h"
+#include "src/sched/scheduler_config.h"
 #include "src/sim/simulator.h"
+#include "src/workload/generator.h"
+#include "src/workload/job.h"
 #include "tests/reference/heap_queue.h"
 #include "tests/reference/scan_placer.h"
 
@@ -61,68 +66,164 @@ uint64_t Fold(uint64_t hash, uint64_t value) { return Mix64(hash ^ value) + valu
 
 // ---------------------------------------------------------------- queue
 
-// Rounds of 100 schedules each, then a RunUntil: 4000 rounds fire 491k
-// events at seed 42. A fifth of the delays reach past the calendar
-// ring's 4096-minute window into the overflow heap, a quarter of the events
-// schedule a child when they fire, and about a third of the schedules cancel
-// a random earlier id, which may already have fired.
-constexpr int kQueueRounds = 4000;
-constexpr int kSchedulesPerRound = 100;
+// The event traffic ClusterSimulation::Run sends its queue, rebuilt from a
+// paper-scale trace. Every arrival is scheduled up front, so most of 96k
+// events start in the overflow heap and migrate into the ring as the clock
+// reaches them. Each arrival schedules its attempt's end one job duration
+// later, and each arrival and end requests a scheduling pass now. A pass that
+// leaves jobs waiting requests the next one a backoff later; the next arrival
+// or end cancels that pass and schedules an immediate one, as
+// RequestSchedulingPass does. The two rates the trace cannot give were
+// counted, with per-call counters, in `phillyctl simulate --days 75 --seed
+// 42`: 20,252 of its 116,337 attempt ends closed a job's second or later
+// attempt, and 33,438 of its 209,323 passes left jobs waiting. That run fired
+// 422,180 events and cancelled 32,706.
+constexpr double kRetryShare = 20'252.0 / 116'337.0;
+constexpr double kWaitingShare = 33'438.0 / 209'323.0;
+
+// A clean attempt's length: the planned duration, cut short for a job its
+// user kills. Failed attempts end earlier still; the churn leaves them out.
+SimDuration AttemptDuration(const JobSpec& job) {
+  double duration = static_cast<double>(job.planned_duration);
+  if (job.intrinsic == IntrinsicOutcome::kKilledByUser) {
+    duration *= job.kill_fraction;
+  }
+  return std::max<SimDuration>(1, static_cast<SimDuration>(duration));
+}
 
 template <typename Queue>
-Run QueueChurn(uint64_t seed) {
-  const auto start = std::chrono::steady_clock::now();
-  Queue queue;
-  Rng rng(seed);
-  Run run;
-  std::vector<EventId> ids;
-  uint64_t next_tag = 0;
-  const auto fire = [&queue, &run](uint64_t tag) {
-    run.hash = Fold(run.hash, (static_cast<uint64_t>(queue.Now()) << 24) ^ tag);
-    ++run.ops;
-  };
-  for (int round = 0; round < kQueueRounds; ++round) {
-    for (int i = 0; i < kSchedulesPerRound; ++i) {
-      const SimDuration d = rng.Bernoulli(0.2)
-                                ? static_cast<SimDuration>(rng.Below(40'000'000))
-                                : static_cast<SimDuration>(rng.Below(3'000));
-      const uint64_t tag = next_tag++;
-      if (rng.Bernoulli(0.25)) {
-        const uint64_t child = next_tag++;
-        ids.push_back(queue.ScheduleAfter(d, [&queue, &fire, tag, child] {
-          fire(tag);
-          queue.ScheduleAfter(17, [&fire, child] { fire(child); });
-        }));
-      } else {
-        ids.push_back(queue.ScheduleAfter(d, [&fire, tag] { fire(tag); }));
-      }
-      if (rng.Bernoulli(0.35)) {
-        const size_t pick = rng.Below(ids.size());
-        queue.Cancel(ids[pick]);
-        ids[pick] = ids.back();
-        ids.pop_back();
-      }
+class QueueChurn {
+ public:
+  QueueChurn(const std::vector<JobSpec>& jobs, uint64_t seed) : jobs_(jobs), rng_(seed) {}
+
+  Run Go() {
+    const auto start = std::chrono::steady_clock::now();
+    for (size_t i = 0; i < jobs_.size(); ++i) {
+      queue_.ScheduleAt(jobs_[i].submit_time, [this, i] { Arrive(i); });
     }
-    queue.RunUntil(queue.Now() + static_cast<SimDuration>(rng.Below(200'000)));
+    queue_.Run();
+    run_.seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+    return run_;
   }
-  queue.Run();
-  run.seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  return run;
-}
+
+ private:
+  enum Tag : uint64_t { kArrival, kEnd, kPass };
+
+  void Fire(Tag tag, size_t job) {
+    run_.hash =
+        Fold(run_.hash, (static_cast<uint64_t>(queue_.Now()) << 24) ^ (job << 2) ^ tag);
+    ++run_.ops;
+  }
+  void Arrive(size_t job) {
+    Fire(kArrival, job);
+    RequestPass(0);
+    queue_.ScheduleAfter(AttemptDuration(jobs_[job]), [this, job] { End(job); });
+  }
+  void End(size_t job) {
+    Fire(kEnd, job);
+    RequestPass(0);
+    if (rng_.Bernoulli(kRetryShare)) {
+      queue_.ScheduleAfter(AttemptDuration(jobs_[job]), [this, job] { End(job); });
+    }
+  }
+  void Pass() {
+    pass_pending_ = false;
+    Fire(kPass, 0);
+    if (rng_.Bernoulli(kWaitingShare)) {
+      RequestPass(backoff_);
+    }
+  }
+  void RequestPass(SimDuration delay) {
+    const SimTime t = queue_.Now() + delay;
+    if (pass_pending_ && pass_time_ <= t) {
+      return;
+    }
+    if (pass_pending_) {
+      queue_.Cancel(pass_event_);
+    }
+    pass_pending_ = true;
+    pass_time_ = t;
+    pass_event_ = queue_.ScheduleAt(t, [this] { Pass(); });
+  }
+
+  const std::vector<JobSpec>& jobs_;
+  const SimDuration backoff_ = SchedulerConfig::Philly().sched_backoff;
+  Rng rng_;
+  Queue queue_;
+  Run run_;
+  bool pass_pending_ = false;
+  SimTime pass_time_ = 0;
+  EventId pass_event_;
+};
 
 // ---------------------------------------------------------------- placer
 
-constexpr int kPlacerSteps = 300'000;
+// The placer calls the same 75-day run made, counted by demand and relax
+// level: 183,712 FindPlacement calls, 63% of which found a placement, and
+// 11,748 CanPlace calls, all at the top level (the out-of-order benign
+// check). The scheduler asks again for every waiting job on each pass, so
+// these are not the arrivals' demands: 64-GPU jobs are 0.4% of the trace but
+// 18% of FindPlacement calls.
+struct CountedCall {
+  bool can_place;
+  int gpus;
+  int level;
+  double count;
+};
+constexpr CountedCall kCountedCalls[] = {
+    // FindPlacement, one row per demand, relax levels 0-3.
+    {false, 1, 0, 57'501},
+    {false, 2, 0, 9'301},
+    {false, 3, 0, 1'256},
+    {false, 4, 0, 16'418}, {false, 4, 1, 22},
+    {false, 8, 0, 33'447}, {false, 8, 1, 2'701}, {false, 8, 2, 1'420}, {false, 8, 3, 904},
+    {false, 16, 0, 7'490}, {false, 16, 1, 3'092}, {false, 16, 2, 629}, {false, 16, 3, 678},
+    {false, 24, 0, 2'911}, {false, 24, 1, 1'612}, {false, 24, 2, 270}, {false, 24, 3, 756},
+    {false, 32, 0, 4'258}, {false, 32, 1, 3'073}, {false, 32, 2, 958}, {false, 32, 3, 1'224},
+    {false, 64, 0, 14'046}, {false, 64, 1, 12'516}, {false, 64, 2, 1'795}, {false, 64, 3, 5'434},
+    // CanPlace.
+    {true, 2, 3, 18}, {true, 3, 3, 16}, {true, 4, 3, 332}, {true, 8, 3, 2'452},
+    {true, 16, 3, 1'386}, {true, 24, 3, 580}, {true, 32, 3, 1'340}, {true, 64, 3, 5'624},
+};
+// Between those calls the same run released 116,337 gangs. It has no machine
+// faults; the year365-faults run (`simulate --days 365 --seed 42 --faults
+// --checkpoint-mins 60 --ckpt-bw 2 --ckpt-policy stagger`) took a server
+// offline 4,737 times in 1,114,027 placer calls, which scales to 831 offline
+// and 831 repair steps against the 75-day run's calls.
+constexpr double kReleases = 116'337;
+constexpr double kOfflines = 831;
 
-// Demands of 1-32 GPUs, weighted toward small jobs as in the paper's
-// workload: half fit in half a server, one in twenty spans 17-32 GPUs.
-int DrawDemand(Rng& rng) {
-  const double r = rng.Uniform();
-  if (r < 0.5) return static_cast<int>(rng.Between(1, 4));
-  if (r < 0.8) return static_cast<int>(rng.Between(5, 8));
-  if (r < 0.95) return static_cast<int>(rng.Between(9, 16));
-  return static_cast<int>(rng.Between(17, 32));
+// Placer calls are 62% of the steps, so 330k steps make about 206k calls.
+constexpr int kPlacerSteps = 330'000;
+
+struct PlacerStep {
+  enum Kind : uint8_t { kQuery, kRelease, kOffline, kRepair } kind = kQuery;
+  CountedCall call{};
+  uint64_t pick = 0;  // the gang or server acted on, modulo the count at the time
+};
+
+// Draws the steps up front, from the counted shares, so that the timed loops
+// do only placer and cluster work.
+std::vector<PlacerStep> DrawPlacerSteps(uint64_t seed) {
+  std::vector<double> weights;
+  for (const CountedCall& call : kCountedCalls) {
+    weights.push_back(call.count);
+  }
+  const size_t release = weights.size();
+  weights.insert(weights.end(), {kReleases, kOfflines, kOfflines});
+  Rng rng(seed);
+  std::vector<PlacerStep> steps(kPlacerSteps);
+  for (PlacerStep& step : steps) {
+    const size_t drawn = rng.Categorical(weights);
+    if (drawn < release) {
+      step.call = kCountedCalls[drawn];
+    } else {
+      step.kind = static_cast<PlacerStep::Kind>(PlacerStep::kRelease + (drawn - release));
+    }
+    step.pick = rng();
+  }
+  return steps;
 }
 
 uint64_t FoldPlacement(uint64_t hash, const std::optional<Placement>& placement) {
@@ -156,16 +257,13 @@ struct ScanSide {
   }
 };
 
-// Half the steps search and allocate what they find, a fifth only ask
-// CanPlace, and the rest release a random gang, or take a random server
-// offline (its tenants released first, as the simulator does on a fault)
-// or bring one back. Every query's relax level is drawn from 0-3.
+// A found placement is allocated. A fault takes its server's tenants off
+// first, as the simulator does; a repair brings a random offline server back.
 template <typename Side>
-Run PlacerChurn(uint64_t seed) {
+Run PlacerChurn(const std::vector<PlacerStep>& steps) {
   const Side side;
   Cluster cluster(ClusterConfig::PaperScale());
   const auto start = std::chrono::steady_clock::now();
-  Rng rng(seed);
   Run run;
   JobId next = 1;
   std::vector<JobId> held;
@@ -175,43 +273,51 @@ Run PlacerChurn(uint64_t seed) {
     held[pick] = held.back();
     held.pop_back();
   };
-  for (int step = 0; step < kPlacerSteps; ++step) {
-    const double roll = rng.Uniform();
-    if (roll < 0.7) {
-      const int gpus = DrawDemand(rng);
-      const int level = static_cast<int>(rng.Below(kMaxRelaxLevel + 1));
-      ++run.ops;
-      if (roll < 0.5) {
-        const std::optional<Placement> placement = side.Find(cluster, gpus, level);
+  for (const PlacerStep& step : steps) {
+    switch (step.kind) {
+      case PlacerStep::kQuery: {
+        const CountedCall& call = step.call;
+        ++run.ops;
+        if (call.can_place) {
+          run.hash = Fold(run.hash, side.Can(cluster, call.gpus, call.level) ? 3 : 4);
+          break;
+        }
+        const std::optional<Placement> placement =
+            side.Find(cluster, call.gpus, call.level);
         run.hash = FoldPlacement(run.hash, placement);
         if (placement.has_value()) {
           cluster.Allocate(next, *placement);
           held.push_back(next++);
         }
-      } else {
-        run.hash = Fold(run.hash, side.Can(cluster, gpus, level) ? 3 : 4);
+        break;
       }
-    } else if (roll < 0.97) {
-      if (!held.empty()) {
-        release(rng.Below(held.size()));
-      }
-    } else if (roll < 0.985) {
-      const ServerId victim = static_cast<ServerId>(
-          rng.Below(static_cast<uint64_t>(cluster.NumServers())));
-      if (!cluster.ServerOffline(victim)) {
-        while (!cluster.TenantsOnServer(victim).empty()) {
-          const JobId job = cluster.TenantsOnServer(victim).front().job;
-          release(static_cast<size_t>(
-              std::find(held.begin(), held.end(), job) - held.begin()));
+      case PlacerStep::kRelease:
+        if (!held.empty()) {
+          release(step.pick % held.size());
         }
-        cluster.SetServerOffline(victim, true);
-        offline.push_back(victim);
+        break;
+      case PlacerStep::kOffline: {
+        const auto victim = static_cast<ServerId>(
+            step.pick % static_cast<uint64_t>(cluster.NumServers()));
+        if (!cluster.ServerOffline(victim)) {
+          while (!cluster.TenantsOnServer(victim).empty()) {
+            const JobId job = cluster.TenantsOnServer(victim).front().job;
+            release(static_cast<size_t>(
+                std::find(held.begin(), held.end(), job) - held.begin()));
+          }
+          cluster.SetServerOffline(victim, true);
+          offline.push_back(victim);
+        }
+        break;
       }
-    } else if (!offline.empty()) {
-      const size_t pick = rng.Below(offline.size());
-      cluster.SetServerOffline(offline[pick], false);
-      offline[pick] = offline.back();
-      offline.pop_back();
+      case PlacerStep::kRepair:
+        if (!offline.empty()) {
+          const size_t pick = step.pick % offline.size();
+          cluster.SetServerOffline(offline[pick], false);
+          offline[pick] = offline.back();
+          offline.pop_back();
+        }
+        break;
     }
   }
   run.seconds =
@@ -315,15 +421,20 @@ int Main(int argc, char** argv) {
 
   constexpr int kRepeats = 3;
   const uint64_t seed = BenchSeed();
-  std::printf("timing the event queue (seed %llu, best of %d)...\n",
-              static_cast<unsigned long long>(seed), kRepeats);
-  const Comparison queue =
-      Compare("queue", kRepeats, [seed] { return QueueChurn<ReferenceHeapQueue>(seed); },
-              [seed] { return QueueChurn<Simulator>(seed); });
+  WorkloadConfig workload = WorkloadConfig::PaperScale();
+  workload.seed = seed;
+  const std::vector<JobSpec> jobs = WorkloadGenerator(workload).Generate();
+  std::printf("timing the event queue on %zu jobs (seed %llu, best of %d)...\n",
+              jobs.size(), static_cast<unsigned long long>(seed), kRepeats);
+  const Comparison queue = Compare(
+      "queue", kRepeats,
+      [&jobs, seed] { return QueueChurn<ReferenceHeapQueue>(jobs, seed).Go(); },
+      [&jobs, seed] { return QueueChurn<Simulator>(jobs, seed).Go(); });
   std::printf("timing the placer (best of %d)...\n", kRepeats);
+  const std::vector<PlacerStep> steps = DrawPlacerSteps(seed);
   const Comparison placer =
-      Compare("placer", kRepeats, [seed] { return PlacerChurn<ScanSide>(seed); },
-              [seed] { return PlacerChurn<IndexSide>(seed); });
+      Compare("placer", kRepeats, [&steps] { return PlacerChurn<ScanSide>(steps); },
+              [&steps] { return PlacerChurn<IndexSide>(steps); });
 
   TextTable table({"component", "ops", "oracle (s)", "production (s)", "speedup",
                    "identical"});

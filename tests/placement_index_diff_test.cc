@@ -15,9 +15,14 @@
 //     equal free counts, stressing the tie-break orders.
 //   * Whole simulations (including machine faults, checkpointing, migration,
 //     the prerun pool, and dedicated placement) whose scheduler event streams
-//     are pinned by SHA-256. Each pin is the stream the same configuration
-//     emits with the full-scan placer driving the simulation, so the pins
-//     hold the index to the oracle at whole-simulation scale.
+//     are pinned by SHA-256. The committed pins are the streams these
+//     configurations emitted with the full-scan placer driving the
+//     simulation, which the index run matched, so they hold the index to the
+//     oracle at whole-simulation scale. Only these values carry that
+//     provenance: a simulation runs only the index placer, so a pin
+//     regenerated after an intended scheduler change is an index-placer
+//     golden, not an oracle check. The two runs without machine faults are
+//     therefore also replayed event by event against the scan oracle.
 
 #include "src/sched/placement.h"
 
@@ -27,6 +32,7 @@
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <unordered_map>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -213,6 +219,9 @@ TEST(PlacementIndexDiffTest, OfflineServersNeverSurfaceFromTheIndex) {
 // Whole-simulation pins: the SHA-256 of each experiment's scheduler event
 // stream, which encodes every placement. The configurations reach placer
 // paths no golden covers: migration, the prerun pool, and dedicated servers.
+// Each value below was computed with the scan placer driving the run (see
+// the file comment); a value regenerated from the current code pins the
+// index.
 
 std::string EventStreamSha256(ExperimentConfig config) {
   EventLog log;
@@ -222,6 +231,60 @@ std::string EventStreamSha256(ExperimentConfig config) {
   log.WriteNdjson(out);
   EXPECT_FALSE(out.str().empty());
   return Sha256Hex(out.str());
+}
+
+// Replays a run's scheduler stream against the scan oracle, so the whole-run
+// check outlives the pins. The cluster is rebuilt from the stream: a started
+// gang allocates its recorded placement, and a later preempt, migrate,
+// fault-kill, requeue or complete event for the job releases it. Every gang
+// a scheduling pass started must be the one ScanPlacement picks on that
+// cluster at the job's relax level, the last one logged since the job
+// entered the queue. The stream does not say which servers a fault took
+// down, so runs with machine faults cannot be replayed. Returns the number
+// of placements checked.
+int ExpectPassPlacementsMatchScan(ExperimentConfig config) {
+  EventLog log;
+  config.simulation.obs.event_log = &log;
+  RunExperiment(config);
+  Cluster cluster(config.simulation.cluster);
+  std::unordered_map<JobId, int> relax_level;
+  int checked = 0;
+  for (const SchedEvent& e : log.events()) {
+    switch (e.kind) {
+      case SchedEventKind::kQueued:
+        relax_level[e.job] = 0;
+        break;
+      case SchedEventKind::kLocalityRelax:
+        relax_level[e.job] = e.relax_level;
+        break;
+      case SchedEventKind::kSchedule:
+        if (e.detail == "pass") {
+          const auto scan = ScanPlacement(cluster, config.simulation.scheduler.placer,
+                                          e.gpus, relax_level[e.job]);
+          EXPECT_EQ(scan.has_value() ? ShardsToString(*scan) : "no placement",
+                    e.placement)
+              << "job " << e.job << " at t=" << e.time;
+          ++checked;
+        }
+        if (!e.placement.empty()) {
+          cluster.Allocate(e.job, DecodePlacement(e.placement));
+        }
+        break;
+      case SchedEventKind::kRequeue:
+        relax_level[e.job] = 0;
+        cluster.Release(e.job);
+        break;
+      case SchedEventKind::kPreempt:
+      case SchedEventKind::kMigrate:
+      case SchedEventKind::kFaultKill:
+      case SchedEventKind::kComplete:
+        cluster.Release(e.job);
+        break;
+      default:
+        break;
+    }
+  }
+  return checked;
 }
 
 TEST(PlacementIndexDiffTest, SimulationEventStreamMatchesScanPin) {
@@ -245,6 +308,19 @@ TEST(PlacementIndexDiffTest, SimulationDedicatedStrictLocalityMatchesScanPin) {
   config.simulation.scheduler.max_relax_level = 0;
   EXPECT_EQ(EventStreamSha256(config),
             "d5f831f31a2175370dce46e2299a2a3106e7321a85aa667c5a3476d0362fdc7f");
+}
+
+TEST(PlacementIndexDiffTest, SimulationPlacementsReplayAgainstScan) {
+  EXPECT_GT(ExpectPassPlacementsMatchScan(
+                ExperimentConfig::BenchScale(/*days=*/1, /*seed=*/11)),
+            1000);
+}
+
+TEST(PlacementIndexDiffTest, DedicatedStrictLocalityPlacementsReplayAgainstScan) {
+  ExperimentConfig config = ExperimentConfig::BenchScale(/*days=*/1, /*seed=*/9);
+  config.simulation.scheduler.placer.pack_small_jobs = false;
+  config.simulation.scheduler.max_relax_level = 0;
+  EXPECT_GT(ExpectPassPlacementsMatchScan(config), 1000);
 }
 
 }  // namespace
