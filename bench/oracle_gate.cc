@@ -20,8 +20,9 @@
 //
 // Output: a table plus BENCH_oracle_gate.json (override with --out). With
 // `--check <baseline.json>` the gate exits 1 when either speedup falls more
-// than 20% below the baseline's. The workload seed is PHILLY_BENCH_SEED
-// (default 42). Regenerate the baseline from a Release build after an
+// than 20% below the baseline's, and 2 when --out names the baseline itself.
+// The workload seed is PHILLY_BENCH_SEED (default 42). Regenerate the
+// baseline from a Release build after an
 // intentional queue or placer change:
 //
 //   ./build/bench/oracle_gate --out BENCH_oracle_gate.json
@@ -30,6 +31,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -367,19 +369,37 @@ std::string HostDescription() {
          " hardware threads";
 }
 
-bool CheckBaseline(const std::string& path, const Comparison& queue,
-                   const Comparison& placer) {
+// Reads the baseline `--check` names, before anything is measured or
+// written; prints why and returns false when it cannot.
+bool ReadBaseline(const std::string& path, JsonValue* baseline) {
   std::ifstream in(path);
   std::ostringstream text;
   text << in.rdbuf();
   std::string error;
-  const JsonValue baseline = JsonValue::Parse(text.str(), &error);
-  if (!error.empty() || baseline["queue_speedup"].is_null() ||
-      baseline["placer_speedup"].is_null()) {
+  *baseline = JsonValue::Parse(text.str(), &error);
+  if (!error.empty() || (*baseline)["queue_speedup"].is_null() ||
+      (*baseline)["placer_speedup"].is_null()) {
     std::fprintf(stderr, "cannot parse baseline %s: %s\n", path.c_str(),
                  error.c_str());
     return false;
   }
+  return true;
+}
+
+// Whether two paths name one file, compared absolute and normalized with
+// symlinks resolved as far as the paths exist.
+bool SameFile(const std::string& a, const std::string& b) {
+  const auto key = [](const std::string& path) {
+    std::error_code error;
+    const std::filesystem::path absolute = std::filesystem::absolute(path, error);
+    const std::filesystem::path canonical = std::filesystem::weakly_canonical(absolute, error);
+    return error ? absolute.lexically_normal() : canonical;
+  };
+  return key(a) == key(b);
+}
+
+bool CheckBaseline(const std::string& path, const JsonValue& baseline,
+                   const Comparison& queue, const Comparison& placer) {
   bool pass = true;
   for (const auto& [key, comparison] :
        {std::pair<const char*, const Comparison*>{"queue_speedup", &queue},
@@ -412,6 +432,20 @@ int Main(int argc, char** argv) {
       return 2;
     }
     command += std::string(" ") + argv[i - 1] + " " + argv[i];
+  }
+  // Writing the measurement over the baseline would check it against itself.
+  JsonValue baseline;
+  if (!baseline_path.empty()) {
+    if (SameFile(out_path, baseline_path)) {
+      std::fprintf(stderr,
+                   "--out and --check both name %s: the measurement would "
+                   "overwrite the baseline it is checked against\n",
+                   baseline_path.c_str());
+      return 2;
+    }
+    if (!ReadBaseline(baseline_path, &baseline)) {
+      return 1;
+    }
   }
 
   PrintHeader("event queue and placer vs their test oracles",
@@ -490,7 +524,7 @@ int Main(int argc, char** argv) {
     }
   }
   if (!baseline_path.empty()) {
-    if (!CheckBaseline(baseline_path, queue, placer)) {
+    if (!CheckBaseline(baseline_path, baseline, queue, placer)) {
       return 1;
     }
     std::printf("perf smoke: PASS\n");

@@ -11,7 +11,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
+#include <string>
 #include <vector>
 
 #include "src/core/analysis.h"
@@ -44,12 +44,12 @@ int main(int argc, char** argv) {
 
   // Read the artifact back and analyze the round-tripped records — the
   // analysis sees only what the trace files contain.
-  std::ifstream jobs_csv(out_dir + "/jobs.csv");
-  std::ifstream attempts_csv(out_dir + "/attempts.csv");
-  std::ifstream util_csv(out_dir + "/gpu_util.csv");
-  std::ifstream stdout_log(out_dir + "/stdout.log");
-  const auto restored = TraceReader::ReadJobs(jobs_csv, attempts_csv, util_csv,
-                                              stdout_log);
+  std::string error;
+  const auto restored = TraceReader::ReadDirectory(out_dir, &error);
+  if (!error.empty()) {
+    std::fprintf(stderr, "%s\n", error.c_str());
+    return 1;
+  }
   std::printf("re-read %zu jobs from the trace artifact\n\n", restored.size());
 
   const auto runtimes = AnalyzeRunTimes(restored);

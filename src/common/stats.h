@@ -81,7 +81,6 @@ class StreamingHistogram {
   double Mean() const { return stats_.Mean(); }
   double Min() const { return stats_.Min(); }
   double Max() const { return stats_.Max(); }
-  const RunningStats& Stats() const { return stats_; }
 
   // Interpolated p-quantile, p in [0, 1]. Returns 0 for an empty histogram.
   double Quantile(double p) const;
@@ -98,8 +97,6 @@ class StreamingHistogram {
   };
   std::vector<CdfPoint> CdfSeries() const;
 
-  size_t NumBins() const { return counts_.size(); }
-  double BinWeight(size_t i) const { return counts_[i]; }
   double BinLowerEdge(size_t i) const;
   double BinUpperEdge(size_t i) const { return BinLowerEdge(i + 1); }
 

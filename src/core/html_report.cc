@@ -4,7 +4,6 @@
 #include <array>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <limits>
 #include <sstream>
 
@@ -395,15 +394,6 @@ std::string RenderHtmlDashboard(const HtmlDashboardInput& input) {
 
   out << "</body>\n</html>\n";
   return out.str();
-}
-
-bool WriteHtmlDashboard(const std::string& path, const HtmlDashboardInput& input) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    return false;
-  }
-  out << RenderHtmlDashboard(input);
-  return out.good();
 }
 
 }  // namespace philly

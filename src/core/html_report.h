@@ -56,8 +56,6 @@ struct HtmlDashboardInput {
 };
 
 std::string RenderHtmlDashboard(const HtmlDashboardInput& input);
-// Writes the dashboard to `path`; returns false if the file cannot be opened.
-bool WriteHtmlDashboard(const std::string& path, const HtmlDashboardInput& input);
 
 }  // namespace philly
 

@@ -62,7 +62,6 @@ class FailureClassifier {
   FailureReason Classify(std::span<const std::string> lines) const;
 
   size_t NumRules() const { return rules_.size(); }
-  std::span<const SignatureRule> Rules() const { return rules_; }
 
  private:
   std::vector<SignatureRule> rules_;  // sorted by priority

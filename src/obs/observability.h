@@ -33,11 +33,6 @@ struct ObservabilityConfig {
   // Per-job causal span stream with blame attribution (one tracer per
   // simulation; not shared across concurrent runs).
   SpanTracer* spans = nullptr;
-
-  bool enabled() const {
-    return event_log != nullptr || metrics != nullptr || profiler != nullptr ||
-           timeseries != nullptr || spans != nullptr;
-  }
 };
 
 }  // namespace philly

@@ -112,16 +112,6 @@ struct JobRecord {
   int FirstPlacementServers() const {
     return attempts.empty() ? 0 : attempts.front().placement.NumServers();
   }
-  // Time-weighted mean expected utilization over all running segments.
-  double MeanExpectedUtil() const {
-    double weighted = 0.0;
-    double total = 0.0;
-    for (const auto& seg : util_segments) {
-      weighted += seg.expected_util * static_cast<double>(seg.duration);
-      total += static_cast<double>(seg.duration);
-    }
-    return total > 0 ? weighted / total : 0.0;
-  }
 };
 
 // Everything a simulation run produces.

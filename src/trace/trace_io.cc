@@ -1,10 +1,12 @@
 #include "src/trace/trace_io.h"
 
+#include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <fstream>
 #include <istream>
-#include <map>
 #include <ostream>
+#include <unordered_map>
 
 #include "src/common/csv.h"
 #include "src/common/strings.h"
@@ -12,67 +14,123 @@
 namespace philly {
 namespace {
 
-// Per-row numeric parser. The old ToInt ignored std::from_chars errors, so
-// "garbage" and "" silently became 0 and flowed into analyses; every
-// malformed field now counts into the stats, and `row_ok` lets strict mode
-// drop the row.
-class FieldParser {
+constexpr std::string_view kJobsHeader =
+    "job_id,vc,user,submit_time,num_gpus,status,queue_delay_s,finish_time,"
+    "attempts,retries,gpu_seconds,executed_epochs,planned_epochs,logs_convergence";
+constexpr std::string_view kAttemptsHeader =
+    "job_id,attempt,start,end,failed,preempted,placement,ready_time,wait_s,"
+    "fair_share_s,fragmentation_s,sched_attempts,prerun";
+constexpr std::string_view kUtilHeader =
+    "job_id,segment,expected_util,duration_s,num_servers";
+
+// Length-prefixed, so a tail line that itself looks like a frame marker is
+// never re-parsed as one.
+std::string FrameMarker(int64_t job, int64_t attempt, int64_t lines) {
+  return "=== job " + std::to_string(job) + " attempt " + std::to_string(attempt) +
+         " lines " + std::to_string(lines);
+}
+
+std::string Quoted(std::string_view text) {
+  std::string quoted(1, '\'');
+  quoted.append(text).push_back('\'');
+  return quoted;
+}
+
+// One file of a trace being read, line by line. The first failure becomes
+// the error "FILE line N column C: why", and every read after it fails.
+class TraceFile {
  public:
-  explicit FieldParser(TraceReadStats* stats) : stats_(stats) {}
-
-  void BeginRow() { row_ok_ = true; }
-  bool row_ok() const { return row_ok_; }
-
-  int64_t Int(std::string_view s) {
-    int64_t v = 0;
-    const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-    if (ec != std::errc() || ptr != s.data() + s.size()) {
-      RecordError();
-      return 0;
+  // Reads the header line first when `header` is not empty.
+  TraceFile(const char* name, std::istream& in, std::string_view header,
+            std::string* error)
+      : name_(name), in_(in), error_(error), columns_(Split(header, ',').size()) {
+    if (!header.empty() && (!NextLine() || line_ != header)) {
+      line_number_ = 1;
+      Fail(0, "expected the header \"" + std::string(header) + "\"");
     }
-    return v;
   }
 
-  double Double(std::string_view s) {
-    const std::string text(s);
-    char* end = nullptr;
-    const double v = std::strtod(text.c_str(), &end);
-    if (end == text.c_str() || *end != '\0') {
-      RecordError();
-      return 0.0;
+  // False at the end of the file or after a failure.
+  bool NextLine() {
+    if (failed() || !std::getline(in_, line_)) {
+      return false;
     }
-    return v;
+    ++line_number_;
+    return true;
   }
+  // A line with the header's field count.
+  bool NextRow() {
+    if (!NextLine()) {
+      return false;
+    }
+    fields_ = Split(line_, ',');
+    if (fields_.size() != columns_) {
+      return Fail(std::min(fields_.size(), columns_),
+                  "expected " + std::to_string(columns_) + " fields, found " +
+                      std::to_string(fields_.size()));
+    }
+    return true;
+  }
+
+  const std::string& line() const { return line_; }
+  int64_t line_number() const { return line_number_; }
+  std::string_view Text(size_t column) const { return fields_[column]; }
+
+  // The whole field as a finite number of type T.
+  template <typename T>
+  T Number(size_t column, const char* what) {
+    T value{};
+    const std::string_view text = fields_[column];
+    const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
+    if (ec != std::errc() || end != text.data() + text.size() ||
+        !std::isfinite(static_cast<double>(value))) {
+      Fail(column, Quoted(text) + " is not " + what);
+    }
+    return value;
+  }
+  int64_t Int(size_t column) { return Number<int64_t>(column, "an integer"); }
+  int Int32(size_t column) { return Number<int32_t>(column, "a 32-bit integer"); }
+  double Double(size_t column) { return Number<double>(column, "a finite number"); }
+  bool Flag(size_t column) {
+    const int64_t value = Int(column);
+    if (value != 0 && value != 1) {
+      Fail(column, "expected 0 or 1");
+    }
+    return value == 1;
+  }
+  // An index that must count 0, 1, 2... within its job.
+  void Index(size_t column, size_t expected) {
+    const int64_t index = Int(column);
+    if (!failed() && index != static_cast<int64_t>(expected)) {
+      Fail(column, "index " + std::to_string(index) + " out of order, expected " +
+                       std::to_string(expected));
+    }
+  }
+
+  bool Fail(size_t column, const std::string& why) {
+    if (!failed()) {
+      *error_ = std::string(name_) + " line " + std::to_string(line_number_) +
+                " column " + std::to_string(column + 1) + ": " + why;
+    }
+    return false;
+  }
+  bool failed() const { return !error_->empty(); }
 
  private:
-  void RecordError() {
-    row_ok_ = false;
-    if (stats_ != nullptr) {
-      ++stats_->numeric_parse_errors;
-    }
-  }
-
-  TraceReadStats* stats_;
-  bool row_ok_ = true;
+  const char* name_;
+  std::istream& in_;
+  std::string* error_;
+  size_t columns_;
+  std::string line_;
+  int64_t line_number_ = 0;
+  std::vector<std::string_view> fields_;
 };
-
-JobStatus StatusFromString(std::string_view s) {
-  if (s == "Passed") {
-    return JobStatus::kPassed;
-  }
-  if (s == "Killed") {
-    return JobStatus::kKilled;
-  }
-  return JobStatus::kUnsuccessful;
-}
 
 }  // namespace
 
 void TraceWriter::WriteJobs(const std::vector<JobRecord>& jobs, std::ostream& out) {
+  out << kJobsHeader << '\n';
   CsvWriter csv(out);
-  csv.Row("job_id", "vc", "user", "submit_time", "num_gpus", "status", "queue_delay_s",
-          "finish_time", "attempts", "retries", "gpu_seconds", "executed_epochs",
-          "planned_epochs", "logs_convergence");
   for (const auto& job : jobs) {
     csv.Row(job.spec.id, job.spec.vc, job.spec.user, job.spec.submit_time,
             job.spec.num_gpus, std::string(ToString(job.status)),
@@ -85,21 +143,26 @@ void TraceWriter::WriteJobs(const std::vector<JobRecord>& jobs, std::ostream& ou
 }
 
 void TraceWriter::WriteAttempts(const std::vector<JobRecord>& jobs, std::ostream& out) {
+  out << kAttemptsHeader << '\n';
   CsvWriter csv(out);
-  csv.Row("job_id", "attempt", "start", "end", "failed", "preempted", "placement");
   for (const auto& job : jobs) {
-    for (const auto& attempt : job.attempts) {
+    for (size_t i = 0; i < job.attempts.size(); ++i) {
+      const AttemptRecord& attempt = job.attempts[i];
+      // The simulator closes waits[i] exactly when attempts[i] starts.
+      const WaitRecord wait = i < job.waits.size() ? job.waits[i] : WaitRecord{};
       csv.Row(job.spec.id, attempt.index, attempt.start, attempt.end,
               static_cast<int>(attempt.failed), static_cast<int>(attempt.preempted),
-              EncodePlacement(attempt.placement));
+              EncodePlacement(attempt.placement), wait.ready_time, wait.wait,
+              wait.fair_share_time, wait.fragmentation_time, wait.sched_attempts,
+              static_cast<int>(attempt.prerun));
     }
   }
 }
 
 void TraceWriter::WriteUtilSegments(const std::vector<JobRecord>& jobs,
                                     std::ostream& out) {
+  out << kUtilHeader << '\n';
   CsvWriter csv(out);
-  csv.Row("job_id", "segment", "expected_util", "duration_s", "num_servers");
   for (const auto& job : jobs) {
     int index = 0;
     for (const auto& segment : job.util_segments) {
@@ -116,10 +179,9 @@ void TraceWriter::WriteStdoutLogs(const std::vector<JobRecord>& jobs,
       if (attempt.log_tail.empty()) {
         continue;
       }
-      // Length-prefixed frame: a tail line that itself looks like a frame
-      // marker must not be re-parsed as one on read.
-      out << "=== job " << job.spec.id << " attempt " << attempt.index
-          << " lines " << attempt.log_tail.size() << '\n';
+      out << FrameMarker(job.spec.id, attempt.index,
+                         static_cast<int64_t>(attempt.log_tail.size()))
+          << '\n';
       for (const auto& line : attempt.log_tail) {
         out << line << '\n';
       }
@@ -147,149 +209,175 @@ std::vector<JobRecord> TraceReader::ReadJobs(std::istream& jobs_csv,
                                              std::istream& attempts_csv,
                                              std::istream& util_csv,
                                              std::istream& stdout_log,
-                                             const TraceReadOptions& options,
-                                             TraceReadStats* stats) {
+                                             std::string* error) {
+  const auto& names = TraceWriter::kFileNames;
+  std::string why;
   std::vector<JobRecord> jobs;
-  std::map<JobId, size_t> index;
-  FieldParser parse(stats);
-  const auto reject_row = [&] {
-    if (stats != nullptr) {
-      ++stats->rows_rejected;
-    }
+  std::unordered_map<JobId, size_t> index;
+  // What each jobs.csv row claims about the attempts.csv rows of its job.
+  struct Claim {
+    int64_t line = 0;
+    int64_t attempts = 0;
+    SimDuration queue_delay = 0;
   };
+  std::vector<Claim> claims;
 
-  const auto rows = ReadCsv(jobs_csv);
-  for (size_t i = 1; i < rows.size(); ++i) {  // skip header
-    const auto& r = rows[i];
-    if (r.size() < 14) {
-      reject_row();
-      continue;
-    }
-    parse.BeginRow();
+  TraceFile job_rows(names[0], jobs_csv, kJobsHeader, &why);
+  while (job_rows.NextRow()) {
     JobRecord job;
-    job.spec.id = parse.Int(r[0]);
-    if (job.spec.id <= 0) {
-      reject_row();
-      continue;  // malformed or empty row
+    job.spec.id = job_rows.Int(0);
+    job.spec.vc = job_rows.Int32(1);
+    job.spec.user = job_rows.Int32(2);
+    job.spec.submit_time = job_rows.Int(3);
+    job.spec.num_gpus = job_rows.Int32(4);
+    const std::string_view status = job_rows.Text(5);
+    if (status == ToString(JobStatus::kKilled)) {
+      job.status = JobStatus::kKilled;
+    } else if (status == ToString(JobStatus::kUnsuccessful)) {
+      job.status = JobStatus::kUnsuccessful;
+    } else if (status != ToString(JobStatus::kPassed)) {
+      job_rows.Fail(5, "unknown status " + Quoted(status));
     }
-    job.spec.vc = static_cast<VcId>(parse.Int(r[1]));
-    job.spec.user = static_cast<UserId>(parse.Int(r[2]));
-    job.spec.submit_time = parse.Int(r[3]);
-    job.spec.num_gpus = static_cast<int>(parse.Int(r[4]));
-    job.status = StatusFromString(r[5]);
-    job.finish_time = parse.Int(r[7]);
-    job.gpu_seconds = parse.Double(r[10]);
-    job.executed_epochs = static_cast<int>(parse.Int(r[11]));
-    job.spec.planned_epochs = static_cast<int>(parse.Int(r[12]));
-    job.spec.logs_convergence = parse.Int(r[13]) != 0;
-    WaitRecord wait;
-    wait.ready_time = job.spec.submit_time;
-    wait.wait = parse.Int(r[6]);
-    job.waits.push_back(wait);
-    if (options.strict && !parse.row_ok()) {
-      reject_row();
-      continue;
+    Claim& claim = claims.emplace_back();
+    claim.line = job_rows.line_number();
+    claim.queue_delay = job_rows.Int(6);
+    job.finish_time = job_rows.Int(7);
+    claim.attempts = job_rows.Int(8);
+    if (job_rows.Int(9) != std::max<int64_t>(claim.attempts - 1, 0)) {
+      job_rows.Fail(9, "retries must be one less than attempts");
     }
-    index.emplace(job.spec.id, jobs.size());
+    job.gpu_seconds = job_rows.Double(10);
+    job.executed_epochs = job_rows.Int32(11);
+    job.spec.planned_epochs = job_rows.Int32(12);
+    job.spec.logs_convergence = job_rows.Flag(13);
+    if (!index.emplace(job.spec.id, jobs.size()).second) {
+      job_rows.Fail(0, "job " + std::to_string(job.spec.id) + " appears twice");
+    }
     jobs.push_back(std::move(job));
   }
 
-  const auto attempt_rows = ReadCsv(attempts_csv);
-  for (size_t i = 1; i < attempt_rows.size(); ++i) {
-    const auto& r = attempt_rows[i];
-    if (r.size() < 7) {
-      reject_row();
-      continue;
-    }
-    parse.BeginRow();
-    const auto it = index.find(parse.Int(r[0]));
+  const auto find_job = [&](TraceFile& file) -> JobRecord* {
+    const int64_t id = file.Int(0);
+    const auto it = index.find(id);
     if (it == index.end()) {
-      reject_row();
-      continue;
-    }
-    AttemptRecord attempt;
-    attempt.index = static_cast<int>(parse.Int(r[1]));
-    attempt.start = parse.Int(r[2]);
-    attempt.end = parse.Int(r[3]);
-    attempt.failed = parse.Int(r[4]) != 0;
-    attempt.preempted = parse.Int(r[5]) != 0;
-    attempt.placement = DecodePlacement(r[6]);
-    if (options.strict && !parse.row_ok()) {
-      reject_row();
-      continue;
-    }
-    jobs[it->second].attempts.push_back(std::move(attempt));
-  }
-
-  const auto util_rows = ReadCsv(util_csv);
-  for (size_t i = 1; i < util_rows.size(); ++i) {
-    const auto& r = util_rows[i];
-    if (r.size() < 5) {
-      reject_row();
-      continue;
-    }
-    parse.BeginRow();
-    const auto it = index.find(parse.Int(r[0]));
-    if (it == index.end()) {
-      reject_row();
-      continue;
-    }
-    UtilSegment segment{parse.Double(r[2]), parse.Int(r[3]),
-                        static_cast<int>(parse.Int(r[4]))};
-    if (options.strict && !parse.row_ok()) {
-      reject_row();
-      continue;
-    }
-    jobs[it->second].util_segments.push_back(segment);
-  }
-
-  // Log tails: length-prefixed frames ("=== job I attempt K lines N" followed
-  // by exactly N verbatim lines), with a fallback for the legacy prefix-free
-  // framing where lines attach to the current frame until the next marker.
-  std::string line;
-  AttemptRecord* current_attempt = nullptr;
-  const auto find_attempt = [&](int64_t job_id,
-                                int attempt_index) -> AttemptRecord* {
-    const auto it = index.find(job_id);
-    if (it == index.end()) {
+      file.Fail(0, "unknown job " + std::to_string(id));
       return nullptr;
     }
-    for (auto& attempt : jobs[it->second].attempts) {
-      if (attempt.index == attempt_index) {
-        return &attempt;
-      }
-    }
-    return nullptr;
+    return &jobs[it->second];
   };
-  while (std::getline(stdout_log, line)) {
-    if (StartsWith(line, "=== job ")) {
-      long long job_id = 0;
-      int attempt_index = 0;
-      long long num_lines = 0;
-      const int matched =
-          std::sscanf(line.c_str(), "=== job %lld attempt %d lines %lld",
-                      &job_id, &attempt_index, &num_lines);
-      if (matched == 3) {
-        // Consume exactly num_lines lines verbatim — even ones that look
-        // like frame markers.
-        AttemptRecord* attempt = find_attempt(job_id, attempt_index);
-        for (long long k = 0; k < num_lines && std::getline(stdout_log, line);
-             ++k) {
-          if (attempt != nullptr) {
-            attempt->log_tail.push_back(line);
-          }
-        }
-        current_attempt = nullptr;
-        continue;
-      }
-      if (matched == 2) {
-        current_attempt = find_attempt(job_id, attempt_index);
-        continue;
-      }
+
+  TraceFile attempt_rows(names[1], attempts_csv, kAttemptsHeader, &why);
+  while (attempt_rows.NextRow()) {
+    JobRecord* job = find_job(attempt_rows);
+    if (job == nullptr) {
+      break;
     }
-    if (current_attempt != nullptr) {
-      current_attempt->log_tail.push_back(line);
+    attempt_rows.Index(1, job->attempts.size());
+    AttemptRecord& attempt = job->attempts.emplace_back();
+    attempt.index = static_cast<int>(job->attempts.size()) - 1;
+    attempt.start = attempt_rows.Int(2);
+    attempt.end = attempt_rows.Int(3);
+    attempt.failed = attempt_rows.Flag(4);
+    attempt.preempted = attempt_rows.Flag(5);
+    const std::string_view placement = attempt_rows.Text(6);
+    attempt.placement = DecodePlacement(placement);
+    if (EncodePlacement(attempt.placement) != placement) {
+      attempt_rows.Fail(6, Quoted(placement) + " is not a placement");
     }
+    WaitRecord& wait = job->waits.emplace_back();
+    wait.ready_time = attempt_rows.Int(7);
+    wait.wait = attempt_rows.Int(8);
+    wait.fair_share_time = attempt_rows.Int(9);
+    wait.fragmentation_time = attempt_rows.Int(10);
+    wait.sched_attempts = attempt_rows.Int32(11);
+    attempt.prerun = attempt_rows.Flag(12);
+  }
+  for (size_t i = 0; i < jobs.size() && why.empty(); ++i) {
+    const auto fail = [&](int column, const std::string& what) {
+      why = std::string(names[0]) + " line " + std::to_string(claims[i].line) +
+            " column " + std::to_string(column) + ": " + what + " in " + names[1];
+    };
+    if (static_cast<int64_t>(jobs[i].attempts.size()) != claims[i].attempts) {
+      fail(9, std::to_string(claims[i].attempts) + " attempts, but job " +
+                  std::to_string(jobs[i].spec.id) + " has " +
+                  std::to_string(jobs[i].attempts.size()));
+    } else if (jobs[i].InitialQueueDelay() != claims[i].queue_delay) {
+      fail(7, "queue_delay_s differs from the first wait_s");
+    }
+  }
+
+  TraceFile util_rows(names[2], util_csv, kUtilHeader, &why);
+  while (util_rows.NextRow()) {
+    JobRecord* job = find_job(util_rows);
+    if (job == nullptr) {
+      break;
+    }
+    util_rows.Index(1, job->util_segments.size());
+    job->util_segments.push_back({util_rows.Double(2), util_rows.Int(3), util_rows.Int32(4)});
+  }
+
+  // Every line belongs to a frame: its marker, then exactly its lines.
+  TraceFile log(names[3], stdout_log, "", &why);
+  while (log.NextLine()) {
+    // The marker must be exactly what FrameMarker writes.
+    const std::vector<std::string_view> words = Split(log.line(), ' ');
+    const auto number = [](std::string_view text, int64_t* out) {
+      return std::from_chars(text.data(), text.data() + text.size(), *out).ec == std::errc();
+    };
+    int64_t job_id = 0;
+    int64_t attempt_index = 0;
+    int64_t num_lines = 0;
+    if (words.size() != 7 || !number(words[2], &job_id) || !number(words[4], &attempt_index) ||
+        !number(words[6], &num_lines) || num_lines < 1 ||
+        log.line() != FrameMarker(job_id, attempt_index, num_lines)) {
+      log.Fail(0, "expected \"=== job ID attempt K lines N\" with N >= 1");
+      break;
+    }
+    const auto it = index.find(job_id);
+    if (it == index.end() || attempt_index < 0 ||
+        attempt_index >= static_cast<int64_t>(jobs[it->second].attempts.size())) {
+      log.Fail(0, "no attempt " + std::to_string(attempt_index) + " of job " +
+                      std::to_string(job_id));
+      break;
+    }
+    std::vector<std::string>& tail =
+        jobs[it->second].attempts[static_cast<size_t>(attempt_index)].log_tail;
+    if (!tail.empty()) {
+      log.Fail(0, "a second frame for this attempt");
+      break;
+    }
+    for (int64_t k = 0; k < num_lines; ++k) {
+      if (!log.NextLine()) {
+        log.Fail(0, "the file ends inside a frame");
+        break;
+      }
+      tail.push_back(log.line());
+    }
+  }
+
+  if (error != nullptr) {
+    *error = why;
+  }
+  if (!why.empty()) {
+    return {};
+  }
+  return jobs;
+}
+
+std::vector<JobRecord> TraceReader::ReadDirectory(const std::string& directory,
+                                                  std::string* error) {
+  std::ifstream files[std::size(TraceWriter::kFileNames)];
+  for (size_t i = 0; i < std::size(files); ++i) {
+    const std::string path = directory + "/" + TraceWriter::kFileNames[i];
+    files[i].open(path);
+    if (!files[i]) {
+      *error = "cannot open " + path;
+      return {};
+    }
+  }
+  std::vector<JobRecord> jobs = ReadJobs(files[0], files[1], files[2], files[3], error);
+  if (!error->empty()) {
+    error->insert(0, directory + "/");
   }
   return jobs;
 }

@@ -11,16 +11,22 @@
 //   jobs.csv:     job_id,vc,user,submit_time,num_gpus,status,queue_delay_s,
 //                 finish_time,attempts,retries,gpu_seconds,executed_epochs,
 //                 planned_epochs,logs_convergence
-//   attempts.csv: job_id,attempt,start,end,failed,preempted,placement
-//                 (placement is "server:gpus|server:gpus|...")
+//   attempts.csv: job_id,attempt,start,end,failed,preempted,placement,
+//                 ready_time,wait_s,fair_share_s,fragmentation_s,
+//                 sched_attempts,prerun
+//                 (placement is "server:gpus|server:gpus|..."; the five wait
+//                 columns are the queueing period that ended when this
+//                 attempt started, so queue_delay_s repeats attempt 0's wait_s)
 //   gpu_util.csv: job_id,segment,expected_util,duration_s,num_servers
 //   stdout.log:   per-attempt log tails, framed by
 //                 "=== job <id> attempt <k> lines <n>" markers followed by
 //                 exactly n verbatim lines (the raw text the failure
 //                 classifier consumes). The length prefix makes the framing
 //                 injection-proof: a log line that itself looks like a frame
-//                 marker survives the round trip. The reader also accepts the
-//                 legacy prefix-free "=== job <id> attempt <k>" framing.
+//                 marker survives the round trip.
+//
+// The reader is strict: it accepts only what the writer produces. Any other
+// row yields no jobs and an error naming the file, line and column.
 
 #ifndef SRC_TRACE_TRACE_IO_H_
 #define SRC_TRACE_TRACE_IO_H_
@@ -51,32 +57,22 @@ class TraceWriter {
                              const std::string& directory);
 };
 
-struct TraceReadOptions {
-  // When true, a row containing any unparseable numeric field is rejected
-  // whole instead of keeping the field as 0. Default preserves the tolerant
-  // behavior analyses rely on for hand-edited traces.
-  bool strict = false;
-};
-
-// Tally of what the reader had to tolerate (or, in strict mode, reject).
-struct TraceReadStats {
-  int64_t numeric_parse_errors = 0;  // fields that did not parse cleanly
-  int64_t rows_rejected = 0;         // rows skipped (short, bad id, or strict)
-};
-
 class TraceReader {
  public:
-  // Reads the three CSV streams back into JobRecords (specs carry the fields
-  // present in the trace; modeling-only spec fields are defaulted). Attempt
-  // log tails are restored from the stdout log. Numeric fields that fail to
-  // parse count into *stats (historically they became 0 silently); with
-  // options.strict the whole row is dropped instead.
+  // Reads the four streams back into JobRecords (specs carry the fields
+  // present in the trace; modeling-only spec fields are defaulted). On any
+  // row the writer could not have produced, returns no jobs and sets *error
+  // to "FILE line N column C: why"; otherwise clears it.
   static std::vector<JobRecord> ReadJobs(std::istream& jobs_csv,
                                          std::istream& attempts_csv,
                                          std::istream& util_csv,
                                          std::istream& stdout_log,
-                                         const TraceReadOptions& options = {},
-                                         TraceReadStats* stats = nullptr);
+                                         std::string* error = nullptr);
+
+  // ReadJobs over the files WriteDirectory wrote into `directory`; the error
+  // names the file by its path.
+  static std::vector<JobRecord> ReadDirectory(const std::string& directory,
+                                              std::string* error);
 };
 
 }  // namespace philly

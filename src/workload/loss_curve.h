@@ -23,9 +23,7 @@ class LossCurve {
  public:
   LossCurve(const LossCurveParams& params, int num_epochs, uint64_t seed);
 
-  int NumEpochs() const { return num_epochs_; }
-
-  // Training loss after epoch `e`, e in [1, NumEpochs()].
+  // Training loss after epoch `e`, e in [1, num_epochs].
   double LossAt(int epoch) const;
 
   // Epoch (in [1, executed_epochs]) attaining the minimum loss.

@@ -8,27 +8,66 @@
 
 #include "src/core/analysis.h"
 #include "src/core/experiment.h"
+#include "src/core/validate.h"
 #include "src/trace/trace_io.h"
 
 namespace philly {
 namespace {
+
+std::vector<JobRecord> RoundTrip(const std::vector<JobRecord>& jobs) {
+  std::stringstream jobs_csv;
+  std::stringstream attempts_csv;
+  std::stringstream util_csv;
+  std::stringstream stdout_log;
+  TraceWriter::WriteJobs(jobs, jobs_csv);
+  TraceWriter::WriteAttempts(jobs, attempts_csv);
+  TraceWriter::WriteUtilSegments(jobs, util_csv);
+  TraceWriter::WriteStdoutLogs(jobs, stdout_log);
+  std::string error;
+  std::vector<JobRecord> restored =
+      TraceReader::ReadJobs(jobs_csv, attempts_csv, util_csv, stdout_log, &error);
+  EXPECT_EQ(error, "");
+  return restored;
+}
+
+void ExpectSameDelayCauses(const std::vector<JobRecord>& native,
+                           const std::vector<JobRecord>& restored) {
+  const auto a = AnalyzeDelayCauses(native, nullptr);
+  const auto b = AnalyzeDelayCauses(restored, nullptr);
+  for (int bucket = 0; bucket < kNumSizeBuckets; ++bucket) {
+    EXPECT_EQ(a.by_bucket[static_cast<size_t>(bucket)].fair_share,
+              b.by_bucket[static_cast<size_t>(bucket)].fair_share);
+    EXPECT_EQ(a.by_bucket[static_cast<size_t>(bucket)].fragmentation,
+              b.by_bucket[static_cast<size_t>(bucket)].fragmentation);
+  }
+  EXPECT_EQ(a.fair_share_time_fraction, b.fair_share_time_fraction);
+  EXPECT_EQ(a.fragmentation_time_fraction, b.fragmentation_time_fraction);
+}
+
+void ExpectSameFailures(const std::vector<JobRecord>& native,
+                        const std::vector<JobRecord>& restored) {
+  const auto a = AnalyzeFailures(native);
+  const auto b = AnalyzeFailures(restored);
+  EXPECT_EQ(a.total_trials, b.total_trials);
+  EXPECT_EQ(a.mean_retries_all, b.mean_retries_all);
+  EXPECT_EQ(a.unsuccessful_rate_all, b.unsuccessful_rate_all);
+  for (int r = 0; r < kNumFailureReasons; ++r) {
+    EXPECT_EQ(a.rows[static_cast<size_t>(r)].trials,
+              b.rows[static_cast<size_t>(r)].trials)
+        << ToString(static_cast<FailureReason>(r));
+    EXPECT_EQ(a.rows[static_cast<size_t>(r)].jobs,
+              b.rows[static_cast<size_t>(r)].jobs);
+    EXPECT_NEAR(a.rows[static_cast<size_t>(r)].rtf_p50_min,
+                b.rows[static_cast<size_t>(r)].rtf_p50_min, 1e-6);
+  }
+}
 
 class PipelineInvariantsTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     auto config = ExperimentConfig::BenchScale(3, 5);
     run_ = new ExperimentRun(RunExperiment(config));
-
-    std::stringstream jobs_csv;
-    std::stringstream attempts_csv;
-    std::stringstream util_csv;
-    std::stringstream stdout_log;
-    TraceWriter::WriteJobs(run_->result.jobs, jobs_csv);
-    TraceWriter::WriteAttempts(run_->result.jobs, attempts_csv);
-    TraceWriter::WriteUtilSegments(run_->result.jobs, util_csv);
-    TraceWriter::WriteStdoutLogs(run_->result.jobs, stdout_log);
-    restored_ = new std::vector<JobRecord>(
-        TraceReader::ReadJobs(jobs_csv, attempts_csv, util_csv, stdout_log));
+    restored_ = new std::vector<JobRecord>(RoundTrip(run_->result.jobs));
   }
   static void TearDownTestSuite() {
     delete run_;
@@ -69,27 +108,27 @@ TEST_F(PipelineInvariantsTest, RunTimeAnalysisSurvivesRoundTrip) {
 }
 
 TEST_F(PipelineInvariantsTest, FailureAnalysisSurvivesRoundTrip) {
-  const auto a = AnalyzeFailures(run_->result.jobs);
-  const auto b = AnalyzeFailures(*restored_);
-  EXPECT_EQ(a.total_trials, b.total_trials);
-  for (int r = 0; r < kNumFailureReasons; ++r) {
-    EXPECT_EQ(a.rows[static_cast<size_t>(r)].trials,
-              b.rows[static_cast<size_t>(r)].trials)
-        << ToString(static_cast<FailureReason>(r));
-    EXPECT_EQ(a.rows[static_cast<size_t>(r)].jobs,
-              b.rows[static_cast<size_t>(r)].jobs);
-    EXPECT_NEAR(a.rows[static_cast<size_t>(r)].rtf_p50_min,
-                b.rows[static_cast<size_t>(r)].rtf_p50_min, 1e-6);
-  }
+  ExpectSameFailures(run_->result.jobs, *restored_);
+}
+
+TEST_F(PipelineInvariantsTest, DelayCauseAnalysisSurvivesRoundTrip) {
+  // Table 2 needs every wait with its cause split, not only the first.
+  ASSERT_GT(AnalyzeFailures(run_->result.jobs).mean_retries_all, 0.0);
+  ExpectSameDelayCauses(run_->result.jobs, *restored_);
+}
+
+TEST_F(PipelineInvariantsTest, RestoredTraceValidates) {
+  const ValidationReport report = ValidateJobs(*restored_);
+  EXPECT_TRUE(report.ok()) << report.Summary();
 }
 
 TEST_F(PipelineInvariantsTest, UtilizationAnalysisSurvivesRoundTrip) {
-  // Utilization segments carry limited precision in CSV; means must agree to
-  // within the serialization tolerance.
+  // Doubles are written as their shortest round-trip text, so the means
+  // agree exactly.
   const auto a = AnalyzeUtilization(run_->result.jobs);
   const auto b = AnalyzeUtilization(*restored_);
-  EXPECT_NEAR(a.all.Mean(), b.all.Mean(), 0.05);
-  EXPECT_NEAR(a.all.Count(), b.all.Count(), 1.0);
+  EXPECT_EQ(a.all.Mean(), b.all.Mean());
+  EXPECT_EQ(a.all.Count(), b.all.Count());
 }
 
 TEST_F(PipelineInvariantsTest, GpuTimeConservation) {
@@ -123,6 +162,20 @@ TEST_F(PipelineInvariantsTest, EveryFailedAttemptClassifiable) {
   ASSERT_GT(failed, 100);
   // Only genuinely signature-less logs should fall through (paper: 4.2%).
   EXPECT_LT(static_cast<double>(no_signature) / static_cast<double>(failed), 0.10);
+}
+
+// Pre-run pool attempts run on one GPU with no gang placement; without their
+// flag in the trace they would fail the gang-size check and move Table 7.
+TEST(PipelineInvariantsPrerunTest, PrerunRunSurvivesRoundTrip) {
+  auto config = ExperimentConfig::BenchScale(2, 7);
+  config.simulation.scheduler.enable_prerun_pool = true;
+  const ExperimentRun run = RunExperiment(config);
+  ASSERT_GT(run.result.prerun_jobs, 0);
+  const std::vector<JobRecord> restored = RoundTrip(run.result.jobs);
+  const ValidationReport report = ValidateJobs(restored);
+  EXPECT_TRUE(report.ok()) << report.Summary();
+  ExpectSameFailures(run.result.jobs, restored);
+  ExpectSameDelayCauses(run.result.jobs, restored);
 }
 
 }  // namespace

@@ -9,9 +9,8 @@
 //     with the "=== job <id> attempt <k> lines <n>" frame markers must round
 //     trip verbatim through WriteStdoutLogs/ReadJobs (the length prefix makes
 //     the framing injection-proof).
-//   * FieldParser strictness: randomly corrupted numeric cells in jobs.csv
-//     must be tolerated as zeros (with the error counted) by default, and
-//     must drop exactly the corrupted rows in strict mode.
+//   * Strict reads: a randomly corrupted numeric cell in jobs.csv makes the
+//     reader return no jobs and name the cell's line and column.
 
 #include "src/trace/trace_io.h"
 
@@ -191,8 +190,10 @@ TEST_P(StdoutFramingFuzz, LogTailsWithMarkerCollisionsRoundTrip) {
   std::istringstream attempts_in(attempts_out.str());
   std::istringstream util_in(util_out.str());
   std::istringstream stdout_in(stdout_out.str());
+  std::string error;
   const auto restored =
-      TraceReader::ReadJobs(jobs_in, attempts_in, util_in, stdout_in);
+      TraceReader::ReadJobs(jobs_in, attempts_in, util_in, stdout_in, &error);
+  EXPECT_EQ(error, "");
   ASSERT_EQ(restored.size(), jobs.size());
   for (size_t i = 0; i < jobs.size(); ++i) {
     const JobRecord& a = jobs[i];
@@ -213,16 +214,22 @@ TEST_P(StdoutFramingFuzz, LogTailsWithMarkerCollisionsRoundTrip) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StdoutFramingFuzz, ::testing::Values(7, 99, 2024));
 
-// ----------------------------------------------------- strict-mode numerics
+// ------------------------------------------------------- rejected numerics
 
-TEST(FieldParserFuzzTest, StrictModeDropsExactlyTheCorruptedRows) {
+TEST(TraceReaderFuzzTest, EachCorruptedCellIsRejectedAtItsLine) {
   Rng rng(4242);
   for (int round = 0; round < 50; ++round) {
     const std::vector<JobRecord> jobs = RandomJobs(rng, 20);
     std::ostringstream jobs_out;
+    std::ostringstream attempts_out;
+    std::ostringstream util_out;
+    std::ostringstream stdout_out;
     TraceWriter::WriteJobs(jobs, jobs_out);
+    TraceWriter::WriteAttempts(jobs, attempts_out);
+    TraceWriter::WriteUtilSegments(jobs, util_out);
+    TraceWriter::WriteStdoutLogs(jobs, stdout_out);
 
-    // Corrupt one numeric cell in a random subset of data rows.
+    // Corrupt one numeric cell of one data row of jobs.csv.
     std::istringstream split(jobs_out.str());
     std::string line;
     std::vector<std::string> lines;
@@ -230,64 +237,33 @@ TEST(FieldParserFuzzTest, StrictModeDropsExactlyTheCorruptedRows) {
       lines.push_back(line);
     }
     ASSERT_EQ(lines.size(), jobs.size() + 1);  // header + rows
-    std::vector<bool> corrupted(lines.size(), false);
-    for (size_t i = 1; i < lines.size(); ++i) {
-      if (!rng.Bernoulli(0.3)) {
-        continue;
-      }
-      auto fields = ParseCsvLine(lines[i]);
-      // Column 3 (submit_time) and 6 (queue_delay_s) are numeric; status (5)
-      // is text and must stay valid.
-      const size_t column = rng.Bernoulli(0.5) ? 3 : 6;
-      static const char* kGarbage[] = {"", "12abc", "NaN(", "--3", "0x1z", "1 2"};
-      fields[column] = kGarbage[rng.Below(6)];
-      std::ostringstream rebuilt;
-      CsvWriter(rebuilt).WriteRow(fields);
-      lines[i] = rebuilt.str();
-      while (!lines[i].empty() && lines[i].back() == '\n') {
-        lines[i].pop_back();
-      }
-      corrupted[i] = true;
-    }
+    const size_t row = 1 + rng.Below(jobs.size());
+    auto fields = ParseCsvLine(lines[row]);
+    // Column 3 (submit_time) and 6 (queue_delay_s) are numeric.
+    const size_t column = rng.Bernoulli(0.5) ? 3 : 6;
+    static const char* kGarbage[] = {"", "12abc", "NaN(", "--3", "0x1z", "1 2"};
+    fields[column] = kGarbage[rng.Below(6)];
+    std::ostringstream rebuilt;
+    CsvWriter(rebuilt).WriteRow(fields);
+    lines[row] = rebuilt.str();
     std::string corrupted_csv;
     for (const auto& l : lines) {
       corrupted_csv += l;
-      corrupted_csv += '\n';
-    }
-    size_t num_corrupted = 0;
-    for (size_t i = 1; i < corrupted.size(); ++i) {
-      num_corrupted += corrupted[i] ? 1u : 0u;
-    }
-
-    std::istringstream empty_a(""), empty_b(""), empty_c("");
-    std::istringstream tolerant_in(corrupted_csv);
-    TraceReadStats tolerant_stats;
-    const auto tolerant = TraceReader::ReadJobs(tolerant_in, empty_a, empty_b,
-                                                empty_c, {}, &tolerant_stats);
-    EXPECT_EQ(tolerant.size(), jobs.size());
-    EXPECT_EQ(tolerant_stats.numeric_parse_errors,
-              static_cast<int64_t>(num_corrupted));
-    EXPECT_EQ(tolerant_stats.rows_rejected, 0);
-
-    std::istringstream empty_d(""), empty_e(""), empty_f("");
-    std::istringstream strict_in(corrupted_csv);
-    TraceReadStats strict_stats;
-    TraceReadOptions strict;
-    strict.strict = true;
-    const auto survivors = TraceReader::ReadJobs(strict_in, empty_d, empty_e,
-                                                 empty_f, strict, &strict_stats);
-    EXPECT_EQ(survivors.size(), jobs.size() - num_corrupted);
-    EXPECT_EQ(strict_stats.rows_rejected, static_cast<int64_t>(num_corrupted));
-    // The surviving rows are exactly the uncorrupted ones, in order.
-    size_t j = 0;
-    for (size_t i = 0; i < jobs.size(); ++i) {
-      if (corrupted[i + 1]) {
-        continue;
+      if (corrupted_csv.back() != '\n') {
+        corrupted_csv += '\n';
       }
-      ASSERT_LT(j, survivors.size());
-      EXPECT_EQ(survivors[j].spec.id, jobs[i].spec.id);
-      ++j;
     }
+
+    std::istringstream jobs_in(corrupted_csv);
+    std::istringstream attempts_in(attempts_out.str());
+    std::istringstream util_in(util_out.str());
+    std::istringstream stdout_in(stdout_out.str());
+    std::string error;
+    EXPECT_TRUE(
+        TraceReader::ReadJobs(jobs_in, attempts_in, util_in, stdout_in, &error).empty());
+    const std::string expected = "jobs.csv line " + std::to_string(row + 1) +
+                                 " column " + std::to_string(column + 1) + ": ";
+    EXPECT_EQ(error.substr(0, expected.size()), expected) << error;
   }
 }
 

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "src/common/strings.h"
 #include "src/sched/simulation.h"
 
 namespace philly {
@@ -65,6 +66,14 @@ TEST(TraceIoTest, FullRoundTrip) {
     EXPECT_EQ(a.finish_time, b.finish_time);
     EXPECT_EQ(a.InitialQueueDelay(), b.InitialQueueDelay());
     EXPECT_EQ(a.executed_epochs, b.executed_epochs);
+    ASSERT_EQ(a.waits.size(), b.waits.size());
+    for (size_t k = 0; k < a.waits.size(); ++k) {
+      EXPECT_EQ(a.waits[k].ready_time, b.waits[k].ready_time);
+      EXPECT_EQ(a.waits[k].wait, b.waits[k].wait);
+      EXPECT_EQ(a.waits[k].fair_share_time, b.waits[k].fair_share_time);
+      EXPECT_EQ(a.waits[k].fragmentation_time, b.waits[k].fragmentation_time);
+      EXPECT_EQ(a.waits[k].sched_attempts, b.waits[k].sched_attempts);
+    }
     ASSERT_EQ(a.attempts.size(), b.attempts.size());
     for (size_t k = 0; k < a.attempts.size(); ++k) {
       EXPECT_EQ(a.attempts[k].start, b.attempts[k].start);
@@ -107,97 +116,156 @@ TEST(TraceIoTest, WriteDirectoryFailsForMissingPath) {
   EXPECT_FALSE(TraceWriter::WriteDirectory({}, "/nonexistent/path/here"));
 }
 
-TEST(TraceIoTest, ReaderToleratesMalformedRows) {
-  std::stringstream jobs_csv(
+// A valid two-job trace: one attempt, segment and log frame per job.
+struct TraceText {
+  std::string jobs =
       "job_id,vc,user,submit_time,num_gpus,status,queue_delay_s,finish_time,"
       "attempts,retries,gpu_seconds,executed_epochs,planned_epochs,"
       "logs_convergence\n"
       "1,0,5,100,8,Passed,0,5000,1,0,39200,10,10,0\n"
-      "garbage row\n"
-      "2,1,6,200,1,Killed,60,9000,2,1,8740,3,20,1\n"
-      ",,,,,,,,,,,,,\n");
-  std::stringstream attempts_csv(
-      "job_id,attempt,start,end,failed,preempted,placement\n"
-      "1,0,100,5000,0,0,3:8\n"
-      "999,0,1,2,0,0,1:1\n"
-      "2,0,260,400,1,0,7:1\n"
-      "2,1,500,9000,0,0,notaplacement\n"
-      "short,row\n");
-  std::stringstream util_csv(
+      "2,1,6,200,1,Unsuccessful,60,9000,1,0,8740,3,20,1\n";
+  std::string attempts =
+      "job_id,attempt,start,end,failed,preempted,placement,ready_time,wait_s,"
+      "fair_share_s,fragmentation_s,sched_attempts,prerun\n"
+      "1,0,100,5000,0,0,3:8,100,0,0,0,0,0\n"
+      "2,0,260,9000,1,0,7:1,200,60,20,40,3,0\n";
+  std::string util =
       "job_id,segment,expected_util,duration_s,num_servers\n"
       "1,0,0.5,4900,1\n"
-      "bogus\n"
-      "2,0,0.25,140,1\n");
-  std::stringstream stdout_log(
-      "=== job 2 attempt 0\n"
-      "MemoryError\n"
-      "=== job 424242 attempt 9\n"
-      "orphan text that belongs to no job\n");
+      "2,0,0.25,8740,1\n";
+  std::string log =
+      "=== job 2 attempt 0 lines 1\n"
+      "MemoryError\n";
 
-  const auto jobs = TraceReader::ReadJobs(jobs_csv, attempts_csv, util_csv, stdout_log);
+  std::vector<JobRecord> Read(std::string* error) const {
+    std::stringstream jobs_csv(jobs);
+    std::stringstream attempts_csv(attempts);
+    std::stringstream util_csv(util);
+    std::stringstream stdout_log(log);
+    return TraceReader::ReadJobs(jobs_csv, attempts_csv, util_csv, stdout_log,
+                                 error);
+  }
+};
+
+TEST(TraceIoTest, ReaderReadsValidTrace) {
+  std::string error = "stale";
+  const auto jobs = TraceText().Read(&error);
+  EXPECT_EQ(error, "");
   ASSERT_EQ(jobs.size(), 2u);
-  EXPECT_EQ(jobs[0].spec.id, 1);
-  EXPECT_EQ(jobs[0].attempts.size(), 1u);
-  EXPECT_EQ(jobs[0].util_segments.size(), 1u);
-  EXPECT_EQ(jobs[1].spec.id, 2);
-  ASSERT_EQ(jobs[1].attempts.size(), 2u);
-  EXPECT_TRUE(jobs[1].attempts[0].failed);
-  ASSERT_EQ(jobs[1].attempts[0].log_tail.size(), 1u);
-  EXPECT_EQ(jobs[1].attempts[0].log_tail[0], "MemoryError");
-  // Unparseable placement decodes to empty, not a crash.
-  EXPECT_TRUE(jobs[1].attempts[1].placement.Empty());
+  EXPECT_EQ(jobs[1].status, JobStatus::kUnsuccessful);
+  ASSERT_EQ(jobs[1].waits.size(), 1u);
+  EXPECT_EQ(jobs[1].waits[0].ready_time, 200);
+  EXPECT_EQ(jobs[1].waits[0].wait, 60);
+  EXPECT_EQ(jobs[1].waits[0].fair_share_time, 20);
+  EXPECT_EQ(jobs[1].waits[0].fragmentation_time, 40);
+  EXPECT_EQ(jobs[1].waits[0].sched_attempts, 3);
+  ASSERT_EQ(jobs[1].attempts.size(), 1u);
+  EXPECT_EQ(jobs[1].attempts[0].log_tail, std::vector<std::string>{"MemoryError"});
 }
 
-// Regression: numeric fields that failed to parse used to become 0 silently
-// (std::from_chars errors were ignored), so a corrupted trace produced
-// plausible-looking zeros instead of any signal. The reader now counts every
-// bad field, and strict mode drops the whole row.
-TEST(TraceIoTest, CountsNumericParseErrorsAndSupportsStrictMode) {
-  const std::string jobs_header =
-      "job_id,vc,user,submit_time,num_gpus,status,queue_delay_s,finish_time,"
-      "attempts,retries,gpu_seconds,executed_epochs,planned_epochs,"
-      "logs_convergence\n";
-  const std::string jobs_rows =
-      "1,0,5,100,8,Passed,0,5000,1,0,39200,10,10,0\n"
-      "2,1,6,oops,1,Killed,60,9000,1,0,8740,3,20,1\n";  // bad submit_time
-  const std::string attempts =
-      "job_id,attempt,start,end,failed,preempted,placement\n"
-      "1,0,100,5000,0,0,3:8\n"
-      "2,0,xyz,9000,1,0,7:1\n";  // bad start
-  const std::string util = "job_id,segment,expected_util,duration_s,num_servers\n";
-
-  {
-    std::stringstream jobs_csv(jobs_header + jobs_rows);
-    std::stringstream attempts_csv(attempts);
-    std::stringstream util_csv(util);
-    std::stringstream stdout_log;
-    TraceReadStats stats;
-    const auto jobs = TraceReader::ReadJobs(jobs_csv, attempts_csv, util_csv,
-                                            stdout_log, {}, &stats);
-    // Tolerant default: rows kept, bad fields as 0 — but now counted.
-    ASSERT_EQ(jobs.size(), 2u);
-    EXPECT_EQ(jobs[1].spec.submit_time, 0);
-    EXPECT_EQ(stats.numeric_parse_errors, 2);
-    EXPECT_EQ(stats.rows_rejected, 0);
+// Each row the writer could not have produced, alone, makes the reader
+// return no jobs and an error naming its file, line and column.
+TEST(TraceIoTest, ReaderRejectsMalformedRows) {
+  struct Case {
+    std::string TraceText::*file;
+    std::string from;
+    std::string to;
+    std::string error;
+  };
+  const std::vector<Case> cases = {
+      {&TraceText::jobs, "job_id,vc", "id,vc",
+       "jobs.csv line 1 column 1: expected the header"},
+      {&TraceText::jobs, "20,1\n", "20,1\ngarbage row\n",
+       "jobs.csv line 4 column 2: expected 14 fields, found 1"},
+      {&TraceText::jobs, "Unsuccessful", "Lost",
+       "jobs.csv line 3 column 6: unknown status 'Lost'"},
+      {&TraceText::jobs, "\n2,1,6", "\n2,4294967296,6",
+       "jobs.csv line 3 column 2: '4294967296' is not a 32-bit integer"},
+      {&TraceText::jobs, "\n2,1,6", "\n1,1,6", "jobs.csv line 3 column 1: job 1 appears twice"},
+      {&TraceText::jobs, "5000,1,0,", "5000,1,1,",
+       "jobs.csv line 2 column 10: retries must be one less than attempts"},
+      {&TraceText::jobs, "5000,1,0,", "5000,2,1,",
+       "jobs.csv line 2 column 9: 2 attempts, but job 1 has 1 in attempts.csv"},
+      {&TraceText::jobs, "Unsuccessful,60", "Unsuccessful,61",
+       "jobs.csv line 3 column 7: queue_delay_s differs from the first wait_s"},
+      {&TraceText::attempts, "\n1,0,100", "\n999,0,100",
+       "attempts.csv line 2 column 1: unknown job 999"},
+      {&TraceText::attempts, "\n2,0,260", "\n2,1,260",
+       "attempts.csv line 3 column 2: index 1 out of order, expected 0"},
+      {&TraceText::attempts, "7:1", "notaplacement",
+       "attempts.csv line 3 column 7: 'notaplacement' is not a placement"},
+      {&TraceText::attempts, "7:1", "7:01",
+       "attempts.csv line 3 column 7: '7:01' is not a placement"},
+      {&TraceText::attempts, ",3,0\n", ",3,2\n",
+       "attempts.csv line 3 column 13: expected 0 or 1"},
+      {&TraceText::attempts, ",3,0\n", "\n", "attempts.csv line 3 column 12: expected 13 fields"},
+      {&TraceText::util, "\n1,0", "\nbogus\n1,0",
+       "gpu_util.csv line 2 column 2: expected 5 fields, found 1"},
+      {&TraceText::util, "0.25", "nan",
+       "gpu_util.csv line 3 column 3: 'nan' is not a finite number"},
+      {&TraceText::log, " lines 1", "",
+       "stdout.log line 1 column 1: expected \"=== job"},
+      {&TraceText::log, "job 2", "job 424242",
+       "stdout.log line 1 column 1: no attempt 0 of job 424242"},
+      {&TraceText::log, "job 2", "job 99999999999999999999",
+       "stdout.log line 1 column 1: expected \"=== job"},
+      {&TraceText::log, "lines 1", "lines 2",
+       "stdout.log line 2 column 1: the file ends inside a frame"},
+      {&TraceText::log, "MemoryError\n", "MemoryError\norphan\n",
+       "stdout.log line 3 column 1: expected \"=== job"},
+  };
+  for (const Case& c : cases) {
+    TraceText text;
+    std::string& file = text.*c.file;
+    const size_t at = file.find(c.from);
+    ASSERT_NE(at, std::string::npos) << c.from;
+    file.replace(at, c.from.size(), c.to);
+    std::string error;
+    EXPECT_TRUE(text.Read(&error).empty()) << c.error;
+    EXPECT_EQ(error.substr(0, c.error.size()), c.error);
   }
-  {
-    std::stringstream jobs_csv(jobs_header + jobs_rows);
-    std::stringstream attempts_csv(attempts);
-    std::stringstream util_csv(util);
-    std::stringstream stdout_log;
-    TraceReadOptions options;
-    options.strict = true;
-    TraceReadStats stats;
-    const auto jobs = TraceReader::ReadJobs(jobs_csv, attempts_csv, util_csv,
-                                            stdout_log, options, &stats);
-    // Strict: both corrupted rows are dropped whole — the job row for its bad
-    // submit_time, and the attempt row because its owning job is gone (so its
-    // own bad field is never even parsed).
-    ASSERT_EQ(jobs.size(), 1u);
-    EXPECT_EQ(jobs[0].spec.id, 1);
-    ASSERT_EQ(jobs[0].attempts.size(), 1u);
-    EXPECT_EQ(stats.numeric_parse_errors, 1);
-    EXPECT_EQ(stats.rows_rejected, 2);
+}
+
+std::string Join(const std::vector<std::string>& parts, char separator) {
+  std::string joined;
+  for (size_t i = 0; i < parts.size(); ++i) {
+    joined += (i == 0 ? "" : std::string(1, separator)) + parts[i];
+  }
+  return joined;
+}
+
+// Every field of every row, replaced alone by text that is no value, is
+// rejected at its own line and column.
+TEST(TraceIoTest, ReaderNamesEveryUnparseableField) {
+  const std::pair<std::string TraceText::*, std::string> files[] = {
+      {&TraceText::jobs, "jobs.csv"},
+      {&TraceText::attempts, "attempts.csv"},
+      {&TraceText::util, "gpu_util.csv"}};
+  for (const auto& [file, name] : files) {
+    const std::string original = TraceText().*file;
+    std::vector<std::string> lines;
+    for (const std::string_view line : Split(original, '\n')) {
+      lines.emplace_back(line);
+    }
+    for (size_t line = 1; line + 1 < lines.size(); ++line) {  // past the header
+      std::vector<std::string> fields;
+      for (const std::string_view field : Split(lines[line], ',')) {
+        fields.emplace_back(field);
+      }
+      for (size_t column = 0; column < fields.size(); ++column) {
+        std::vector<std::string> corrupted_fields = fields;
+        corrupted_fields[column] = "1x";
+        std::vector<std::string> corrupted = lines;
+        corrupted[line] = Join(corrupted_fields, ',');
+        TraceText text;
+        text.*file = Join(corrupted, '\n');
+        std::string error;
+        EXPECT_TRUE(text.Read(&error).empty());
+        const std::string expected = name + " line " + std::to_string(line + 1) +
+                                     " column " + std::to_string(column + 1) + ": ";
+        EXPECT_EQ(error.substr(0, expected.size()), expected) << error;
+      }
+    }
   }
 }
 
@@ -235,37 +303,15 @@ TEST(TraceIoTest, LogTailFramingSurvivesMarkerInjection) {
   EXPECT_EQ(restored[0].attempts[0].log_tail, attempt.log_tail);
 }
 
-TEST(TraceIoTest, ReaderAcceptsLegacyUnprefixedFraming) {
-  JobRecord job;
-  job.spec.id = 3;
-  job.spec.num_gpus = 1;
-  AttemptRecord attempt;
-  attempt.index = 0;
-  job.attempts.push_back(attempt);
-
-  std::stringstream jobs_csv;
-  std::stringstream attempts_csv;
-  std::stringstream util_csv;
-  TraceWriter::WriteJobs({job}, jobs_csv);
-  TraceWriter::WriteAttempts({job}, attempts_csv);
-  TraceWriter::WriteUtilSegments({job}, util_csv);
-  std::stringstream stdout_log(
-      "=== job 3 attempt 0\n"
-      "old-style tail line\n");
-  const auto restored =
-      TraceReader::ReadJobs(jobs_csv, attempts_csv, util_csv, stdout_log);
-  ASSERT_EQ(restored.size(), 1u);
-  ASSERT_EQ(restored[0].attempts.size(), 1u);
-  ASSERT_EQ(restored[0].attempts[0].log_tail.size(), 1u);
-  EXPECT_EQ(restored[0].attempts[0].log_tail[0], "old-style tail line");
-}
-
 TEST(TraceIoTest, ReaderHandlesEmptyStreams) {
   std::stringstream empty1;
   std::stringstream empty2;
   std::stringstream empty3;
   std::stringstream empty4;
-  EXPECT_TRUE(TraceReader::ReadJobs(empty1, empty2, empty3, empty4).empty());
+  std::string error;
+  EXPECT_TRUE(TraceReader::ReadJobs(empty1, empty2, empty3, empty4, &error).empty());
+  // The writer always writes a header.
+  EXPECT_EQ(error.substr(0, 38), "jobs.csv line 1 column 1: expected the");
 }
 
 }  // namespace

@@ -110,25 +110,24 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
-#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "src/common/sha256.h"
 #include "src/common/strings.h"
 #include "src/common/table.h"
 #include "src/core/analysis.h"
 #include "src/core/event_join.h"
 #include "src/core/experiment.h"
 #include "src/core/html_report.h"
-#include "src/core/runner.h"
 #include "src/core/report.h"
+#include "src/core/run_outputs.h"
+#include "src/core/runner.h"
 #include "src/core/span_analysis.h"
 #include "src/core/validate.h"
 #include "src/fault/checkpoint_io.h"
@@ -136,10 +135,6 @@
 #include "src/fault/fault_process.h"
 #include "src/obs/event_log.h"
 #include "src/obs/manifest.h"
-#include "src/obs/metrics.h"
-#include "src/obs/observability.h"
-#include "src/obs/output_file.h"
-#include "src/obs/rollup.h"
 #include "src/obs/span.h"
 #include "src/obs/timeseries.h"
 #include "src/obs/trace_profiler.h"
@@ -521,117 +516,6 @@ void ExportFigures(const std::vector<JobRecord>& jobs, const std::string& dir) {
   std::printf("figure series written to %s/\n", dir.c_str());
 }
 
-// Opens `path` for writing (as `<path>.partial` until committed), or prints
-// "cannot write WHAT to PATH" and returns null.
-std::unique_ptr<OutputFile> OpenOutput(const std::string& path, const char* what) {
-  auto file = std::make_unique<OutputFile>(path);
-  if (!file->is_open()) {
-    std::fprintf(stderr, "cannot write %s to %s\n", what, path.c_str());
-    return nullptr;
-  }
-  return file;
-}
-
-// Finishes one output: `write(out)` adds whatever the run has not streamed
-// into the file yet, the file is committed under its final name, and the
-// sink is recorded in the manifest with the SHA-256 of every byte in it, so
-// a later reader can prove the file on disk is the one this run produced.
-template <typename WriteFn>
-bool FinishOutput(OutputFile& file, const char* what, const std::string& sink,
-                  RunManifest* manifest, WriteFn write) {
-  write(file.stream());
-  if (!file.Commit()) {
-    std::fprintf(stderr, "error while writing %s to %s\n", what,
-                 file.path().c_str());
-    return false;
-  }
-  manifest->outputs[sink] = file.path();
-  manifest->digests[sink] = file.sha256();
-  return true;
-}
-
-// OpenOutput then FinishOutput, for an output written whole after its run.
-template <typename WriteFn>
-bool WriteObsFile(const std::string& path, const char* what,
-                  const std::string& sink, RunManifest* manifest, WriteFn write) {
-  const std::unique_ptr<OutputFile> file = OpenOutput(path, what);
-  return file != nullptr && FinishOutput(*file, what, sink, manifest, write);
-}
-
-// An output file and the flag that asked for it ("--out" for the fixed files
-// an output directory receives).
-struct OutputPath {
-  std::string flag;
-  std::string path;
-};
-
-// Rejects two outputs that name the same file. Their writers would
-// interleave bytes, and the manifest would record a digest for a file another
-// output then overwrote. Paths are compared absolute and normalized, with
-// symlinks resolved as far as the path exists.
-bool RejectSharedPaths(const std::vector<OutputPath>& outputs) {
-  std::map<std::filesystem::path, const OutputPath*> seen;
-  for (const OutputPath& output : outputs) {
-    std::error_code error;
-    const std::filesystem::path absolute =
-        std::filesystem::absolute(output.path, error);
-    std::filesystem::path key = std::filesystem::weakly_canonical(absolute, error);
-    if (error) {
-      key = absolute.lexically_normal();
-    }
-    const auto [it, inserted] = seen.emplace(key, &output);
-    if (!inserted) {
-      std::fprintf(stderr,
-                   "%s and %s both name %s: each output needs a file of its "
-                   "own\n",
-                   it->second->flag.c_str(), output.flag.c_str(),
-                   output.path.c_str());
-      return false;
-    }
-  }
-  return true;
-}
-
-// Creates an output directory, or prints why it cannot and returns false.
-bool CreateOutputDirectory(const std::string& dir) {
-  std::error_code error;
-  std::filesystem::create_directories(dir, error);
-  if (error) {
-    std::fprintf(stderr, "cannot create output directory %s: %s\n", dir.c_str(),
-                 error.message().c_str());
-    return false;
-  }
-  return true;
-}
-
-// Every file a simulate/report run writes, flag by flag.
-std::vector<OutputPath> SimulateOutputPaths(const Args& args, bool write_output,
-                                            const std::string& out_dir,
-                                            bool native, bool philly_traces) {
-  std::vector<OutputPath> paths;
-  if (write_output) {
-    if (native) {
-      for (const char* name : TraceWriter::kFileNames) {
-        paths.push_back({"--out", out_dir + "/" + name});
-      }
-    }
-    if (philly_traces) {
-      for (const char* name : PhillyTracesExporter::kFileNames) {
-        paths.push_back({"--out", out_dir + "/" + name});
-      }
-    }
-    paths.push_back({"--out", out_dir + "/manifest.json"});
-  }
-  for (const char* flag : {"--events-out", "--telemetry-out", "--spans-out",
-                           "--metrics-out", "--trace-out", "--spans-trace-out",
-                           "--html"}) {
-    if (std::string path = args.Get(flag, ""); !path.empty()) {
-      paths.push_back({flag, std::move(path)});
-    }
-  }
-  return paths;
-}
-
 // The manifest that lets a trace directory found on disk later be
 // regenerated: seed, scale, and every knob that changes the simulation.
 RunManifest ManifestFor(const Args& args, const ExperimentConfig& config,
@@ -682,121 +566,66 @@ int RunSimulateOrReport(const Args& args, bool write_output) {
     config.simulation.fault = FaultProcessConfig::Calibrated();
   }
 
-  const std::string events_out = args.Get("--events-out", "");
-  const std::string metrics_out = args.Get("--metrics-out", "");
-  const std::string trace_out = args.Get("--trace-out", "");
-  const std::string telemetry_out = args.Get("--telemetry-out", "");
-  const std::string spans_out = args.Get("--spans-out", "");
-  const std::string spans_trace_out = args.Get("--spans-trace-out", "");
-  const std::string html_out = args.Get("--html", "");
   const std::string out_dir = args.Get("--out", "out/trace");
   const std::string format = args.Get("--format", "native");
-  const bool native = format == "native" || format == "both";
-  const bool philly_traces = format == "philly-traces" || format == "both";
+  const bool native = write_output && (format == "native" || format == "both");
+  const bool philly_traces =
+      write_output && (format == "philly-traces" || format == "both");
 
   // Every output is checked and opened before the run, so a clash or an
-  // unwritable path fails before any simulation work.
-  if (!RejectSharedPaths(SimulateOutputPaths(args, write_output, out_dir,
-                                             native, philly_traces))) {
-    return 1;
-  }
-  if (write_output && !CreateOutputDirectory(out_dir)) {
-    return 1;
-  }
-  std::unique_ptr<OutputFile> events_file;
-  std::unique_ptr<OutputFile> metrics_file;
-  std::unique_ptr<OutputFile> trace_file;
-  std::unique_ptr<OutputFile> telemetry_file;
-  std::unique_ptr<OutputFile> spans_file;
-  std::unique_ptr<OutputFile> spans_trace_file;
-  std::unique_ptr<OutputFile> html_file;
-  std::unique_ptr<OutputFile> manifest_file;
-  const auto open = [](const std::string& path, const char* what,
-                       std::unique_ptr<OutputFile>* file) {
-    return path.empty() || (*file = OpenOutput(path, what)) != nullptr;
-  };
-  if (!open(events_out, "event log", &events_file) ||
-      !open(metrics_out, "metrics", &metrics_file) ||
-      !open(trace_out, "phase trace", &trace_file) ||
-      !open(telemetry_out, "telemetry", &telemetry_file) ||
-      !open(spans_out, "span stream", &spans_file) ||
-      !open(spans_trace_out, "span trace", &spans_trace_file) ||
-      !open(html_out, "dashboard", &html_file) ||
-      (write_output &&
-       !open(out_dir + "/manifest.json", "manifest", &manifest_file))) {
-    return 1;
-  }
-
-  // Observability sinks attach only when their output was requested: a run
-  // without these flags keeps config.simulation.obs all-null and is
-  // byte-identical to a run from before the sinks existed.
-  EventLog event_log;
-  MetricsRegistry metrics;
-  TraceProfiler profiler;
-  ClusterTimeSeries timeseries;
-  SpanTracer spans;
-  // The dashboard joins the telemetry and scheduler streams, so --html
-  // implies both recorders even when their files were not asked for.
-  if (!events_out.empty() || !html_out.empty()) {
-    config.simulation.obs.event_log = &event_log;
-  }
-  if (!metrics_out.empty()) {
-    config.simulation.obs.metrics = &metrics;
-  }
-  if (!trace_out.empty()) {
-    config.simulation.obs.profiler = &profiler;
-  }
-  if (!telemetry_out.empty() || !html_out.empty()) {
-    config.simulation.obs.timeseries = &timeseries;
-  }
-  // The span tracer attaches only on explicit request: with it attached the
-  // telemetry stream grows per-VC blame columns, so quietly enabling it for
-  // --html would change --telemetry-out bytes for users who never asked for
-  // attribution.
-  if (!spans_out.empty() || !spans_trace_out.empty()) {
-    config.simulation.obs.spans = &spans;
-  }
-  // A stream goes to disk while the run produces it, unless something in
-  // this process reads its records after the run: the dashboard reads
-  // events, samples and spans, the span Chrome trace reads spans. Streamed,
-  // a sink holds one batch of records instead of the whole run.
-  if (html_out.empty()) {
-    if (events_file != nullptr) {
-      event_log.StreamTo(&events_file->stream());
-    }
-    if (telemetry_file != nullptr) {
-      timeseries.StreamTo(&telemetry_file->stream());
-    }
-    if (spans_file != nullptr && spans_trace_out.empty()) {
-      spans.log().StreamTo(&spans_file->stream());
+  // unwritable path fails before any simulation work. The trace files are
+  // written by their own writers, and declared so their paths are checked.
+  SimulateRun view;
+  view.title = "philly " + config.simulation.scheduler.name + " seed " +
+               std::to_string(config.simulation.seed) + ", " +
+               std::to_string(flags.days) + " days";
+  std::vector<RunOutput> declared;
+  if (native) {
+    for (const char* name : TraceWriter::kFileNames) {
+      declared.push_back({.flag = "--out", .path = out_dir + "/" + name});
     }
   }
+  if (philly_traces) {
+    for (const char* name : PhillyTracesExporter::kFileNames) {
+      declared.push_back({.flag = "--out", .path = out_dir + "/" + name});
+    }
+  }
+  for (RunOutput& output : SimulateOutputs(&view)) {
+    output.path = args.Get(output.flag, "");
+    if (!output.path.empty()) {
+      declared.push_back(std::move(output));
+    }
+  }
+  RunOutputs outputs(write_output ? out_dir : "", std::move(declared));
+  if (!outputs.Open()) {
+    return 1;
+  }
+  outputs.Attach(&view, &config.simulation.obs);
 
   std::printf("simulating %d days (seed %d, scheduler %s)...\n", flags.days,
               flags.seed, config.simulation.scheduler.name.c_str());
   const ExperimentRun run = RunExperiment(config);
+  view.jobs = &run.result.jobs;
   std::printf("%lld jobs completed\n\n", static_cast<long long>(run.num_jobs));
 
   RunManifest manifest = ManifestFor(args, config, flags, write_output);
-  if (write_output) {
-    if (native) {
-      if (!TraceWriter::WriteDirectory(run.result.jobs, out_dir)) {
-        std::fprintf(stderr, "cannot write native trace to %s\n", out_dir.c_str());
-        return 1;
-      }
-      manifest.outputs["trace"] = out_dir;
-      std::printf("native trace written to %s/\n", out_dir.c_str());
+  if (native) {
+    if (!TraceWriter::WriteDirectory(run.result.jobs, out_dir)) {
+      std::fprintf(stderr, "cannot write native trace to %s\n", out_dir.c_str());
+      return 1;
     }
-    if (philly_traces) {
-      PhillyTracesExporter exporter(config.simulation.cluster);
-      if (!exporter.WriteDirectory(run.result.jobs, out_dir)) {
-        std::fprintf(stderr, "cannot write philly-traces files to %s\n",
-                     out_dir.c_str());
-        return 1;
-      }
-      manifest.outputs["philly-traces"] = out_dir;
-      std::printf("philly-traces-format files written to %s/\n", out_dir.c_str());
+    manifest.outputs["trace"] = out_dir;
+    std::printf("native trace written to %s/\n", out_dir.c_str());
+  }
+  if (philly_traces) {
+    PhillyTracesExporter exporter(config.simulation.cluster);
+    if (!exporter.WriteDirectory(run.result.jobs, out_dir)) {
+      std::fprintf(stderr, "cannot write philly-traces files to %s\n",
+                   out_dir.c_str());
+      return 1;
     }
+    manifest.outputs["philly-traces"] = out_dir;
+    std::printf("philly-traces-format files written to %s/\n", out_dir.c_str());
   }
 
   {
@@ -807,91 +636,7 @@ int RunSimulateOrReport(const Args& args, bool write_output) {
       ExportFigures(run.result.jobs, args.Get("--figures", "out/figures"));
     }
   }
-
-  if (events_file != nullptr) {
-    if (!FinishOutput(*events_file, "event log", "events", &manifest,
-                      [&](std::ostream& out) { event_log.WriteNdjson(out); })) {
-      return 1;
-    }
-    std::printf("%zu scheduler events written to %s\n", event_log.size(),
-                events_out.c_str());
-  }
-  if (metrics_file != nullptr) {
-    if (!FinishOutput(*metrics_file, "metrics", "metrics", &manifest,
-                      [&](std::ostream& out) { metrics.WriteJson(out); })) {
-      return 1;
-    }
-    std::printf("metrics written to %s\n", metrics_out.c_str());
-  }
-  if (trace_file != nullptr) {
-    if (!FinishOutput(*trace_file, "phase trace", "phase-trace", &manifest,
-                      [&](std::ostream& out) { profiler.WriteChromeTrace(out); })) {
-      return 1;
-    }
-    std::printf("%zu phase slices written to %s (open in ui.perfetto.dev)\n",
-                profiler.size(), trace_out.c_str());
-  }
-  if (telemetry_file != nullptr) {
-    // The embedded digest carries both halves of the cross-check: exact
-    // aggregates over the sample lines, and the Table 3 utilization
-    // aggregates derived from the native job records.
-    const TelemetryDigest digest =
-        TelemetryStreamDigest(timeseries, run.result.jobs);
-    if (!FinishOutput(*telemetry_file, "telemetry", "telemetry", &manifest,
-                      [&](std::ostream& out) {
-                        timeseries.WriteNdjson(out, &digest);
-                      })) {
-      return 1;
-    }
-    std::printf("%zu telemetry samples written to %s\n", timeseries.size(),
-                telemetry_out.c_str());
-  }
-  if (spans_file != nullptr) {
-    if (!FinishOutput(*spans_file, "span stream", "spans", &manifest,
-                      [&](std::ostream& out) { spans.log().WriteNdjson(out); })) {
-      return 1;
-    }
-    std::printf("%zu causal spans written to %s\n", spans.log().size(),
-                spans_out.c_str());
-  }
-  if (spans_trace_file != nullptr) {
-    if (!FinishOutput(*spans_trace_file, "span trace", "spans-trace", &manifest,
-                      [&](std::ostream& out) {
-                        WriteSpanChromeTrace(out, spans.log().spans());
-                      })) {
-      return 1;
-    }
-    std::printf("span trace written to %s (open in ui.perfetto.dev)\n",
-                spans_trace_out.c_str());
-  }
-  if (html_file != nullptr) {
-    HtmlDashboardInput dashboard;
-    dashboard.title = "philly " + config.simulation.scheduler.name + " seed " +
-                      std::to_string(config.simulation.seed) + ", " +
-                      std::to_string(flags.days) + " days";
-    dashboard.samples = &timeseries.samples();
-    dashboard.events = &event_log.events();
-    dashboard.jobs = &run.result.jobs;
-    if (config.simulation.obs.spans != nullptr) {
-      dashboard.spans = &spans.log().spans();
-    }
-    if (!FinishOutput(*html_file, "dashboard", "dashboard", &manifest,
-                      [&](std::ostream& out) {
-                        out << RenderHtmlDashboard(dashboard);
-                      })) {
-      return 1;
-    }
-    std::printf("dashboard written to %s\n", html_out.c_str());
-  }
-  if (manifest_file != nullptr) {
-    manifest.WriteJson(manifest_file->stream());
-    if (!manifest_file->Commit()) {
-      std::fprintf(stderr, "cannot write %s\n", manifest_file->path().c_str());
-      return 1;
-    }
-    std::printf("manifest written to %s\n", manifest_file->path().c_str());
-  }
-  return 0;
+  return outputs.Finish(&manifest) ? 0 : 1;
 }
 
 // Compares the event-rebuilt jobs against a native trace, field by field,
@@ -1031,17 +776,11 @@ int RunAnalyzeFromEvents(const Args& args) {
 
   const std::string dir = args.Get("--trace", "");
   if (!dir.empty()) {
-    std::ifstream jobs_csv(dir + "/jobs.csv");
-    std::ifstream attempts_csv(dir + "/attempts.csv");
-    std::ifstream util_csv(dir + "/gpu_util.csv");
-    std::ifstream stdout_log(dir + "/stdout.log");
-    if (!jobs_csv || !attempts_csv || !util_csv || !stdout_log) {
-      std::fprintf(stderr, "cannot open native trace files under %s\n",
-                   dir.c_str());
+    const auto native = TraceReader::ReadDirectory(dir, &error);
+    if (!error.empty()) {
+      std::fprintf(stderr, "%s\n", error.c_str());
       return 1;
     }
-    const auto native =
-        TraceReader::ReadJobs(jobs_csv, attempts_csv, util_csv, stdout_log);
     const int mismatches = CrossCheckAgainstTrace(joined.jobs, native);
     if (mismatches > 0) {
       std::fprintf(stderr,
@@ -1120,17 +859,11 @@ int RunAnalyzeTelemetry(const Args& args) {
 
   const std::string dir = args.Get("--trace", "");
   if (!dir.empty()) {
-    std::ifstream jobs_csv(dir + "/jobs.csv");
-    std::ifstream attempts_csv(dir + "/attempts.csv");
-    std::ifstream util_csv(dir + "/gpu_util.csv");
-    std::ifstream stdout_log(dir + "/stdout.log");
-    if (!jobs_csv || !attempts_csv || !util_csv || !stdout_log) {
-      std::fprintf(stderr, "cannot open native trace files under %s\n",
-                   dir.c_str());
+    const auto native = TraceReader::ReadDirectory(dir, &error);
+    if (!error.empty()) {
+      std::fprintf(stderr, "%s\n", error.c_str());
       return 1;
     }
-    const auto native =
-        TraceReader::ReadJobs(jobs_csv, attempts_csv, util_csv, stdout_log);
     const TelemetryDigest from_trace = ComputeUtilDigest(native);
     if (!JobAggregatesEqual(from_trace, written)) {
       std::fprintf(stderr,
@@ -1163,6 +896,7 @@ int RunAnalyze(const Args& args) {
     std::fprintf(stderr, "analyze requires --trace DIR\n");
     return 2;
   }
+  std::vector<JobRecord> jobs;
   if (args.Has("--philly-traces")) {
     // Public-release layout: parse cluster_job_log. Telemetry-dependent
     // analyses are skipped (the job log carries no utilization).
@@ -1175,7 +909,7 @@ int RunAnalyze(const Args& args) {
     buffer << job_log.rdbuf();
     PhillyTracesImporter importer;
     std::string error;
-    const auto jobs = importer.ImportJobLog(buffer.str(), &error);
+    jobs = importer.ImportJobLog(buffer.str(), &error);
     if (!error.empty()) {
       std::fprintf(stderr, "failed to parse cluster_job_log: %s\n", error.c_str());
       return 1;
@@ -1183,30 +917,22 @@ int RunAnalyze(const Args& args) {
     std::printf("imported %zu jobs (%d VCs, %d users, %d machines) from %s\n\n",
                 jobs.size(), importer.num_vcs(), importer.num_users(),
                 importer.num_machines(), dir.c_str());
-    PrintReport(jobs, nullptr);
-    if (args.values.count("--figures") > 0) {
-      ExportFigures(jobs, args.Get("--figures", "out/figures"));
+  } else {
+    std::string error;
+    jobs = TraceReader::ReadDirectory(dir, &error);
+    if (!error.empty()) {
+      std::fprintf(stderr, "%s\n", error.c_str());
+      return 1;
     }
-    return 0;
+    const ValidationReport validation = ValidateJobs(jobs);
+    if (!validation.ok()) {
+      std::fprintf(stderr, "trace failed validation: %s\n",
+                   validation.Summary().c_str());
+      return 1;
+    }
+    std::printf("loaded and validated %zu jobs from %s\n\n", jobs.size(),
+                dir.c_str());
   }
-  std::ifstream jobs_csv(dir + "/jobs.csv");
-  std::ifstream attempts_csv(dir + "/attempts.csv");
-  std::ifstream util_csv(dir + "/gpu_util.csv");
-  std::ifstream stdout_log(dir + "/stdout.log");
-  if (!jobs_csv || !attempts_csv || !util_csv || !stdout_log) {
-    std::fprintf(stderr, "cannot open native trace files under %s\n", dir.c_str());
-    return 1;
-  }
-  const auto jobs =
-      TraceReader::ReadJobs(jobs_csv, attempts_csv, util_csv, stdout_log);
-  const ValidationReport validation = ValidateJobs(jobs);
-  if (!validation.ok()) {
-    std::fprintf(stderr, "trace failed validation: %s\n",
-                 validation.Summary().c_str());
-    return 1;
-  }
-  std::printf("loaded and validated %zu jobs from %s\n\n", jobs.size(),
-              dir.c_str());
   PrintReport(jobs, nullptr);
   if (args.values.count("--figures") > 0) {
     ExportFigures(jobs, args.Get("--figures", "out/figures"));
@@ -1349,28 +1075,6 @@ double P95QueueDelayMinutes(const std::vector<JobRecord>& jobs) {
   return delays[std::min(index, delays.size() - 1)];
 }
 
-// Every file a fleet run writes: the route stream, each member's streams and
-// the manifest under --out, and the --html dashboard.
-std::vector<OutputPath> FleetOutputPaths(const FleetConfig& config,
-                                         const std::string& out_dir,
-                                         const std::string& html_out) {
-  std::vector<OutputPath> paths;
-  if (!out_dir.empty()) {
-    paths.push_back({"--out", out_dir + "/fleet_events.ndjson"});
-    for (const FleetClusterSpec& cluster : config.clusters) {
-      for (const char* stream :
-           {".events.ndjson", ".telemetry.ndjson", ".spans.ndjson"}) {
-        paths.push_back({"--out", out_dir + "/" + cluster.name + stream});
-      }
-    }
-    paths.push_back({"--out", out_dir + "/manifest.json"});
-  }
-  if (!html_out.empty()) {
-    paths.push_back({"--html", html_out});
-  }
-  return paths;
-}
-
 // `fleet`: run N clusters behind the front-door router and summarize routing,
 // queueing, and the fleet GPU-time ledger. All three fleet knobs are strictly
 // validated: a malformed --clusters/--router/--spill-threshold exits 1 with a
@@ -1430,18 +1134,94 @@ int RunFleet(const Args& args) {
                                 static_cast<int>(i))});
   }
 
-  // The fleet keeps every stream in memory (its dashboard reads them all) and
-  // writes them after the run, but a clash between outputs or an unusable
-  // --out or --html path still fails before the run.
+  // Every output is checked and opened before the run. The members' streams
+  // stay in memory, because the dashboard reads them all, and are written
+  // after it.
   const std::string out_dir = args.Get("--out", "");
-  const std::string html_out = args.Get("--html", "");
-  if (!RejectSharedPaths(FleetOutputPaths(config, out_dir, html_out)) ||
-      (!out_dir.empty() && !CreateOutputDirectory(out_dir))) {
-    return 1;
+  const std::string html_out = args.Get(kDashboardFlag, "");
+  FleetResult result;
+  FleetDashboardSection section;
+  std::vector<RunOutput> declared;
+  if (!out_dir.empty()) {
+    declared.push_back({.flag = "--out", .path = out_dir + "/fleet_events.ndjson",
+                       .sink = "fleet-events", .what = "fleet route stream",
+                       .write = [&result](std::ostream& out) {
+                         result.route_events.WriteNdjson(out);
+                       }});
+    for (size_t i = 0; i < config.clusters.size(); ++i) {
+      const std::string& name = config.clusters[i].name;
+      const auto member = [&](const std::string& stream, const char* what,
+                              std::function<void(std::ostream&)> write) {
+        declared.push_back({.flag = "--out",
+                            .path = out_dir + "/" + name + "." + stream + ".ndjson",
+                            .sink = name + "-" + stream,
+                            .what = what,
+                            .write = std::move(write)});
+      };
+      member("events", "event log", [&result, i](std::ostream& out) {
+        result.clusters[i].events.WriteNdjson(out);
+      });
+      // Same embedded digest the simulate path writes, so each per-cluster
+      // stream verifies under `analyze --telemetry` on its own.
+      member("telemetry", "telemetry", [&result, i](std::ostream& out) {
+        const FleetClusterResult& cluster = result.clusters[i];
+        const TelemetryDigest digest =
+            TelemetryStreamDigest(cluster.telemetry, cluster.result.jobs);
+        cluster.telemetry.WriteNdjson(out, &digest);
+      });
+      if (collect_spans) {
+        member("spans", "span stream", [&result, i](std::ostream& out) {
+          result.clusters[i].spans.log().WriteNdjson(out);
+        });
+      }
+    }
+    declared.back().line = [out_dir](const std::string&) {
+      return "fleet streams written to " + out_dir + "/";
+    };
   }
-  std::unique_ptr<OutputFile> html_file;
-  if (!html_out.empty() &&
-      (html_file = OpenOutput(html_out, "dashboard")) == nullptr) {
+  if (!html_out.empty()) {
+    const std::string title = "philly fleet (" + router_name + ") seed " +
+                              std::to_string(seed) + ", " + std::to_string(days) +
+                              " days";
+    const auto write = [&result, &section, title, collect_spans](std::ostream& out) {
+      // Fleet-wide inputs: concatenated streams (rollup-of-concatenation
+      // equals the merged fleet rollup) plus the routing section.
+      std::vector<TelemetrySample> all_samples;
+      std::vector<SchedEvent> all_events;
+      std::vector<JobRecord> all_jobs;
+      std::vector<SpanRecord> all_spans;
+      const auto append = [](auto* all, const auto& part) {
+        all->insert(all->end(), part.begin(), part.end());
+      };
+      for (const FleetClusterResult& cluster : result.clusters) {
+        append(&all_samples, cluster.telemetry.samples());
+        append(&all_events, cluster.events.events());
+        append(&all_jobs, cluster.result.jobs);
+        append(&all_spans, cluster.spans.log().spans());
+      }
+      append(&all_events, result.route_events.events());
+      HtmlDashboardInput dashboard;
+      dashboard.title = title;
+      dashboard.samples = &all_samples;
+      dashboard.events = &all_events;
+      dashboard.jobs = &all_jobs;
+      if (collect_spans) {
+        dashboard.spans = &all_spans;
+      }
+      dashboard.fleet = &section;
+      out << RenderHtmlDashboard(dashboard);
+    };
+    declared.push_back({.flag = kDashboardFlag,
+                        .path = html_out,
+                        .sink = "dashboard",
+                        .what = "dashboard",
+                        .write = write,
+                        .line = [](const std::string& path) {
+                          return "fleet dashboard written to " + path;
+                        }});
+  }
+  RunOutputs outputs(out_dir, std::move(declared));
+  if (!outputs.Open()) {
     return 1;
   }
 
@@ -1450,12 +1230,11 @@ int RunFleet(const Args& args) {
               config.clusters.size(), days,
               static_cast<unsigned long long>(seed), router_name.c_str());
   FleetSimulation fleet(std::move(config));
-  const FleetResult result = fleet.Run();
+  result = fleet.Run();
   std::printf("%lld jobs routed (%lld off their home cluster)\n\n",
               static_cast<long long>(result.total_jobs),
               static_cast<long long>(result.spilled_jobs));
 
-  FleetDashboardSection section;
   section.router = router_name;
   section.total_jobs = result.total_jobs;
   section.spilled_jobs = result.spilled_jobs;
@@ -1507,96 +1286,7 @@ int RunFleet(const Args& args) {
   if (collect_spans) {
     manifest.knobs["collect-spans"] = "on";
   }
-
-  if (!out_dir.empty()) {
-    if (!WriteObsFile(out_dir + "/fleet_events.ndjson", "fleet route stream",
-                      "fleet-events", &manifest, [&](std::ostream& out) {
-                        result.route_events.WriteNdjson(out);
-                      })) {
-      return 1;
-    }
-    for (size_t i = 0; i < result.clusters.size(); ++i) {
-      const FleetClusterResult& cluster = result.clusters[i];
-      const std::string base = out_dir + "/" + cluster.name;
-      if (!WriteObsFile(base + ".events.ndjson", "event log",
-                        cluster.name + "-events", &manifest,
-                        [&](std::ostream& out) {
-                          cluster.events.WriteNdjson(out);
-                        })) {
-        return 1;
-      }
-      // Same embedded digest the simulate path writes, so each per-cluster
-      // stream verifies under `analyze --telemetry` on its own.
-      const TelemetryDigest digest =
-          TelemetryStreamDigest(cluster.telemetry, cluster.result.jobs);
-      if (!WriteObsFile(base + ".telemetry.ndjson", "telemetry",
-                        cluster.name + "-telemetry", &manifest,
-                        [&](std::ostream& out) {
-                          cluster.telemetry.WriteNdjson(out, &digest);
-                        })) {
-        return 1;
-      }
-      if (collect_spans) {
-        if (!WriteObsFile(base + ".spans.ndjson", "span stream",
-                          cluster.name + "-spans", &manifest,
-                          [&](std::ostream& out) {
-                            cluster.spans.log().WriteNdjson(out);
-                          })) {
-          return 1;
-        }
-      }
-    }
-    std::printf("fleet streams written to %s/\n", out_dir.c_str());
-  }
-
-  if (html_file != nullptr) {
-    // Fleet-wide inputs: concatenated streams (rollup-of-concatenation equals
-    // the merged fleet rollup) plus the routing section.
-    std::vector<TelemetrySample> all_samples;
-    std::vector<SchedEvent> all_events;
-    std::vector<JobRecord> all_jobs;
-    std::vector<SpanRecord> all_spans;
-    for (const FleetClusterResult& cluster : result.clusters) {
-      all_samples.insert(all_samples.end(), cluster.telemetry.samples().begin(),
-                         cluster.telemetry.samples().end());
-      all_events.insert(all_events.end(), cluster.events.events().begin(),
-                        cluster.events.events().end());
-      all_jobs.insert(all_jobs.end(), cluster.result.jobs.begin(),
-                      cluster.result.jobs.end());
-      all_spans.insert(all_spans.end(), cluster.spans.log().spans().begin(),
-                       cluster.spans.log().spans().end());
-    }
-    all_events.insert(all_events.end(), result.route_events.events().begin(),
-                      result.route_events.events().end());
-    HtmlDashboardInput dashboard;
-    dashboard.title = "philly fleet (" + router_name + ") seed " +
-                      std::to_string(seed) + ", " + std::to_string(days) +
-                      " days";
-    dashboard.samples = &all_samples;
-    dashboard.events = &all_events;
-    dashboard.jobs = &all_jobs;
-    if (collect_spans) {
-      dashboard.spans = &all_spans;
-    }
-    dashboard.fleet = &section;
-    if (!FinishOutput(*html_file, "dashboard", "dashboard", &manifest,
-                      [&](std::ostream& out) {
-                        out << RenderHtmlDashboard(dashboard);
-                      })) {
-      return 1;
-    }
-    std::printf("fleet dashboard written to %s\n", html_out.c_str());
-  }
-
-  if (!out_dir.empty()) {
-    const std::string manifest_path = out_dir + "/manifest.json";
-    if (!manifest.WriteFile(manifest_path)) {
-      std::fprintf(stderr, "cannot write %s\n", manifest_path.c_str());
-      return 1;
-    }
-    std::printf("manifest written to %s\n", manifest_path.c_str());
-  }
-  return 0;
+  return outputs.Finish(&manifest) ? 0 : 1;
 }
 
 // `explain --job ID --spans FILE`: reconstruct one job's causal timeline from
@@ -1665,10 +1355,10 @@ const std::map<std::string, Command>& Commands() {
       a.merge(b);
       return a;
     };
-    const std::set<std::string> report =
-        with(with(run, knobs), {"--scheduler", "--figures", "--events-out", "--metrics-out",
-                                "--trace-out", "--telemetry-out", "--spans-out",
-                                "--spans-trace-out", "--html"});
+    std::set<std::string> report = with(with(run, knobs), {"--scheduler", "--figures"});
+    for (const RunOutput& output : SimulateOutputs(nullptr)) {
+      report.insert(output.flag);
+    }
     return std::map<std::string, Command>{
         {"simulate",
          {[](const Args& args) { return RunSimulateOrReport(args, /*write_output=*/true); },
@@ -1687,7 +1377,7 @@ const std::map<std::string, Command>& Commands() {
         {"fleet",
          {RunFleet,
           with(run, {"--threads", "--clusters", "--router", "--spill-threshold", "--out",
-                     "--html"}),
+                     kDashboardFlag}),
           {"--collect-spans"}}},
         {"explain", {RunExplain, {"--job", "--spans"}, {}}},
     };
