@@ -1,6 +1,6 @@
-// Perf gate for the event queue and the placer: each production component
-// timed against its test oracle on the traffic a paper-scale simulation sends
-// it.
+// Perf gate for the event queue, the placer and the SHA-256 digest: each
+// production component timed against its oracle on the traffic a
+// paper-scale run sends it.
 //
 //   * queue:  Simulator vs ReferenceHeapQueue (tests/reference/heap_queue.h)
 //             on the arrivals, attempt ends and scheduling passes of a
@@ -8,18 +8,24 @@
 //   * placer: LocalityPlacer vs ScanPlacement (tests/reference/scan_placer.h)
 //             on a ClusterConfig::PaperScale() churn of about 206k
 //             FindPlacement/CanPlace calls, drawn with the demands, relax
-//             levels and release and fault rates counted in a 75-day run.
+//             levels and release and fault rates counted in a 75-day run;
+//   * sha256: Sha256, as OutputFile hashes with it, vs the scalar block
+//             function (src/common/sha256_internal.h) on 64 MB of
+//             pseudo-random bytes, a third of what a 75-day run with all four
+//             sinks hashes. Every digest stays right if the process does not
+//             pick its SHA-NI block function, so only this ratio shows that.
+//             A CPU without SHA extensions skips this half, and says so.
 //
-// Each side folds every firing (time, tag) or every answer (the shards, or
-// the CanPlace bit) into a hash. If the two sides' hashes differ, the gate
-// exits 1: a speedup over an oracle the production code no longer matches
-// means nothing. Each side is timed best of 3, and the speedup is the
-// oracle's time over production's. The ratio, not the seconds, is what
-// --check compares: both sides run on one machine in one process, so the
-// runner's speed divides out.
+// Each side folds every firing (time, tag), every answer (the shards, or
+// the CanPlace bit) or its hex digest into a hash. If the two sides'
+// hashes differ, the gate exits 1: a speedup over an oracle the production
+// code no longer matches means nothing. Each side is timed best of 3, and
+// the speedup is the oracle's time over production's. The ratio, not the
+// seconds, is what --check compares: both sides run on one machine in one
+// process, so the runner's speed divides out.
 //
 // Output: a table plus BENCH_oracle_gate.json (override with --out). With
-// `--check <baseline.json>` the gate exits 1 when either speedup falls more
+// `--check <baseline.json>` the gate exits 1 when any speedup falls more
 // than 20% below the baseline's, and 2 when --out names the baseline itself.
 // The workload seed is PHILLY_BENCH_SEED (default 42). Regenerate the
 // baseline from a Release build after an
@@ -28,6 +34,7 @@
 //   ./build/bench/oracle_gate --out BENCH_oracle_gate.json
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -36,6 +43,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -44,6 +52,8 @@
 #include "src/common/hash.h"
 #include "src/common/json.h"
 #include "src/common/rng.h"
+#include "src/common/sha256.h"
+#include "src/common/sha256_internal.h"
 #include "src/common/strings.h"
 #include "src/common/table.h"
 #include "src/sched/placement.h"
@@ -327,6 +337,59 @@ Run PlacerChurn(const std::vector<PlacerStep>& steps) {
   return run;
 }
 
+// ---------------------------------------------------------------- sha256
+
+constexpr size_t kHashBytes = size_t{64} << 20;
+
+std::vector<unsigned char> HashInput(uint64_t seed) {
+  std::vector<unsigned char> data(kHashBytes);
+  Rng rng(seed);
+  for (size_t i = 0; i < data.size(); i += sizeof(uint64_t)) {
+    const uint64_t word = rng();
+    std::memcpy(&data[i], &word, sizeof(word));
+  }
+  return data;
+}
+
+// One side's digest of `data`; the hash folds the hex digest.
+template <typename Digest>
+Run HashSide(const std::vector<unsigned char>& data, Digest digest) {
+  const auto start = std::chrono::steady_clock::now();
+  const std::string hex = digest(data);
+  Run run;
+  run.seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  run.ops = static_cast<int64_t>(data.size() / 64);
+  for (char c : hex) {
+    run.hash = Fold(run.hash, static_cast<uint64_t>(c));
+  }
+  return run;
+}
+
+// The oracle: the scalar block function over `data`, a whole number of
+// blocks, and the one block of padding that follows it.
+std::string ScalarDigest(const std::vector<unsigned char>& data) {
+  std::array<uint32_t, 8> state = sha256_internal::kInitialState;
+  sha256_internal::ScalarBlocks(state, data.data(), data.size() / 64);
+  unsigned char padding[64] = {0x80};
+  const uint64_t bits = uint64_t{data.size()} * 8;
+  for (int i = 0; i < 8; ++i) {
+    padding[56 + i] = static_cast<unsigned char>(bits >> (56 - 8 * i));
+  }
+  sha256_internal::ScalarBlocks(state, padding, 1);
+  char hex[65];
+  for (size_t i = 0; i < state.size(); ++i) {
+    std::snprintf(hex + 8 * i, 9, "%08x", state[i]);
+  }
+  return std::string(hex, 64);
+}
+
+std::string ProductionDigest(const std::vector<unsigned char>& data) {
+  Sha256 hash;
+  hash.Update(std::string_view(reinterpret_cast<const char*>(data.data()), data.size()));
+  return hash.FinishHex();
+}
+
 // ---------------------------------------------------------------- main
 
 struct Comparison {
@@ -398,12 +461,21 @@ bool SameFile(const std::string& a, const std::string& b) {
   return key(a) == key(b);
 }
 
+// Checks each measured speedup against the baseline's; a null comparison was
+// not measured on this CPU and is skipped.
 bool CheckBaseline(const std::string& path, const JsonValue& baseline,
-                   const Comparison& queue, const Comparison& placer) {
+                   const std::vector<std::pair<const char*, const Comparison*>>& speedups) {
   bool pass = true;
-  for (const auto& [key, comparison] :
-       {std::pair<const char*, const Comparison*>{"queue_speedup", &queue},
-        {"placer_speedup", &placer}}) {
+  for (const auto& [key, comparison] : speedups) {
+    if (comparison == nullptr) {
+      std::printf("%s: skipped, not measured on this CPU\n", key);
+      continue;
+    }
+    if (baseline[key].type() != JsonValue::Type::kNumber) {
+      std::fprintf(stderr, "FAIL: %s has no %s\n", path.c_str(), key);
+      pass = false;
+      continue;
+    }
     const double floor = 0.8 * baseline[key].AsNumber();
     const double measured = comparison->speedup();
     std::printf("%s: baseline %.2fx, floor %.2fx, measured %.2fx\n", key,
@@ -448,10 +520,10 @@ int Main(int argc, char** argv) {
     }
   }
 
-  PrintHeader("event queue and placer vs their test oracles",
+  PrintHeader("event queue, placer and SHA-256 vs their oracles",
               "simulator throughput is a result (Liang et al.): the calendar "
-              "queue and the placement index must stay faster than the "
-              "engines they replaced, with identical answers");
+              "queue, the placement index and the SHA-NI digest must stay "
+              "faster than the code they replaced, with identical answers");
 
   constexpr int kRepeats = 3;
   const uint64_t seed = BenchSeed();
@@ -469,10 +541,25 @@ int Main(int argc, char** argv) {
   const Comparison placer =
       Compare("placer", kRepeats, [&steps] { return PlacerChurn<ScanSide>(steps); },
               [&steps] { return PlacerChurn<IndexSide>(steps); });
+  std::optional<Comparison> sha256;
+  if (sha256_internal::ShaNiBlocks() == nullptr) {
+    std::printf("skipping SHA-256: this CPU has no SHA extensions, so every digest "
+                "takes the scalar path\n");
+  } else {
+    std::printf("timing SHA-256 on %zu MB (best of %d)...\n", kHashBytes >> 20, kRepeats);
+    const std::vector<unsigned char> data = HashInput(seed);
+    sha256 = Compare(
+        "sha256", kRepeats, [&data] { return HashSide(data, ScalarDigest); },
+        [&data] { return HashSide(data, ProductionDigest); });
+  }
+  std::vector<const Comparison*> measured = {&queue, &placer};
+  if (sha256) {
+    measured.push_back(&*sha256);
+  }
 
   TextTable table({"component", "ops", "oracle (s)", "production (s)", "speedup",
                    "identical"});
-  for (const Comparison* c : {&queue, &placer}) {
+  for (const Comparison* c : measured) {
     table.AddRow({c->name, std::to_string(c->production.ops),
                   std::to_string(c->reference.seconds),
                   std::to_string(c->production.seconds),
@@ -486,7 +573,24 @@ int Main(int argc, char** argv) {
       std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
       return 1;
     }
-    char buf[1024];
+    char sha256_json[256] =
+        "  \"sha256_blocks\": null,\n"
+        "  \"sha256_reference_s\": null,\n"
+        "  \"sha256_production_s\": null,\n"
+        "  \"sha256_speedup\": null,\n";
+    if (sha256) {
+      std::snprintf(sha256_json, sizeof(sha256_json),
+                    "  \"sha256_blocks\": %lld,\n"
+                    "  \"sha256_reference_s\": %.6f,\n"
+                    "  \"sha256_production_s\": %.6f,\n"
+                    "  \"sha256_speedup\": %.4f,\n",
+                    static_cast<long long>(sha256->production.ops),
+                    sha256->reference.seconds, sha256->production.seconds,
+                    sha256->speedup());
+    }
+    const bool identical = std::all_of(measured.begin(), measured.end(),
+                                       [](const Comparison* c) { return c->identical(); });
+    char buf[1536];
     std::snprintf(buf, sizeof(buf),
                   "{\n"
                   "  \"bench\": \"oracle_gate\",\n"
@@ -501,6 +605,7 @@ int Main(int argc, char** argv) {
                   "  \"placer_reference_s\": %.6f,\n"
                   "  \"placer_production_s\": %.6f,\n"
                   "  \"placer_speedup\": %.4f,\n"
+                  "%s"
                   "  \"identical\": %s\n"
                   "}\n",
                   JsonEscape(command).c_str(), JsonEscape(HostDescription()).c_str(),
@@ -509,13 +614,12 @@ int Main(int argc, char** argv) {
                   queue.production.seconds, queue.speedup(),
                   static_cast<long long>(placer.production.ops),
                   placer.reference.seconds, placer.production.seconds,
-                  placer.speedup(),
-                  queue.identical() && placer.identical() ? "true" : "false");
+                  placer.speedup(), sha256_json, identical ? "true" : "false");
     out << buf;
   }
   std::printf("wrote %s\n", out_path.c_str());
 
-  for (const Comparison* c : {&queue, &placer}) {
+  for (const Comparison* c : measured) {
     if (!c->identical()) {
       std::fprintf(stderr, "FAIL: %s diverged from its oracle (%lld vs %lld ops)\n",
                    c->name, static_cast<long long>(c->production.ops),
@@ -524,7 +628,10 @@ int Main(int argc, char** argv) {
     }
   }
   if (!baseline_path.empty()) {
-    if (!CheckBaseline(baseline_path, baseline, queue, placer)) {
+    if (!CheckBaseline(baseline_path, baseline,
+                       {{"queue_speedup", &queue},
+                        {"placer_speedup", &placer},
+                        {"sha256_speedup", sha256 ? &*sha256 : nullptr}})) {
       return 1;
     }
     std::printf("perf smoke: PASS\n");

@@ -1,124 +1,46 @@
 #include "src/common/csv.h"
 
-#include <charconv>
-#include <istream>
 #include <ostream>
 
 namespace philly {
-namespace {
 
-bool NeedsQuoting(std::string_view field) {
-  return field.find_first_of(",\"\n\r") != std::string_view::npos;
-}
-
-void WriteField(std::ostream& out, std::string_view field) {
-  if (!NeedsQuoting(field)) {
-    out << field;
-    return;
-  }
-  out << '"';
-  for (char c : field) {
-    if (c == '"') {
-      out << "\"\"";
-    } else {
-      out << c;
+void CsvWriter::Append(std::string_view field) {
+  if (field.find_first_of(",\"\n\r") == std::string_view::npos) {
+    row_.append(field);
+  } else {
+    row_ += '"';
+    for (char c : field) {
+      if (c == '"') {
+        row_ += '"';
+      }
+      row_ += c;
     }
+    row_ += '"';
   }
-  out << '"';
+  row_ += ',';
 }
 
-}  // namespace
-
-std::string CsvWriter::ToField(double v) {
+void CsvWriter::Append(double value) {
   char buf[32];
-  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
-  return std::string(buf, res.ptr);
+  row_.append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+  row_ += ',';
+}
+
+void CsvWriter::EndRow() {
+  if (row_.empty()) {
+    row_ += '\n';
+  } else {
+    row_.back() = '\n';
+  }
+  out_.write(row_.data(), static_cast<std::streamsize>(row_.size()));
 }
 
 void CsvWriter::WriteRow(const std::vector<std::string>& fields) {
-  for (size_t i = 0; i < fields.size(); ++i) {
-    if (i > 0) {
-      out_ << ',';
-    }
-    WriteField(out_, fields[i]);
+  row_.clear();
+  for (const std::string& field : fields) {
+    Append(field);
   }
-  out_ << '\n';
-}
-
-std::vector<std::string> ParseCsvLine(std::string_view line) {
-  std::vector<std::string> fields;
-  std::string current;
-  bool in_quotes = false;
-  for (size_t i = 0; i < line.size(); ++i) {
-    const char c = line[i];
-    if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < line.size() && line[i + 1] == '"') {
-          current += '"';
-          ++i;
-        } else {
-          in_quotes = false;
-        }
-      } else {
-        current += c;
-      }
-    } else if (c == '"') {
-      in_quotes = true;
-    } else if (c == ',') {
-      fields.push_back(std::move(current));
-      current.clear();
-    } else if (c != '\r') {
-      current += c;
-    }
-  }
-  fields.push_back(std::move(current));
-  return fields;
-}
-
-namespace {
-
-// True if `text` has an odd number of quotes, i.e. a quoted field is still
-// open at the end of the physical line. Doubled quotes toggle twice and
-// cancel out, so simple parity is exact for RFC-4180 quoting.
-bool EndsInsideQuotes(std::string_view text) {
-  bool in_quotes = false;
-  for (char c : text) {
-    if (c == '"') {
-      in_quotes = !in_quotes;
-    }
-  }
-  return in_quotes;
-}
-
-}  // namespace
-
-std::vector<std::vector<std::string>> ReadCsv(std::istream& in) {
-  std::vector<std::vector<std::string>> rows;
-  std::string line;
-  std::string record;
-  bool in_record = false;
-  while (std::getline(in, line)) {
-    if (!in_record) {
-      if (line.empty()) {
-        continue;  // blank lines separate records; inside quotes they are data
-      }
-      record = line;
-    } else {
-      record += '\n';
-      record += line;
-    }
-    in_record = EndsInsideQuotes(record);
-    if (!in_record) {
-      rows.push_back(ParseCsvLine(record));
-      record.clear();
-    }
-  }
-  if (in_record) {
-    // EOF with an unterminated quote: salvage what accumulated rather than
-    // silently dropping the record.
-    rows.push_back(ParseCsvLine(record));
-  }
-  return rows;
+  EndRow();
 }
 
 }  // namespace philly

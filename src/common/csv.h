@@ -1,12 +1,19 @@
-// Minimal CSV reading/writing for the philly-traces-compatible log files.
+// CSV writing for the philly-traces-compatible log files, the native trace
+// and the figure series.
 //
-// Supports RFC-4180-style quoting (fields containing the separator, quotes, or
-// newlines are quoted; embedded quotes are doubled). That is all the trace
-// schemas need; this is not a general CSV library.
+// Fields containing the separator, quotes, or newlines are quoted RFC-4180
+// style (embedded quotes are doubled). That is all the trace schemas need;
+// this is not a general CSV library. A row is appended field by field into
+// one buffer the writer reuses (integers and doubles through std::to_chars)
+// and reaches the stream in one ostream::write, so a row costs no allocation
+// once the buffer has grown to the longest row. The trace reader parses
+// these files strictly (src/trace/trace_io.h).
 
 #ifndef SRC_COMMON_CSV_H_
 #define SRC_COMMON_CSV_H_
 
+#include <charconv>
+#include <concepts>
 #include <iosfwd>
 #include <string>
 #include <string_view>
@@ -22,38 +29,32 @@ class CsvWriter {
 
   void WriteRow(const std::vector<std::string>& fields);
 
-  // Convenience variadic row: each argument must be string-like or arithmetic.
+  // One row of fields, each string-like, an integer or a double.
   template <typename... Ts>
   void Row(const Ts&... fields) {
-    std::vector<std::string> row;
-    row.reserve(sizeof...(fields));
-    (row.push_back(ToField(fields)), ...);
-    WriteRow(row);
+    row_.clear();
+    (Append(fields), ...);
+    EndRow();
   }
 
  private:
-  static std::string ToField(const std::string& s) { return s; }
-  static std::string ToField(std::string_view s) { return std::string(s); }
-  static std::string ToField(const char* s) { return s; }
+  // Each Append adds its field and a comma; EndRow turns the last comma into
+  // the newline and writes the row.
+  void Append(std::string_view field);
   // Shortest decimal that round-trips to the same double, so written traces
-  // re-read bitwise-equal (std::to_string's fixed 6 decimals do not).
-  static std::string ToField(double v);
-  template <typename T>
-  static std::string ToField(const T& v) {
-    return std::to_string(v);
+  // re-read bitwise-equal.
+  void Append(double value);
+  template <std::integral T>
+  void Append(T value) {
+    char buf[24];
+    row_.append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+    row_ += ',';
   }
+  void EndRow();
 
   std::ostream& out_;
+  std::string row_;  // the row being built
 };
-
-// Parses one CSV record into fields (handles quoting; the record may contain
-// embedded newlines inside quoted fields — ReadCsv passes those through).
-std::vector<std::string> ParseCsvLine(std::string_view line);
-
-// Reads all records of an istream. A record spans physical lines when a
-// quoted field contains newlines. First record is returned as-is (callers
-// decide whether it is a header). Blank lines between records are skipped.
-std::vector<std::vector<std::string>> ReadCsv(std::istream& in);
 
 }  // namespace philly
 

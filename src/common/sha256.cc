@@ -3,7 +3,12 @@
 #include <algorithm>
 #include <cstring>
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 namespace philly {
+namespace sha256_internal {
 namespace {
 
 constexpr std::array<uint32_t, 64> kRoundConstants = {
@@ -66,6 +71,84 @@ void Compress(std::array<uint32_t, 8>& state, const unsigned char* block) {
   state[7] += h;
 }
 
+#if defined(__x86_64__)
+// The same compression with SHA256RNDS2 (two rounds), SHA256MSG1 and
+// SHA256MSG2 (the message schedule, four words at a time). The instructions
+// keep the state as two registers, ABEF and CDGH, and the message words in
+// four registers of four.
+__attribute__((target("sha,sse4.1"))) void ShaNiCompress(std::array<uint32_t, 8>& state,
+                                                         const unsigned char* data,
+                                                         size_t blocks) {
+  // Message words are big-endian: reverse the bytes of each 32-bit lane.
+  const __m128i byte_swap = _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  const __m128i dcba = _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[0]));
+  const __m128i hgfe = _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[4]));
+  const __m128i cdab = _mm_shuffle_epi32(dcba, 0xB1);
+  const __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1B);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+  for (; blocks > 0; --blocks, data += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    __m128i w[4];  // the last 16 message words; w[i & 3] holds words 4i..4i+3
+#pragma GCC unroll 16
+    for (int i = 0; i < 16; ++i) {
+      __m128i& words = w[i & 3];
+      if (i < 4) {
+        words = _mm_shuffle_epi8(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 16 * i)), byte_swap);
+      } else {
+        // W[t] = s1(W[t-2]) + W[t-7] + s0(W[t-15]) + W[t-16] for four t.
+        words = _mm_sha256msg2_epu32(
+            _mm_add_epi32(_mm_sha256msg1_epu32(words, w[(i + 1) & 3]),
+                          _mm_alignr_epi8(w[(i + 3) & 3], w[(i + 2) & 3], 4)),
+            w[(i + 3) & 3]);
+      }
+      const __m128i wk = _mm_add_epi32(
+          words, _mm_loadu_si128(reinterpret_cast<const __m128i*>(&kRoundConstants[4 * i])));
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[0]), _mm_blend_epi16(feba, dchg, 0xF0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[4]), _mm_alignr_epi8(dchg, feba, 8));
+}
+#endif
+
+}  // namespace
+
+void ScalarBlocks(std::array<uint32_t, 8>& state, const unsigned char* data, size_t blocks) {
+  for (; blocks > 0; --blocks, data += 64) {
+    Compress(state, data);
+  }
+}
+
+BlockFunction ShaNiBlocks() {
+#if defined(__x86_64__)
+  if (__builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1")) {
+    return ShaNiCompress;
+  }
+#endif
+  return nullptr;
+}
+
+}  // namespace sha256_internal
+
+namespace {
+
+// The block function of this process: SHA-NI where the CPU has it.
+sha256_internal::BlockFunction Blocks() {
+  static const sha256_internal::BlockFunction blocks = [] {
+    const sha256_internal::BlockFunction sha_ni = sha256_internal::ShaNiBlocks();
+    return sha_ni != nullptr ? sha_ni : sha256_internal::ScalarBlocks;
+  }();
+  return blocks;
+}
+
 }  // namespace
 
 void Sha256::Update(std::string_view data) {
@@ -81,14 +164,13 @@ void Sha256::Update(std::string_view data) {
     if (block_bytes_ < block_.size()) {
       return;
     }
-    Compress(state_, block_.data());
+    Blocks()(state_, block_.data(), 1);
     block_bytes_ = 0;
   }
-  while (remaining >= 64) {
-    Compress(state_, bytes);
-    bytes += 64;
-    remaining -= 64;
-  }
+  const size_t whole = remaining / 64;
+  Blocks()(state_, bytes, whole);
+  bytes += 64 * whole;
+  remaining -= 64 * whole;
   std::memcpy(block_.data(), bytes, remaining);
   block_bytes_ = remaining;
 }
@@ -105,10 +187,7 @@ std::string Sha256::FinishHex() {
     tail[padded - 8 + static_cast<size_t>(i)] =
         static_cast<unsigned char>(bit_length >> (56 - 8 * i));
   }
-  Compress(state_, tail);
-  if (padded == 128) {
-    Compress(state_, tail + 64);
-  }
+  Blocks()(state_, tail, padded / 64);
 
   static constexpr char kHex[] = "0123456789abcdef";
   std::string hex;

@@ -2,6 +2,11 @@
 // manifests. Not a general crypto library: the observability sinks hash the
 // bytes they write, either in one shot or incrementally as a file streams
 // out.
+//
+// Whole 64-byte blocks go to one of two block functions, chosen once per
+// process (sha256_internal.h): the x86-64 SHA extensions where the CPU has
+// them, at memory speed, and portable scalar code everywhere else. Both give
+// the same digest.
 
 #ifndef SRC_COMMON_SHA256_H_
 #define SRC_COMMON_SHA256_H_
@@ -10,6 +15,8 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+
+#include "src/common/sha256_internal.h"
 
 namespace philly {
 
@@ -23,9 +30,7 @@ class Sha256 {
   std::string FinishHex();
 
  private:
-  std::array<uint32_t, 8> state_ = {0x6a09e667, 0xbb67ae85, 0x3c6ef372,
-                                    0xa54ff53a, 0x510e527f, 0x9b05688c,
-                                    0x1f83d9ab, 0x5be0cd19};
+  std::array<uint32_t, 8> state_ = sha256_internal::kInitialState;
   std::array<unsigned char, 64> block_ = {};
   size_t block_bytes_ = 0;  // bytes of block_ filled
   uint64_t total_bytes_ = 0;

@@ -63,6 +63,26 @@ void ForEachUtilSample(const std::vector<JobRecord>& jobs, SamplerConfig sampler
   }
 }
 
+// The digest's job and segment counts, before any sample is added.
+TelemetryDigest JobDigestCounts(const std::vector<JobRecord>& jobs) {
+  TelemetryDigest digest;
+  digest.jobs = static_cast<int64_t>(jobs.size());
+  for (const auto& job : jobs) {
+    digest.segments += static_cast<int64_t>(job.util_segments.size());
+  }
+  return digest;
+}
+
+// Adds one ForEachUtilSample sample to the digest's per-class aggregates.
+void AddToDigest(int rep, double value, double w, TelemetryDigest* digest) {
+  digest->util_weight[TelemetryDigest::kOverallClass] += w;
+  digest->util_weighted_sum[TelemetryDigest::kOverallClass] += value * w;
+  if (rep >= 0) {
+    digest->util_weight[static_cast<size_t>(rep)] += w;
+    digest->util_weighted_sum[static_cast<size_t>(rep)] += value * w;
+  }
+}
+
 }  // namespace
 
 // ------------------------------------------------------------------- Fig 2
@@ -258,10 +278,12 @@ double UtilizationResult::MeanForSize(int size_index) const {
 UtilizationResult AnalyzeUtilization(const std::vector<JobRecord>& jobs,
                                      SamplerConfig sampler_config, uint64_t seed) {
   UtilizationResult result;
+  result.digest = JobDigestCounts(jobs);
   ForEachUtilSample(
       jobs, sampler_config, seed,
       [&result](const JobRecord& job, int rep, const UtilSegment& segment,
                 double value, double w) {
+        AddToDigest(rep, value, w, &result.digest);
         result.all.Add(value, w);
         if (rep >= 0) {
           result.by_size[static_cast<size_t>(rep)].Add(value, w);
@@ -289,29 +311,23 @@ UtilizationResult AnalyzeUtilization(const std::vector<JobRecord>& jobs,
 
 TelemetryDigest ComputeUtilDigest(const std::vector<JobRecord>& jobs,
                                   SamplerConfig sampler_config, uint64_t seed) {
-  TelemetryDigest digest;
-  digest.jobs = static_cast<int64_t>(jobs.size());
-  for (const auto& job : jobs) {
-    digest.segments += static_cast<int64_t>(job.util_segments.size());
-  }
+  TelemetryDigest digest = JobDigestCounts(jobs);
   ForEachUtilSample(jobs, sampler_config, seed,
                     [&digest](const JobRecord&, int rep, const UtilSegment&,
                               double value, double w) {
-                      digest.util_weight[TelemetryDigest::kOverallClass] += w;
-                      digest.util_weighted_sum[TelemetryDigest::kOverallClass] +=
-                          value * w;
-                      if (rep >= 0) {
-                        digest.util_weight[static_cast<size_t>(rep)] += w;
-                        digest.util_weighted_sum[static_cast<size_t>(rep)] += value * w;
-                      }
+                      AddToDigest(rep, value, w, &digest);
                     });
   return digest;
 }
 
 TelemetryDigest TelemetryStreamDigest(const ClusterTimeSeries& timeseries,
                                       const std::vector<JobRecord>& jobs) {
+  return TelemetryStreamDigest(timeseries, ComputeUtilDigest(jobs));
+}
+
+TelemetryDigest TelemetryStreamDigest(const ClusterTimeSeries& timeseries,
+                                      const TelemetryDigest& jobs_half) {
   TelemetryDigest digest = timeseries.SampleDigest();
-  const TelemetryDigest jobs_half = ComputeUtilDigest(jobs);
   digest.jobs = jobs_half.jobs;
   digest.segments = jobs_half.segments;
   digest.util_weight = jobs_half.util_weight;

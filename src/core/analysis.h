@@ -113,6 +113,10 @@ struct UtilizationResult {
   // Table 5: 16-GPU jobs by number of servers (2 / 4 / 8).
   std::map<int, StreamingHistogram> sixteen_by_servers;
 
+  // The job half of the telemetry digest, accumulated from the same samples
+  // with ComputeUtilDigest's arithmetic, so the two are bitwise-equal.
+  TelemetryDigest digest;
+
   UtilizationResult();
 };
 UtilizationResult AnalyzeUtilization(const std::vector<JobRecord>& jobs,
@@ -129,7 +133,10 @@ TelemetryDigest ComputeUtilDigest(const std::vector<JobRecord>& jobs,
 
 // The digest line a telemetry stream ends with: the sample half over every
 // sample `timeseries` recorded, written out or held
-// (ClusterTimeSeries::SampleDigest), and the job half from `jobs`.
+// (ClusterTimeSeries::SampleDigest), and the job half `jobs_half`
+// (ComputeUtilDigest or UtilizationResult::digest) or from `jobs`.
+TelemetryDigest TelemetryStreamDigest(const ClusterTimeSeries& timeseries,
+                                      const TelemetryDigest& jobs_half);
 TelemetryDigest TelemetryStreamDigest(const ClusterTimeSeries& timeseries,
                                       const std::vector<JobRecord>& jobs);
 

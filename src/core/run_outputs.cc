@@ -172,7 +172,7 @@ std::vector<RunOutput> SimulateOutputs(const SimulateRun* run) {
              // exact aggregates over the sample lines, and the Table 3
              // utilization aggregates derived from the job records.
              const TelemetryDigest digest =
-                 TelemetryStreamDigest(run->telemetry, *run->jobs);
+                 TelemetryStreamDigest(run->telemetry, run->util_digest);
              run->telemetry.WriteNdjson(out, &digest);
            },
        .line = [run](const std::string& path) {

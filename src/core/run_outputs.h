@@ -40,6 +40,9 @@ struct SimulateRun {
   SpanTracer spans;
   unsigned attached = 0;                         // Recorder mask
   const std::vector<JobRecord>* jobs = nullptr;  // set once the run is over
+  // The job half of the telemetry digest (UtilizationResult::digest of the
+  // report's Table 3 pass), set with `jobs`.
+  TelemetryDigest util_digest;
   std::string title;                             // the dashboard's
 };
 

@@ -62,6 +62,10 @@ SchedEvent& EventLog::Append(SchedEventKind kind, SimTime time, JobId job) {
   return event;
 }
 
+void AppendNdjsonLine(std::string& out, const SchedEvent& event) {
+  AppendNdjson<kFields>(out, event);
+}
+
 std::string ToNdjsonLine(const SchedEvent& event) {
   return EncodeNdjson<kFields>(event);
 }

@@ -117,7 +117,9 @@ struct SchedEvent {
   bool operator==(const SchedEvent&) const = default;
 };
 
-// An event's NDJSON line and strict reader (field table: event_log.cc).
+// An event's NDJSON line, appended to `out` or returned, and strict reader
+// (field table: event_log.cc).
+void AppendNdjsonLine(std::string& out, const SchedEvent& event);
 std::string ToNdjsonLine(const SchedEvent& event);
 bool SchedEventFromNdjsonLine(std::string_view line, SchedEvent* event,
                               std::string* error);

@@ -6,16 +6,21 @@
 // the fleet, tests.
 //
 // Streaming (after StreamTo), it keeps at most kBatchRecords. When a full
-// batch is about to take another record, the batch is encoded with the
-// record type's ToNdjsonLine, written to the stream and dropped, so sink
-// memory stays one batch however long the run. The batch drops on the *next*
-// Append, not when it fills, because callers fill a record in place after
-// appending it. It follows that a reference returned by Append is valid only
-// until the next Append, in both modes (a buffered vector may also move).
+// batch is about to take another record, the batch is written to the stream
+// and dropped, so sink memory stays one batch however long the run. The
+// batch drops on the *next* Append, not when it fills, because callers fill
+// a record in place after appending it. It follows that a reference returned
+// by Append is valid only until the next Append, in both modes (a buffered
+// vector may also move).
 //
 // Either way WriteNdjson writes the records still held, so writing a stream
 // out after the run is the same call in both modes: the whole stream when
 // buffered, its tail when streaming. The bytes are identical.
+//
+// WriteNdjson appends each record's line (the record type's
+// AppendNdjsonLine) into one buffer and writes the buffer whenever the next
+// line would take it past kWriteBytes, so encoding allocates no string per
+// line and the buffer never holds more than kWriteBytes plus one line.
 
 #ifndef SRC_OBS_RECORD_BUFFER_H_
 #define SRC_OBS_RECORD_BUFFER_H_
@@ -23,6 +28,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <ostream>
+#include <string>
 #include <vector>
 
 namespace philly {
@@ -31,6 +37,9 @@ template <typename Record>
 class RecordBuffer {
  public:
   static constexpr size_t kBatchRecords = 4096;
+  // The most WriteNdjson hands the stream in one write, unless one line is
+  // longer.
+  static constexpr size_t kWriteBytes = size_t{64} << 10;
 
   // Streams every later full batch to `out`, which must outlive the last
   // Append. Call before the first Append.
@@ -76,8 +85,20 @@ class RecordBuffer {
 
   // One NDJSON line per held record.
   void WriteNdjson(std::ostream& out) const {
+    std::string lines;
+    lines.reserve(kWriteBytes);
     for (const Record& record : records_) {
-      out << ToNdjsonLine(record) << '\n';
+      const size_t line_start = lines.size();
+      AppendNdjsonLine(lines, record);
+      lines += '\n';
+      if (lines.size() > kWriteBytes && line_start > 0) {
+        // Write the lines before this one; keep this one for the next write.
+        out.write(lines.data(), static_cast<std::streamsize>(line_start));
+        lines.erase(0, line_start);
+      }
+    }
+    if (!lines.empty()) {
+      out.write(lines.data(), static_cast<std::streamsize>(lines.size()));
     }
   }
 

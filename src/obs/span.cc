@@ -49,6 +49,10 @@ std::string_view ToString(SpanKind kind) {
   return kSpanKindNames[static_cast<size_t>(kind)];
 }
 
+void AppendNdjsonLine(std::string& out, const SpanRecord& span) {
+  AppendNdjson<kFields>(out, span);
+}
+
 std::string ToNdjsonLine(const SpanRecord& span) {
   return EncodeNdjson<kFields>(span);
 }

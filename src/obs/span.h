@@ -89,7 +89,9 @@ struct SpanRecord {
   bool operator==(const SpanRecord&) const = default;
 };
 
-// A span's NDJSON line and strict reader (field table: span.cc).
+// A span's NDJSON line, appended to `out` or returned, and strict reader
+// (field table: span.cc).
+void AppendNdjsonLine(std::string& out, const SpanRecord& span);
 std::string ToNdjsonLine(const SpanRecord& span);
 bool SpanRecordFromNdjsonLine(std::string_view line, SpanRecord* span,
                               std::string* error);

@@ -49,6 +49,10 @@ constexpr auto kFields = std::tuple{
 
 }  // namespace
 
+void AppendNdjsonLine(std::string& out, const TelemetrySample& sample) {
+  AppendNdjson<kFields>(out, sample);
+}
+
 std::string ToNdjsonLine(const TelemetrySample& sample) {
   return EncodeNdjson<kFields>(sample);
 }

@@ -95,7 +95,9 @@ struct TelemetrySample {
   bool operator==(const TelemetrySample&) const = default;
 };
 
-// A sample's NDJSON line and strict reader (field table: timeseries.cc).
+// A sample's NDJSON line, appended to `out` or returned, and strict reader
+// (field table: timeseries.cc).
+void AppendNdjsonLine(std::string& out, const TelemetrySample& sample);
 std::string ToNdjsonLine(const TelemetrySample& sample);
 bool TelemetrySampleFromNdjsonLine(std::string_view line, TelemetrySample* sample,
                                    std::string* error);

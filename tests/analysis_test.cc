@@ -184,6 +184,9 @@ TEST(UtilizationAnalysisTest, DigestSeesTheAnalysisSampleStream) {
   const double digest_mean =
       digest.util_weighted_sum[kOverall] / digest.util_weight[kOverall];
   EXPECT_NEAR(util.all.Mean(), digest_mean, 1e-12 * std::abs(digest_mean));
+  // The digest the analysis carries is ComputeUtilDigest's, bit for bit, so
+  // a run that prints Table 3 hands it to the telemetry stream unsampled.
+  EXPECT_TRUE(util.digest == digest);
 }
 
 TEST(HostResourceAnalysisTest, WeightedByRunTime) {

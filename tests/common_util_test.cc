@@ -10,6 +10,7 @@
 #include "src/common/sim_time.h"
 #include "src/common/strings.h"
 #include "src/common/table.h"
+#include "tests/reference/csv_reader.h"
 
 namespace philly {
 namespace {

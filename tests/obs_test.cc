@@ -12,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cstdio>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -20,6 +22,7 @@
 
 #include "src/common/rng.h"
 #include "src/common/sha256.h"
+#include "src/common/sha256_internal.h"
 #include "src/core/event_join.h"
 #include "src/core/experiment.h"
 #include "src/core/runner.h"
@@ -443,15 +446,119 @@ const std::pair<std::string, std::string> kSha256Vectors[] = {
      "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1"},
 };
 
-TEST(Sha256Test, MatchesKnownVectors) {
-  for (const auto& [message, digest] : kSha256Vectors) {
-    EXPECT_EQ(Sha256Hex(message), digest) << "'" << message << "'";
+// 'a' repeated n times at the padding boundaries: 55 bytes is the longest
+// message whose length fits in its last block, 56 the shortest that needs a
+// second, and so on one block up. Digests from Python's hashlib.
+const std::pair<size_t, std::string> kBoundaryDigests[] = {
+    {55, "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318"},
+    {56, "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a"},
+    {63, "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34"},
+    {64, "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb"},
+    {65, "635361c48bb9eab14198e76ea8ab7f1a41685d6ad62aa9146d301d4f17eb0ae0"},
+    {119, "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb"},
+    {120, "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c"},
+    {127, "c57e9278af78fa3cab38667bef4ce29d783787a2f731d4e12200270f0c32320a"},
+    {128, "6836cf13bac400e9105071cd6af47084dfacad4e5e302c94bfed24e013afb73e"},
+};
+
+// Every pinned (message, digest): the FIPS vectors and the boundary lengths.
+std::vector<std::pair<std::string, std::string>> PinnedDigests() {
+  std::vector<std::pair<std::string, std::string>> pins(std::begin(kSha256Vectors),
+                                                        std::end(kSha256Vectors));
+  for (const auto& [length, digest] : kBoundaryDigests) {
+    pins.emplace_back(std::string(length, 'a'), digest);
   }
-  // Block-boundary lengths (55/56/64 bytes) exercise the padding paths.
-  EXPECT_EQ(Sha256Hex(std::string(55, 'a')),
-            Sha256Hex(std::string(55, 'a')));
+  return pins;
+}
+
+TEST(Sha256Test, MatchesKnownVectors) {
+  for (const auto& [message, digest] : PinnedDigests()) {
+    EXPECT_EQ(Sha256Hex(message), digest) << message.size() << " bytes: '" << message << "'";
+  }
   EXPECT_EQ(Sha256Hex(std::string(1000000, 'a')),
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+// The message with FIPS 180-4 padding: 0x80, zeros, and the bit length as a
+// 64-bit big-endian number, to a whole number of blocks.
+std::string Padded(std::string_view message) {
+  std::string padded(message);
+  padded += '\x80';
+  padded.append((119 - message.size() % 64) % 64, '\0');
+  const uint64_t bits = uint64_t{message.size()} * 8;
+  for (int shift = 56; shift >= 0; shift -= 8) {
+    padded += static_cast<char>(bits >> shift);
+  }
+  return padded;
+}
+
+std::string Hex(const std::array<uint32_t, 8>& state) {
+  char hex[65];
+  for (size_t i = 0; i < state.size(); ++i) {
+    std::snprintf(hex + 8 * i, 9, "%08x", state[i]);
+  }
+  return std::string(hex, 64);
+}
+
+// The digest of `message` from `blocks` alone, handed the padded message in
+// two calls split at block `split`.
+std::string DigestThrough(sha256_internal::BlockFunction blocks, std::string_view message,
+                          size_t split) {
+  const std::string padded = Padded(message);
+  const auto* data = reinterpret_cast<const unsigned char*>(padded.data());
+  std::array<uint32_t, 8> state = sha256_internal::kInitialState;
+  blocks(state, data, split);
+  blocks(state, data + 64 * split, padded.size() / 64 - split);
+  return Hex(state);
+}
+
+// Every pinned digest at every block split, through one block function.
+void ExpectPinnedDigestsThrough(sha256_internal::BlockFunction blocks) {
+  for (const auto& [message, digest] : PinnedDigests()) {
+    ASSERT_EQ(Padded(message).size() % 64, 0u);
+    for (size_t split = 0; split <= Padded(message).size() / 64; ++split) {
+      EXPECT_EQ(DigestThrough(blocks, message, split), digest)
+          << message.size() << " bytes split at block " << split;
+    }
+  }
+}
+
+TEST(Sha256Test, ScalarBlocksMatchPinnedDigests) {
+  ExpectPinnedDigestsThrough(sha256_internal::ScalarBlocks);
+}
+
+TEST(Sha256Test, ShaNiBlocksMatchPinnedDigests) {
+  const sha256_internal::BlockFunction sha_ni = sha256_internal::ShaNiBlocks();
+  if (sha_ni == nullptr) {
+    GTEST_SKIP() << "this CPU has no SHA extensions";
+  }
+  ExpectPinnedDigestsThrough(sha_ni);
+}
+
+// Both block functions map random states and 1 to 8 random blocks to the
+// same state.
+TEST(Sha256Test, ShaNiBlocksMatchScalarOnRandomInputs) {
+  const sha256_internal::BlockFunction sha_ni = sha256_internal::ShaNiBlocks();
+  if (sha_ni == nullptr) {
+    GTEST_SKIP() << "this CPU has no SHA extensions";
+  }
+  Rng rng(256);
+  std::vector<unsigned char> data(8 * 64);
+  for (int round = 0; round < 4000; ++round) {
+    std::array<uint32_t, 8> scalar;
+    for (uint32_t& word : scalar) {
+      word = static_cast<uint32_t>(rng());
+    }
+    for (unsigned char& byte : data) {
+      byte = static_cast<unsigned char>(rng());
+    }
+    const auto blocks = static_cast<size_t>(rng.Between(1, 8));
+    std::array<uint32_t, 8> accelerated = scalar;
+    sha256_internal::ScalarBlocks(scalar, data.data(), blocks);
+    sha_ni(accelerated, data.data(), blocks);
+    ASSERT_EQ(Hex(accelerated), Hex(scalar)) << "round " << round << ", " << blocks
+                                             << " blocks";
+  }
 }
 
 // The incremental hash gives the one-shot digest wherever the input is split:

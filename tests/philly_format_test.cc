@@ -5,10 +5,9 @@
 #include <fstream>
 #include <sstream>
 
-#include "src/common/csv.h"
 #include "src/core/analysis.h"
-
 #include "src/sched/simulation.h"
+#include "tests/reference/csv_reader.h"
 
 namespace philly {
 namespace {

@@ -13,6 +13,7 @@
 #include <sstream>
 
 #include "src/common/sha256.h"
+#include "src/core/analysis.h"
 #include "src/core/experiment.h"
 
 namespace philly {
@@ -184,6 +185,7 @@ TEST(RunOutputsTest, FinishedRunRecordsEveryDigestAndWritesTheManifestLast) {
   outputs.Attach(&run, &config.simulation.obs);
   const ExperimentRun experiment = RunExperiment(config);
   run.jobs = &experiment.result.jobs;
+  run.util_digest = ComputeUtilDigest(experiment.result.jobs);
   RunManifest manifest;
   ::testing::internal::CaptureStdout();
   ASSERT_TRUE(outputs.Finish(&manifest));

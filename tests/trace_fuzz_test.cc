@@ -22,6 +22,7 @@
 
 #include "src/common/csv.h"
 #include "src/common/rng.h"
+#include "tests/reference/csv_reader.h"
 
 namespace philly {
 namespace {

@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
+#include "src/common/sha256.h"
 #include "src/common/strings.h"
+#include "src/core/experiment.h"
 #include "src/sched/simulation.h"
+#include "src/trace/philly_format.h"
 
 namespace philly {
 namespace {
@@ -86,8 +90,8 @@ TEST(TraceIoTest, FullRoundTrip) {
     }
     ASSERT_EQ(a.util_segments.size(), b.util_segments.size());
     for (size_t k = 0; k < a.util_segments.size(); ++k) {
-      EXPECT_NEAR(a.util_segments[k].expected_util, b.util_segments[k].expected_util,
-                  1e-6);
+      // The writer emits the shortest round-trip form, so the value is exact.
+      EXPECT_EQ(a.util_segments[k].expected_util, b.util_segments[k].expected_util);
       EXPECT_EQ(a.util_segments[k].duration, b.util_segments[k].duration);
       EXPECT_EQ(a.util_segments[k].num_servers, b.util_segments[k].num_servers);
     }
@@ -301,6 +305,77 @@ TEST(TraceIoTest, LogTailFramingSurvivesMarkerInjection) {
   ASSERT_EQ(restored.size(), 1u);
   ASSERT_EQ(restored[0].attempts.size(), 1u);
   EXPECT_EQ(restored[0].attempts[0].log_tail, attempt.log_tail);
+}
+
+// ------------------------------------------------------------ trace bytes
+
+// The nine files `phillyctl simulate --days 1 --seed 42 --format both` writes,
+// and their SHA-256 as Python's hashlib computed it. The digests pin the
+// writers' bytes: the native trace's CsvWriter rows and log frames, and the
+// philly-traces exporter's JSON and CSV.
+constexpr std::pair<const char*, const char*> kOneDayTraceDigests[] = {
+    {"jobs.csv", "dc231035bbfc4729feeccbf65c71a8565aa39d66efbdd1be88e54c494adc7791"},
+    {"attempts.csv", "d2f4469cbd83280f9add51e6e3a9838e43f137d58f921f44fd3d4d8050a2dcbb"},
+    {"gpu_util.csv", "58b6845ba6750f73dac2497af93d33607dac899e5549f59773a8d5333ae7a1cb"},
+    {"stdout.log", "3714077022e942add66e5e0f79aef045bec7b9d4c06941a23aac4ba002280689"},
+    {"cluster_job_log", "4f1e4d4a6a4e25d42f2bdbfad173a91a3831c2902b34406f725fd772575f6d95"},
+    {"cluster_machine_list",
+     "e2983024b8c6b3f212345189b9febf3fa252214c35236bfc67468beb4905d5a7"},
+    {"cluster_gpu_util", "7389ce071ce135ff858a1b72c8fd3e52e0d443162e37b44d0c542eda342a7dfe"},
+    {"cluster_cpu_util", "7c9cfe221e741d3e165bb58a1af2d02390aa3153e619004b4c8ae949c54fcd9f"},
+    {"cluster_mem_util", "29d753a87cd7cc1a578aa695e21376502ceee11921f9139759dd1e540809e64b"},
+};
+
+// The run `phillyctl simulate --days 1 --seed 42` makes.
+const ExperimentRun& OneDayRun() {
+  static const ExperimentRun run = [] {
+    ExperimentConfig config = ExperimentConfig::BenchScale(/*days=*/1, /*seed=*/42);
+    config.simulation.scheduler = SchedulerConfig::Philly();
+    return RunExperiment(config);
+  }();
+  return run;
+}
+
+std::string FreshTraceDir(const std::string& name) {
+  const std::string dir = ::testing::TempDir() + "/trace_bytes_" + name;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
+TEST(TraceBytesTest, OneDayRunMatchesPinnedDigests) {
+  const ExperimentRun& run = OneDayRun();
+  const std::string dir = FreshTraceDir("pinned");
+  ASSERT_TRUE(TraceWriter::WriteDirectory(run.result.jobs, dir));
+  ASSERT_TRUE(
+      PhillyTracesExporter(run.config.simulation.cluster).WriteDirectory(run.result.jobs, dir));
+  for (const auto& [name, digest] : kOneDayTraceDigests) {
+    EXPECT_EQ(Sha256Hex(ReadBytes(dir + "/" + name)), digest) << name;
+  }
+}
+
+// Reading a written trace back and writing it again gives the same bytes.
+TEST(TraceBytesTest, ReadBackTraceRewritesSameBytes) {
+  const std::string first = FreshTraceDir("first");
+  const std::string second = FreshTraceDir("second");
+  ASSERT_TRUE(TraceWriter::WriteDirectory(OneDayRun().result.jobs, first));
+  std::string error = "stale";
+  const std::vector<JobRecord> jobs = TraceReader::ReadDirectory(first, &error);
+  ASSERT_EQ(error, "");
+  ASSERT_EQ(jobs.size(), OneDayRun().result.jobs.size());
+  ASSERT_TRUE(TraceWriter::WriteDirectory(jobs, second));
+  for (const char* name : TraceWriter::kFileNames) {
+    const std::string bytes = ReadBytes(first + "/" + name);
+    EXPECT_FALSE(bytes.empty()) << name;
+    EXPECT_TRUE(ReadBytes(second + "/" + name) == bytes) << name << " differs";
+  }
 }
 
 TEST(TraceIoTest, ReaderHandlesEmptyStreams) {

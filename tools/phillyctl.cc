@@ -420,7 +420,8 @@ void PrintDelayCauseSection(const std::vector<JobRecord>& jobs,
   std::printf("\n");
 }
 
-void PrintReport(const std::vector<JobRecord>& jobs, const SimulationResult* sim) {
+// Returns the job half of the telemetry digest, from Table 3's sampling pass.
+TelemetryDigest PrintReport(const std::vector<JobRecord>& jobs, const SimulationResult* sim) {
   PrintStatusSection(jobs);
   PrintRunTimeSection(jobs);
   PrintQueueDelaySection(jobs);
@@ -482,6 +483,7 @@ void PrintReport(const std::vector<JobRecord>& jobs, const SimulationResult* sim
         sim->ckpt_overhead_gpu_seconds / 3600.0,
         sim->ckpt_stall_gpu_seconds / 3600.0);
   }
+  return util.digest;
 }
 
 // The subset of the report a scheduler event log can reproduce on its own.
@@ -631,7 +633,7 @@ int RunSimulateOrReport(const Args& args, bool write_output) {
   {
     // Scoped so the "analyze" slice closes before the trace file is written.
     ScopedTimer analyze_timer(config.simulation.obs.profiler, "analyze");
-    PrintReport(run.result.jobs, &run.result);
+    view.util_digest = PrintReport(run.result.jobs, &run.result);
     if (args.values.count("--figures") > 0) {
       ExportFigures(run.result.jobs, args.Get("--figures", "out/figures"));
     }
