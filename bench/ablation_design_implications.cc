@@ -61,7 +61,7 @@ int main() {
   configs[2].simulation.scheduler.placer.pack_small_jobs = false;
   configs[3].simulation.scheduler.placer.pack_small_jobs = false;
   configs[3].simulation.scheduler.enable_migration = true;
-  configs[4].simulation.scheduler.adaptive_retry = true;
+  configs[4].simulation.scheduler.retry_policy = SchedulerConfig::RetryPolicyKind::kAdaptive;
   configs[5].simulation.scheduler.enable_prerun_pool = true;
   configs[6].simulation.scheduler.retry_policy =
       SchedulerConfig::RetryPolicyKind::kPredictive;

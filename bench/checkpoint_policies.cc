@@ -148,15 +148,11 @@ int main(int argc, char** argv) {
   // fault, checkpoint overhead, or contention stall (non-prerun attempts).
   for (size_t i = 0; i < runs.size(); ++i) {
     const SimulationResult& r = runs[i].result;
-    const double recomposed = r.useful_gpu_seconds +
-                              r.machine_fault_lost_gpu_seconds +
-                              r.ckpt_overhead_gpu_seconds +
-                              r.ckpt_stall_gpu_seconds;
     const double tol = 1e-6 * std::max(1.0, r.allocated_gpu_seconds);
     checker.Check(std::string("GPU-time conservation holds: ") + kRuns[i].label,
-                  std::abs(recomposed - r.allocated_gpu_seconds) <= tol,
-                  FormatDouble(r.allocated_gpu_seconds, 0) + " allocated vs " +
-                      FormatDouble(recomposed, 0) + " recomposed");
+                  std::abs(r.GpuTimeResidual()) <= tol,
+                  FormatDouble(r.allocated_gpu_seconds, 0) + " allocated, residual " +
+                      FormatDouble(r.GpuTimeResidual(), 3));
   }
 
   if (!out_path.empty()) {

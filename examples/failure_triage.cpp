@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
 
   // Quantify the adaptive-retry design implication.
   ExperimentConfig adaptive = config;
-  adaptive.simulation.scheduler.adaptive_retry = true;
+  adaptive.simulation.scheduler.retry_policy = SchedulerConfig::RetryPolicyKind::kAdaptive;
   const ExperimentRun adaptive_run = RunExperiment(adaptive);
   const auto wasted = [](const SimulationResult& result) {
     double gpu_seconds = 0.0;

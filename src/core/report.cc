@@ -44,7 +44,8 @@ bool WriteCdfCsv(const StreamingHistogram& hist, const std::string& path) {
   for (const auto& point : hist.CdfSeries()) {
     csv.Row(point.value, point.cumulative);
   }
-  return true;
+  out.flush();
+  return out.good();
 }
 
 void ShapeChecker::Check(const std::string& name, bool ok, const std::string& detail) {

@@ -27,7 +27,8 @@ std::string RenderCdfProbes(const StreamingHistogram& hist,
 std::string RenderSummary(const Summary& summary, int digits = 2);
 
 // Writes a histogram's CDF as a two-column CSV (value,cumulative) for
-// plotting the paper's figures. Returns false if the file cannot be opened.
+// plotting the paper's figures. Returns false if the file cannot be opened or
+// written.
 bool WriteCdfCsv(const StreamingHistogram& hist, const std::string& path);
 
 class ShapeChecker {

@@ -183,6 +183,13 @@ struct SimulationResult {
   // run-level sum is the meaningful quantity.
   double allocated_gpu_seconds = 0.0;
   double useful_gpu_seconds = 0.0;
+  // allocated - (useful + machine_fault_lost + ckpt_overhead + ckpt_stall):
+  // the one reading of the ledger above, zero up to rounding.
+  double GpuTimeResidual() const {
+    return allocated_gpu_seconds -
+           (useful_gpu_seconds + machine_fault_lost_gpu_seconds +
+            ckpt_overhead_gpu_seconds + ckpt_stall_gpu_seconds);
+  }
 
   // Discrete events the simulator processed for this run (engine throughput
   // denominator for events/sec reporting; not a scheduler statistic).

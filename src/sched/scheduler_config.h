@@ -126,8 +126,6 @@ struct SchedulerConfig {
   int max_retries = 4;
   RetryPolicyKind retry_policy = RetryPolicyKind::kFixed;
   int predictive_repeat_threshold = 3;
-  // Back-compat convenience for the adaptive ablation.
-  bool adaptive_retry = false;
 
   // Checkpoint-aware machine-fault recovery: with period K > 0, a job killed
   // by a machine fault resumes from the largest multiple of K of its clean

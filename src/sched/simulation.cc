@@ -60,11 +60,7 @@ ClusterSimulation::ClusterSimulation(SimulationConfig config, std::vector<JobSpe
     ckpt_wait_queue_.assign(static_cast<size_t>(cluster_.NumRacks()), {});
     ckpt_stagger_slot_.assign(static_cast<size_t>(cluster_.NumRacks()), 0);
   }
-  SchedulerConfig::RetryPolicyKind kind = config_.scheduler.retry_policy;
-  if (config_.scheduler.adaptive_retry) {
-    kind = SchedulerConfig::RetryPolicyKind::kAdaptive;
-  }
-  switch (kind) {
+  switch (config_.scheduler.retry_policy) {
     case SchedulerConfig::RetryPolicyKind::kAdaptive:
       retry_policy_ =
           std::make_unique<AdaptiveRetryPolicy>(config_.scheduler.max_retries);
@@ -120,12 +116,6 @@ ClusterSimulation::ClusterSimulation(SimulationConfig config, std::vector<JobSpe
         metrics->GetHistogram("sched.wait.fragmentation_minutes");
     fair_share_evals_ = metrics->GetCounter("sched.eval_failure.fair_share");
     fragmentation_evals_ = metrics->GetCounter("sched.eval_failure.fragmentation");
-    decisions_metric_ = metrics->GetCounter("sched.decisions");
-    preemptions_metric_ = metrics->GetCounter("sched.preemptions");
-    migrations_metric_ = metrics->GetCounter("sched.migrations");
-    fault_kills_metric_ = metrics->GetCounter("fault.kills");
-    lost_gpu_metric_ = metrics->GetGauge("fault.lost_gpu_seconds");
-    occupancy_metric_ = metrics->GetGauge("cluster.occupancy");
   }
 }
 
@@ -143,15 +133,42 @@ SchedEvent* ClusterSimulation::EmitEvent(SchedEventKind kind, const JobState* jo
   return &event;
 }
 
-void ClusterSimulation::RecordEvalFailure(DelayCause cause) {
-  if (fair_share_evals_ == nullptr) {
-    return;
+SchedEvent* ClusterSimulation::EmitAttemptEvent(SchedEventKind kind,
+                                                const JobState& job) {
+  SchedEvent* e = EmitEvent(kind, &job);
+  if (e != nullptr && !job.record.attempts.empty()) {
+    const AttemptRecord& attempt = job.record.attempts.back();
+    e->attempt = attempt.index;
+    e->failed = attempt.failed;
+    e->preempted = attempt.preempted;
+    e->machine_fault = attempt.machine_fault;
   }
-  (cause == DelayCause::kFairShare ? fair_share_evals_ : fragmentation_evals_)
-      ->Increment();
+  return e;
 }
 
-void ClusterSimulation::SpanNoteEvalFail(JobState& job, DelayCause cause) {
+SchedEvent* ClusterSimulation::EmitScheduleEvent(const JobState& job) {
+  SchedEvent* e = EmitEvent(SchedEventKind::kSchedule, &job);
+  if (e != nullptr) {
+    const WaitRecord& wait = job.record.waits.back();
+    const AttemptRecord& attempt = job.record.attempts.back();
+    e->attempt = attempt.index;
+    e->ready_time = wait.ready_time;
+    e->wait = wait.wait;
+    e->fair_share_time = wait.fair_share_time;
+    e->fragmentation_time = wait.fragmentation_time;
+    e->sched_attempts = wait.sched_attempts;
+    e->placement = EncodePlacement(attempt.placement);
+  }
+  return e;
+}
+
+void ClusterSimulation::NoteEvalFailure(JobState& job, DelayCause cause) {
+  AttributeWaitTime(job, cause);
+  ++job.eval_failures;
+  if (fair_share_evals_ != nullptr) {
+    (cause == DelayCause::kFairShare ? fair_share_evals_ : fragmentation_evals_)
+        ->Increment();
+  }
   SpanTracer* spans = config_.obs.spans;
   if (spans == nullptr) {
     return;
@@ -201,10 +218,10 @@ SimulationResult ClusterSimulation::Run() {
     }
     if (fault_process_.enabled()) {
       for (ServerId s = 0; s < cluster_.NumServers(); ++s) {
-        ScheduleNextServerFault(s, 0);
+        ScheduleNextFault(s, -1, 0);
       }
       for (RackId r = 0; r < cluster_.NumRacks(); ++r) {
-        ScheduleNextRackFault(r, 0);
+        ScheduleNextFault(-1, r, 0);
       }
       for (const FaultEvent& scripted : fault_process_.config().scripted) {
         sim_.ScheduleAt(scripted.at,
@@ -231,8 +248,19 @@ SimulationResult ClusterSimulation::Run() {
 
   result_.sim_events_processed = static_cast<int64_t>(sim_.ProcessedCount());
   if (MetricsRegistry* metrics = config_.obs.metrics; metrics != nullptr) {
+    // The instruments that mirror a result field are set once, from it.
     metrics->GetCounter("sim.events_processed")
         ->Increment(result_.sim_events_processed);
+    metrics->GetCounter("sched.decisions")->Increment(result_.scheduling_decisions);
+    metrics->GetCounter("sched.preemptions")->Increment(result_.preemptions);
+    metrics->GetCounter("sched.migrations")->Increment(result_.migrations);
+    metrics->GetCounter("fault.kills")->Increment(result_.machine_fault_kills);
+    metrics->GetGauge("fault.lost_gpu_seconds")
+        ->Add(result_.machine_fault_lost_gpu_seconds);
+    Gauge* occupancy = metrics->GetGauge("cluster.occupancy");
+    if (!result_.occupancy_snapshots.empty()) {
+      occupancy->Set(result_.occupancy_snapshots.back().occupancy);
+    }
   }
   result_.jobs.reserve(jobs_.size());
   for (auto& job : jobs_) {
@@ -291,15 +319,7 @@ void ClusterSimulation::OnArrival(JobId id) {
     sim_.ScheduleAfter(duration, [this, id, caught] { OnPrerunEnd(id, caught); });
     return;
   }
-  job.phase = Phase::kQueued;
-  job.ready_time = sim_.Now();
-  job.wait = WaitRecord{};
-  job.wait.ready_time = sim_.Now();
-  job.eval_failures = 0;
-  job.last_eval_time = -1;
-  job.last_cause = DelayCause::kNone;
-  job.relax_emitted = 0;
-  EnqueueSorted(job);
+  EnterQueue(job);
   EmitEvent(SchedEventKind::kQueued, &job);
   if (SpanTracer* spans = config_.obs.spans; spans != nullptr) {
     spans->OnEnqueue(job.spec.id, job.spec.vc, job.spec.user,
@@ -320,41 +340,33 @@ void ClusterSimulation::OnPrerunEnd(JobId id, bool caught) {
     return;
   }
   ++result_.prerun_catches;
+  if (FailTrial(job, attempt)) {
+    RequestSchedulingPass(0);
+  }
+}
+
+bool ClusterSimulation::FailTrial(JobState& job, AttemptRecord& attempt) {
   ++job.failure_trials_used;
+  job.failing_resume = 0;  // the trial fired; nothing carries forward
   attempt.failed = true;
   attempt.true_reason = job.plan.reason;
   attempt.log_tail = synthesizer_.LinesFor(job.plan.reason, rng_);
   const FailureReason classified = classifier_.Classify(attempt.log_tail);
   retry_policy_->ObserveFailure(job.spec.user, classified);
-  const int failure_index = job.failure_trials_used - 1;
-  const bool more_trials = job.failure_trials_used < job.plan.num_failure_trials;
-  const bool retry =
-      retry_policy_->ShouldRetryFor(job.spec.user, classified, failure_index);
-  if (more_trials) {
-    if (retry) {
-      Requeue(job);
-      RequestSchedulingPass(0);
-    } else {
-      FinishJob(job, JobStatus::kUnsuccessful);
-    }
-    return;
+  // The retry policy decides while trials remain, and after the last one of
+  // a plan that recovers clean; otherwise the plan's disposition ends the job.
+  const bool policy_decides =
+      job.failure_trials_used < job.plan.num_failure_trials ||
+      job.plan.disposition == PostFailureDisposition::kRecoversClean;
+  if (policy_decides &&
+      retry_policy_->ShouldRetryFor(job.spec.user, classified, job.failure_trials_used - 1)) {
+    Requeue(job);
+    return true;
   }
-  switch (job.plan.disposition) {
-    case PostFailureDisposition::kUnsuccessful:
-      FinishJob(job, JobStatus::kUnsuccessful);
-      break;
-    case PostFailureDisposition::kKilledByUser:
-      FinishJob(job, JobStatus::kKilled);
-      break;
-    case PostFailureDisposition::kRecoversClean:
-      if (retry) {
-        Requeue(job);
-        RequestSchedulingPass(0);
-      } else {
-        FinishJob(job, JobStatus::kUnsuccessful);
-      }
-      break;
-  }
+  const bool killed =
+      !policy_decides && job.plan.disposition == PostFailureDisposition::kKilledByUser;
+  FinishJob(job, killed ? JobStatus::kKilled : JobStatus::kUnsuccessful);
+  return false;
 }
 
 void ClusterSimulation::RequestSchedulingPass(SimDuration delay) {
@@ -502,14 +514,9 @@ void ClusterSimulation::SchedulingPass() {
       }
       if (job.spec.num_gpus >= failed_demand_at_level[static_cast<size_t>(level)]) {
         // A smaller-or-equal request already failed at this level this pass.
-        const DelayCause cause =
-            VcOf(job).used_gpus >= VcOf(job).config.quota_gpus
-                ? DelayCause::kFairShare
-                : DelayCause::kFragmentation;
-        AttributeWaitTime(job, cause);
-        RecordEvalFailure(cause);
-        SpanNoteEvalFail(job, cause);
-        ++job.eval_failures;
+        NoteEvalFailure(job, VcOf(job).used_gpus >= VcOf(job).config.quota_gpus
+                                 ? DelayCause::kFairShare
+                                 : DelayCause::kFragmentation);
         any_waiting = true;
         earlier_waiting = true;
         earlier_min_demand = std::min(earlier_min_demand, job.spec.num_gpus);
@@ -581,21 +588,13 @@ bool ClusterSimulation::TryStartJob(JobState& job, bool earlier_job_waiting,
     }
   }
   if (!placement.has_value()) {
-    const DelayCause cause =
-        over_quota ? DelayCause::kFairShare : DelayCause::kFragmentation;
-    AttributeWaitTime(job, cause);
-    RecordEvalFailure(cause);
-    SpanNoteEvalFail(job, cause);
-    ++job.eval_failures;
+    NoteEvalFailure(job, over_quota ? DelayCause::kFairShare : DelayCause::kFragmentation);
     return false;
   }
 
   AttributeWaitTime(job, DelayCause::kNone);
 
   ++result_.scheduling_decisions;
-  if (decisions_metric_ != nullptr) {
-    decisions_metric_->Increment();
-  }
   bool benign_pending = false;
   bool before_feasible = false;
   if (earlier_job_waiting) {
@@ -619,18 +618,9 @@ bool ClusterSimulation::TryStartJob(JobState& job, bool earlier_job_waiting,
       ++result_.out_of_order_benign;
     }
   }
-  if (SchedEvent* e = EmitEvent(SchedEventKind::kSchedule, &job); e != nullptr) {
-    const WaitRecord& wait = job.record.waits.back();
-    const AttemptRecord& attempt = job.record.attempts.back();
-    e->attempt = attempt.index;
-    e->ready_time = wait.ready_time;
-    e->wait = wait.wait;
-    e->fair_share_time = wait.fair_share_time;
-    e->fragmentation_time = wait.fragmentation_time;
-    e->sched_attempts = wait.sched_attempts;
+  if (SchedEvent* e = EmitScheduleEvent(job); e != nullptr) {
     e->out_of_order = benign_pending;
     e->benign = benign_pending && job.record.out_of_order_benign;
-    e->placement = EncodePlacement(attempt.placement);
     e->detail = "pass";
   }
   return true;
@@ -690,8 +680,7 @@ bool ClusterSimulation::TryPrioritySuspendFor(const JobState& job) {
     return false;
   }
   SuspendAttempt(*victim);
-  if (SchedEvent* e = EmitEvent(SchedEventKind::kPreempt, victim); e != nullptr) {
-    e->attempt = victim->record.attempts.back().index;
+  if (SchedEvent* e = EmitAttemptEvent(SchedEventKind::kPreempt, *victim); e != nullptr) {
     e->detail = "priority";
   }
   Requeue(*victim);
@@ -914,18 +903,23 @@ void ClusterSimulation::CkptBeginWrite(JobState& job) {
   }
 }
 
-void ClusterSimulation::CkptCompleteWrite(JobState& job) {
-  const SimTime now = sim_.Now();
-  const SimDuration elapsed = now - job.ckpt_write_start;
+std::pair<SimDuration, SimDuration> ClusterSimulation::CkptChargeWrite(JobState& job) {
+  const SimDuration elapsed = sim_.Now() - job.ckpt_write_start;
   const SimDuration overhead = std::min(elapsed, job.ckpt_nominal);
   const SimDuration stall = elapsed - overhead;
   const int gpus = job.record.attempts.back().placement.NumGpus();
   job.ckpt_writing = false;
   job.ckpt_time_attempt += elapsed;
-  job.ckpt_durable = job.clean_executed + job.ckpt_progress_at_write;
-  ++result_.ckpt_writes_completed;
   result_.ckpt_overhead_gpu_seconds += static_cast<double>(overhead) * gpus;
   result_.ckpt_stall_gpu_seconds += static_cast<double>(stall) * gpus;
+  return {elapsed, stall};
+}
+
+void ClusterSimulation::CkptCompleteWrite(JobState& job) {
+  const SimTime now = sim_.Now();
+  const auto [elapsed, stall] = CkptChargeWrite(job);
+  job.ckpt_durable = job.clean_executed + job.ckpt_progress_at_write;
+  ++result_.ckpt_writes_completed;
   // Resume training for the remaining progress (strictly positive: a write
   // never begins once the attempt's progress target is reached).
   const JobId id = job.spec.id;
@@ -944,7 +938,8 @@ void ClusterSimulation::CkptCompleteWrite(JobState& job) {
       e->attempt = job.record.attempts.back().index;
       e->rack = job.ckpt_rack;
       e->delay = stall;
-      e->lost_gpu_seconds = static_cast<double>(stall) * gpus;
+      e->lost_gpu_seconds =
+          static_cast<double>(stall) * job.record.attempts.back().placement.NumGpus();
     }
     if (SpanTracer* spans = config_.obs.spans; spans != nullptr) {
       spans->OnCkptStall(job.spec.id, now, stall, "write");
@@ -1011,15 +1006,8 @@ void ClusterSimulation::CkptOnAttemptStopped(JobState& job) {
     // durable. The freed bandwidth immediately speeds up the rack's other
     // writers, and a deferred writer may take the slot.
     const SimTime now = sim_.Now();
-    const SimDuration elapsed = now - job.ckpt_write_start;
-    const SimDuration overhead = std::min(elapsed, job.ckpt_nominal);
-    const SimDuration stall = elapsed - overhead;
-    const int gpus = job.record.attempts.back().placement.NumGpus();
-    job.ckpt_time_attempt += elapsed;
-    job.ckpt_writing = false;
+    const auto [elapsed, stall] = CkptChargeWrite(job);
     ++result_.ckpt_writes_interrupted;
-    result_.ckpt_overhead_gpu_seconds += static_cast<double>(overhead) * gpus;
-    result_.ckpt_stall_gpu_seconds += static_cast<double>(stall) * gpus;
     ckpt_model_->AbortWrite(job.ckpt_rack, job.spec.id, now);
     if (SchedEvent* e = EmitEvent(SchedEventKind::kCkptEnd, &job); e != nullptr) {
       e->attempt = job.record.attempts.back().index;
@@ -1243,36 +1231,39 @@ void ClusterSimulation::FillTelemetrySample(TelemetrySample& s) {
   }
 }
 
-void ClusterSimulation::OnAttemptEnd(JobId id) {
-  JobState& job = StateOf(id);
+AttemptRecord& ClusterSimulation::StopAttempt(JobState& job) {
   assert(job.phase == Phase::kRunning);
-  const SimTime now = sim_.Now();
-  if (job.quantum_event.value != 0) {
-    sim_.Cancel(job.quantum_event);
-    job.quantum_event = EventId{};
-  }
-
+  // Cancelling the end event that is firing right now is a no-op.
+  sim_.Cancel(job.end_event);
+  sim_.Cancel(job.quantum_event);
+  job.quantum_event = EventId{};
   CloseSegment(job);
   AttemptRecord& attempt = job.record.attempts.back();
-  attempt.end = now;
+  attempt.end = sim_.Now();
   job.record.gpu_seconds += attempt.GpuTime();
-  CkptOnAttemptStopped(job);  // not writing here (the end event was parked
-                              // during writes); cancels the pending trigger
+  CkptOnAttemptStopped(job);
+  return attempt;
+}
+
+void ClusterSimulation::ReleaseAttempt(JobState& job, const AttemptRecord& attempt,
+                                       double lost) {
   result_.allocated_gpu_seconds += attempt.GpuTime();
   result_.useful_gpu_seconds +=
-      attempt.GpuTime() - static_cast<double>(job.ckpt_time_attempt) *
-                              attempt.placement.NumGpus();
-
-  cluster_.Release(id);
+      attempt.GpuTime() - lost -
+      static_cast<double>(job.ckpt_time_attempt) * attempt.placement.NumGpus();
+  cluster_.Release(job.spec.id);
   RunningSetErase(job);
   VcOf(job).used_gpus -= job.spec.num_gpus;
-  RefreshCotenantSegments(attempt.placement, id);
+  RefreshCotenantSegments(attempt.placement, job.spec.id);
+}
 
+void ClusterSimulation::OnAttemptEnd(JobId id) {
+  JobState& job = StateOf(id);
+  AttemptRecord& attempt = StopAttempt(job);
+  ReleaseAttempt(job, attempt, 0.0);
   if (job.kind == AttemptKind::kClean) {
     job.clean_executed += AttemptExecuted(job, attempt);
-    const SimDuration epoch = std::max<SimDuration>(1, job.spec.EpochDuration());
-    SetExecutedEpochs(job, static_cast<int>(std::min<int64_t>(
-                               job.spec.planned_epochs, job.clean_executed / epoch)));
+    SyncExecutedEpochs(job);
     if (job.kill_at_end) {
       FinishJob(job, JobStatus::kKilled);
     } else if (job.CleanRemaining() <= 0) {
@@ -1281,39 +1272,7 @@ void ClusterSimulation::OnAttemptEnd(JobId id) {
       Requeue(job);  // suspended mid-run (time slicing)
     }
   } else {
-    ++job.failure_trials_used;
-    job.failing_resume = 0;  // the trial fired; nothing carries forward
-    attempt.failed = true;
-    attempt.true_reason = job.plan.reason;
-    attempt.log_tail = synthesizer_.LinesFor(job.plan.reason, rng_);
-    const FailureReason classified = classifier_.Classify(attempt.log_tail);
-    const int failure_index = job.failure_trials_used - 1;
-    retry_policy_->ObserveFailure(job.spec.user, classified);
-
-    if (job.failure_trials_used < job.plan.num_failure_trials) {
-      if (retry_policy_->ShouldRetryFor(job.spec.user, classified, failure_index)) {
-        Requeue(job);
-      } else {
-        FinishJob(job, JobStatus::kUnsuccessful);
-      }
-    } else {
-      switch (job.plan.disposition) {
-        case PostFailureDisposition::kUnsuccessful:
-          FinishJob(job, JobStatus::kUnsuccessful);
-          break;
-        case PostFailureDisposition::kKilledByUser:
-          FinishJob(job, JobStatus::kKilled);
-          break;
-        case PostFailureDisposition::kRecoversClean:
-          if (retry_policy_->ShouldRetryFor(job.spec.user, classified,
-                                            failure_index)) {
-            Requeue(job);
-          } else {
-            FinishJob(job, JobStatus::kUnsuccessful);
-          }
-          break;
-      }
-    }
+    FailTrial(job, attempt);
   }
   RequestSchedulingPass(0);
 }
@@ -1348,8 +1307,7 @@ void ClusterSimulation::OnQuantumExpired(JobId id) {
 
   // Suspend: Gandiva-style context switch preserves full progress.
   SuspendAttempt(job);
-  if (SchedEvent* e = EmitEvent(SchedEventKind::kPreempt, &job); e != nullptr) {
-    e->attempt = job.record.attempts.back().index;
+  if (SchedEvent* e = EmitAttemptEvent(SchedEventKind::kPreempt, job); e != nullptr) {
     e->detail = "timeslice";
   }
   job.queue_key = static_cast<double>(sim_.Now());  // go behind the round-robin
@@ -1358,33 +1316,14 @@ void ClusterSimulation::OnQuantumExpired(JobId id) {
 }
 
 void ClusterSimulation::SuspendAttempt(JobState& job) {
-  assert(job.phase == Phase::kRunning);
   assert(job.kind == AttemptKind::kClean);
-  sim_.Cancel(job.end_event);
-  if (job.quantum_event.value != 0) {
-    sim_.Cancel(job.quantum_event);
-    job.quantum_event = EventId{};
-  }
-  CloseSegment(job);
-  AttemptRecord& attempt = job.record.attempts.back();
-  attempt.end = sim_.Now();
-  job.record.gpu_seconds += attempt.GpuTime();
-  CkptOnAttemptStopped(job);  // may abort an in-flight write mid-suspension
-  result_.allocated_gpu_seconds += attempt.GpuTime();
-  result_.useful_gpu_seconds +=
-      attempt.GpuTime() - static_cast<double>(job.ckpt_time_attempt) *
-                              attempt.placement.NumGpus();
+  AttemptRecord& attempt = StopAttempt(job);  // may abort an in-flight write
   job.clean_executed += AttemptExecuted(job, attempt);
   // Keep the recorded epoch count current while the job sits requeued:
   // time-sliced and migrated jobs otherwise undercount epochs until their
   // next clean attempt completes (OnAttemptEnd and PreemptJob both do this).
-  const SimDuration epoch = std::max<SimDuration>(1, job.spec.EpochDuration());
-  SetExecutedEpochs(job, static_cast<int>(std::min<int64_t>(
-                             job.spec.planned_epochs, job.clean_executed / epoch)));
-  cluster_.Release(job.spec.id);
-  RunningSetErase(job);
-  VcOf(job).used_gpus -= job.spec.num_gpus;
-  RefreshCotenantSegments(attempt.placement, job.spec.id);
+  SyncExecutedEpochs(job);
+  ReleaseAttempt(job, attempt, 0.0);
 }
 
 void ClusterSimulation::MigrationPass() {
@@ -1446,16 +1385,11 @@ void ClusterSimulation::MigrationPass() {
         continue;
       }
       SuspendAttempt(job);
-      if (SchedEvent* e = EmitEvent(SchedEventKind::kMigrate, &job); e != nullptr) {
-        e->attempt = job.record.attempts.back().index;
-      }
+      EmitAttemptEvent(SchedEventKind::kMigrate, job);
       Requeue(job);
       evacuated.push_back(tenant.job);
       ++migrated;
       ++result_.migrations;
-      if (migrations_metric_ != nullptr) {
-        migrations_metric_->Increment();
-      }
     }
     for (JobId id : evacuated) {
       JobState& job = StateOf(id);
@@ -1465,17 +1399,7 @@ void ClusterSimulation::MigrationPass() {
           !(placement->NumServers() == 1 &&
             placement->shards[0].server == candidate.server)) {
         StartAttempt(job, *placement);
-        if (SchedEvent* e = EmitEvent(SchedEventKind::kSchedule, &job);
-            e != nullptr) {
-          const WaitRecord& wait = job.record.waits.back();
-          const AttemptRecord& attempt = job.record.attempts.back();
-          e->attempt = attempt.index;
-          e->ready_time = wait.ready_time;
-          e->wait = wait.wait;
-          e->fair_share_time = wait.fair_share_time;
-          e->fragmentation_time = wait.fragmentation_time;
-          e->sched_attempts = wait.sched_attempts;
-          e->placement = EncodePlacement(attempt.placement);
+        if (SchedEvent* e = EmitScheduleEvent(job); e != nullptr) {
           e->detail = "migrate";
         }
       }
@@ -1490,57 +1414,28 @@ void ClusterSimulation::MigrationPass() {
 }
 
 void ClusterSimulation::PreemptJob(JobState& victim) {
-  assert(victim.phase == Phase::kRunning);
-  const SimTime now = sim_.Now();
-  sim_.Cancel(victim.end_event);
-  if (victim.quantum_event.value != 0) {
-    sim_.Cancel(victim.quantum_event);
-    victim.quantum_event = EventId{};
-  }
-  CloseSegment(victim);
-  AttemptRecord& attempt = victim.record.attempts.back();
-  attempt.end = now;
+  AttemptRecord& attempt = StopAttempt(victim);  // may abort an in-flight write
   attempt.failed = true;
   attempt.preempted = true;
   attempt.true_reason = FailureReason::kJobPreempted;
   attempt.log_tail = synthesizer_.LinesFor(FailureReason::kJobPreempted, rng_);
-  victim.record.gpu_seconds += attempt.GpuTime();
-  CkptOnAttemptStopped(victim);  // may abort an in-flight write
-  result_.allocated_gpu_seconds += attempt.GpuTime();
-  result_.useful_gpu_seconds +=
-      attempt.GpuTime() - static_cast<double>(victim.ckpt_time_attempt) *
-                              attempt.placement.NumGpus();
-
   if (victim.kind == AttemptKind::kClean) {
     // Model-checkpoint preemption: progress persists at epoch granularity.
     const SimDuration epoch = std::max<SimDuration>(1, victim.spec.EpochDuration());
-    const SimDuration executed = AttemptExecuted(victim, attempt);
-    victim.clean_executed += (executed / epoch) * epoch;
-    SetExecutedEpochs(victim,
-                      static_cast<int>(std::min<int64_t>(
-                          victim.spec.planned_epochs, victim.clean_executed / epoch)));
+    victim.clean_executed += (AttemptExecuted(victim, attempt) / epoch) * epoch;
+    SyncExecutedEpochs(victim);
   }
   // A preempted failing attempt is restarted later: the trial is not consumed.
-
-  cluster_.Release(victim.spec.id);
-  RunningSetErase(victim);
-  VcOf(victim).used_gpus -= victim.spec.num_gpus;
-  RefreshCotenantSegments(attempt.placement, victim.spec.id);
+  ReleaseAttempt(victim, attempt, 0.0);
   ++result_.preemptions;
-  if (preemptions_metric_ != nullptr) {
-    preemptions_metric_->Increment();
-  }
-  last_preemption_time_ = now;
-  if (SchedEvent* e = EmitEvent(SchedEventKind::kPreempt, &victim); e != nullptr) {
-    e->attempt = attempt.index;
-    e->failed = attempt.failed;
-    e->preempted = attempt.preempted;
+  last_preemption_time_ = sim_.Now();
+  if (SchedEvent* e = EmitAttemptEvent(SchedEventKind::kPreempt, victim); e != nullptr) {
     e->detail = "fairshare";
   }
   Requeue(victim);
 }
 
-void ClusterSimulation::Requeue(JobState& job) {
+void ClusterSimulation::EnterQueue(JobState& job) {
   job.phase = Phase::kQueued;
   job.ready_time = sim_.Now();
   job.wait = WaitRecord{};
@@ -1550,15 +1445,11 @@ void ClusterSimulation::Requeue(JobState& job) {
   job.last_cause = DelayCause::kNone;
   job.relax_emitted = 0;
   EnqueueSorted(job);
-  if (SchedEvent* e = EmitEvent(SchedEventKind::kRequeue, &job); e != nullptr) {
-    if (!job.record.attempts.empty()) {
-      const AttemptRecord& attempt = job.record.attempts.back();
-      e->attempt = attempt.index;
-      e->failed = attempt.failed;
-      e->preempted = attempt.preempted;
-      e->machine_fault = attempt.machine_fault;
-    }
-  }
+}
+
+void ClusterSimulation::Requeue(JobState& job) {
+  EnterQueue(job);
+  EmitAttemptEvent(SchedEventKind::kRequeue, job);
   if (SpanTracer* spans = config_.obs.spans; spans != nullptr) {
     std::string_view reason = "suspend";
     bool fault_recovery = false;
@@ -1594,15 +1485,8 @@ void ClusterSimulation::FinishJob(JobState& job, JobStatus status) {
     // No-op for jobs rejected at submission (no running span was opened).
     spans->OnRunEnd(job.spec.id, sim_.Now(), reason);
   }
-  if (SchedEvent* e = EmitEvent(SchedEventKind::kComplete, &job); e != nullptr) {
+  if (SchedEvent* e = EmitAttemptEvent(SchedEventKind::kComplete, job); e != nullptr) {
     e->status = static_cast<int>(status);
-    if (!job.record.attempts.empty()) {
-      const AttemptRecord& attempt = job.record.attempts.back();
-      e->attempt = attempt.index;
-      e->failed = attempt.failed;
-      e->preempted = attempt.preempted;
-      e->machine_fault = attempt.machine_fault;
-    }
     e->started_out_of_order = job.record.started_out_of_order;
     e->out_of_order_benign =
         job.record.started_out_of_order && job.record.out_of_order_benign;
@@ -1610,22 +1494,13 @@ void ClusterSimulation::FinishJob(JobState& job, JobStatus status) {
   }
 }
 
-void ClusterSimulation::ScheduleNextServerFault(ServerId s, SimTime after) {
-  const auto event = fault_process_.NextServerFault(s, after);
-  if (!event.has_value()) {
-    return;
+void ClusterSimulation::ScheduleNextFault(ServerId server, RackId rack, SimTime after) {
+  const auto event = rack >= 0 ? fault_process_.NextRackFault(rack, after)
+                               : fault_process_.NextServerFault(server, after);
+  if (event.has_value()) {
+    const FaultEvent e = *event;
+    sim_.ScheduleAt(e.at, [this, e] { OnFaultOccurred(e, true); });
   }
-  const FaultEvent e = *event;
-  sim_.ScheduleAt(e.at, [this, e] { OnFaultOccurred(e, true); });
-}
-
-void ClusterSimulation::ScheduleNextRackFault(RackId r, SimTime after) {
-  const auto event = fault_process_.NextRackFault(r, after);
-  if (!event.has_value()) {
-    return;
-  }
-  const FaultEvent e = *event;
-  sim_.ScheduleAt(e.at, [this, e] { OnFaultOccurred(e, true); });
 }
 
 void ClusterSimulation::OnFaultOccurred(const FaultEvent& event, bool sampled) {
@@ -1648,11 +1523,7 @@ void ClusterSimulation::OnFaultOccurred(const FaultEvent& event, bool sampled) {
     // Every target is already faulted/offline (e.g. a rack outage hitting a
     // crashed server). The renewal stream still continues.
     if (sampled) {
-      if (event.rack >= 0) {
-        ScheduleNextRackFault(event.rack, sim_.Now());
-      } else {
-        ScheduleNextServerFault(event.server, sim_.Now());
-      }
+      ScheduleNextFault(event.server, event.rack, sim_.Now());
     }
     return;
   }
@@ -1718,34 +1589,20 @@ void ClusterSimulation::OnFaultRepaired(const FaultEvent& event,
   }
   RequestSchedulingPass(0);
   if (sampled) {
-    if (event.rack >= 0) {
-      ScheduleNextRackFault(event.rack, sim_.Now());
-    } else {
-      ScheduleNextServerFault(event.server, sim_.Now());
-    }
+    ScheduleNextFault(event.server, event.rack, sim_.Now());
   }
 }
 
 void ClusterSimulation::KillAttemptForFault(JobState& job, FailureReason reason,
                                             SimTime fault_time) {
-  assert(job.phase == Phase::kRunning);
   const SimTime now = sim_.Now();
-  sim_.Cancel(job.end_event);
-  if (job.quantum_event.value != 0) {
-    sim_.Cancel(job.quantum_event);
-    job.quantum_event = EventId{};
-  }
-  CloseSegment(job);
-  AttemptRecord& attempt = job.record.attempts.back();
-  attempt.end = now;
+  // A fault mid-write aborts the write: nothing becomes durable, per the I/O
+  // model contract.
+  AttemptRecord& attempt = StopAttempt(job);
   attempt.failed = true;
   attempt.machine_fault = true;
   attempt.true_reason = reason;
   attempt.log_tail = synthesizer_.LinesFor(reason, rng_);
-  job.record.gpu_seconds += attempt.GpuTime();
-  const bool ckpt_explicit = job.ckpt_period > 0;  // before teardown clears it
-  CkptOnAttemptStopped(job);  // a fault mid-write aborts the write: nothing
-                              // becomes durable, per the I/O model contract
 
   // Work attribution: the attempt produced nothing after the fault struck
   // (the detection window is dead time), and everything after the last
@@ -1754,63 +1611,36 @@ void ClusterSimulation::KillAttemptForFault(JobState& job, FailureReason reason,
       std::min(now, std::max(fault_time, attempt.start));
   const int gpus = attempt.placement.NumGpus();
   double lost;
-  if (ckpt_explicit) {
+  if (job.ckpt_period > 0) {
     // Explicit checkpoint writes: only *completed* writes are durable, so the
     // job rolls back to ckpt_durable and everything since — training past the
     // last completed write plus the undetected dead window — is lost.
-    const SimDuration training = AttemptExecuted(job, attempt);
-    lost = static_cast<double>(job.clean_executed + training -
+    lost = static_cast<double>(job.clean_executed + AttemptExecuted(job, attempt) -
                                job.ckpt_durable) *
            gpus;
     job.clean_executed = job.ckpt_durable;
-    const SimDuration epoch = std::max<SimDuration>(1, job.spec.EpochDuration());
-    SetExecutedEpochs(job, static_cast<int>(std::min<int64_t>(
-                               job.spec.planned_epochs, job.clean_executed / epoch)));
-  } else if (job.kind == AttemptKind::kClean) {
-    lost = static_cast<double>(now - fault_clamped) * gpus;
-    const SimDuration produced =
-        job.clean_executed + (fault_clamped - attempt.start);
-    const SimDuration ckpt = config_.scheduler.checkpoint_period;
-    const SimDuration resumed = ckpt > 0 ? (produced / ckpt) * ckpt : 0;
-    lost += static_cast<double>(produced - resumed) * gpus;
-    job.clean_executed = resumed;
-    const SimDuration epoch = std::max<SimDuration>(1, job.spec.EpochDuration());
-    SetExecutedEpochs(job, static_cast<int>(std::min<int64_t>(
-                               job.spec.planned_epochs, job.clean_executed / epoch)));
   } else {
-    lost = static_cast<double>(now - fault_clamped) * gpus;
-    // The trial is not consumed, but checkpoints still bound the loss: a
-    // deterministic bug re-manifests after the remaining RTF, so the retried
-    // attempt resumes from the last checkpoint of the doomed run.
-    const SimDuration produced =
-        job.failing_resume + (fault_clamped - attempt.start);
+    // Periodic checkpoints bound the loss. A failing attempt's trial is not
+    // consumed: its deterministic bug re-manifests after the remaining RTF,
+    // so the retried attempt resumes from the last checkpoint of the doomed
+    // run.
+    SimDuration& progress =
+        job.kind == AttemptKind::kClean ? job.clean_executed : job.failing_resume;
+    const SimDuration produced = progress + (fault_clamped - attempt.start);
     const SimDuration ckpt = config_.scheduler.checkpoint_period;
     const SimDuration resumed = ckpt > 0 ? (produced / ckpt) * ckpt : 0;
+    lost = static_cast<double>(now - fault_clamped) * gpus;
     lost += static_cast<double>(produced - resumed) * gpus;
-    job.failing_resume = resumed;
+    progress = resumed;
   }
+  SyncExecutedEpochs(job);
+  ReleaseAttempt(job, attempt, lost);
   result_.machine_fault_lost_gpu_seconds += lost;
   ++result_.machine_fault_kills;
-  result_.allocated_gpu_seconds += attempt.GpuTime();
-  result_.useful_gpu_seconds +=
-      attempt.GpuTime() - lost -
-      static_cast<double>(job.ckpt_time_attempt) * gpus;
-  if (fault_kills_metric_ != nullptr) {
-    fault_kills_metric_->Increment();
-    lost_gpu_metric_->Add(lost);
-  }
-  if (SchedEvent* e = EmitEvent(SchedEventKind::kFaultKill, &job); e != nullptr) {
-    e->attempt = attempt.index;
-    e->failed = true;
-    e->machine_fault = true;
+  if (SchedEvent* e = EmitAttemptEvent(SchedEventKind::kFaultKill, job); e != nullptr) {
     e->lost_gpu_seconds = lost;
     e->detail = std::string(ToString(reason));
   }
-
-  cluster_.Release(job.spec.id);
-  RunningSetErase(job);
-  VcOf(job).used_gpus -= job.spec.num_gpus;
-  RefreshCotenantSegments(attempt.placement, job.spec.id);
   // Machine faults are the cluster's fault, not the job's: no retry-policy
   // consult, no ObserveFailure (they must not poison the predictive
   // blacklist), no failure-trial consumption — just requeue and resume.
@@ -1830,9 +1660,6 @@ void ClusterSimulation::TakeSnapshot() {
   snap.ckpt_writes_completed_total = result_.ckpt_writes_completed;
   snap.ckpt_overhead_gpu_seconds_total = result_.ckpt_overhead_gpu_seconds;
   snap.ckpt_stall_gpu_seconds_total = result_.ckpt_stall_gpu_seconds;
-  if (occupancy_metric_ != nullptr) {
-    occupancy_metric_->Set(snap.occupancy);
-  }
   result_.occupancy_snapshots.push_back(snap);
   if (jobs_done_ < static_cast<int>(jobs_.size())) {
     sim_.ScheduleAfter(config_.snapshot_period, [this] { TakeSnapshot(); });

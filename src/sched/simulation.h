@@ -150,11 +150,29 @@ class ClusterSimulation {
   void MigrationPass();
   void TakeSnapshot();
 
+  // --- attempt lifecycle ---
+  // Every way a running attempt ends (its end event, suspension, fair-share
+  // preemption, a machine-fault kill) calls StopAttempt and then
+  // ReleaseAttempt, and keeps only its own flags, progress, counters and event.
+  //
+  // Cancels the attempt's end and quantum events, closes its utilization
+  // segment, stamps its end and GPU time, and stops its checkpointing (an
+  // aborted write emits its ckpt_end here). Returns the attempt.
+  AttemptRecord& StopAttempt(JobState& job);
+  // Books the stopped attempt in the GPU-time ledger, `lost` of it thrown away
+  // by a fault, and gives its GPUs back.
+  void ReleaseAttempt(JobState& job, const AttemptRecord& attempt, double lost);
+  // Consumes the failure trial `attempt` just ran: synthesizes and classifies
+  // its log tail, lets the retry policy observe it, then requeues or finishes
+  // the job per the plan's disposition. Returns true if it requeued.
+  bool FailTrial(JobState& job, AttemptRecord& attempt);
+
   // --- machine faults (src/fault) ---
+  // Schedules the next fault of one renewal stream after `after`: the rack's
+  // when `rack` >= 0, else the server's.
+  void ScheduleNextFault(ServerId server, RackId rack, SimTime after);
   // `sampled` distinguishes renewal-process events (which reschedule the next
   // fault for their server/rack after repair) from scripted one-shots.
-  void ScheduleNextServerFault(ServerId s, SimTime after);
-  void ScheduleNextRackFault(RackId r, SimTime after);
   void OnFaultOccurred(const FaultEvent& event, bool sampled);
   void OnFaultDetected(const FaultEvent& event, std::vector<ServerId> servers,
                        bool sampled);
@@ -173,6 +191,10 @@ class ClusterSimulation {
   // rack's FIFO wait queue (training continues while deferred).
   void CkptAdmitOrQueue(JobState& job);
   void CkptBeginWrite(JobState& job);
+  // Ends the in-flight write: charges its elapsed time to the attempt, and to
+  // the ledgers as overhead up to the uncontended cost and stall beyond it,
+  // each across the gang's GPUs. Returns {elapsed, stall}.
+  std::pair<SimDuration, SimDuration> CkptChargeWrite(JobState& job);
   void CkptCompleteWrite(JobState& job);
   // A write on `rack` finished draining: complete it, admit deferred writers.
   void OnCkptRackEvent(RackId rack);
@@ -197,6 +219,8 @@ class ClusterSimulation {
   bool TryStartJob(JobState& job, bool earlier_job_waiting, int earlier_waiting_demand);
   void StartAttempt(JobState& job, const Placement& placement);
   void FinishJob(JobState& job, JobStatus status);
+  // Opens a new wait for the job and inserts it into its VC queue.
+  void EnterQueue(JobState& job);
   void Requeue(JobState& job);
   int RelaxLevelFor(const JobState& job) const;
   void AttributeWaitTime(JobState& job, DelayCause cause);
@@ -232,9 +256,13 @@ class ClusterSimulation {
   JobState& StateOf(JobId id);
   VcState& VcOf(const JobState& job) { return vcs_[static_cast<size_t>(job.spec.vc)]; }
 
-  // Single write path for record.executed_epochs: keeps the cluster-wide
-  // running total in sync so TakeSnapshot never rescans all jobs.
-  void SetExecutedEpochs(JobState& job, int epochs) {
+  // Single write path for record.executed_epochs, recomputed from
+  // clean_executed: keeps the cluster-wide running total in sync so
+  // TakeSnapshot never rescans all jobs.
+  void SyncExecutedEpochs(JobState& job) {
+    const SimDuration epoch = std::max<SimDuration>(1, job.spec.EpochDuration());
+    const auto epochs = static_cast<int>(
+        std::min<int64_t>(job.spec.planned_epochs, job.clean_executed / epoch));
     executed_epochs_total_ += epochs - job.record.executed_epochs;
     job.record.executed_epochs = epochs;
   }
@@ -247,14 +275,20 @@ class ClusterSimulation {
   // Appends an event pre-filled with the job's identity fields; returns null
   // when event logging is off so hot paths skip payload construction.
   SchedEvent* EmitEvent(SchedEventKind kind, const JobState* job);
-  void RecordEvalFailure(DelayCause cause);
-  // Span-sink refinement of a failed evaluation: maps the native two-way
-  // DelayCause onto the span blame vocabulary (kFairShare ->
+  // An event about the job's last attempt, carrying its index and its
+  // failed, preempted and machine-fault flags.
+  SchedEvent* EmitAttemptEvent(SchedEventKind kind, const JobState& job);
+  // The schedule event of the attempt StartAttempt just opened: the wait it
+  // closed and its placement.
+  SchedEvent* EmitScheduleEvent(const JobState& job);
+  // Books one failed evaluation of a queued job: charges the wait since the
+  // last evaluation, counts it, and tells the span sink, which refines the
+  // native two-way DelayCause into its blame vocabulary (kFairShare ->
   // kFairnessShareCap; kFragmentation -> kLocalityWait when a fully-relaxed
-  // placement existed, else kFragmentation). No-op when the sink is null.
-  void SpanNoteEvalFail(JobState& job, DelayCause cause);
+  // placement existed, else kFragmentation).
+  void NoteEvalFailure(JobState& job, DelayCause cause);
 
-  // SpanNoteEvalFail's memoized CanPlace probes: gpu count -> (cluster
+  // NoteEvalFailure's memoized CanPlace probes: gpu count -> (cluster
   // allocation version, feasible). Touched only with the span sink attached.
   std::unordered_map<int, std::pair<int64_t, bool>> span_probe_cache_;
 
@@ -293,7 +327,7 @@ class ClusterSimulation {
   int prerun_in_use_ = 0;
   int jobs_done_ = 0;
   // Cluster-wide executed-epochs total, maintained incrementally through
-  // SetExecutedEpochs (TakeSnapshot reads it in O(1)).
+  // SyncExecutedEpochs (TakeSnapshot reads it in O(1)).
   int64_t executed_epochs_total_ = 0;
   // Jobs holding cluster GPUs right now, sorted by id (== jobs_ index order),
   // paired with their jobs_ index. The per-minute sampler iterates it for the
@@ -314,18 +348,13 @@ class ClusterSimulation {
   std::vector<int> telemetry_srv_gpus_;
   std::vector<ServerId> telemetry_touched_;
 
-  // Metric handles resolved once at construction (null when metrics are off).
+  // Handles of the instruments with no result field to copy, resolved once at
+  // construction (null when metrics are off). Run sets the rest at its end.
   Histogram* queue_delay_hist_ = nullptr;
   Histogram* fair_share_wait_hist_ = nullptr;
   Histogram* fragmentation_wait_hist_ = nullptr;
   Counter* fair_share_evals_ = nullptr;
   Counter* fragmentation_evals_ = nullptr;
-  Counter* decisions_metric_ = nullptr;
-  Counter* preemptions_metric_ = nullptr;
-  Counter* migrations_metric_ = nullptr;
-  Counter* fault_kills_metric_ = nullptr;
-  Gauge* lost_gpu_metric_ = nullptr;
-  Gauge* occupancy_metric_ = nullptr;
 };
 
 }  // namespace philly

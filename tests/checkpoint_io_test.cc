@@ -212,12 +212,6 @@ SimulationConfig BaseConfig(int racks, int servers_per_rack, int gpus_per_server
   return config;
 }
 
-double ConservationResidual(const SimulationResult& r) {
-  return r.allocated_gpu_seconds -
-         (r.useful_gpu_seconds + r.machine_fault_lost_gpu_seconds +
-          r.ckpt_overhead_gpu_seconds + r.ckpt_stall_gpu_seconds);
-}
-
 // One 8-GPU, 10h job with hourly explicit writes (2 GB/GPU at 1 GB/s: 16 s
 // nominal). A server crash at t=6h kills the attempt at 6h10m. The exact
 // cadence: write k begins at t = 3616k - 16 and completes at 3616k, making
@@ -263,7 +257,7 @@ TEST(CheckpointDurableRecoveryTest, FaultRollsBackToLastCompletedWrite) {
   EXPECT_DOUBLE_EQ(result.ckpt_stall_gpu_seconds, 0.0);
   // Every useful GPU-second is exactly the planned training time.
   EXPECT_DOUBLE_EQ(result.useful_gpu_seconds, 36000.0 * 8);
-  EXPECT_DOUBLE_EQ(ConservationResidual(result), 0.0);
+  EXPECT_DOUBLE_EQ(result.GpuTimeResidual(), 0.0);
 }
 
 // The fault now lands *during* the first write (t=3600..3616, fault at
@@ -300,7 +294,7 @@ TEST(CheckpointDurableRecoveryTest, FaultMidWriteLosesTheWholeAttempt) {
   EXPECT_DOUBLE_EQ(result.machine_fault_lost_gpu_seconds, 3600.0 * 8);
   EXPECT_DOUBLE_EQ(result.ckpt_overhead_gpu_seconds, (5.0 + 9.0 * 16) * 8);
   EXPECT_DOUBLE_EQ(result.ckpt_stall_gpu_seconds, 0.0);
-  EXPECT_DOUBLE_EQ(ConservationResidual(result), 0.0);
+  EXPECT_DOUBLE_EQ(result.GpuTimeResidual(), 0.0);
 }
 
 // Two 4-GPU gangs on one server, 2 h jobs, hourly checkpoints (8 GB at
@@ -326,14 +320,14 @@ TEST(CheckpointStaggerTest, PhaseShiftRemovesContentionStall) {
   EXPECT_EQ(fixed.ckpt_writes_completed, 2);
   EXPECT_DOUBLE_EQ(fixed.ckpt_overhead_gpu_seconds, 2.0 * 8 * 4);
   EXPECT_DOUBLE_EQ(fixed.ckpt_stall_gpu_seconds, 2.0 * 8 * 4);
-  EXPECT_DOUBLE_EQ(ConservationResidual(fixed), 0.0);
+  EXPECT_DOUBLE_EQ(fixed.GpuTimeResidual(), 0.0);
 
   const SimulationResult stagger =
       run_with_policy(CheckpointPolicy::kCooperativeStagger);
   EXPECT_EQ(stagger.ckpt_writes_completed, 2);
   EXPECT_DOUBLE_EQ(stagger.ckpt_overhead_gpu_seconds, 2.0 * 8 * 4);
   EXPECT_DOUBLE_EQ(stagger.ckpt_stall_gpu_seconds, 0.0);
-  EXPECT_DOUBLE_EQ(ConservationResidual(stagger), 0.0);
+  EXPECT_DOUBLE_EQ(stagger.GpuTimeResidual(), 0.0);
 
   EXPECT_LT(stagger.ckpt_overhead_gpu_seconds + stagger.ckpt_stall_gpu_seconds,
             fixed.ckpt_overhead_gpu_seconds + fixed.ckpt_stall_gpu_seconds);
@@ -364,7 +358,7 @@ TEST(CheckpointStaggerTest, AdmissionLimitDefersInsteadOfStalling) {
   // write (job 2's deferred write started 8 s later but cost the same).
   ASSERT_EQ(result.jobs.size(), 2u);
   EXPECT_EQ(result.jobs[0].finish_time, result.jobs[1].finish_time);
-  EXPECT_DOUBLE_EQ(ConservationResidual(result), 0.0);
+  EXPECT_DOUBLE_EQ(result.GpuTimeResidual(), 0.0);
 }
 
 // ------------------------------------------------------------ byte identity
@@ -519,7 +513,7 @@ TEST(CheckpointConservationPropertyTest, AllocatedGpuTimeIsFullyAttributed) {
     total_writes += r.ckpt_writes_completed;
     total_kills += r.machine_fault_kills;
     ASSERT_GT(r.allocated_gpu_seconds, 0.0);
-    EXPECT_NEAR(ConservationResidual(r), 0.0,
+    EXPECT_NEAR(r.GpuTimeResidual(), 0.0,
                 1e-6 * r.allocated_gpu_seconds);
   }
   EXPECT_GT(total_writes, 0) << "property test must exercise the I/O model";

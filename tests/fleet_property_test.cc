@@ -155,12 +155,7 @@ TEST(FleetPropertyTest, FleetGpuTimeLedgerConserves) {
   int64_t writes = 0;
   for (const FleetClusterResult& cluster : fleet.clusters) {
     const SimulationResult& r = cluster.result;
-    const double recomposed = r.useful_gpu_seconds +
-                              r.machine_fault_lost_gpu_seconds +
-                              r.ckpt_overhead_gpu_seconds +
-                              r.ckpt_stall_gpu_seconds;
-    EXPECT_NEAR(recomposed, r.allocated_gpu_seconds,
-                1e-6 * std::max(1.0, r.allocated_gpu_seconds))
+    EXPECT_NEAR(r.GpuTimeResidual(), 0.0, 1e-6 * std::max(1.0, r.allocated_gpu_seconds))
         << cluster.name;
     allocated += r.allocated_gpu_seconds;
     useful += r.useful_gpu_seconds;

@@ -21,6 +21,7 @@
 
 #include "src/core/analysis.h"
 #include "src/core/experiment.h"
+#include "src/common/sha256.h"
 #include "src/common/table.h"
 #include "src/fault/fault_process.h"
 #include "src/fleet/fleet.h"
@@ -29,6 +30,7 @@
 #include "src/obs/rollup.h"
 #include "src/obs/span.h"
 #include "src/obs/timeseries.h"
+#include "src/trace/trace_io.h"
 #include "tests/golden_configs.h"
 
 namespace philly {
@@ -243,6 +245,110 @@ TEST(GoldenDeterminismTest, FleetRouteStreamMatchesCommittedGolden) {
   std::ostringstream events;
   fleet.route_events.WriteNdjson(events);
   CompareOrUpdate("fleet_events.ndjson", events.str());
+}
+
+// Stop-path pins: one-day runs that each drive one way an attempt ends —
+// time-slice and priority suspension, migration, fault kills under explicit
+// checkpoint writes, and fair-share preemption with an interrupted write. A
+// pin is the SHA-256 of the event stream, the span stream and the four native
+// trace files (jobs.csv carries the GPU-seconds and epochs each stop books,
+// gpu_util.csv the utilization segments it closes). Each case first asserts
+// from the result that its path ran, so no pin can go vacuous.
+struct PinnedRun {
+  SimulationResult result;
+  std::string sha256;
+};
+
+PinnedRun RunPinned(ExperimentConfig config) {
+  EventLog log;
+  SpanTracer spans;
+  config.simulation.obs.event_log = &log;
+  config.simulation.obs.spans = &spans;
+  PinnedRun run{RunExperiment(config).result, ""};
+  std::ostringstream streams[6];
+  log.WriteNdjson(streams[0]);
+  spans.log().WriteNdjson(streams[1]);
+  TraceWriter::WriteJobs(run.result.jobs, streams[2]);
+  TraceWriter::WriteAttempts(run.result.jobs, streams[3]);
+  TraceWriter::WriteUtilSegments(run.result.jobs, streams[4]);
+  TraceWriter::WriteStdoutLogs(run.result.jobs, streams[5]);
+  Sha256 sha;
+  for (const std::ostringstream& stream : streams) {
+    sha.Update(stream.str());
+  }
+  run.sha256 = sha.FinishHex();
+  return run;
+}
+
+ExperimentConfig StopPathConfig(SchedulerConfig scheduler) {
+  ExperimentConfig config = ExperimentConfig::BenchScale(/*days=*/1, /*seed=*/7);
+  config.simulation.scheduler = std::move(scheduler);
+  return config;
+}
+
+TEST(GoldenDeterminismTest, TimeSliceSuspensionMatchesPin) {
+  const PinnedRun run = RunPinned(StopPathConfig(SchedulerConfig::Gandiva()));
+  // With no faults, migration, prerun pool or priority preemption, an attempt
+  // that ended neither failed nor last is a time-slice suspension.
+  int suspensions = 0;
+  for (const JobRecord& job : run.result.jobs) {
+    for (size_t i = 0; i + 1 < job.attempts.size(); ++i) {
+      suspensions += !job.attempts[i].failed;
+    }
+  }
+  ASSERT_EQ(suspensions, 266);
+  EXPECT_EQ(run.sha256,
+            "beaeb4662db5c84ae2bbbff82592c5d50e7aca47d90eeac275076c7e23ce8d65");
+}
+
+TEST(GoldenDeterminismTest, PrioritySuspensionWithPredictiveRetryMatchesPin) {
+  SchedulerConfig scheduler = SchedulerConfig::Optimus();
+  scheduler.retry_policy = SchedulerConfig::RetryPolicyKind::kPredictive;
+  const PinnedRun run = RunPinned(StopPathConfig(scheduler));
+  ASSERT_EQ(run.result.priority_preemptions, 671);
+  EXPECT_EQ(run.sha256,
+            "d81fb7e51565b8b234e7607376017ea5f1ca9cfdbac34beb94586923b58f384f");
+}
+
+TEST(GoldenDeterminismTest, PrioritySuspensionWithAdaptiveRetryMatchesPin) {
+  SchedulerConfig scheduler = SchedulerConfig::Tiresias();
+  scheduler.retry_policy = SchedulerConfig::RetryPolicyKind::kAdaptive;
+  const PinnedRun run = RunPinned(StopPathConfig(scheduler));
+  ASSERT_EQ(run.result.priority_preemptions, 124);
+  EXPECT_EQ(run.sha256,
+            "f8dacc31d7a0d1af7389b2fc69a75130a570ad5762a9e43b86dd9dcbc48a4a14");
+}
+
+TEST(GoldenDeterminismTest, FaultKillsMigrationAndPrerunMatchPin) {
+  SchedulerConfig scheduler = SchedulerConfig::Philly();
+  scheduler.checkpoint_period = Minutes(60);
+  scheduler.checkpoint_policy = CheckpointPolicy::kDalyOptimal;
+  scheduler.enable_migration = true;
+  scheduler.enable_prerun_pool = true;
+  ExperimentConfig config = StopPathConfig(scheduler);
+  config.simulation.fault = FaultProcessConfig::Calibrated();
+  config.simulation.ckpt_io.rack_bandwidth_gbps = 1.0;
+  const PinnedRun run = RunPinned(config);
+  ASSERT_EQ(run.result.migrations, 1670);
+  ASSERT_EQ(run.result.machine_fault_kills, 12);
+  ASSERT_EQ(run.result.prerun_jobs, 632);
+  EXPECT_EQ(run.sha256,
+            "3020f1733366290f4ff304ba9442701114a2dcf23139429d18396b98b32b2e69");
+}
+
+TEST(GoldenDeterminismTest, FaultKillsAndPreemptionUnderStaggerMatchPin) {
+  SchedulerConfig scheduler = SchedulerConfig::Philly();
+  scheduler.checkpoint_period = Minutes(30);
+  scheduler.checkpoint_policy = CheckpointPolicy::kCooperativeStagger;
+  ExperimentConfig config = StopPathConfig(scheduler);
+  config.simulation.fault = FaultProcessConfig::Calibrated();
+  config.simulation.ckpt_io.rack_bandwidth_gbps = 0.5;
+  const PinnedRun run = RunPinned(config);
+  ASSERT_EQ(run.result.machine_fault_kills, 20);
+  ASSERT_EQ(run.result.preemptions, 1);
+  ASSERT_EQ(run.result.ckpt_writes_interrupted, 1);
+  EXPECT_EQ(run.sha256,
+            "a7036cb359a89fd7f4ad0a58d97006a5b23aac75c772c8efccd29331a125577b");
 }
 
 // The golden stream must also be independent of observability: re-running the

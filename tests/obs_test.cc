@@ -13,6 +13,8 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <sstream>
 #include <stdexcept>
@@ -247,6 +249,33 @@ TEST(ObservabilityTest, EnabledSinksDoNotPerturbSimulation) {
   EXPECT_EQ(
       metrics.GetHistogram("sched.queue_delay_minutes")->count(),
       static_cast<int64_t>(plain.jobs.size()));
+}
+
+// Six instruments copy a SimulationResult field; each must equal its field
+// exactly, on a run where every one of them moves.
+TEST(ObservabilityTest, MirroredMetricsEqualTheirResultFields) {
+  ExperimentConfig config = ExperimentConfig::BenchScale(/*days=*/1, /*seed=*/7);
+  config.simulation.fault = FaultProcessConfig::Calibrated();
+  config.simulation.scheduler.checkpoint_period = Minutes(30);
+  config.simulation.scheduler.checkpoint_policy = CheckpointPolicy::kCooperativeStagger;
+  config.simulation.scheduler.enable_migration = true;
+  config.simulation.ckpt_io.rack_bandwidth_gbps = 0.5;
+  MetricsRegistry metrics;
+  config.simulation.obs.metrics = &metrics;
+  const SimulationResult r = RunExperiment(config).result;
+  ASSERT_GT(r.preemptions, 0);
+  ASSERT_GT(r.migrations, 0);
+  ASSERT_GT(r.machine_fault_kills, 0);
+  ASSERT_FALSE(r.occupancy_snapshots.empty());
+
+  EXPECT_EQ(metrics.GetCounter("sched.decisions")->value(), r.scheduling_decisions);
+  EXPECT_EQ(metrics.GetCounter("sched.preemptions")->value(), r.preemptions);
+  EXPECT_EQ(metrics.GetCounter("sched.migrations")->value(), r.migrations);
+  EXPECT_EQ(metrics.GetCounter("fault.kills")->value(), r.machine_fault_kills);
+  EXPECT_EQ(std::bit_cast<uint64_t>(metrics.GetGauge("fault.lost_gpu_seconds")->value()),
+            std::bit_cast<uint64_t>(r.machine_fault_lost_gpu_seconds));
+  EXPECT_EQ(metrics.GetGauge("cluster.occupancy")->value(),
+            r.occupancy_snapshots.back().occupancy);
 }
 
 // ------------------------------------------------------------ metrics

@@ -227,7 +227,7 @@ TEST(SimulationTest, GandivaTimeSlicingSuspendsJobs) {
 TEST(SimulationTest, AdaptiveRetryNeverUsesMoreGpuTime) {
   SchedulerConfig fixed = SchedulerConfig::Philly();
   SchedulerConfig adaptive = SchedulerConfig::Philly();
-  adaptive.adaptive_retry = true;
+  adaptive.retry_policy = SchedulerConfig::RetryPolicyKind::kAdaptive;
   TestSetup fixed_setup(2, 11, fixed);
   TestSetup adaptive_setup(2, 11, adaptive);
   const auto rf = fixed_setup.Run();

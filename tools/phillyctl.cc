@@ -366,8 +366,8 @@ void PrintStatusSection(const std::vector<JobRecord>& jobs) {
   std::printf("%s\n", status_table.Render().c_str());
 }
 
-void PrintRunTimeSection(const std::vector<JobRecord>& jobs) {
-  const auto runtimes = AnalyzeRunTimes(jobs);
+RunTimeResult PrintRunTimeSection(const std::vector<JobRecord>& jobs) {
+  RunTimeResult runtimes = AnalyzeRunTimes(jobs);
   std::printf("=== Figure 2: run times ===\n");
   TextTable rt_table({"bucket", "n", "median (min)", "p90 (min)", "p99 (min)"});
   for (int b = 0; b < kNumSizeBuckets; ++b) {
@@ -379,10 +379,11 @@ void PrintRunTimeSection(const std::vector<JobRecord>& jobs) {
   }
   std::printf("%s  jobs over one week: %s\n\n", rt_table.Render().c_str(),
               FormatPercent(runtimes.fraction_over_one_week, 2).c_str());
+  return runtimes;
 }
 
-void PrintQueueDelaySection(const std::vector<JobRecord>& jobs) {
-  const auto delays = AnalyzeQueueDelays(jobs);
+QueueDelayResult PrintQueueDelaySection(const std::vector<JobRecord>& jobs) {
+  QueueDelayResult delays = AnalyzeQueueDelays(jobs);
   std::printf("=== Figure 3: queueing delay ===\n");
   TextTable d_table({"bucket", "P(<=1min)", "P(<=10min)", "p90 (min)", "p99 (min)"});
   for (int b = 0; b < kNumSizeBuckets; ++b) {
@@ -393,6 +394,7 @@ void PrintQueueDelaySection(const std::vector<JobRecord>& jobs) {
                     FormatDouble(hist.Quantile(0.99), 2)});
   }
   std::printf("%s\n", d_table.Render().c_str());
+  return delays;
 }
 
 void PrintDelayCauseSection(const std::vector<JobRecord>& jobs,
@@ -420,14 +422,23 @@ void PrintDelayCauseSection(const std::vector<JobRecord>& jobs,
   std::printf("\n");
 }
 
-// Returns the job half of the telemetry digest, from Table 3's sampling pass.
-TelemetryDigest PrintReport(const std::vector<JobRecord>& jobs, const SimulationResult* sim) {
+// The analyses PrintReport ran that its callers reuse: --figures exports
+// their series, and util.digest is the job half of the telemetry digest.
+struct ReportAnalyses {
+  RunTimeResult runtimes;
+  QueueDelayResult delays;
+  UtilizationResult util;
+};
+
+ReportAnalyses PrintReport(const std::vector<JobRecord>& jobs, const SimulationResult* sim) {
+  ReportAnalyses analyses;
   PrintStatusSection(jobs);
-  PrintRunTimeSection(jobs);
-  PrintQueueDelaySection(jobs);
+  analyses.runtimes = PrintRunTimeSection(jobs);
+  analyses.delays = PrintQueueDelaySection(jobs);
   PrintDelayCauseSection(jobs, sim);
 
-  const auto util = AnalyzeUtilization(jobs);
+  analyses.util = AnalyzeUtilization(jobs);
+  const UtilizationResult& util = analyses.util;
   std::printf("=== Figure 5 / Table 3: GPU utilization ===\n");
   TextTable u_table({"size", "mean util (%)", "p50", "p90"});
   for (int i = 0; i < UtilizationResult::kNumRepresentative; ++i) {
@@ -483,7 +494,7 @@ TelemetryDigest PrintReport(const std::vector<JobRecord>& jobs, const Simulation
         sim->ckpt_overhead_gpu_seconds / 3600.0,
         sim->ckpt_stall_gpu_seconds / 3600.0);
   }
-  return util.digest;
+  return analyses;
 }
 
 // The subset of the report a scheduler event log can reproduce on its own.
@@ -496,26 +507,55 @@ void PrintEventReport(const SimulationResult& joined) {
   PrintDelayCauseSection(joined.jobs, &joined);
 }
 
-void ExportFigures(const std::vector<JobRecord>& jobs, const std::string& dir) {
-  std::filesystem::create_directories(dir);
-  const auto runtimes = AnalyzeRunTimes(jobs);
-  const auto delays = AnalyzeQueueDelays(jobs);
-  for (int b = 0; b < kNumSizeBuckets; ++b) {
-    WriteCdfCsv(runtimes.cdf_minutes[static_cast<size_t>(b)],
-                dir + "/fig2_runtime_bucket" + std::to_string(b) + ".csv");
-    WriteCdfCsv(delays.overall[static_cast<size_t>(b)],
-                dir + "/fig3_delay_bucket" + std::to_string(b) + ".csv");
+// Creates the --figures directory, when the flag is given, before any
+// simulation or trace read. Returns false, naming the path, if it cannot.
+bool CreateFiguresDir(const Args& args) {
+  if (args.values.count("--figures") == 0) {
+    return true;
   }
-  const auto util = AnalyzeUtilization(jobs);
+  const std::string dir = args.Get("--figures", "");
+  std::error_code error;
+  std::filesystem::create_directories(dir, error);
+  if (error) {
+    std::fprintf(stderr, "cannot create figures directory %s: %s\n", dir.c_str(),
+                 error.message().c_str());
+    return false;
+  }
+  return true;
+}
+
+// Writes the figure CDF series into `dir` from the analyses PrintReport ran.
+// Returns false, naming the file, if one cannot be written.
+bool ExportFigures(const std::vector<JobRecord>& jobs, const ReportAnalyses& analyses,
+                   const std::string& dir) {
+  const auto write = [&dir](const StreamingHistogram& hist, const std::string& name) {
+    const std::string path = dir + "/" + name;
+    if (!WriteCdfCsv(hist, path)) {
+      std::fprintf(stderr, "cannot write figure series %s\n", path.c_str());
+      return false;
+    }
+    return true;
+  };
+  for (int b = 0; b < kNumSizeBuckets; ++b) {
+    const std::string bucket = std::to_string(b) + ".csv";
+    if (!write(analyses.runtimes.cdf_minutes[static_cast<size_t>(b)],
+               "fig2_runtime_bucket" + bucket) ||
+        !write(analyses.delays.overall[static_cast<size_t>(b)], "fig3_delay_bucket" + bucket)) {
+      return false;
+    }
+  }
   for (int i = 0; i < UtilizationResult::kNumRepresentative; ++i) {
-    WriteCdfCsv(util.by_size[static_cast<size_t>(i)],
-                dir + "/fig5_util_" + std::to_string(kRepresentativeSizes[i]) +
-                    "gpu.csv");
+    if (!write(analyses.util.by_size[static_cast<size_t>(i)],
+               "fig5_util_" + std::to_string(kRepresentativeSizes[i]) + "gpu.csv")) {
+      return false;
+    }
   }
   const auto host = AnalyzeHostResources(jobs);
-  WriteCdfCsv(host.cpu_util, dir + "/fig7_cpu.csv");
-  WriteCdfCsv(host.memory_util, dir + "/fig7_memory.csv");
+  if (!write(host.cpu_util, "fig7_cpu.csv") || !write(host.memory_util, "fig7_memory.csv")) {
+    return false;
+  }
   std::printf("figure series written to %s/\n", dir.c_str());
+  return true;
 }
 
 // The manifest that lets a trace directory found on disk later be
@@ -566,6 +606,9 @@ int RunSimulateOrReport(const Args& args, bool write_output) {
   }
   if (args.Has("--faults")) {
     config.simulation.fault = FaultProcessConfig::Calibrated();
+  }
+  if (!CreateFiguresDir(args)) {
+    return 1;
   }
 
   const std::string out_dir = args.Get("--out", "out/trace");
@@ -633,9 +676,11 @@ int RunSimulateOrReport(const Args& args, bool write_output) {
   {
     // Scoped so the "analyze" slice closes before the trace file is written.
     ScopedTimer analyze_timer(config.simulation.obs.profiler, "analyze");
-    view.util_digest = PrintReport(run.result.jobs, &run.result);
-    if (args.values.count("--figures") > 0) {
-      ExportFigures(run.result.jobs, args.Get("--figures", "out/figures"));
+    const ReportAnalyses analyses = PrintReport(run.result.jobs, &run.result);
+    view.util_digest = analyses.util.digest;
+    if (args.values.count("--figures") > 0 &&
+        !ExportFigures(run.result.jobs, analyses, args.Get("--figures", ""))) {
+      return 1;
     }
   }
   return outputs.Finish(&manifest) ? 0 : 1;
@@ -898,6 +943,9 @@ int RunAnalyze(const Args& args) {
     std::fprintf(stderr, "analyze requires --trace DIR\n");
     return 2;
   }
+  if (!CreateFiguresDir(args)) {
+    return 1;
+  }
   std::vector<JobRecord> jobs;
   if (args.Has("--philly-traces")) {
     // Public-release layout: parse cluster_job_log. Telemetry-dependent
@@ -935,9 +983,10 @@ int RunAnalyze(const Args& args) {
     std::printf("loaded and validated %zu jobs from %s\n\n", jobs.size(),
                 dir.c_str());
   }
-  PrintReport(jobs, nullptr);
-  if (args.values.count("--figures") > 0) {
-    ExportFigures(jobs, args.Get("--figures", "out/figures"));
+  const ReportAnalyses analyses = PrintReport(jobs, nullptr);
+  if (args.values.count("--figures") > 0 &&
+      !ExportFigures(jobs, analyses, args.Get("--figures", ""))) {
+    return 1;
   }
   return 0;
 }
