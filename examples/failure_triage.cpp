@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -14,12 +13,13 @@
 #include "src/common/table.h"
 #include "src/core/analysis.h"
 #include "src/core/experiment.h"
+#include "src/core/runner.h"
 
 int main(int argc, char** argv) {
   using namespace philly;
 
-  const int days = argc > 1 ? std::atoi(argv[1]) : 5;
-  const uint64_t seed = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 7;
+  const int days = PositiveIntArg(argc, argv, 1, "days", 5);
+  const uint64_t seed = U64Arg(argc, argv, 2, "seed", 7);
 
   ExperimentConfig config = ExperimentConfig::BenchScale(days, seed);
   const ExperimentRun run = RunExperiment(config);

@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -17,12 +16,13 @@
 #include "src/core/analysis.h"
 #include "src/core/experiment.h"
 #include "src/core/report.h"
+#include "src/core/runner.h"
 #include "src/trace/trace_io.h"
 
 int main(int argc, char** argv) {
   using namespace philly;
 
-  const int days = argc > 1 ? std::atoi(argv[1]) : 8;
+  const int days = PositiveIntArg(argc, argv, 1, "days", 8);
   const std::string out_dir = argc > 2 ? argv[2] : "out/philly_trace";
 
   ExperimentConfig config = ExperimentConfig::BenchScale(days, 42);

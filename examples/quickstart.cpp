@@ -4,17 +4,17 @@
 //   ./build/examples/quickstart [days] [seed]
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "src/core/analysis.h"
 #include "src/core/experiment.h"
+#include "src/core/runner.h"
 
 int main(int argc, char** argv) {
   using namespace philly;
 
-  const int days = argc > 1 ? std::atoi(argv[1]) : 2;
-  const uint64_t seed = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 42;
+  const int days = PositiveIntArg(argc, argv, 1, "days", 2);
+  const uint64_t seed = U64Arg(argc, argv, 2, "seed", 42);
 
   // 1. Configure: paper-like cluster (two SKUs, RDMA-domain racks), 14 virtual
   //    clusters with quotas, a Philly-style locality-aware gang scheduler.

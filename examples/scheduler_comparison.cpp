@@ -6,7 +6,6 @@
 //   ./build/examples/scheduler_comparison [days] [seed]
 
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
 #include "src/common/strings.h"
@@ -51,8 +50,8 @@ Metrics Evaluate(const philly::SimulationResult& result) {
 int main(int argc, char** argv) {
   using namespace philly;
 
-  const int days = argc > 1 ? std::atoi(argv[1]) : 6;
-  const uint64_t seed = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 42;
+  const int days = PositiveIntArg(argc, argv, 1, "days", 6);
+  const uint64_t seed = U64Arg(argc, argv, 2, "seed", 42);
 
   const std::vector<SchedulerConfig> schedulers = {
       SchedulerConfig::Philly(), SchedulerConfig::Fifo(), SchedulerConfig::Optimus(),

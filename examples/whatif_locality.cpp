@@ -8,12 +8,12 @@
 //   ./build/examples/whatif_locality [days] [seed]
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "src/common/strings.h"
 #include "src/common/table.h"
 #include "src/core/analysis.h"
 #include "src/core/experiment.h"
+#include "src/core/runner.h"
 
 namespace {
 
@@ -48,8 +48,8 @@ Outcome Measure(const philly::ExperimentConfig& config) {
 int main(int argc, char** argv) {
   using namespace philly;
 
-  const int days = argc > 1 ? std::atoi(argv[1]) : 6;
-  const uint64_t seed = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 42;
+  const int days = PositiveIntArg(argc, argv, 1, "days", 6);
+  const uint64_t seed = U64Arg(argc, argv, 2, "seed", 42);
 
   std::printf("(a) locality-wait sweep: minimum wait before relaxing locality\n\n");
   TextTable wait_table({"min wait before relax", "mean queue (min)",

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 
@@ -22,12 +21,6 @@
 
 namespace philly {
 namespace {
-
-// Full-field integer parse; rejects empty fields and trailing garbage.
-bool ParsePlacementInt(std::string_view s, int64_t* out) {
-  const auto result = std::from_chars(s.data(), s.data() + s.size(), *out);
-  return result.ec == std::errc() && result.ptr == s.data() + s.size();
-}
 
 // Ordered-set operations on the flat sorted vectors the free-capacity index
 // is built from (ServerBucket, rack_order_).
@@ -72,8 +65,8 @@ Placement DecodePlacement(std::string_view text) {
     const auto fields = Split(part, ':');
     int64_t server = 0;
     int64_t gpus = 0;
-    if (fields.size() != 2 || !ParsePlacementInt(fields[0], &server) ||
-        !ParsePlacementInt(fields[1], &gpus)) {
+    if (fields.size() != 2 || !ParseNumber(fields[0], &server) ||
+        !ParseNumber(fields[1], &gpus)) {
       continue;
     }
     placement.shards.push_back(

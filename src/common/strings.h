@@ -3,11 +3,35 @@
 #ifndef SRC_COMMON_STRINGS_H_
 #define SRC_COMMON_STRINGS_H_
 
+#include <charconv>
+#include <cmath>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace philly {
+
+// The one parser for every number a user or a trace file hands the program
+// (flags, env knobs, argv, trace cells). All of `text` must be a base-10
+// number of type T: no leading whitespace or '+', no hex, no trailing bytes,
+// an integer in T's range and a finite double. Returns false and leaves *out
+// untouched otherwise.
+template <typename T>
+bool ParseNumber(std::string_view text, T* out) {
+  T value{};
+  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
+  if (ec != std::errc() || end != text.data() + text.size()) {
+    return false;
+  }
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(value)) {
+      return false;
+    }
+  }
+  *out = value;
+  return true;
+}
 
 // Splits on `sep`; keeps empty fields ("a,,b" -> {"a", "", "b"}).
 std::vector<std::string_view> Split(std::string_view s, char sep);

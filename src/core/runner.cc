@@ -1,7 +1,6 @@
 #include "src/core/runner.h"
 
 #include <atomic>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -9,67 +8,44 @@
 #include <stdexcept>
 #include <thread>
 
+#include "src/common/strings.h"
+
 namespace philly {
 namespace {
 
-// Parses the full string as an integer in [min, max]; returns false on any
-// trailing garbage, empty input, or range violation.
-bool ParseExact(const char* text, int64_t min, int64_t max, uint64_t* out) {
-  if (text == nullptr || *text == '\0') {
-    return false;
+// `text` as a T of at least `min`; otherwise prints what `name` expected and
+// exits 2.
+template <typename T>
+T KnobOrDie(const char* name, const char* text, T min, const char* expected) {
+  T value{};
+  if (!ParseNumber(text, &value) || value < min) {
+    std::fprintf(stderr, "%s='%s' is invalid: expected %s\n", name, text, expected);
+    std::exit(2);
   }
-  errno = 0;
-  char* end = nullptr;
-  if (min < 0 || *text == '-') {
-    const long long v = std::strtoll(text, &end, 10);
-    if (errno != 0 || end == text || *end != '\0' || v < min ||
-        (max >= 0 && v > max)) {
-      return false;
-    }
-    *out = static_cast<uint64_t>(v);
-    return true;
-  }
-  const unsigned long long v = std::strtoull(text, &end, 10);
-  if (errno != 0 || end == text || *end != '\0' ||
-      v < static_cast<unsigned long long>(min) ||
-      (max >= 0 && v > static_cast<unsigned long long>(max))) {
-    return false;
-  }
-  *out = v;
-  return true;
+  return value;
 }
 
-[[noreturn]] void DieOnKnob(const char* name, const char* value,
-                            const char* expected) {
-  std::fprintf(stderr, "%s='%s' is invalid: expected %s\n", name, value,
-               expected);
-  std::exit(2);
-}
+bool Unset(const char* env) { return env == nullptr || *env == '\0'; }
 
 }  // namespace
 
 int PositiveIntFromEnv(const char* name, int fallback) {
   const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') {
-    return fallback;
-  }
-  uint64_t value = 0;
-  if (!ParseExact(env, 1, INT32_MAX, &value)) {
-    DieOnKnob(name, env, "a positive integer");
-  }
-  return static_cast<int>(value);
+  return Unset(env) ? fallback : KnobOrDie(name, env, 1, "a positive integer");
 }
 
 uint64_t U64FromEnv(const char* name, uint64_t fallback) {
   const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') {
-    return fallback;
-  }
-  uint64_t value = 0;
-  if (!ParseExact(env, 0, -1, &value)) {
-    DieOnKnob(name, env, "an unsigned integer");
-  }
-  return value;
+  return Unset(env) ? fallback : KnobOrDie<uint64_t>(name, env, 0, "an unsigned integer");
+}
+
+int PositiveIntArg(int argc, char** argv, int index, const char* name, int fallback) {
+  return index < argc ? KnobOrDie(name, argv[index], 1, "a positive integer") : fallback;
+}
+
+uint64_t U64Arg(int argc, char** argv, int index, const char* name, uint64_t fallback) {
+  return index < argc ? KnobOrDie<uint64_t>(name, argv[index], 0, "an unsigned integer")
+                      : fallback;
 }
 
 int DefaultPoolThreads() {

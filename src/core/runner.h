@@ -23,12 +23,16 @@
 
 namespace philly {
 
-// Strict environment-knob parsing. Unset (or empty) variables return the
-// fallback; malformed or out-of-range values print a clear message to stderr
-// and exit(2) — silently treating garbage as 0 yields empty workloads and
-// vacuously passing shape checks.
+// Strict environment-knob parsing (ParseNumber, src/common/strings.h). Unset
+// (or empty) variables return the fallback; malformed or out-of-range values
+// print a clear message to stderr and exit(2) — silently treating garbage as
+// 0 yields empty workloads and vacuously passing shape checks.
 int PositiveIntFromEnv(const char* name, int fallback);
 uint64_t U64FromEnv(const char* name, uint64_t fallback);
+// The same for the positional argument argv[index], named `name` in the
+// message; `fallback` when argc <= index.
+int PositiveIntArg(int argc, char** argv, int index, const char* name, int fallback);
+uint64_t U64Arg(int argc, char** argv, int index, const char* name, uint64_t fallback);
 
 // Worker count for pools constructed without an explicit thread count:
 // `PHILLY_BENCH_THREADS` if set (must be a positive integer), else

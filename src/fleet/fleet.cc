@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cassert>
-#include <charconv>
 #include <cmath>
 #include <stdexcept>
 #include <utility>
 
+#include "src/common/strings.h"
 #include "src/core/runner.h"
 #include "src/sched/simulation.h"
 #include "src/workload/generator.h"
@@ -19,20 +19,6 @@ namespace {
 // test re-derives it to configure the standalone runs).
 uint64_t ClusterSeed(uint64_t base_seed, int cluster_index) {
   return base_seed + 1000003ull * static_cast<uint64_t>(cluster_index);
-}
-
-// Whole-string unsigned parse; rejects signs, whitespace, and trailing bytes.
-bool StrictUint(std::string_view text, int64_t* value) {
-  if (text.empty()) {
-    return false;
-  }
-  int64_t v = 0;
-  const auto result = std::from_chars(text.data(), text.data() + text.size(), v);
-  if (result.ec != std::errc() || result.ptr != text.data() + text.size()) {
-    return false;
-  }
-  *value = v;
-  return true;
 }
 
 }  // namespace
@@ -224,11 +210,9 @@ bool ParseClustersSpec(std::string_view text, std::vector<ClusterConfig>* cluste
   if (text.empty()) {
     return fail("--clusters is empty; expected a count or RxS[xG] entries");
   }
-  std::vector<ClusterConfig> parsed;
-  if (text.find(',') == std::string_view::npos &&
-      text.find('x') == std::string_view::npos) {
+  if (text.find_first_of(",x") == std::string_view::npos) {
     int64_t count = 0;
-    if (!StrictUint(text, &count)) {
+    if (!ParseNumber(text, &count)) {
       return fail("--clusters value '" + std::string(text) +
                   "' is not a cluster count or RxS[xG] list");
     }
@@ -236,32 +220,23 @@ bool ParseClustersSpec(std::string_view text, std::vector<ClusterConfig>* cluste
       return fail("--clusters count must be in [1, " +
                   std::to_string(kMaxClusters) + "], got '" + std::string(text) + "'");
     }
-    parsed.assign(static_cast<size_t>(count), ClusterConfig::PaperScale());
-    *clusters = std::move(parsed);
+    clusters->assign(static_cast<size_t>(count), ClusterConfig::PaperScale());
     return true;
   }
-  size_t start = 0;
-  while (start <= text.size()) {
-    const size_t comma = text.find(',', start);
-    const std::string_view entry =
-        text.substr(start, comma == std::string_view::npos ? std::string_view::npos
-                                                           : comma - start);
+  const std::vector<std::string_view> entries = Split(text, ',');
+  if (entries.size() > kMaxClusters) {
+    return fail("--clusters lists more than " + std::to_string(kMaxClusters) + " clusters");
+  }
+  std::vector<ClusterConfig> parsed;
+  for (const std::string_view entry : entries) {
     // Entry grammar: RxS or RxSxG, all strictly positive integers.
+    const std::vector<std::string_view> fields = Split(entry, 'x');
     int64_t dims[3] = {0, 0, 8};
-    size_t field = 0;
-    size_t field_start = 0;
-    bool ok = true;
-    for (size_t i = 0; ok && i <= entry.size(); ++i) {
-      if (i == entry.size() || entry[i] == 'x') {
-        if (field >= 3 || !StrictUint(entry.substr(field_start, i - field_start),
-                                      &dims[field])) {
-          ok = false;
-        }
-        ++field;
-        field_start = i + 1;
-      }
+    bool ok = fields.size() == 2 || fields.size() == 3;
+    for (size_t i = 0; ok && i < fields.size(); ++i) {
+      ok = ParseNumber(fields[i], &dims[i]);
     }
-    if (!ok || field < 2) {
+    if (!ok) {
       return fail("--clusters entry '" + std::string(entry) +
                   "' is not RxS or RxSxG (positive integers)");
     }
@@ -274,17 +249,6 @@ bool ParseClustersSpec(std::string_view text, std::vector<ClusterConfig>* cluste
     cluster.skus.push_back({static_cast<int>(dims[0]), static_cast<int>(dims[1]),
                             static_cast<int>(dims[2])});
     parsed.push_back(std::move(cluster));
-    if (static_cast<int>(parsed.size()) > kMaxClusters) {
-      return fail("--clusters lists more than " + std::to_string(kMaxClusters) +
-                  " clusters");
-    }
-    if (comma == std::string_view::npos) {
-      break;
-    }
-    start = comma + 1;
-    if (start == text.size()) {
-      return fail("--clusters has a trailing comma");
-    }
   }
   *clusters = std::move(parsed);
   return true;

@@ -1,6 +1,7 @@
 #include "src/obs/metrics.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <ostream>
 #include <stdexcept>
@@ -24,17 +25,19 @@ void UpdateAtomicMax(std::atomic<double>* target, double v) {
   }
 }
 
+// Integral values as integers; others in the shortest text that reads back
+// to the same double, as the NDJSON codec writes them.
 void WriteJsonNumber(std::ostream& out, double v) {
   if (!std::isfinite(v)) {
     out << 0;
     return;
   }
-  if (v == static_cast<double>(static_cast<int64_t>(v)) &&
-      std::abs(v) < 1e15) {
+  if (std::abs(v) < 1e15 && v == static_cast<double>(static_cast<int64_t>(v))) {
     out << static_cast<int64_t>(v);
     return;
   }
-  out << v;
+  char buf[32];
+  out.write(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr - buf);
 }
 
 }  // namespace

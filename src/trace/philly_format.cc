@@ -316,6 +316,15 @@ std::vector<JobRecord> PhillyTracesImporter::ImportJobLog(std::string_view json_
   std::vector<JobRecord> jobs;
   std::string parse_error;
   const JsonValue root = JsonValue::Parse(json_text, &parse_error);
+  tolerated_ = {};
+  if (parse_error.empty() && root.type() != JsonValue::Type::kArray) {
+    parse_error = "the root is not an array of jobs";
+  }
+  for (size_t i = 0; parse_error.empty() && i < root.AsArray().size(); ++i) {
+    if (root.AsArray()[i].type() != JsonValue::Type::kObject) {
+      parse_error = "entry " + std::to_string(i) + " is not a job object";
+    }
+  }
   if (!parse_error.empty()) {
     if (error != nullptr) {
       *error = parse_error;
@@ -341,7 +350,8 @@ std::vector<JobRecord> PhillyTracesImporter::ImportJobLog(std::string_view json_
     job.spec.user = intern(user_ids_, entry["user"].AsString());
     SimTime submitted = 0;
     if (!ParseTimestamp(entry["submitted_time"].AsString(), &submitted)) {
-      continue;  // unusable without a submission time
+      ++tolerated_.jobs_without_submit_time;  // unusable without one
+      continue;
     }
     job.spec.submit_time = submitted;
 
@@ -352,6 +362,7 @@ std::vector<JobRecord> PhillyTracesImporter::ImportJobLog(std::string_view json_
       job.status = JobStatus::kKilled;
     } else {
       job.status = JobStatus::kUnsuccessful;
+      tolerated_.other_statuses += status == "Failed" ? 0 : 1;
     }
 
     const auto& attempts = entry["attempts"].AsArray();
@@ -360,7 +371,8 @@ std::vector<JobRecord> PhillyTracesImporter::ImportJobLog(std::string_view json_
       SimTime end = 0;
       if (!ParseTimestamp(attempt_json["start_time"].AsString(), &start) ||
           !ParseTimestamp(attempt_json["end_time"].AsString(), &end) || end < start) {
-        continue;  // unstarted or truncated attempt
+        ++tolerated_.attempts_without_times;  // unstarted or truncated
+        continue;
       }
       AttemptRecord attempt;
       attempt.index = static_cast<int>(job.attempts.size());
@@ -369,6 +381,7 @@ std::vector<JobRecord> PhillyTracesImporter::ImportJobLog(std::string_view json_
       for (const JsonValue& detail : attempt_json["detail"].AsArray()) {
         const int gpus = static_cast<int>(detail["gpus"].size());
         if (gpus <= 0) {
+          ++tolerated_.placements_without_gpus;
           continue;
         }
         attempt.placement.shards.push_back(

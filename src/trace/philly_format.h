@@ -100,10 +100,20 @@ class PhillyTracesImporter {
  public:
   explicit PhillyTracesImporter(PhillyTracesOptions options = {});
 
-  // Parses the JSON text. On malformed input returns an empty vector and
-  // sets *error (when provided).
+  // Parses the JSON text: an array of job objects. On malformed input (bad
+  // JSON, a root that is not an array, an entry that is not an object)
+  // returns an empty vector and sets *error (when provided).
   std::vector<JobRecord> ImportJobLog(std::string_view json_text,
                                       std::string* error = nullptr);
+
+  // What the last import tolerated because the public format has it.
+  struct Tolerated {
+    int64_t jobs_without_submit_time = 0;  // dropped
+    int64_t attempts_without_times = 0;    // dropped: no start or end, or ends first
+    int64_t other_statuses = 0;            // not Pass, Killed or Failed: Unsuccessful
+    int64_t placements_without_gpus = 0;   // detail entries dropped
+  };
+  const Tolerated& tolerated() const { return tolerated_; }
 
   // Identifier spaces discovered during import.
   int num_vcs() const { return static_cast<int>(vc_ids_.size()); }
@@ -116,6 +126,7 @@ class PhillyTracesImporter {
 
  private:
   PhillyTracesOptions options_;
+  Tolerated tolerated_;
   std::map<std::string, VcId, std::less<>> vc_ids_;
   std::map<std::string, UserId, std::less<>> user_ids_;
   std::map<std::string, ServerId, std::less<>> machine_ids_;

@@ -1,8 +1,6 @@
 #include "src/trace/trace_io.h"
 
 #include <algorithm>
-#include <charconv>
-#include <cmath>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -80,11 +78,8 @@ class TraceFile {
   template <typename T>
   T Number(size_t column, const char* what) {
     T value{};
-    const std::string_view text = fields_[column];
-    const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
-    if (ec != std::errc() || end != text.data() + text.size() ||
-        !std::isfinite(static_cast<double>(value))) {
-      Fail(column, Quoted(text) + " is not " + what);
+    if (!ParseNumber(fields_[column], &value)) {
+      Fail(column, Quoted(fields_[column]) + " is not " + what);
     }
     return value;
   }
@@ -321,14 +316,12 @@ std::vector<JobRecord> TraceReader::ReadJobs(std::istream& jobs_csv,
   while (log.NextLine()) {
     // The marker must be exactly what FrameMarker writes.
     const std::vector<std::string_view> words = Split(log.line(), ' ');
-    const auto number = [](std::string_view text, int64_t* out) {
-      return std::from_chars(text.data(), text.data() + text.size(), *out).ec == std::errc();
-    };
     int64_t job_id = 0;
     int64_t attempt_index = 0;
     int64_t num_lines = 0;
-    if (words.size() != 7 || !number(words[2], &job_id) || !number(words[4], &attempt_index) ||
-        !number(words[6], &num_lines) || num_lines < 1 ||
+    if (words.size() != 7 || !ParseNumber(words[2], &job_id) ||
+        !ParseNumber(words[4], &attempt_index) || !ParseNumber(words[6], &num_lines) ||
+        num_lines < 1 ||
         log.line() != FrameMarker(job_id, attempt_index, num_lines)) {
       log.Fail(0, "expected \"=== job ID attempt K lines N\" with N >= 1");
       break;

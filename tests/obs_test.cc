@@ -22,6 +22,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/common/json.h"
 #include "src/common/rng.h"
 #include "src/common/sha256.h"
 #include "src/common/sha256_internal.h"
@@ -406,6 +407,26 @@ TEST(MetricsTest, WriteJsonSnapshot) {
   const std::string json = out.str();
   EXPECT_NE(json.find("\"sched.decisions\": 5"), std::string::npos) << json;
   EXPECT_NE(json.find("sched.queue_delay_minutes"), std::string::npos);
+}
+
+// A non-integral gauge and histogram mean read back bit for bit: metrics.json
+// carries the registry's exact values, not six significant digits.
+TEST(MetricsTest, WriteJsonValuesReadBackExactly) {
+  MetricsRegistry registry;
+  registry.GetGauge("g")->Set(130.43312345678901);
+  Histogram* histogram = registry.GetHistogram("h");
+  for (const double v : {0.1, 0.2, 1.0 / 3.0}) {
+    histogram->Observe(v);
+  }
+  std::ostringstream out;
+  registry.WriteJson(out);
+  std::string error;
+  const JsonValue json = JsonValue::Parse(out.str(), &error);
+  ASSERT_TRUE(error.empty()) << error << "\n" << out.str();
+  EXPECT_EQ(std::bit_cast<uint64_t>(json["gauges"]["g"].AsNumber()),
+            std::bit_cast<uint64_t>(registry.GetGauge("g")->value()));
+  EXPECT_EQ(std::bit_cast<uint64_t>(json["histograms"]["h"]["mean"].AsNumber()),
+            std::bit_cast<uint64_t>(histogram->mean()));
 }
 
 // ------------------------------------------------------------ profiler

@@ -196,6 +196,46 @@ TEST(PhillyImporterTest, ExportImportRoundTrip) {
   }
   EXPECT_GT(importer.num_vcs(), 5);
   EXPECT_GT(importer.num_machines(), 10);
+  // This repo's own export needs no tolerance.
+  const PhillyTracesImporter::Tolerated& tolerated = importer.tolerated();
+  EXPECT_EQ(tolerated.jobs_without_submit_time, 0);
+  EXPECT_EQ(tolerated.attempts_without_times, 0);
+  EXPECT_EQ(tolerated.other_statuses, 0);
+  EXPECT_EQ(tolerated.placements_without_gpus, 0);
+}
+
+// What the public format forces the importer to tolerate is counted, one
+// kind each; what is not a job log at all is an error naming where.
+TEST(PhillyImporterTest, CountsWhatItTolerates) {
+  PhillyTracesImporter importer;
+  std::string error;
+  const auto jobs = importer.ImportJobLog(R"([
+      {"status": "Pass", "vc": "a", "user": "u", "submitted_time": "None", "attempts": []},
+      {"status": "Weird", "vc": "a", "user": "u", "submitted_time": "2017-10-01 00:00:10",
+       "attempts": [
+         {"start_time": "None", "end_time": "2017-10-01 00:01:00", "detail": []},
+         {"start_time": "2017-10-01 00:05:00", "end_time": "2017-10-01 00:04:00", "detail": []},
+         {"start_time": "2017-10-01 00:02:00", "end_time": "2017-10-01 00:03:00",
+          "detail": [{"ip": "m1", "gpus": []}, {"ip": "m2", "gpus": ["gpu0"]}]}]}])",
+                                          &error);
+  ASSERT_TRUE(error.empty()) << error;
+  ASSERT_EQ(jobs.size(), 1u);
+  EXPECT_EQ(jobs[0].status, JobStatus::kUnsuccessful);
+  ASSERT_EQ(jobs[0].attempts.size(), 1u);
+  EXPECT_EQ(jobs[0].attempts[0].placement.NumGpus(), 1);
+  const PhillyTracesImporter::Tolerated& tolerated = importer.tolerated();
+  EXPECT_EQ(tolerated.jobs_without_submit_time, 1);
+  EXPECT_EQ(tolerated.attempts_without_times, 2);
+  EXPECT_EQ(tolerated.other_statuses, 1);
+  EXPECT_EQ(tolerated.placements_without_gpus, 1);
+
+  const std::vector<std::pair<std::string, std::string>> kNotAJobLog = {
+      {"{}", "root"}, {R"([{}, 5, "x"])", "entry 1"}, {"[[]]", "entry 0"}};
+  for (const auto& [text, where] : kNotAJobLog) {
+    error.clear();
+    EXPECT_TRUE(importer.ImportJobLog(text, &error).empty()) << text;
+    EXPECT_NE(error.find(where), std::string::npos) << error;
+  }
 }
 
 TEST(PhillyImporterTest, AnalysesRunOnImportedData) {

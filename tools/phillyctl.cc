@@ -1,120 +1,12 @@
-// phillyctl — command-line front end for the phillysim library.
-//
-//   phillyctl simulate --days 10 --seed 42 --out DIR [options]
-//       Run a simulation and write the trace artifact(s) plus a
-//       manifest.json recording seed/config/knobs for reproduction.
-//   phillyctl analyze --trace DIR [--figures DIR]
-//       Re-analyze a previously written native trace and print every table.
-//   phillyctl analyze --from-events FILE [--trace DIR]
-//       Rebuild the scheduler-stream analyses (Table 6, Fig 2, Fig 3,
-//       Table 2) from an NDJSON event log alone. With --trace, cross-check
-//       the rebuilt per-job records against the native trace and fail on
-//       any divergence.
-//   phillyctl analyze --telemetry FILE [--trace DIR]
-//       Rebuild the Table 3 utilization aggregates from a telemetry stream
-//       alone and verify them against the digest the writer embedded (exact,
-//       bitwise). With --trace, also recompute the job-derived half from the
-//       native trace and fail on any divergence.
-//   phillyctl analyze --from-events FILE --spans FILE
-//       Additionally verify the causal span stream: the blame-conservation
-//       identity against the event-rebuilt job records (every attributed
-//       interval sums exactly to the measured queueing delay), then rebuild
-//       Table 2 from the attributed spans alone and cross-check it against
-//       the native analysis, failing on any divergence.
-//   phillyctl explain --job ID --spans FILE
-//       Print the causal timeline of one job — when it queued, what each
-//       stretch of waiting was blamed on, when it ran, why each attempt
-//       ended — reconstructed from the span stream alone.
-//   phillyctl report [--days N] [--seed S] [options]
-//       Run a simulation and print the full analysis. Takes simulate's
-//       options except --out and --format: it writes no trace directory,
-//       only the observability outputs and figures it is asked for.
-//   phillyctl sweep [--days N] [--seeds S1,S2,...] [--schedulers a,b,...]
-//                   [--retries p1,p2,...] [--threads N] [options]
-//       Run the schedulers x retry-policies x seeds cross product through the
-//       parallel experiment pool and print one summary row per run.
-//       Each --seeds entry takes simulate's --seed range (0..2147483647), so
-//       any row can be rerun alone; sweep itself takes no --seed. An empty
-//       entry in --seeds, --schedulers or --retries exits 2.
-//       --retries defaults to the single --retry value; --threads overrides
-//       the pool size (default: PHILLY_BENCH_THREADS or hardware
-//       concurrency); results are identical for any thread count.
-//   phillyctl fleet [--clusters SPEC] [--router POLICY]
-//                   [--spill-threshold N] [--days N] [--seed S] [--threads N]
-//                   [--out DIR] [--html FILE]
-//       Run a multi-cluster fleet behind the front-door job router
-//       (docs/fleet.md) and print a per-cluster routing/queueing summary.
-//       --clusters is either a count ("4": four paper-scale clusters) or a
-//       comma list of RxS / RxSxG topologies ("15x16x8,4x24x2"); each
-//       member's workload is scaled to its GPU capacity. --router is pinned,
-//       least-loaded, or spillover (default pinned); --spill-threshold (home
-//       queue depth, spillover only) defaults to 4. --out writes the fleet
-//       route stream, every per-cluster event and telemetry stream, and a
-//       manifest.json recording the knobs; --html renders the dashboard with
-//       a fleet routing section.
-//
-//   Each subcommand accepts only the options listed for it below: an unknown
-//   option, a value flag with no value, or a positional argument exits 2
-//   with a message naming it and the subcommand.
-//
-//   Scheduler options (simulate/report; sweep takes all but --scheduler):
-//     --scheduler philly|fifo|optimus|tiresias|gandiva   (default philly)
-//     --retry fixed|adaptive|predictive                  (default fixed)
-//     --prerun            enable the 1-GPU pre-run pool (§5)
-//     --migration         enable checkpoint-migration defragmentation (§5)
-//     --dedicated         place small jobs on dedicated servers (§5)
-//     --strict-locality   never relax locality constraints
-//     --faults            enable the calibrated machine-fault process
-//                         (node crashes, GPU ECC drains, rack outages)
-//     --checkpoint-mins N periodic-checkpoint period for machine-fault
-//                         recovery (default 0 = restart from scratch)
-//     --ckpt-policy fixed|daly|stagger  checkpoint scheduling policy when the
-//                         I/O model is on (default fixed)
-//     --ckpt-bw GBPS      per-rack shared checkpoint storage bandwidth in
-//                         GB/s; > 0 enables the checkpoint I/O interference
-//                         model (default 0 = free instantaneous checkpoints)
-//     --ckpt-size-gb-per-gpu GB  checkpoint bytes written per allocated GPU
-//                         (default 2.0; requires --ckpt-bw to take effect)
-//   Output options (simulate):
-//     --format native|philly-traces|both                 (default native)
-//   Observability options (simulate/report):
-//     --events-out FILE    write the scheduler event stream as NDJSON
-//     --metrics-out FILE   write aggregated run metrics as JSON
-//     --trace-out FILE     write wall-clock phase slices as Chrome trace-event
-//                          JSON (load in ui.perfetto.dev or chrome://tracing)
-//     --telemetry-out FILE write the per-minute cluster telemetry stream as
-//                          NDJSON with a trailing integrity digest line
-//     --spans-out FILE     write the causal span stream (queued/blame/running/
-//                          ckpt spans, docs/observability.md) as NDJSON
-//     --spans-trace-out FILE  write the span tree as Chrome trace-event JSON
-//                          (load in ui.perfetto.dev or chrome://tracing)
-//     --html FILE          render a self-contained HTML dashboard (inline SVG,
-//                          no external assets) from the run's log streams;
-//                          includes a "Why jobs waited" section when a span
-//                          sink is attached (--spans-out / --spans-trace-out)
-//   Input options (analyze / explain):
-//     --philly-traces     treat --trace as the public-release layout and
-//                         parse cluster_job_log (telemetry analyses skipped)
-//     --from-events FILE  analyze an NDJSON scheduler event log
-//     --telemetry FILE    verify and summarize an NDJSON telemetry stream
-//     --spans FILE        an NDJSON causal span stream (with analyze
-//                         --from-events: verify + cross-check; with explain:
-//                         the stream to reconstruct the timeline from)
-//   Fleet options (fleet):
-//     --collect-spans     collect per-cluster span streams; with --out each
-//                         is written as <cluster>.spans.ndjson, and --html
-//                         gains the "Why jobs waited" section
+// phillyctl — command-line front end for the phillysim library. Run it with
+// no arguments for every command's purpose and options; one table declares,
+// checks and records them (src/core/cli_options.h).
 
-#include <cerrno>
-#include <climits>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <map>
-#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -122,6 +14,7 @@
 #include "src/common/strings.h"
 #include "src/common/table.h"
 #include "src/core/analysis.h"
+#include "src/core/cli_options.h"
 #include "src/core/event_join.h"
 #include "src/core/experiment.h"
 #include "src/core/html_report.h"
@@ -130,9 +23,7 @@
 #include "src/core/runner.h"
 #include "src/core/span_analysis.h"
 #include "src/core/validate.h"
-#include "src/fault/checkpoint_io.h"
 #include "src/fleet/fleet.h"
-#include "src/fault/fault_process.h"
 #include "src/obs/event_log.h"
 #include "src/obs/manifest.h"
 #include "src/obs/span.h"
@@ -143,210 +34,6 @@
 
 namespace philly {
 namespace {
-
-struct Args {
-  std::string command;
-  std::map<std::string, std::string> values;
-  std::map<std::string, bool> flags;
-
-  std::string Get(const std::string& key, const std::string& fallback) const {
-    const auto it = values.find(key);
-    return it != values.end() ? it->second : fallback;
-  }
-  bool Has(const std::string& key) const { return flags.count(key) > 0; }
-};
-
-int Usage() {
-  std::fprintf(stderr,
-               "usage: phillyctl <simulate|analyze|report|sweep|fleet|explain> "
-               "[options]\n"
-               "see the header of tools/phillyctl.cc or README.md for the "
-               "option list\n");
-  return 2;
-}
-
-bool SchedulerByName(const std::string& name, SchedulerConfig* sched) {
-  if (name == "philly") {
-    *sched = SchedulerConfig::Philly();
-  } else if (name == "fifo") {
-    *sched = SchedulerConfig::Fifo();
-  } else if (name == "optimus") {
-    *sched = SchedulerConfig::Optimus();
-  } else if (name == "tiresias") {
-    *sched = SchedulerConfig::Tiresias();
-  } else if (name == "gandiva") {
-    *sched = SchedulerConfig::Gandiva();
-  } else {
-    std::fprintf(stderr, "unknown scheduler '%s'\n", name.c_str());
-    return false;
-  }
-  return true;
-}
-
-bool RetryByName(const std::string& name, SchedulerConfig::RetryPolicyKind* kind) {
-  if (name == "fixed") {
-    *kind = SchedulerConfig::RetryPolicyKind::kFixed;
-  } else if (name == "adaptive") {
-    *kind = SchedulerConfig::RetryPolicyKind::kAdaptive;
-  } else if (name == "predictive") {
-    *kind = SchedulerConfig::RetryPolicyKind::kPredictive;
-  } else {
-    std::fprintf(stderr, "unknown retry policy '%s'\n", name.c_str());
-    return false;
-  }
-  return true;
-}
-
-// Applies the options shared by every subcommand (retry policy and the §5
-// mechanism flags) on top of an already-selected scheduler preset.
-bool ApplyCommonSchedulerOptions(const Args& args, SchedulerConfig* sched) {
-  if (!RetryByName(args.Get("--retry", "fixed"), &sched->retry_policy)) {
-    return false;
-  }
-  sched->enable_prerun_pool = args.Has("--prerun");
-  sched->enable_migration = args.Has("--migration");
-  if (args.Has("--dedicated")) {
-    sched->placer.pack_small_jobs = false;
-  }
-  if (args.Has("--strict-locality")) {
-    sched->max_relax_level = 0;
-  }
-  return true;
-}
-
-bool ApplySchedulerOptions(const Args& args, SchedulerConfig* sched) {
-  return SchedulerByName(args.Get("--scheduler", "philly"), sched) &&
-         ApplyCommonSchedulerOptions(args, sched);
-}
-
-// Strict numeric parsing for every numeric flag. std::atoi-style silent
-// defaulting would let a typo'd scale, seed, period or bandwidth invalidate a
-// whole study, so malformed values fail loudly instead (the same contract as
-// the PHILLY_BENCH_* env knobs).
-bool ParseStrictLong(const std::string& text, long* out) {
-  char* end = nullptr;
-  errno = 0;
-  const long value = std::strtol(text.c_str(), &end, 10);
-  if (errno != 0 || end == text.c_str() || *end != '\0') {
-    return false;
-  }
-  *out = value;
-  return true;
-}
-
-bool ParseStrictDouble(const std::string& text, double* out) {
-  char* end = nullptr;
-  errno = 0;
-  const double value = std::strtod(text.c_str(), &end);
-  if (errno != 0 || end == text.c_str() || *end != '\0' ||
-      !std::isfinite(value)) {
-    return false;
-  }
-  *out = value;
-  return true;
-}
-
-// Reads integer flag `key` into *out (`fallback` when absent), strictly and
-// range-checked. A malformed or out-of-range value prints
-// "KEY 'X' is invalid: expected ..." and returns false.
-bool GetIntFlag(const Args& args, const std::string& key, int fallback,
-                long min, long max, const char* expected, int* out) {
-  const auto it = args.values.find(key);
-  if (it == args.values.end()) {
-    *out = fallback;
-    return true;
-  }
-  long value = 0;
-  if (!ParseStrictLong(it->second, &value) || value < min || value > max) {
-    std::fprintf(stderr, "%s '%s' is invalid: expected %s\n", key.c_str(),
-                 it->second.c_str(), expected);
-    return false;
-  }
-  *out = static_cast<int>(value);
-  return true;
-}
-
-// The run-scale flags of the simulating commands. Each command's option table
-// decides which of them it takes; an absent flag reads as its default.
-struct RunFlags {
-  int days = 0;
-  int seed = 0;
-  int threads = 0;  // sweep and fleet; 0 = PHILLY_BENCH_THREADS or hardware concurrency
-};
-
-bool ParseRunFlags(const Args& args, int default_days, RunFlags* flags) {
-  return GetIntFlag(args, "--days", default_days, 1, INT_MAX,
-                    "an integer number of days, at least 1", &flags->days) &&
-         GetIntFlag(args, "--seed", 42, 0, INT_MAX,
-                    "an integer seed between 0 and 2147483647", &flags->seed) &&
-         GetIntFlag(args, "--threads", 0, 0, INT_MAX,
-                    "a non-negative integer thread count (0 = "
-                    "PHILLY_BENCH_THREADS or hardware concurrency)",
-                    &flags->threads);
-}
-
-// Parses and validates --checkpoint-mins and the --ckpt-* knobs into the
-// scheduler config (period, policy) and the checkpoint I/O config (bandwidth,
-// write size). Returns 0 on success; on an invalid value prints a clear
-// message and returns 1, which the caller propagates as the process exit
-// code.
-int ApplyCheckpointOptions(const Args& args, SchedulerConfig* sched,
-                           CheckpointIoConfig* ckpt_io) {
-  if (args.values.count("--checkpoint-mins") > 0) {
-    const std::string text = args.Get("--checkpoint-mins", "");
-    long mins = 0;
-    if (!ParseStrictLong(text, &mins) || mins < 0) {
-      std::fprintf(stderr,
-                   "--checkpoint-mins '%s' is invalid: expected a "
-                   "non-negative integer number of minutes (0 disables "
-                   "periodic checkpoints)\n",
-                   text.c_str());
-      return 1;
-    }
-    sched->checkpoint_period = Minutes(static_cast<int>(mins));
-  }
-  if (args.values.count("--ckpt-policy") > 0) {
-    const std::string name = args.Get("--ckpt-policy", "");
-    if (name == "fixed") {
-      sched->checkpoint_policy = CheckpointPolicy::kFixedPeriod;
-    } else if (name == "daly") {
-      sched->checkpoint_policy = CheckpointPolicy::kDalyOptimal;
-    } else if (name == "stagger") {
-      sched->checkpoint_policy = CheckpointPolicy::kCooperativeStagger;
-    } else {
-      std::fprintf(stderr,
-                   "--ckpt-policy '%s' is invalid: expected fixed, daly, or "
-                   "stagger\n",
-                   name.c_str());
-      return 1;
-    }
-  }
-  if (args.values.count("--ckpt-bw") > 0) {
-    const std::string text = args.Get("--ckpt-bw", "");
-    double bw = 0.0;
-    if (!ParseStrictDouble(text, &bw) || bw <= 0.0) {
-      std::fprintf(stderr,
-                   "--ckpt-bw '%s' is invalid: expected a positive per-rack "
-                   "bandwidth in GB/s\n",
-                   text.c_str());
-      return 1;
-    }
-    ckpt_io->rack_bandwidth_gbps = bw;
-  }
-  if (args.values.count("--ckpt-size-gb-per-gpu") > 0) {
-    const std::string text = args.Get("--ckpt-size-gb-per-gpu", "");
-    double size = 0.0;
-    if (!ParseStrictDouble(text, &size) || size <= 0.0) {
-      std::fprintf(stderr,
-                   "--ckpt-size-gb-per-gpu '%s' is invalid: expected a "
-                   "positive write size in GB per allocated GPU\n",
-                   text.c_str());
-      return 1;
-    }
-    ckpt_io->size_gb_per_gpu = size;
-  }
-  return 0;
-}
 
 // Report sections shared by `report`, `analyze --trace`, and
 // `analyze --from-events`. The first four consume only the scheduler stream
@@ -510,10 +197,10 @@ void PrintEventReport(const SimulationResult& joined) {
 // Creates the --figures directory, when the flag is given, before any
 // simulation or trace read. Returns false, naming the path, if it cannot.
 bool CreateFiguresDir(const Args& args) {
-  if (args.values.count("--figures") == 0) {
+  if (!args.Has("--figures")) {
     return true;
   }
-  const std::string dir = args.Get("--figures", "");
+  const std::string& dir = args.Text("--figures");
   std::error_code error;
   std::filesystem::create_directories(dir, error);
   if (error) {
@@ -558,64 +245,20 @@ bool ExportFigures(const std::vector<JobRecord>& jobs, const ReportAnalyses& ana
   return true;
 }
 
-// The manifest that lets a trace directory found on disk later be
-// regenerated: seed, scale, and every knob that changes the simulation.
-RunManifest ManifestFor(const Args& args, const ExperimentConfig& config,
-                        const RunFlags& flags, bool write_output) {
-  RunManifest manifest;
-  manifest.tool = "phillyctl";
-  manifest.command = write_output ? "simulate" : "report";
-  manifest.seed = config.simulation.seed;
-  manifest.days = flags.days;
-  manifest.threads = 1;
-  manifest.knobs["scheduler"] = config.simulation.scheduler.name;
-  manifest.knobs["retry"] = args.Get("--retry", "fixed");
-  manifest.knobs["format"] = args.Get("--format", "native");
-  manifest.knobs["faults"] = args.Has("--faults") ? "on" : "off";
-  // The checkpoint knobs were already validated by ApplyCheckpointOptions, so
-  // the raw strings can be recorded verbatim.
-  for (const char* knob : {"--checkpoint-mins", "--ckpt-policy", "--ckpt-bw",
-                           "--ckpt-size-gb-per-gpu"}) {
-    if (args.values.count(knob) > 0) {
-      manifest.knobs[knob + 2] = args.Get(knob, "");  // strip the dashes
-    }
-  }
-  for (const char* flag :
-       {"--prerun", "--migration", "--dedicated", "--strict-locality"}) {
-    if (args.Has(flag)) {
-      manifest.knobs[flag + 2] = "on";  // strip the leading dashes
-    }
-  }
-  return manifest;
-}
-
-int RunSimulateOrReport(const Args& args, bool write_output) {
-  RunFlags flags;
-  if (!ParseRunFlags(args, /*default_days=*/10, &flags)) {
-    return 1;
-  }
+int RunSimulateOrReport(const Args& args) {
+  const bool write_output = args.command() == "simulate";
+  const int days = static_cast<int>(args.Int("--days"));
   ExperimentConfig config =
-      ExperimentConfig::BenchScale(flags.days, static_cast<uint64_t>(flags.seed));
-  if (!ApplySchedulerOptions(args, &config.simulation.scheduler)) {
-    return 2;
-  }
-  if (const int rc = ApplyCheckpointOptions(args, &config.simulation.scheduler,
-                                            &config.simulation.ckpt_io);
-      rc != 0) {
-    return rc;
-  }
-  if (args.Has("--faults")) {
-    config.simulation.fault = FaultProcessConfig::Calibrated();
-  }
+      ExperimentConfig::BenchScale(days, static_cast<uint64_t>(args.Int("--seed")));
+  ApplySchedulerOptions(args, args.Text("--scheduler"), args.Text("--retry"), &config.simulation);
   if (!CreateFiguresDir(args)) {
     return 1;
   }
 
-  const std::string out_dir = args.Get("--out", "out/trace");
-  const std::string format = args.Get("--format", "native");
-  const bool native = write_output && (format == "native" || format == "both");
-  const bool philly_traces =
-      write_output && (format == "philly-traces" || format == "both");
+  const std::string out_dir = write_output ? args.Text("--out") : "";
+  const std::string format = write_output ? args.Text("--format") : "";
+  const bool native = format == "native" || format == "both";
+  const bool philly_traces = format == "philly-traces" || format == "both";
 
   // Every output is checked and opened before the run, so a clash or an
   // unwritable path fails before any simulation work. The trace files are
@@ -623,7 +266,7 @@ int RunSimulateOrReport(const Args& args, bool write_output) {
   SimulateRun view;
   view.title = "philly " + config.simulation.scheduler.name + " seed " +
                std::to_string(config.simulation.seed) + ", " +
-               std::to_string(flags.days) + " days";
+               std::to_string(days) + " days";
   std::vector<RunOutput> declared;
   if (native) {
     for (const char* name : TraceWriter::kFileNames) {
@@ -636,24 +279,25 @@ int RunSimulateOrReport(const Args& args, bool write_output) {
     }
   }
   for (RunOutput& output : SimulateOutputs(&view)) {
-    output.path = args.Get(output.flag, "");
+    output.path = args.Text(output.flag);
     if (!output.path.empty()) {
       declared.push_back(std::move(output));
     }
   }
-  RunOutputs outputs(write_output ? out_dir : "", std::move(declared));
+  RunOutputs outputs(out_dir, std::move(declared));
   if (!outputs.Open()) {
     return 1;
   }
   outputs.Attach(&view, &config.simulation.obs);
 
-  std::printf("simulating %d days (seed %d, scheduler %s)...\n", flags.days,
-              flags.seed, config.simulation.scheduler.name.c_str());
+  std::printf("simulating %d days (seed %llu, scheduler %s)...\n", days,
+              static_cast<unsigned long long>(config.simulation.seed),
+              config.simulation.scheduler.name.c_str());
   const ExperimentRun run = RunExperiment(config);
   view.jobs = &run.result.jobs;
   std::printf("%lld jobs completed\n\n", static_cast<long long>(run.num_jobs));
 
-  RunManifest manifest = ManifestFor(args, config, flags, write_output);
+  RunManifest manifest = args.Manifest();
   if (native) {
     if (!TraceWriter::WriteDirectory(run.result.jobs, out_dir)) {
       std::fprintf(stderr, "cannot write native trace to %s\n", out_dir.c_str());
@@ -678,8 +322,8 @@ int RunSimulateOrReport(const Args& args, bool write_output) {
     ScopedTimer analyze_timer(config.simulation.obs.profiler, "analyze");
     const ReportAnalyses analyses = PrintReport(run.result.jobs, &run.result);
     view.util_digest = analyses.util.digest;
-    if (args.values.count("--figures") > 0 &&
-        !ExportFigures(run.result.jobs, analyses, args.Get("--figures", ""))) {
+    if (args.Has("--figures") &&
+        !ExportFigures(run.result.jobs, analyses, args.Text("--figures"))) {
       return 1;
     }
   }
@@ -759,7 +403,7 @@ int CrossCheckAgainstTrace(const std::vector<JobRecord>& joined,
 // rebuilt records against the native trace (the round-trip check the CI
 // smoke job runs).
 int RunAnalyzeFromEvents(const Args& args) {
-  const std::string path = args.Get("--from-events", "");
+  const std::string& path = args.Text("--from-events");
   std::ifstream in(path);
   if (!in) {
     std::fprintf(stderr, "cannot open event log %s\n", path.c_str());
@@ -781,7 +425,7 @@ int RunAnalyzeFromEvents(const Args& args) {
               joined.jobs.size(), events.size(), path.c_str());
   PrintEventReport(joined);
 
-  const std::string spans_path = args.Get("--spans", "");
+  const std::string& spans_path = args.Text("--spans");
   if (!spans_path.empty()) {
     std::ifstream spans_in(spans_path);
     if (!spans_in) {
@@ -821,7 +465,7 @@ int RunAnalyzeFromEvents(const Args& args) {
                 "matches the native analysis\n");
   }
 
-  const std::string dir = args.Get("--trace", "");
+  const std::string& dir = args.Text("--trace");
   if (!dir.empty()) {
     const auto native = TraceReader::ReadDirectory(dir, &error);
     if (!error.empty()) {
@@ -848,7 +492,7 @@ int RunAnalyzeFromEvents(const Args& args) {
 // native trace with the same code path the writer used, so both checks are
 // exact, not within-epsilon.
 int RunAnalyzeTelemetry(const Args& args) {
-  const std::string path = args.Get("--telemetry", "");
+  const std::string& path = args.Text("--telemetry");
   std::ifstream in(path);
   if (!in) {
     std::fprintf(stderr, "cannot open telemetry stream %s\n", path.c_str());
@@ -904,7 +548,7 @@ int RunAnalyzeTelemetry(const Args& args) {
   }
   std::printf("%s\n", table.Render().c_str());
 
-  const std::string dir = args.Get("--trace", "");
+  const std::string& dir = args.Text("--trace");
   if (!dir.empty()) {
     const auto native = TraceReader::ReadDirectory(dir, &error);
     if (!error.empty()) {
@@ -931,18 +575,10 @@ int RunAnalyzeTelemetry(const Args& args) {
   return 0;
 }
 
-int RunAnalyze(const Args& args) {
-  if (args.values.count("--telemetry") > 0) {
-    return RunAnalyzeTelemetry(args);
-  }
-  if (args.values.count("--from-events") > 0) {
-    return RunAnalyzeFromEvents(args);
-  }
-  const std::string dir = args.Get("--trace", "");
-  if (dir.empty()) {
-    std::fprintf(stderr, "analyze requires --trace DIR\n");
-    return 2;
-  }
+// `analyze --trace DIR`: read a native trace back (or the public release's
+// cluster_job_log) and print every table.
+int RunAnalyzeTrace(const Args& args) {
+  const std::string& dir = args.Text("--trace");
   if (!CreateFiguresDir(args)) {
     return 1;
   }
@@ -964,9 +600,17 @@ int RunAnalyze(const Args& args) {
       std::fprintf(stderr, "failed to parse cluster_job_log: %s\n", error.c_str());
       return 1;
     }
-    std::printf("imported %zu jobs (%d VCs, %d users, %d machines) from %s\n\n",
+    const PhillyTracesImporter::Tolerated& tolerated = importer.tolerated();
+    std::printf("imported %zu jobs (%d VCs, %d users, %d machines) from %s\n"
+                "tolerated: %lld jobs without a submission time, %lld attempts without "
+                "usable times, %lld statuses read as Unsuccessful, %lld placements "
+                "without GPUs\n\n",
                 jobs.size(), importer.num_vcs(), importer.num_users(),
-                importer.num_machines(), dir.c_str());
+                importer.num_machines(), dir.c_str(),
+                static_cast<long long>(tolerated.jobs_without_submit_time),
+                static_cast<long long>(tolerated.attempts_without_times),
+                static_cast<long long>(tolerated.other_statuses),
+                static_cast<long long>(tolerated.placements_without_gpus));
   } else {
     std::string error;
     jobs = TraceReader::ReadDirectory(dir, &error);
@@ -984,28 +628,10 @@ int RunAnalyze(const Args& args) {
                 dir.c_str());
   }
   const ReportAnalyses analyses = PrintReport(jobs, nullptr);
-  if (args.values.count("--figures") > 0 &&
-      !ExportFigures(jobs, analyses, args.Get("--figures", ""))) {
+  if (args.Has("--figures") && !ExportFigures(jobs, analyses, args.Text("--figures"))) {
     return 1;
   }
   return 0;
-}
-
-// Reads the comma list flag `key` (`fallback` when absent) into *out. An
-// empty entry ("a,,b", a stray comma, or an empty value) prints a message
-// naming the flag and returns false.
-bool GetListFlag(const Args& args, const std::string& key,
-                 const std::string& fallback, std::vector<std::string>* out) {
-  const std::string list = args.Get(key, fallback);
-  for (const std::string_view entry : Split(list, ',')) {
-    if (entry.empty()) {
-      std::fprintf(stderr, "%s '%s' has an empty entry\n", key.c_str(),
-                   list.c_str());
-      return false;
-    }
-    out->emplace_back(entry);
-  }
-  return true;
 }
 
 // Runs the schedulers x retry-policies x seeds cross product through the
@@ -1013,67 +639,24 @@ bool GetListFlag(const Args& args, const std::string& key,
 // (scheduler, retry, seed) order no matter how many worker threads execute
 // the simulations.
 int RunSweep(const Args& args) {
-  RunFlags flags;
-  if (!ParseRunFlags(args, /*default_days=*/10, &flags)) {
-    return 1;
-  }
-  std::vector<std::string> seed_texts;
-  std::vector<std::string> scheduler_names;
-  // Third sweep dimension: retry policies. Defaults to the single --retry
-  // value so `sweep --retry adaptive` keeps working unchanged.
-  std::vector<std::string> retry_names;
-  const char* retries_flag = args.values.count("--retries") > 0 ? "--retries" : "--retry";
-  if (!GetListFlag(args, "--seeds", "42", &seed_texts) ||
-      !GetListFlag(args, "--schedulers", "philly", &scheduler_names) ||
-      !GetListFlag(args, retries_flag, "fixed", &retry_names)) {
-    return 2;
-  }
-  // Each entry takes simulate's --seed range, so any swept run can be
-  // reproduced alone with `simulate --seed`.
-  std::vector<uint64_t> seeds;
-  for (const std::string& text : seed_texts) {
-    long value = 0;
-    if (!ParseStrictLong(text, &value) || value < 0 || value > INT_MAX) {
-      std::fprintf(stderr,
-                   "--seeds entry '%s' is invalid: expected an integer seed "
-                   "between 0 and 2147483647\n",
-                   text.c_str());
-      return 2;
-    }
-    seeds.push_back(static_cast<uint64_t>(value));
-  }
-
-  const int days = flags.days;
+  const int days = static_cast<int>(args.Int("--days"));
+  const std::vector<std::string_view> scheduler_names = args.Items("--schedulers");
+  const std::vector<std::string_view> retry_names =
+      args.Has("--retries") ? args.Items("--retries")
+                            : std::vector<std::string_view>{args.Text("--retry")};
+  const std::vector<int64_t>& seeds = args.Ints("--seeds");
   std::vector<ExperimentConfig> configs;
-  for (const std::string& name : scheduler_names) {
-    SchedulerConfig sched;
-    CheckpointIoConfig ckpt_io;
-    if (!SchedulerByName(name, &sched) ||
-        !ApplyCommonSchedulerOptions(args, &sched)) {
-      return 2;
-    }
-    if (const int rc = ApplyCheckpointOptions(args, &sched, &ckpt_io);
-        rc != 0) {
-      return rc;
-    }
-    for (const std::string& retry : retry_names) {
-      SchedulerConfig variant = sched;
-      if (!RetryByName(retry, &variant.retry_policy)) {
-        return 2;
-      }
-      for (const uint64_t seed : seeds) {
-        ExperimentConfig config = ExperimentConfig::BenchScale(days, seed);
-        config.simulation.scheduler = variant;
-        config.simulation.ckpt_io = ckpt_io;
-        if (args.Has("--faults")) {
-          config.simulation.fault = FaultProcessConfig::Calibrated();
-        }
+  for (const std::string_view scheduler : scheduler_names) {
+    for (const std::string_view retry : retry_names) {
+      for (const int64_t seed : seeds) {
+        ExperimentConfig config = ExperimentConfig::BenchScale(days, static_cast<uint64_t>(seed));
+        ApplySchedulerOptions(args, scheduler, retry, &config.simulation);
         configs.push_back(std::move(config));
       }
     }
   }
 
-  const ExperimentPool pool(flags.threads);
+  const ExperimentPool pool(static_cast<int>(args.Int("--threads")));
   std::printf("sweeping %zu scheduler(s) x %zu retry policy(ies) x %zu "
               "seed(s) over %d days on %d worker thread(s)...\n\n",
               scheduler_names.size(), retry_names.size(), seeds.size(), days,
@@ -1096,7 +679,8 @@ int RunSweep(const Args& args) {
             run.result.jobs.empty()
                 ? 0.0
                 : queue_sum / static_cast<double>(run.result.jobs.size());
-        table.AddRow({scheduler_names[s], retry_names[r], std::to_string(seeds[k]),
+        table.AddRow({std::string(scheduler_names[s]), std::string(retry_names[r]),
+                      std::to_string(seeds[k]),
                       std::to_string(run.num_jobs),
                       FormatPercent(status.by_status[0].count_share, 1),
                       FormatDouble(mean_queue, 2),
@@ -1127,57 +711,26 @@ double P95QueueDelayMinutes(const std::vector<JobRecord>& jobs) {
 }
 
 // `fleet`: run N clusters behind the front-door router and summarize routing,
-// queueing, and the fleet GPU-time ledger. All three fleet knobs are strictly
-// validated: a malformed --clusters/--router/--spill-threshold exits 1 with a
-// clear message and never silently defaults.
+// queueing, and the fleet GPU-time ledger.
 int RunFleet(const Args& args) {
-  RunFlags flags;
-  if (!ParseRunFlags(args, /*default_days=*/3, &flags)) {
-    return 1;
-  }
-  const std::string clusters_spec = args.Get("--clusters", "3");
+  const int days = static_cast<int>(args.Int("--days"));
+  const uint64_t seed = static_cast<uint64_t>(args.Int("--seed"));
+  const int threads = static_cast<int>(args.Int("--threads"));
   std::vector<ClusterConfig> cluster_configs;
-  std::string error;
-  if (!ParseClustersSpec(clusters_spec, &cluster_configs, &error)) {
-    std::fprintf(stderr, "%s\n", error.c_str());
-    return 1;
-  }
-  const std::string router_name = args.Get("--router", "pinned");
-  RouterConfig router;
-  if (!RouterPolicyFromString(router_name, &router.policy)) {
-    std::fprintf(stderr,
-                 "--router '%s' is invalid: expected pinned, least-loaded, or "
-                 "spillover\n",
-                 router_name.c_str());
-    return 1;
-  }
-  if (args.values.count("--spill-threshold") > 0) {
-    if (router.policy != RouterPolicy::kSpillover) {
-      std::fprintf(stderr,
-                   "--spill-threshold only applies to --router spillover\n");
-      return 1;
-    }
-    const std::string text = args.Get("--spill-threshold", "");
-    long threshold = 0;
-    if (!ParseStrictLong(text, &threshold) || threshold < 0) {
-      std::fprintf(stderr,
-                   "--spill-threshold '%s' is invalid: expected a non-negative "
-                   "home queue depth\n",
-                   text.c_str());
-      return 1;
-    }
-    router.spill_threshold = threshold;
-  }
-
-  const int days = flags.days;
-  const uint64_t seed = static_cast<uint64_t>(flags.seed);
+  ParseClustersSpec(args.Text("--clusters"), &cluster_configs, nullptr);  // checked by the table
+  const std::string& router_name = args.Text("--router");
   const bool collect_spans = args.Has("--collect-spans");
   FleetConfig config;
-  config.router = router;
+  config.router.policy = static_cast<RouterPolicy>(args.Choice("--router"));
+  if (args.Has("--spill-threshold")) {
+    config.router.spill_threshold = args.Int("--spill-threshold");
+  }
   config.collect_events = true;
   config.collect_telemetry = true;
   config.collect_spans = collect_spans;
-  config.threads = flags.threads;
+  // PHILLY_BENCH_THREADS is read, and rejected when malformed, before any
+  // output exists.
+  config.threads = threads > 0 ? threads : DefaultPoolThreads();
   for (size_t i = 0; i < cluster_configs.size(); ++i) {
     config.clusters.push_back(
         {"cluster" + std::to_string(i),
@@ -1188,8 +741,8 @@ int RunFleet(const Args& args) {
   // Every output is checked and opened before the run. The members' streams
   // stay in memory, because the dashboard reads them all, and are written
   // after it.
-  const std::string out_dir = args.Get("--out", "");
-  const std::string html_out = args.Get(kDashboardFlag, "");
+  const std::string& out_dir = args.Text("--out");
+  const std::string& html_out = args.Text(kDashboardFlag);
   FleetResult result;
   FleetDashboardSection section;
   std::vector<RunOutput> declared;
@@ -1323,45 +876,17 @@ int RunFleet(const Args& args) {
               result.ckpt_overhead_gpu_seconds / 3600.0,
               result.ckpt_stall_gpu_seconds / 3600.0);
 
-  RunManifest manifest;
-  manifest.tool = "phillyctl";
-  manifest.command = "fleet";
-  manifest.seed = seed;
-  manifest.days = days;
-  manifest.threads = flags.threads;
-  manifest.knobs["clusters"] = clusters_spec;
-  manifest.knobs["router"] = router_name;
-  if (router.policy == RouterPolicy::kSpillover) {
-    manifest.knobs["spill-threshold"] = std::to_string(router.spill_threshold);
-  }
-  if (collect_spans) {
-    manifest.knobs["collect-spans"] = "on";
-  }
+  RunManifest manifest = args.Manifest();
+  manifest.threads = threads;
   return outputs.Finish(&manifest) ? 0 : 1;
 }
 
 // `explain --job ID --spans FILE`: reconstruct one job's causal timeline from
-// the span stream alone. Both inputs are strictly validated — a malformed job
-// id, an unreadable or unparseable stream, or a job with no spans all exit 1
-// with a message naming exactly what was wrong.
+// the span stream alone. An unreadable or unparseable stream, or a job with
+// no spans, exits 1 with a message naming exactly what was wrong.
 int RunExplain(const Args& args) {
-  if (args.values.count("--job") == 0) {
-    std::fprintf(stderr, "explain requires --job ID\n");
-    return 1;
-  }
-  const std::string job_text = args.Get("--job", "");
-  long job_id = 0;
-  if (!ParseStrictLong(job_text, &job_id) || job_id <= 0) {
-    std::fprintf(stderr,
-                 "--job '%s' is invalid: expected a positive integer job id\n",
-                 job_text.c_str());
-    return 1;
-  }
-  if (args.values.count("--spans") == 0) {
-    std::fprintf(stderr, "explain requires --spans FILE\n");
-    return 1;
-  }
-  const std::string path = args.Get("--spans", "");
+  const JobId job_id = args.Int("--job");
+  const std::string& path = args.Text("--spans");
   std::ifstream in(path);
   if (!in) {
     std::fprintf(stderr, "cannot open span stream %s\n", path.c_str());
@@ -1374,107 +899,36 @@ int RunExplain(const Args& args) {
                  error.c_str());
     return 1;
   }
-  const std::string timeline =
-      RenderJobExplanation(static_cast<JobId>(job_id), spans);
+  const std::string timeline = RenderJobExplanation(job_id, spans);
   if (timeline.empty()) {
-    std::fprintf(stderr, "no spans for job %ld in %s (%zu spans read)\n",
-                 job_id, path.c_str(), spans.size());
+    std::fprintf(stderr, "no spans for job %lld in %s (%zu spans read)\n",
+                 static_cast<long long>(job_id), path.c_str(), spans.size());
     return 1;
   }
   std::printf("%s", timeline.c_str());
   return 0;
 }
 
-// A subcommand: what runs it, and the options it reads (flags that take a
-// value, and switches).
-struct Command {
-  int (*run)(const Args&);
-  std::set<std::string> values;
-  std::set<std::string> switches;
-};
-
-const std::map<std::string, Command>& Commands() {
-  static const std::map<std::string, Command> commands = [] {
-    // Run scale (sweep takes --seeds instead of --seed), and the scheduler
-    // knobs and switches of every single-cluster simulating command.
-    const std::set<std::string> run = {"--days", "--seed"};
-    const std::set<std::string> knobs = {"--retry", "--checkpoint-mins", "--ckpt-policy",
-                                         "--ckpt-bw", "--ckpt-size-gb-per-gpu"};
-    const std::set<std::string> switches = {"--prerun", "--migration", "--dedicated",
-                                            "--strict-locality", "--faults"};
-    const auto with = [](std::set<std::string> a, std::set<std::string> b) {
-      a.merge(b);
-      return a;
-    };
-    std::set<std::string> report = with(with(run, knobs), {"--scheduler", "--figures"});
-    for (const RunOutput& output : SimulateOutputs(nullptr)) {
-      report.insert(output.flag);
-    }
-    return std::map<std::string, Command>{
-        {"simulate",
-         {[](const Args& args) { return RunSimulateOrReport(args, /*write_output=*/true); },
-          with(report, {"--out", "--format"}), switches}},
-        {"report",
-         {[](const Args& args) { return RunSimulateOrReport(args, /*write_output=*/false); },
-          report, switches}},
-        {"analyze",
-         {RunAnalyze,
-          {"--trace", "--figures", "--from-events", "--telemetry", "--spans"},
-          {"--philly-traces"}}},
-        {"sweep",
-         {RunSweep,
-          with(knobs, {"--days", "--threads", "--seeds", "--schedulers", "--retries"}),
-          switches}},
-        {"fleet",
-         {RunFleet,
-          with(run, {"--threads", "--clusters", "--router", "--spill-threshold", "--out",
-                     kDashboardFlag}),
-          {"--collect-spans"}}},
-        {"explain", {RunExplain, {"--job", "--spans"}, {}}},
-    };
-  }();
-  return commands;
-}
-
-// Parses argv against the subcommand's options. An unknown subcommand prints
-// the usage; an unknown option, a value flag with no value, or a positional
-// argument prints what and where. Either returns false.
-bool Parse(int argc, char** argv, Args* args) {
-  if (argc < 2 || Commands().count(argv[1]) == 0) {
-    Usage();
-    return false;
-  }
-  args->command = argv[1];
-  const Command& command = Commands().at(args->command);
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const char* problem = nullptr;
-    if (command.values.count(arg) > 0) {
-      if (i + 1 < argc) {
-        args->values[arg] = argv[++i];
-        continue;
-      }
-      problem = "needs a value";
-    } else if (command.switches.count(arg) > 0) {
-      args->flags[arg] = true;
-      continue;
-    } else {
-      problem = arg.starts_with("-") ? "is not an option of this command"
-                                     : "is an unexpected argument";
-    }
-    std::fprintf(stderr, "phillyctl %s: '%s' %s\n", args->command.c_str(), arg.c_str(), problem);
-    return false;
-  }
-  return true;
-}
-
 }  // namespace
 }  // namespace philly
 
 int main(int argc, char** argv) {
-  philly::Args args;
-  if (!philly::Parse(argc, argv, &args)) {
+  using namespace philly;
+  static const std::map<std::string_view, int (*)(const Args&)> kRun = {
+      {"simulate", RunSimulateOrReport},
+      {"report", RunSimulateOrReport},
+      {"analyze --trace", RunAnalyzeTrace},
+      {"analyze --from-events", RunAnalyzeFromEvents},
+      {"analyze --telemetry", RunAnalyzeTelemetry},
+      {"sweep", RunSweep},
+      {"fleet", RunFleet},
+      {"explain", RunExplain},
+  };
+  Args args;
+  std::string error;
+  if (!ParseArgs({argv + 1, static_cast<size_t>(argc - 1)}, &args, &error)) {
+    std::fprintf(stderr, "%s\n", error.c_str());
     return 2;
   }
-  return philly::Commands().at(args.command).run(args);
+  return kRun.at(args.command())(args);
 }
