@@ -143,7 +143,7 @@ class QueueChurn {
     pass_pending_ = false;
     Fire(kPass, 0);
     if (rng_.Bernoulli(kWaitingShare)) {
-      RequestPass(backoff_);
+      RequestPass(kSchedBackoff);
     }
   }
   void RequestPass(SimDuration delay) {
@@ -160,7 +160,6 @@ class QueueChurn {
   }
 
   const std::vector<JobSpec>& jobs_;
-  const SimDuration backoff_ = SchedulerConfig::Philly().sched_backoff;
   Rng rng_;
   Queue queue_;
   Run run_;

@@ -95,15 +95,6 @@ double Rng::Exponential(double mean) {
   return -mean * std::log(u);
 }
 
-double Rng::Pareto(double x_m, double alpha) {
-  assert(x_m > 0.0 && alpha > 0.0);
-  double u = 0.0;
-  do {
-    u = Uniform();
-  } while (u <= 0.0);
-  return x_m / std::pow(u, 1.0 / alpha);
-}
-
 uint64_t Rng::Poisson(double mean) {
   assert(mean >= 0.0);
   if (mean <= 0.0) {

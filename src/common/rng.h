@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 namespace philly {
 
@@ -65,9 +64,6 @@ class Rng {
   // Exponential with the given mean (not rate). Requires mean > 0.
   double Exponential(double mean);
 
-  // Pareto with scale x_m > 0 and shape alpha > 0.
-  double Pareto(double x_m, double alpha);
-
   // Poisson-distributed count with the given mean (Knuth for small means,
   // normal approximation above 64).
   uint64_t Poisson(double mean);
@@ -76,16 +72,6 @@ class Rng {
   // Non-positive weights are treated as zero. Requires at least one positive
   // weight.
   size_t Categorical(std::span<const double> weights);
-
-  // Fisher-Yates shuffle.
-  template <typename T>
-  void Shuffle(std::vector<T>& v) {
-    for (size_t i = v.size(); i > 1; --i) {
-      size_t j = Below(i);
-      using std::swap;
-      swap(v[i - 1], v[j]);
-    }
-  }
 
  private:
   uint64_t s_[4];

@@ -4,8 +4,6 @@
 #include <cassert>
 #include <cmath>
 
-#include "src/common/hash.h"
-
 namespace philly {
 
 void RunningStats::Merge(const RunningStats& other) {
@@ -173,24 +171,6 @@ std::vector<double> Percentiles(std::span<const double> samples,
     out[i] = InterpolateSorted(sorted, ps[i]);
   }
   return out;
-}
-
-Reservoir::Reservoir(size_t capacity, uint64_t seed)
-    : capacity_(capacity), state_(seed ? seed : 1) {
-  samples_.reserve(capacity);
-}
-
-void Reservoir::Add(double x) {
-  ++seen_;
-  if (samples_.size() < capacity_) {
-    samples_.push_back(x);
-    return;
-  }
-  // splitmix64 step for the replacement draw.
-  const uint64_t j = SplitMix64(state_) % seen_;
-  if (j < capacity_) {
-    samples_[static_cast<size_t>(j)] = x;
-  }
 }
 
 }  // namespace philly

@@ -150,25 +150,6 @@ double Percentile(std::span<const double> samples, double p);
 std::vector<double> Percentiles(std::span<const double> samples,
                                 std::span<const double> ps);
 
-// Weighted reservoir of bounded size: keeps a uniform random subset of a
-// stream (A-Res algorithm degenerates to uniform for equal weights). Used to
-// keep representative raw samples for scatter-style figures (e.g. Figure 10)
-// without unbounded memory.
-class Reservoir {
- public:
-  explicit Reservoir(size_t capacity, uint64_t seed = 1);
-
-  void Add(double x);
-  const std::vector<double>& Samples() const { return samples_; }
-  uint64_t SeenCount() const { return seen_; }
-
- private:
-  size_t capacity_;
-  uint64_t seen_ = 0;
-  uint64_t state_;
-  std::vector<double> samples_;
-};
-
 }  // namespace philly
 
 #endif  // SRC_COMMON_STATS_H_

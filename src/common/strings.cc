@@ -1,7 +1,5 @@
 #include "src/common/strings.h"
 
-#include <algorithm>
-#include <cctype>
 #include <cstdio>
 
 namespace philly {
@@ -20,38 +18,8 @@ std::vector<std::string_view> Split(std::string_view s, char sep) {
   }
 }
 
-std::string_view Trim(std::string_view s) {
-  const auto is_space = [](char c) {
-    return std::isspace(static_cast<unsigned char>(c)) != 0;
-  };
-  while (!s.empty() && is_space(s.front())) {
-    s.remove_prefix(1);
-  }
-  while (!s.empty() && is_space(s.back())) {
-    s.remove_suffix(1);
-  }
-  return s;
-}
-
-bool StartsWith(std::string_view s, std::string_view prefix) {
-  return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
-}
-
 bool Contains(std::string_view haystack, std::string_view needle) {
   return haystack.find(needle) != std::string_view::npos;
-}
-
-bool ContainsIgnoreCase(std::string_view haystack, std::string_view needle) {
-  if (needle.empty()) {
-    return true;
-  }
-  const auto lower = [](char c) {
-    return static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  };
-  const auto it = std::search(
-      haystack.begin(), haystack.end(), needle.begin(), needle.end(),
-      [&](char a, char b) { return lower(a) == lower(b); });
-  return it != haystack.end();
 }
 
 std::string FormatDouble(double v, int digits) {

@@ -36,14 +36,7 @@ bool ParseNumber(std::string_view text, T* out) {
 // Splits on `sep`; keeps empty fields ("a,,b" -> {"a", "", "b"}).
 std::vector<std::string_view> Split(std::string_view s, char sep);
 
-// Trims ASCII whitespace from both ends.
-std::string_view Trim(std::string_view s);
-
-bool StartsWith(std::string_view s, std::string_view prefix);
 bool Contains(std::string_view haystack, std::string_view needle);
-
-// Case-insensitive substring search (ASCII).
-bool ContainsIgnoreCase(std::string_view haystack, std::string_view needle);
 
 // Formats a double with `digits` decimal places ("%.Nf").
 std::string FormatDouble(double v, int digits = 2);

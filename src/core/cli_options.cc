@@ -121,7 +121,8 @@ const std::vector<Option>& Options() {
          .knob_text = [](std::string_view name) { return Preset(name).name; }},
         {.flag = "--retry", .kind = kName, .help = "retry policy",
          .uses = {{"simulate", "fixed"}, {"report", "fixed"}, {"sweep", "fixed"}},
-         .names = kRetryNames, .record = Record::kSet, .needs_flag = "--retries"},
+         .names = kRetryNames, .record = Record::kSet, .needs = {"--retries"},
+         .needs_absent = true},
         {.flag = "--prerun", .help = "enable the 1-GPU pre-run pool (§5)", .uses = scheduled,
          .record = Record::kSet},
         {.flag = "--migration", .help = "enable checkpoint-migration defragmentation (§5)",
@@ -136,12 +137,13 @@ const std::vector<Option>& Options() {
          .help = "minutes between checkpoints for fault recovery; unset, jobs restart",
          .uses = scheduled, .min = 0, .max = INT_MAX, .record = Record::kSet},
         {.flag = "--ckpt-policy", .kind = kName, .help = "checkpoint policy; unset, fixed",
-         .uses = scheduled, .names = kCkptPolicyNames, .record = Record::kSet},
+         .uses = scheduled, .names = kCkptPolicyNames, .record = Record::kSet,
+         .needs = {"--ckpt-bw"}},
         {.flag = "--ckpt-bw", .kind = kPositive, .help = "per-rack checkpoint GB/s; unset, free",
          .uses = scheduled, .record = Record::kSet},
         {.flag = "--ckpt-size-gb-per-gpu", .kind = kPositive,
          .help = "checkpoint GB per GPU under --ckpt-bw; unset, 2", .uses = scheduled,
-         .record = Record::kSet},
+         .record = Record::kSet, .needs = {"--ckpt-bw"}},
         // --seed's range, so any swept run can be rerun alone with `simulate --seed`.
         {.flag = "--seeds", .kind = kIntList, .help = "seeds to sweep", .uses = {{"sweep", "42"}},
          .min = 0, .max = INT_MAX},
@@ -175,9 +177,9 @@ const std::vector<Option>& Options() {
          .record = Record::kSet},
         {.flag = "--spill-threshold", .kind = kInt, .help = "home queue depth before spilling",
          .uses = {{"fleet", "4"}}, .min = 0, .max = INT64_MAX, .record = Record::kSet,
-         .needs_flag = "--router", .needs_value = "spillover"},
+         .needs = {"--router"}, .needs_value = "spillover"},
         {.flag = "--collect-spans", .help = "collect each cluster's span stream",
-         .uses = {{"fleet"}}, .record = Record::kSet},
+         .uses = {{"fleet"}}, .record = Record::kSet, .needs = {"--out", kDashboardFlag}},
         {.flag = "--job", .kind = kInt, .help = "the job", .uses = {{"explain", nullptr, true}},
          .min = 1, .max = INT64_MAX},
     };
@@ -271,15 +273,22 @@ bool ParseArgs(std::span<const char* const> argv, Args* args, std::string* error
     }
     Args::Value& value = parsed.values_[option.flag];
     value.option = &option;
-    const std::string needs(option.needs_flag);
-    if (!needs.empty() && (option.needs_value.empty()
-                               ? parsed.values_.count(needs) > 0 && parsed.values_[needs].given
-                               : parsed.Text(needs) != option.needs_value)) {
+    std::string needs;
+    bool any_given = false;
+    for (const std::string_view flag : option.needs) {
+      needs.append(needs.empty() ? "" : " or ").append(flag);
+      const auto it = parsed.values_.find(flag);
+      any_given = any_given || (it != parsed.values_.end() && it->second.given);
+    }
+    if (!option.needs.empty() && (!option.needs_value.empty()
+                                      ? parsed.Text(option.needs.front()) != option.needs_value
+                                      : any_given == option.needs_absent)) {
       if (value.given) {
         return fail(option.flag + " has no effect " +
-                    (option.needs_value.empty()
-                         ? "with " + needs
-                         : "unless " + needs + " is " + std::string(option.needs_value)));
+                    (!option.needs_value.empty()
+                         ? "unless " + needs + " is " + std::string(option.needs_value)
+                     : option.needs_absent ? "with " + needs
+                                           : "without " + needs));
       }
       continue;
     }

@@ -62,12 +62,13 @@ struct Option {
   Record record = Record::kNever;
   // The knob's text for a value, when it is not the value itself.
   std::string (*knob_text)(std::string_view value) = nullptr;
-  // The option acts only while the option `needs_flag` has the value
-  // `needs_value` (that option is declared before this one) or, with no
-  // `needs_value`, is not given. Otherwise it has no value, and giving it is
-  // an error.
-  std::string_view needs_flag = {};
+  // The option acts only while one of the options `needs` is given, or has
+  // the value `needs_value` (one option, declared before this one), or, with
+  // `needs_absent`, while none of them is given. Otherwise it has no value,
+  // and giving it is an error.
+  std::vector<std::string_view> needs = {};
   std::string_view needs_value = {};
+  bool needs_absent = false;
 };
 
 const std::vector<Command>& Commands();

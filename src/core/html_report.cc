@@ -23,6 +23,9 @@ constexpr double kPadRight = 16.0;
 constexpr double kPadTop = 28.0;
 constexpr double kPadBottom = 40.0;
 
+// Downsampling window for the time-series charts.
+constexpr SimDuration kRollupWindow = Hours(1);
+
 const char* const kPalette[] = {"#2563eb", "#dc2626", "#059669", "#d97706",
                                 "#7c3aed", "#0891b2"};
 
@@ -201,7 +204,7 @@ std::string RenderHtmlDashboard(const HtmlDashboardInput& input) {
   const std::vector<TelemetrySample>& samples =
       input.samples != nullptr ? *input.samples : kNoSamples;
 
-  TelemetryRollup rollup(input.rollup_window);
+  TelemetryRollup rollup(kRollupWindow);
   rollup.AddAll(samples);
 
   std::ostringstream out;

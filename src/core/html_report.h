@@ -51,8 +51,6 @@ struct HtmlDashboardInput {
   const std::vector<SpanRecord>* spans = nullptr;
   // Optional: fleet routing section (phillyctl fleet --html).
   const FleetDashboardSection* fleet = nullptr;
-  // Downsampling window for the time-series charts.
-  SimDuration rollup_window = Hours(1);
 };
 
 std::string RenderHtmlDashboard(const HtmlDashboardInput& input);

@@ -24,16 +24,6 @@ std::string RenderCdfProbes(const StreamingHistogram& hist,
   return out.str();
 }
 
-std::string RenderSummary(const Summary& summary, int digits) {
-  std::ostringstream out;
-  out << "n=" << FormatDouble(summary.count, 0)
-      << " mean=" << FormatDouble(summary.mean, digits)
-      << " p50=" << FormatDouble(summary.p50, digits)
-      << " p90=" << FormatDouble(summary.p90, digits)
-      << " p95=" << FormatDouble(summary.p95, digits);
-  return out.str();
-}
-
 bool WriteCdfCsv(const StreamingHistogram& hist, const std::string& path) {
   std::ofstream out(path);
   if (!out) {

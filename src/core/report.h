@@ -23,9 +23,6 @@ std::string RenderCdfProbes(const StreamingHistogram& hist,
                             std::initializer_list<double> probes,
                             const std::string& unit);
 
-// Percentile row ("p50=..., p90=..., mean=...") for one histogram.
-std::string RenderSummary(const Summary& summary, int digits = 2);
-
 // Writes a histogram's CDF as a two-column CSV (value,cumulative) for
 // plotting the paper's figures. Returns false if the file cannot be opened or
 // written.

@@ -8,6 +8,16 @@
 namespace philly {
 namespace {
 
+// Max absolute deviation allowed between a reason's simulated share of
+// classified failure trials and its published Table 7 share. The injector
+// conditions reason choice on job duration and demand, which shifts a couple
+// of high-volume reasons by up to ~10 points at bench scale, so this leaves
+// headroom above that systemic bias while still catching a grossly skewed mix.
+constexpr double kFailureShareTolerance = 0.13;
+// Below this many classified trials the share estimate is too noisy to
+// judge; the check passes vacuously.
+constexpr int64_t kFailureShareMinTrials = 200;
+
 void Report(ValidationReport* report, const ValidateOptions& options, JobId job,
             std::string what) {
   if (report->issues.size() < options.max_issues) {
@@ -119,13 +129,12 @@ ValidationReport ValidateJobs(const std::vector<JobRecord>& jobs,
   return report;
 }
 
-ValidationReport ValidateFailureShares(const std::vector<JobRecord>& jobs,
-                                       FailureShareOptions options) {
+ValidationReport ValidateFailureShares(const std::vector<JobRecord>& jobs) {
   ValidationReport report;
   report.jobs_checked = static_cast<int64_t>(jobs.size());
   const FailureAnalysisResult failures = AnalyzeFailures(jobs);
   report.attempts_checked = failures.total_trials;
-  if (failures.total_trials < options.min_trials) {
+  if (failures.total_trials < kFailureShareMinTrials) {
     return report;  // too few failures to estimate shares
   }
   const double paper_total = TotalPaperTrials();
@@ -138,11 +147,11 @@ ValidationReport ValidateFailureShares(const std::vector<JobRecord>& jobs,
     const double expected = info.paper_trials / paper_total;
     const double measured = static_cast<double>(row.trials) / sim_total;
     const double deviation = std::abs(measured - expected);
-    if (deviation > options.tolerance) {
+    if (deviation > kFailureShareTolerance) {
       std::ostringstream what;
       what << "failure share of '" << ToString(row.reason) << "' is "
            << measured << " vs published " << expected << " (|diff| "
-           << deviation << " > tolerance " << options.tolerance << ")";
+           << deviation << " > tolerance " << kFailureShareTolerance << ")";
       Report(&report, ValidateOptions{}, kNoJob, what.str());
     }
   }

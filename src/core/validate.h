@@ -43,26 +43,12 @@ struct ValidateOptions {
 ValidationReport ValidateJobs(const std::vector<JobRecord>& jobs,
                               ValidateOptions options = {});
 
-struct FailureShareOptions {
-  // Max absolute deviation allowed between a reason's simulated share of
-  // classified failure trials and its published Table 7 share. The injector
-  // conditions reason choice on job duration and demand, which shifts a
-  // couple of high-volume reasons by up to ~10 points at bench scale, so the
-  // default leaves headroom above that systemic bias while still catching a
-  // grossly skewed mix.
-  double tolerance = 0.13;
-  // Below this many classified trials the share estimate is too noisy to
-  // judge; the check passes vacuously.
-  int64_t min_trials = 200;
-};
-
 // Distributional validation: the classified failure-reason mix of a simulated
 // workload must track the published Table 7 shares. Reasons absent from the
 // published table (paper_trials == 0, e.g. the machine-fault family) are not
 // checked directly, but their trials inflate the simulated denominator — so a
 // fault process heavy enough to distort the published mix fails the check.
-ValidationReport ValidateFailureShares(const std::vector<JobRecord>& jobs,
-                                       FailureShareOptions options = {});
+ValidationReport ValidateFailureShares(const std::vector<JobRecord>& jobs);
 
 }  // namespace philly
 

@@ -1,12 +1,20 @@
 #include "src/failure/failure_injector.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
 
 #include "src/common/hash.h"
 
 namespace philly {
+namespace {
+
+// Per-size-bucket probability that a job experiences failures at all
+// (1 / 2-4 / 5-8 / >8 GPUs). Overall ~18% of jobs under the default mix.
+constexpr std::array<double, kNumSizeBuckets> kFailureProbByBucket = {0.095, 0.15, 0.21, 0.33};
+
+}  // namespace
 
 FailureInjector::FailureInjector(FailureInjectorConfig config) : config_(config) {
   const auto catalog = FailureCatalog();
@@ -97,7 +105,7 @@ FailurePlan FailureInjector::PlanFor(const JobSpec& job) const {
   const double dur_factor = std::clamp(
       std::log(ToMinutes(job.planned_duration) / 30.0) / std::log(10000.0 / 30.0), 0.0,
       1.0);
-  const double p_fail = std::clamp(config_.failure_prob_by_bucket[bucket] *
+  const double p_fail = std::clamp(kFailureProbByBucket[bucket] *
                                        user_proneness * (0.7 + 1.5 * dur_factor) *
                                        config_.failure_scale,
                                    0.0, 0.95);

@@ -51,9 +51,6 @@ struct FailurePlan {
 
 struct FailureInjectorConfig {
   uint64_t seed = 7;
-  // Per-size-bucket probability that a job experiences failures at all
-  // (1 / 2-4 / 5-8 / >8 GPUs). Overall ~18% of jobs under the default mix.
-  std::array<double, kNumSizeBuckets> failure_prob_by_bucket = {0.095, 0.15, 0.21, 0.33};
   // Probability that a given (user, reason) pair is "cursed" and the weight
   // multiplier applied when it is.
   double cursed_pair_prob = 0.006;

@@ -14,15 +14,14 @@ constexpr double kDrainedEpsilonGb = 1e-6;
 
 }  // namespace
 
-SimDuration DalyOptimalPeriod(double write_cost_seconds, double mtbf_seconds,
-                              SimDuration min_period, SimDuration max_period) {
+SimDuration DalyOptimalPeriod(double write_cost_seconds, double mtbf_seconds) {
   if (!(write_cost_seconds > 0.0) || !(mtbf_seconds > 0.0) ||
       !std::isfinite(write_cost_seconds) || !std::isfinite(mtbf_seconds)) {
     return 0;
   }
   const double tau = std::sqrt(2.0 * write_cost_seconds * mtbf_seconds);
   const auto period = static_cast<SimDuration>(std::llround(tau));
-  return std::clamp(period, std::max<SimDuration>(1, min_period), max_period);
+  return std::clamp(period, kDalyMinPeriod, kDalyMaxPeriod);
 }
 
 CheckpointIoModel::CheckpointIoModel(double bandwidth_gbps, int num_racks)

@@ -51,22 +51,22 @@ struct CheckpointIoConfig {
   // write phases of slot/stagger_slots of their period, round-robin.
   int stagger_slots = 8;
 
-  // Clamps for the kDalyOptimal per-gang period.
-  SimDuration min_period = Minutes(5);
-  SimDuration max_period = Hours(48);
-
   bool Enabled() const {
     return rack_bandwidth_gbps > 0.0 && size_gb_per_gpu > 0.0;
   }
 };
 
+// Clamps for the kDalyOptimal per-gang period.
+inline constexpr SimDuration kDalyMinPeriod = Minutes(5);
+inline constexpr SimDuration kDalyMaxPeriod = Hours(48);
+
 // Daly's first-order optimal checkpoint interval: tau = sqrt(2 * delta * M)
 // for write cost delta and gang MTBF M (J. T. Daly, "A higher order estimate
 // of the optimum checkpoint interval for restart dumps", FGCS 2006). Returns
-// the clamped integral-second period, or 0 when either input is non-positive
-// or non-finite (no faults expected => checkpointing is pure overhead).
-SimDuration DalyOptimalPeriod(double write_cost_seconds, double mtbf_seconds,
-                              SimDuration min_period, SimDuration max_period);
+// the integral-second period clamped to [kDalyMinPeriod, kDalyMaxPeriod], or
+// 0 when either input is non-positive or non-finite (no faults expected =>
+// checkpointing is pure overhead).
+SimDuration DalyOptimalPeriod(double write_cost_seconds, double mtbf_seconds);
 
 // Per-rack fair-share storage model. Writers are keyed by job id; at most one
 // write per job can be in flight (the gang stalls while it drains).

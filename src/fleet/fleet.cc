@@ -178,16 +178,7 @@ FleetResult FleetSimulation::Run() {
         ClusterSimulation(sim, std::move(routed[static_cast<size_t>(i)])).Run();
   });
 
-  // 4. Aggregate: per-cluster rollups, the fleet rollup (MergeFrom in
-  // cluster-index order), and the fleet GPU-time ledger.
-  if (config_.collect_telemetry) {
-    out.fleet_rollup = std::make_unique<TelemetryRollup>(config_.rollup_window);
-    for (FleetClusterResult& cluster : out.clusters) {
-      cluster.rollup = std::make_unique<TelemetryRollup>(config_.rollup_window);
-      cluster.rollup->AddAll(cluster.telemetry.samples());
-      out.fleet_rollup->MergeFrom(*cluster.rollup);
-    }
-  }
+  // 4. Aggregate the fleet GPU-time ledger.
   for (const FleetClusterResult& cluster : out.clusters) {
     out.allocated_gpu_seconds += cluster.result.allocated_gpu_seconds;
     out.useful_gpu_seconds += cluster.result.useful_gpu_seconds;

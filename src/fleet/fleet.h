@@ -19,7 +19,6 @@
 #ifndef SRC_FLEET_FLEET_H_
 #define SRC_FLEET_FLEET_H_
 
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -27,7 +26,6 @@
 #include "src/core/experiment.h"
 #include "src/fleet/router.h"
 #include "src/obs/event_log.h"
-#include "src/obs/rollup.h"
 #include "src/obs/span.h"
 #include "src/obs/timeseries.h"
 
@@ -55,7 +53,6 @@ struct FleetConfig {
   // pre-evaluation stretch of their first wait is blamed on kRouterQueue.
   bool collect_spans = false;
   SimDuration telemetry_period = Minutes(1);
-  SimDuration rollup_window = Hours(1);
 
   // ExperimentPool worker count; <= 0 means DefaultPoolThreads()
   // (PHILLY_BENCH_THREADS-aware).
@@ -74,9 +71,6 @@ struct FleetClusterResult {
   EventLog events;              // scheduler stream (collect_events)
   ClusterTimeSeries telemetry;  // per-minute stream (collect_telemetry)
   SpanTracer spans;             // causal span stream (collect_spans)
-  // Rollup of this cluster's telemetry stream. unique_ptr because
-  // TelemetryRollup's histograms are atomics (non-movable).
-  std::unique_ptr<TelemetryRollup> rollup;
 };
 
 struct FleetResult {
@@ -86,10 +80,6 @@ struct FleetResult {
   // submission order (ties by home-cluster index), carrying the destination
   // and the router's decision inputs.
   EventLog route_events;
-
-  // MergeFrom-fold of the per-cluster rollups, in cluster-index order
-  // (collect_telemetry only).
-  std::unique_ptr<TelemetryRollup> fleet_rollup;
 
   int64_t total_jobs = 0;
   int64_t spilled_jobs = 0;  // routed to a cluster other than home

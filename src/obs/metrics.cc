@@ -145,30 +145,6 @@ double Histogram::Quantile(double q) const {
   return max();
 }
 
-void Histogram::MergeFrom(const Histogram& other) {
-  if (bounds_ != other.bounds_) {
-    throw std::invalid_argument(
-        "Histogram::MergeFrom: mismatched bucket layouts (" +
-        std::to_string(NumBuckets()) + " vs " +
-        std::to_string(other.NumBuckets()) + " buckets)");
-  }
-  const int64_t n = other.count();
-  if (n == 0) {
-    return;
-  }
-  count_.fetch_add(n, std::memory_order_relaxed);
-  sum_.fetch_add(other.sum(), std::memory_order_relaxed);
-  UpdateAtomicMin(&min_, other.min_.load(std::memory_order_relaxed));
-  UpdateAtomicMax(&max_, other.max_.load(std::memory_order_relaxed));
-  for (int i = 0; i < kNumBuckets; ++i) {
-    const int64_t b =
-        other.buckets_[static_cast<size_t>(i)].load(std::memory_order_relaxed);
-    if (b != 0) {
-      buckets_[static_cast<size_t>(i)].fetch_add(b, std::memory_order_relaxed);
-    }
-  }
-}
-
 Counter* MetricsRegistry::GetCounter(std::string_view name) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = counters_.find(name);
@@ -195,35 +171,6 @@ Histogram* MetricsRegistry::GetHistogram(std::string_view name) {
              .first;
   }
   return it->second.get();
-}
-
-void MetricsRegistry::MergeFrom(const MetricsRegistry& other) {
-  // Snapshot the other registry's instrument pointers under its lock, then
-  // fold them in through the public lookup path (which takes our own lock).
-  std::vector<std::pair<std::string, const Counter*>> counters;
-  std::vector<std::pair<std::string, const Gauge*>> gauges;
-  std::vector<std::pair<std::string, const Histogram*>> histograms;
-  {
-    std::lock_guard<std::mutex> lock(other.mu_);
-    for (const auto& [name, counter] : other.counters_) {
-      counters.emplace_back(name, counter.get());
-    }
-    for (const auto& [name, gauge] : other.gauges_) {
-      gauges.emplace_back(name, gauge.get());
-    }
-    for (const auto& [name, histogram] : other.histograms_) {
-      histograms.emplace_back(name, histogram.get());
-    }
-  }
-  for (const auto& [name, counter] : counters) {
-    GetCounter(name)->Increment(counter->value());
-  }
-  for (const auto& [name, gauge] : gauges) {
-    GetGauge(name)->Add(gauge->value());
-  }
-  for (const auto& [name, histogram] : histograms) {
-    GetHistogram(name)->MergeFrom(*histogram);
-  }
 }
 
 void MetricsRegistry::WriteJson(std::ostream& out) const {

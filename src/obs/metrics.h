@@ -72,11 +72,6 @@ class Histogram {
   // observed min and q >= 1 the observed max.
   double Quantile(double q) const;
 
-  // Folds another histogram's samples into this one. Throws
-  // std::invalid_argument when the bucket layouts differ — adding counts
-  // bucket-by-bucket across layouts would silently corrupt both.
-  void MergeFrom(const Histogram& other);
-
   // Empty for the default exponential layout.
   const std::vector<double>& bucket_bounds() const { return bounds_; }
 
@@ -102,10 +97,6 @@ class MetricsRegistry {
   Counter* GetCounter(std::string_view name);
   Gauge* GetGauge(std::string_view name);
   Histogram* GetHistogram(std::string_view name);
-
-  // Folds another registry's instruments into this one (matching by name);
-  // used to combine per-run registries after a sweep.
-  void MergeFrom(const MetricsRegistry& other);
 
   // Stable JSON snapshot: instruments grouped by kind, sorted by name.
   void WriteJson(std::ostream& out) const;

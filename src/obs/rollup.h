@@ -9,17 +9,13 @@
 // discipline event_join.h applies to the scheduler stream.
 //
 // TelemetryRollup downsamples a stream into fixed windows (default one hour)
-// for reporting, with Histogram-backed percentile digests; MergeFrom folds
-// per-shard rollups together after an ExperimentPool sweep and rejects
-// mismatched window sizes or histogram layouts loudly.
+// for the HTML dashboard, with a Histogram-backed percentile digest of the
+// observed utilization.
 
 #ifndef SRC_OBS_ROLLUP_H_
 #define SRC_OBS_ROLLUP_H_
 
-#include <array>
 #include <cstdint>
-#include <iosfwd>
-#include <limits>
 #include <map>
 #include <string>
 #include <string_view>
@@ -54,11 +50,8 @@ struct TelemetryWindow {
   SimTime start = 0;
   int64_t samples = 0;
   double occupancy_sum = 0.0;
-  double occupancy_min = std::numeric_limits<double>::infinity();
-  double occupancy_max = -std::numeric_limits<double>::infinity();
   double util_expected_sum = 0.0;
   double util_observed_sum = 0.0;
-  int64_t used_gpu_samples = 0;
   int64_t queued_max = 0;
   int64_t running_max = 0;
 
@@ -77,33 +70,19 @@ class TelemetryRollup {
  public:
   explicit TelemetryRollup(SimDuration window = Hours(1));
 
-  SimDuration window() const { return window_; }
-
   void Add(const TelemetrySample& sample);
   void AddAll(const std::vector<TelemetrySample>& samples);
 
   // Windows keyed (and iterated) by start time.
   const std::map<SimTime, TelemetryWindow>& windows() const { return windows_; }
 
-  // Whole-stream percentile digests (custom decile bucket layouts).
-  const Histogram& occupancy_pct() const { return occupancy_pct_; }
+  // Whole-stream percentile digest (a custom decile bucket layout).
   const Histogram& util_observed_pct() const { return util_observed_pct_; }
-  const Histogram& queue_depth() const { return queue_depth_; }
-
-  // Folds another rollup's windows and digests into this one. Throws
-  // std::invalid_argument on a window-size mismatch (and the histograms
-  // reject layout mismatches themselves).
-  void MergeFrom(const TelemetryRollup& other);
-
-  // Stable JSON snapshot: window table plus histogram percentiles.
-  void WriteJson(std::ostream& out) const;
 
  private:
   SimDuration window_;
   std::map<SimTime, TelemetryWindow> windows_;
-  Histogram occupancy_pct_;
   Histogram util_observed_pct_;
-  Histogram queue_depth_;
 };
 
 }  // namespace philly

@@ -124,10 +124,9 @@ double ClusterTimeSeries::ObserveUtilPct(JobId job, int attempt,
     stream.next_index = 1;
   }
   const double value = std::clamp(expected_util + stream.x, 0.0, 1.0) * 100.0;
-  const double rho = sampler_.ar1_rho;
   const double innovation_sigma =
-      sampler_.jitter_sigma * std::sqrt(1.0 - rho * rho);
-  stream.x = rho * stream.x +
+      sampler_.jitter_sigma * std::sqrt(1.0 - kAr1Rho * kAr1Rho);
+  stream.x = kAr1Rho * stream.x +
              innovation_sigma * sampler_internal::HashedNormal(
                                     stream.seed, static_cast<uint64_t>(stream.next_index++));
   return value;

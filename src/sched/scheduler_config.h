@@ -43,6 +43,15 @@ enum class CheckpointPolicy {
 
 std::string_view ToString(CheckpointPolicy policy);
 
+// Gang acquisition retry cadence (§2.3: 2-3 minute acquisition timeout,
+// 2 minute backoff): a pass that leaves jobs waiting schedules the next one
+// this far ahead.
+inline constexpr SimDuration kSchedBackoff = Minutes(2);
+
+// Failure retries (§2.3 fixed budget): a failed job is resubmitted at most
+// this many times, whichever retry policy decides.
+inline constexpr int kMaxRetries = 4;
+
 enum class QueueOrdering {
   kFifoArrival,                // Philly / Gandiva: arrival time
   kShortestRemainingFirst,     // Optimus: oracle remaining time
@@ -53,14 +62,9 @@ struct SchedulerConfig {
   std::string name = "philly";
   QueueOrdering ordering = QueueOrdering::kFifoArrival;
 
-  // Gang acquisition: retry cadence and the relaxation ladder (§2.3: 2-3
-  // minute acquisition timeout, 2 minute backoff, relax after a fixed number
-  // of retries). A waiting job's relax level rises one step per relax_period
-  // of waiting, capped at max_relax_level — time-based, mirroring the
-  // timeout-and-backoff loop, so a job gets a real window to acquire its
-  // strict-locality placement before it starts spreading.
-  SimDuration sched_backoff = Minutes(2);
-  SimDuration relax_period = Minutes(30);
+  // Gang acquisition: the relaxation ladder (§2.3: relax after a fixed
+  // number of retries). A waiting job's relax level rises one step per
+  // kRelaxPeriod of waiting (simulation.cc), capped at max_relax_level.
   // Locality-wait ablation (§5 "prioritizing locality"): minimum time a job
   // must wait before any relaxation is considered, regardless of attempts.
   SimDuration min_wait_before_relax = 0;
@@ -68,15 +72,10 @@ struct SchedulerConfig {
   // ablation sets 0).
   int max_relax_level = kMaxRelaxLevel;
 
-  // Fair share / preemption (§2.3): preemption starts only when >=90% of
-  // GPUs are in use; victims come from over-quota VCs, checkpoint + requeue.
+  // Fair share / preemption (§2.3): victims come from over-quota VCs,
+  // checkpoint + requeue, once occupancy reaches kPreemptionThreshold
+  // (simulation.cc).
   bool enable_preemption = true;
-  double preemption_threshold = 0.90;
-  // Preempt only for jobs that have already waited this long, and at most
-  // once per cooldown window — production preemption is a rare, last-resort
-  // action (147 preemption events in the paper's 75-day trace).
-  SimDuration preemption_min_wait = Hours(1);
-  SimDuration preemption_cooldown = Hours(5);
 
   // Tiresias discretizes attained service into bands (its "discretized
   // 2D-LAS"): jobs in the same band are FIFO-ordered, which prevents the
@@ -86,10 +85,9 @@ struct SchedulerConfig {
 
   // JCT-oriented baselines (Optimus/Tiresias) preempt running jobs whose
   // priority key is worse than a waiting job's, via model-checkpoint
-  // suspension (Table 1). Victims must have run at least `min_run` to bound
-  // churn.
+  // suspension (Table 1). Victims must have run at least
+  // kPriorityPreemptionMinRun (simulation.cc) to bound churn.
   bool priority_preemption = false;
-  SimDuration priority_preemption_min_run = Minutes(10);
 
   // Allow scheduling a later-arrived job when earlier ones do not fit
   // (work-conserving YARN behaviour; §3.1.1 out-of-order analysis).
@@ -100,10 +98,9 @@ struct SchedulerConfig {
   // plan to set up a pool of cheaper VMs to pre-run jobs ... even running
   // multi-GPU jobs on a single GPU will catch such errors"). Failures whose
   // first iterations crash are caught at 1-GPU cost instead of full-gang
-  // cost, for a small start delay and pool GPU time.
+  // cost, for a small start delay and pool GPU time. The pool's size and
+  // the pre-run cap are kPrerunPoolGpus and kPrerunCap (simulation.cc).
   bool enable_prerun_pool = false;
-  int prerun_pool_gpus = 16;
-  SimDuration prerun_cap = Minutes(10);
 
   // §5 "mitigating interference": checkpoint-based migration that
   // periodically evacuates lightly-used servers (suspending their small
@@ -120,10 +117,9 @@ struct SchedulerConfig {
   bool time_slicing = false;
   SimDuration time_slice_quantum = Minutes(30);
 
-  // Failure retries (§2.3 fixed budget; §5 proposes adaptive and predictive
-  // alternatives — see src/failure/retry_policy.h).
+  // Failure retries (§2.3 fixed budget of kMaxRetries; §5 proposes adaptive
+  // and predictive alternatives — see src/failure/retry_policy.h).
   enum class RetryPolicyKind { kFixed, kAdaptive, kPredictive };
-  int max_retries = 4;
   RetryPolicyKind retry_policy = RetryPolicyKind::kFixed;
   int predictive_repeat_threshold = 3;
 

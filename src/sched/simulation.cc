@@ -15,6 +15,28 @@ constexpr double kSegmentUtilEpsilon = 0.005;
 // Out-of-order queue scan depth per VC per pass.
 constexpr int kMaxQueueScan = 64;
 
+// A waiting job's relax level rises one step per kRelaxPeriod of waiting —
+// time-based, mirroring the timeout-and-backoff loop, so a job gets a real
+// window to acquire its strict-locality placement before it starts
+// spreading.
+constexpr SimDuration kRelaxPeriod = Minutes(30);
+
+// Fair-share preemption (§2.3) starts only when >=90% of GPUs are in use.
+constexpr double kPreemptionThreshold = 0.90;
+// Preempt only for jobs that have already waited this long, and at most
+// once per cooldown window — production preemption is a rare, last-resort
+// action (147 preemption events in the paper's 75-day trace).
+constexpr SimDuration kPreemptionMinWait = Hours(1);
+constexpr SimDuration kPreemptionCooldown = Hours(5);
+
+// Priority-preemption victims must have run at least this long, to bound
+// churn.
+constexpr SimDuration kPriorityPreemptionMinRun = Minutes(10);
+
+// §5 pre-run pool: its size in GPUs, and the longest a pre-run lasts.
+constexpr int kPrerunPoolGpus = 16;
+constexpr SimDuration kPrerunCap = Minutes(10);
+
 FailureReason ReasonForFault(FaultKind kind) {
   switch (kind) {
     case FaultKind::kServerCrash:
@@ -38,7 +60,6 @@ ClusterSimulation::ClusterSimulation(SimulationConfig config, std::vector<JobSpe
         pc.pack_small_jobs = true;
         return pc;
       }()),
-      util_model_(config_.util_model),
       injector_([&] {
         FailureInjectorConfig fc = config_.failure;
         fc.seed ^= config_.seed;
@@ -63,15 +84,14 @@ ClusterSimulation::ClusterSimulation(SimulationConfig config, std::vector<JobSpe
   switch (config_.scheduler.retry_policy) {
     case SchedulerConfig::RetryPolicyKind::kAdaptive:
       retry_policy_ =
-          std::make_unique<AdaptiveRetryPolicy>(config_.scheduler.max_retries);
+          std::make_unique<AdaptiveRetryPolicy>(kMaxRetries);
       break;
     case SchedulerConfig::RetryPolicyKind::kPredictive:
       retry_policy_ = std::make_unique<PredictiveRetryPolicy>(
-          config_.scheduler.max_retries, config_.scheduler.predictive_repeat_threshold);
+          kMaxRetries, config_.scheduler.predictive_repeat_threshold);
       break;
     case SchedulerConfig::RetryPolicyKind::kFixed:
-      retry_policy_ =
-          std::make_unique<FixedRetryPolicy>(config_.scheduler.max_retries);
+      retry_policy_ = std::make_unique<FixedRetryPolicy>(kMaxRetries);
       break;
   }
 
@@ -281,17 +301,16 @@ void ClusterSimulation::OnArrival(JobId id) {
   }
   // §5 pre-run pool: multi-GPU jobs first run briefly on one pool GPU; a
   // failure whose first RTF fits inside the cap is caught there.
-  const auto& sched = config_.scheduler;
-  if (sched.enable_prerun_pool && !job.prerun_done && job.spec.num_gpus > 1 &&
-      prerun_in_use_ < sched.prerun_pool_gpus) {
+  if (config_.scheduler.enable_prerun_pool && !job.prerun_done && job.spec.num_gpus > 1 &&
+      prerun_in_use_ < kPrerunPoolGpus) {
     job.prerun_done = true;
     ++prerun_in_use_;
     ++result_.prerun_jobs;
     const bool caught = job.plan.fails && job.failure_trials_used == 0 &&
-                        job.plan.trial_rtfs[0] <= sched.prerun_cap;
+                        job.plan.trial_rtfs[0] <= kPrerunCap;
     const SimDuration duration =
         caught ? std::max<SimDuration>(1, job.plan.trial_rtfs[0])
-               : std::min<SimDuration>(sched.prerun_cap,
+               : std::min<SimDuration>(kPrerunCap,
                                        std::max<SimDuration>(1, job.spec.planned_duration));
     result_.prerun_gpu_seconds += static_cast<double>(duration);
     job.phase = Phase::kRunning;  // occupying a pool slot
@@ -394,9 +413,7 @@ int ClusterSimulation::RelaxLevelFor(const JobState& job) const {
   // Sub-server jobs hold out for a single server twice as long: their strict
   // placement frees up at whole-server churn rate, and spreading them is
   // costlier per GPU than for jobs that must cross servers anyway.
-  const SimDuration period = job.spec.num_gpus <= 8
-                                 ? 2 * sched.relax_period
-                                 : sched.relax_period;
+  const SimDuration period = job.spec.num_gpus <= 8 ? 2 * kRelaxPeriod : kRelaxPeriod;
   const auto level = static_cast<int>((waited - sched.min_wait_before_relax) /
                                       std::max<SimDuration>(1, period));
   return std::min(level, sched.max_relax_level);
@@ -555,9 +572,9 @@ void ClusterSimulation::SchedulingPass() {
   if (any_waiting) {
     ++result_.sched_backoffs;
     if (SchedEvent* e = EmitEvent(SchedEventKind::kBackoff, nullptr); e != nullptr) {
-      e->delay = config_.scheduler.sched_backoff;
+      e->delay = kSchedBackoff;
     }
-    RequestSchedulingPass(config_.scheduler.sched_backoff);
+    RequestSchedulingPass(kSchedBackoff);
   }
 }
 
@@ -573,9 +590,9 @@ bool ClusterSimulation::TryStartJob(JobState& job, bool earlier_job_waiting,
 
   auto placement = placer_.FindPlacement(cluster_, demand, level);
   if (!placement.has_value() && !over_quota && config_.scheduler.enable_preemption &&
-      cluster_.Occupancy() >= config_.scheduler.preemption_threshold &&
-      sim_.Now() - job.ready_time >= config_.scheduler.preemption_min_wait &&
-      sim_.Now() - last_preemption_time_ >= config_.scheduler.preemption_cooldown) {
+      cluster_.Occupancy() >= kPreemptionThreshold &&
+      sim_.Now() - job.ready_time >= kPreemptionMinWait &&
+      sim_.Now() - last_preemption_time_ >= kPreemptionCooldown) {
     // The job is within its VC's share but the cluster is saturated by
     // borrowers: reclaim GPUs from over-quota VCs (§2.3).
     if (TryPreemptFor(job)) {
@@ -666,8 +683,7 @@ bool ClusterSimulation::TryPrioritySuspendFor(const JobState& job) {
     if (candidate.kind != AttemptKind::kClean || candidate.kill_at_end) {
       continue;
     }
-    if (sim_.Now() - candidate.attempt_start <
-        config_.scheduler.priority_preemption_min_run) {
+    if (sim_.Now() - candidate.attempt_start < kPriorityPreemptionMinRun) {
       continue;
     }
     const double key = QueueKeyFor(candidate);
@@ -805,8 +821,7 @@ SimDuration ClusterSimulation::ResolveCheckpointPeriod(const JobState& job) cons
       }
       const double write_cost =
           io.size_gb_per_gpu * placement.NumGpus() / io.rack_bandwidth_gbps;
-      return DalyOptimalPeriod(write_cost, 3600.0 / rate_per_hour,
-                               io.min_period, io.max_period);
+      return DalyOptimalPeriod(write_cost, 3600.0 / rate_per_hour);
     }
   }
   return 0;

@@ -50,7 +50,6 @@ struct SimulationConfig {
   // When enabled, clean gangs with a checkpoint cadence issue explicit writes
   // against per-rack shared storage; see scheduler.checkpoint_policy.
   CheckpointIoConfig ckpt_io;
-  UtilModelConfig util_model;
   // Virtual-cluster definitions (quota per VC); normally taken from the
   // workload config so indices line up.
   std::vector<VcConfig> vcs;

@@ -7,9 +7,8 @@
 
 namespace philly {
 
-ControlledExperiment::ControlledExperiment(const ClusterConfig& testbed,
-                                           UtilModelConfig model)
-    : cluster_(testbed), model_(model) {}
+ControlledExperiment::ControlledExperiment(const ClusterConfig& testbed)
+    : cluster_(testbed) {}
 
 bool ControlledExperiment::Place(const JobSpec& job, const Placement& placement,
                                  bool study) {

@@ -22,8 +22,7 @@ class ControlledExperiment {
  public:
   // `testbed` describes the servers (e.g. two 4-GPU machines for the paper's
   // ResNet-50 experiment).
-  explicit ControlledExperiment(const ClusterConfig& testbed,
-                                UtilModelConfig model = {});
+  explicit ControlledExperiment(const ClusterConfig& testbed);
 
   // Places a job. Returns false (placing nothing) if the placement does not
   // fit. The first job added is the job under study unless `study` is given.

@@ -23,8 +23,11 @@
 
 namespace philly {
 
+// AR(1) coefficient of the per-minute jitter around a segment's expected
+// utilization (GangliaSampler and ClusterTimeSeries draw the same series).
+inline constexpr double kAr1Rho = 0.80;
+
 struct SamplerConfig {
-  double ar1_rho = 0.80;
   double jitter_sigma = 0.08;  // absolute utilization points
   // Cap on representative samples per segment; weights preserve total mass.
   int max_samples_per_segment = 64;
@@ -65,14 +68,13 @@ class GangliaSampler {
     // AR(1) around the expected level, stationary: x_t = rho*x_{t-1} + e_t
     // with e ~ N(0, sigma*sqrt(1-rho^2)) so the marginal stddev is
     // jitter_sigma.
-    const double rho = config_.ar1_rho;
     const double innovation_sigma =
-        config_.jitter_sigma * std::sqrt(1.0 - rho * rho);
+        config_.jitter_sigma * std::sqrt(1.0 - kAr1Rho * kAr1Rho);
     double x = config_.jitter_sigma * sampler_internal::HashedNormal(seed, 0);
     for (int i = 0; i < samples; ++i) {
       const double value = std::clamp(expected_util + x, 0.0, 1.0);
       sink(value * 100.0, weight);  // Ganglia reports percent
-      x = rho * x + innovation_sigma *
+      x = kAr1Rho * x + innovation_sigma *
                         sampler_internal::HashedNormal(
                             seed, static_cast<uint64_t>(i) + 1);
     }

@@ -5,8 +5,8 @@
 //
 //   util = base
 //        x DistributionPenalty(num_servers, comm_intensity)   [multi-server sync]
-//        x (1 - pcie_coeff * pcie_load)                       [PCIe contention]
-//        x (1 - net_coeff * net_load)                         [RDMA contention]
+//        x (1 - kPcieCoeff * pcie_load)                       [PCIe contention]
+//        x (1 - kNetCoeff * net_load)                         [RDMA contention]
 //
 // where `base` is the job's single-dedicated-server utilization (model family
 // x batch size prior from src/workload), and the load terms aggregate the
@@ -32,27 +32,6 @@
 
 namespace philly {
 
-struct UtilModelConfig {
-  // sigma1: asymptotic fraction of time lost to cross-server model
-  // aggregation for a comm_intensity-1.0 model. Fitted from DiffServer:
-  // 1 - 0.2808 * (1 - 1/2) = 0.8596.
-  double dist_sync_coeff = 0.2808;
-  // Gangs larger than the 2-GPU calibration point push more gradient traffic
-  // per aggregation round: effective comm intensity grows with
-  // log2(num_gpus / 2). Fitted so a 16-GPU job on two dedicated servers lands
-  // near Table 5's 43.7% (and Fig 6's qualitative gap to 8-GPU jobs).
-  double gang_size_comm_growth = 0.27;
-  // PCIe contention: factor = 1 - pcie_coeff * min(load, pcie_load_cap).
-  double pcie_coeff = 0.85;
-  double pcie_load_cap = 0.60;
-  // RDMA/network contention for distributed jobs on shared servers.
-  double net_coeff = 0.27;
-  double net_load_cap = 1.0;
-  // 1-GPU co-tenants exercise PCIe only for input loading, not gradient
-  // exchange; their contribution to neighbor load is discounted.
-  double single_gpu_comm_discount = 0.25;
-};
-
 // A co-tenant-visible summary of a running job's activity.
 struct JobActivity {
   double base_utilization = 0.0;
@@ -71,8 +50,6 @@ struct ShardContext {
 
 class UtilizationModel {
  public:
-  explicit UtilizationModel(UtilModelConfig config = {});
-
   // Multiplicative penalty for running on `num_servers` servers with a gang
   // of `num_gpus` workers (the default matches the 2-GPU calibration point).
   double DistributionPenalty(int num_servers, double comm_intensity,
@@ -101,11 +78,6 @@ class UtilizationModel {
   // Training throughput (images/s across the whole job) for image models, 0
   // for models without a throughput conversion; reproduces Table 4 row 2.
   double ImagesPerSecond(const JobSpec& job, double utilization) const;
-
-  const UtilModelConfig& config() const { return config_; }
-
- private:
-  UtilModelConfig config_;
 };
 
 }  // namespace philly

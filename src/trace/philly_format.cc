@@ -15,6 +15,10 @@
 namespace philly {
 namespace {
 
+// Nominal wall-clock of simulated t=0, seconds since the Unix epoch
+// (2017-10-01 00:00:00 UTC, matching the paper's collection window).
+constexpr int64_t kEpochOffset = 1506816000;
+
 std::string Hex(uint64_t v, int digits) {
   // Keep exactly `digits` hex characters (the public trace uses short hashes).
   if (digits < 16) {
@@ -54,7 +58,7 @@ PhillyTracesExporter::PhillyTracesExporter(const ClusterConfig& cluster,
     : cluster_(cluster), options_(options), num_servers_(cluster.TotalServers()) {}
 
 std::string PhillyTracesExporter::Timestamp(SimTime t) const {
-  const std::time_t wall = static_cast<std::time_t>(options_.epoch_offset + t);
+  const std::time_t wall = static_cast<std::time_t>(kEpochOffset + t);
   std::tm tm_utc{};
   gmtime_r(&wall, &tm_utc);
   char buf[32];
@@ -63,7 +67,7 @@ std::string PhillyTracesExporter::Timestamp(SimTime t) const {
 }
 
 std::string PhillyTracesExporter::JobIdOf(const JobRecord& job) {
-  return "application_" + std::to_string(1506816000 + job.spec.submit_time) + "_" +
+  return "application_" + std::to_string(kEpochOffset + job.spec.submit_time) + "_" +
          std::to_string(job.spec.id);
 }
 
@@ -188,60 +192,16 @@ std::vector<PhillyTracesExporter::MachineSeries> PhillyTracesExporter::BuildSeri
   return series;
 }
 
-void PhillyTracesExporter::WriteGpuUtil(const std::vector<JobRecord>& jobs,
-                                        std::ostream& out) const {
+void PhillyTracesExporter::WriteUtil(const std::vector<JobRecord>& jobs, std::ostream& gpu_out,
+                                     std::ostream& cpu_out, std::ostream& mem_out) const {
   size_t num_buckets = 0;
   const auto series = BuildSeries(jobs, &num_buckets);
-  CsvWriter csv(out);
-  csv.Row("time", "machineId", "gpu_util");
-  const SimDuration period = std::max<SimDuration>(60, options_.util_sample_period);
-  for (size_t bucket = 0; bucket < num_buckets; ++bucket) {
-    const std::string when = Timestamp(static_cast<SimTime>(bucket) *
-                                       static_cast<SimTime>(period));
-    for (int server = 0; server < num_servers_; ++server) {
-      const auto& machine = series[static_cast<size_t>(server)];
-      if (machine.busy_gpu_seconds[bucket] <= 0.0) {
-        continue;  // the public trace omits idle machines' rows at times too
-      }
-      const double util =
-          100.0 * machine.util_gpu_seconds[bucket] / machine.busy_gpu_seconds[bucket];
-      csv.Row(when, "m" + std::to_string(server), util);
-    }
-  }
-}
-
-void PhillyTracesExporter::WriteCpuUtil(const std::vector<JobRecord>& jobs,
-                                        std::ostream& out) const {
-  size_t num_buckets = 0;
-  const auto series = BuildSeries(jobs, &num_buckets);
-  // Host CPU activity tracks the allocated share times per-job CPU activity;
-  // approximate with a fleet-typical 30% of the allocated share.
-  CsvWriter csv(out);
-  csv.Row("time", "machineId", "cpu_util");
-  const SimDuration period = std::max<SimDuration>(60, options_.util_sample_period);
-  Cluster cluster(cluster_);
-  for (size_t bucket = 0; bucket < num_buckets; ++bucket) {
-    const std::string when = Timestamp(static_cast<SimTime>(bucket) *
-                                       static_cast<SimTime>(period));
-    for (int server = 0; server < num_servers_; ++server) {
-      const auto& machine = series[static_cast<size_t>(server)];
-      if (machine.busy_gpu_seconds[bucket] <= 0.0) {
-        continue;
-      }
-      const double gpu_share =
-          machine.busy_gpu_seconds[bucket] /
-          (static_cast<double>(period) * cluster.ServerCapacity(server));
-      csv.Row(when, "m" + std::to_string(server), 100.0 * 0.30 * gpu_share);
-    }
-  }
-}
-
-void PhillyTracesExporter::WriteMemUtil(const std::vector<JobRecord>& jobs,
-                                        std::ostream& out) const {
-  size_t num_buckets = 0;
-  const auto series = BuildSeries(jobs, &num_buckets);
-  CsvWriter csv(out);
-  csv.Row("time", "machineId", "mem_total_gb", "mem_free_gb");
+  CsvWriter gpu(gpu_out);
+  CsvWriter cpu(cpu_out);
+  CsvWriter mem(mem_out);
+  gpu.Row("time", "machineId", "gpu_util");
+  cpu.Row("time", "machineId", "cpu_util");
+  mem.Row("time", "machineId", "mem_total_gb", "mem_free_gb");
   const SimDuration period = std::max<SimDuration>(60, options_.util_sample_period);
   Cluster cluster(cluster_);
   const double total = cluster_.memory_gb_per_server;
@@ -251,38 +211,43 @@ void PhillyTracesExporter::WriteMemUtil(const std::vector<JobRecord>& jobs,
     for (int server = 0; server < num_servers_; ++server) {
       const auto& machine = series[static_cast<size_t>(server)];
       if (machine.busy_gpu_seconds[bucket] <= 0.0) {
-        continue;
+        continue;  // the public trace omits idle machines' rows at times too
       }
+      const std::string id = "m" + std::to_string(server);
+      gpu.Row(when, id,
+              100.0 * machine.util_gpu_seconds[bucket] / machine.busy_gpu_seconds[bucket]);
       const double gpu_share =
           machine.busy_gpu_seconds[bucket] /
           (static_cast<double>(period) * cluster.ServerCapacity(server));
+      // Host CPU activity tracks the allocated share times per-job CPU
+      // activity; approximate with a fleet-typical 30% of the allocated share.
+      cpu.Row(when, id, 100.0 * 0.30 * gpu_share);
       // Memory runs hot (Fig 7): ~80% of the proportional allocation.
       const double used = total * gpu_share * 0.80;
-      csv.Row(when, "m" + std::to_string(server), total, total - used);
+      mem.Row(when, id, total, total - used);
     }
   }
 }
 
 bool PhillyTracesExporter::WriteDirectory(const std::vector<JobRecord>& jobs,
                                           const std::string& directory) const {
-  std::ofstream job_log(directory + "/" + kFileNames[0]);
-  std::ofstream machines(directory + "/" + kFileNames[1]);
-  std::ofstream gpu_util(directory + "/" + kFileNames[2]);
-  std::ofstream cpu_util(directory + "/" + kFileNames[3]);
-  std::ofstream mem_util(directory + "/" + kFileNames[4]);
-  if (!job_log || !machines || !gpu_util || !cpu_util || !mem_util) {
-    return false;
+  std::ofstream files[kFileNames.size()];
+  for (size_t i = 0; i < kFileNames.size(); ++i) {
+    files[i].open(directory + "/" + kFileNames[i]);
+    if (!files[i]) {
+      return false;
+    }
   }
-  WriteJobLog(jobs, job_log);
-  WriteMachineList(machines);
-  WriteGpuUtil(jobs, gpu_util);
-  WriteCpuUtil(jobs, cpu_util);
-  WriteMemUtil(jobs, mem_util);
-  return true;
+  WriteJobLog(jobs, files[0]);
+  WriteMachineList(files[1]);
+  WriteUtil(jobs, files[2], files[3], files[4]);
+  bool ok = true;
+  for (std::ofstream& file : files) {
+    file.flush();
+    ok = file.good() && ok;
+  }
+  return ok;
 }
-
-PhillyTracesImporter::PhillyTracesImporter(PhillyTracesOptions options)
-    : options_(options) {}
 
 bool PhillyTracesImporter::ParseTimestamp(std::string_view text, SimTime* out) const {
   std::tm tm_utc{};
@@ -307,7 +272,7 @@ bool PhillyTracesImporter::ParseTimestamp(std::string_view text, SimTime* out) c
   if (wall == static_cast<std::time_t>(-1)) {
     return false;
   }
-  *out = static_cast<SimTime>(wall) - options_.epoch_offset;
+  *out = static_cast<SimTime>(wall) - kEpochOffset;
   return true;
 }
 
@@ -346,14 +311,14 @@ std::vector<JobRecord> PhillyTracesImporter::ImportJobLog(std::string_view json_
   for (const JsonValue& entry : root.AsArray()) {
     JobRecord job;
     job.spec.id = next_id++;
-    job.spec.vc = intern(vc_ids_, entry["vc"].AsString());
-    job.spec.user = intern(user_ids_, entry["user"].AsString());
     SimTime submitted = 0;
     if (!ParseTimestamp(entry["submitted_time"].AsString(), &submitted)) {
       ++tolerated_.jobs_without_submit_time;  // unusable without one
       continue;
     }
     job.spec.submit_time = submitted;
+    job.spec.vc = intern(vc_ids_, entry["vc"].AsString());
+    job.spec.user = intern(user_ids_, entry["user"].AsString());
 
     const std::string& status = entry["status"].AsString();
     if (status == "Pass") {

@@ -40,9 +40,6 @@ struct PhillyTracesOptions {
   // 10 minutes keeps full-scale exports a few hundred MB smaller while
   // preserving the curves.
   SimDuration util_sample_period = Minutes(10);
-  // Nominal wall-clock of simulated t=0, seconds since the Unix epoch
-  // (2017-10-01 00:00:00 UTC, matching the paper's collection window).
-  int64_t epoch_offset = 1506816000;
 };
 
 class PhillyTracesExporter {
@@ -52,18 +49,19 @@ class PhillyTracesExporter {
   void WriteJobLog(const std::vector<JobRecord>& jobs, std::ostream& out) const;
   void WriteMachineList(std::ostream& out) const;
   // Reconstructs per-machine utilization over time from the jobs' placement
-  // and segment records, then emits one row per (sample period, machine).
-  void WriteGpuUtil(const std::vector<JobRecord>& jobs, std::ostream& out) const;
-  void WriteCpuUtil(const std::vector<JobRecord>& jobs, std::ostream& out) const;
-  void WriteMemUtil(const std::vector<JobRecord>& jobs, std::ostream& out) const;
+  // and segment records once, then emits one row per (sample period, busy
+  // machine) to each of the GPU, CPU and memory utilization files.
+  void WriteUtil(const std::vector<JobRecord>& jobs, std::ostream& gpu_out,
+                 std::ostream& cpu_out, std::ostream& mem_out) const;
 
-  // The files WriteDirectory writes, in the order of the five writers above.
+  // The files WriteDirectory writes: the job log, the machine list, then
+  // WriteUtil's three.
   static constexpr std::array<const char*, 5> kFileNames = {
       "cluster_job_log", "cluster_machine_list", "cluster_gpu_util",
       "cluster_cpu_util", "cluster_mem_util"};
 
-  // Writes all five files into `directory` (kFileNames). Returns false on
-  // I/O failure.
+  // Writes all five files into `directory` (kFileNames). Returns false when
+  // a file cannot be opened or a write to it fails.
   bool WriteDirectory(const std::vector<JobRecord>& jobs,
                       const std::string& directory) const;
 
@@ -98,8 +96,6 @@ class PhillyTracesExporter {
 // utilization segments the public job log does not carry.
 class PhillyTracesImporter {
  public:
-  explicit PhillyTracesImporter(PhillyTracesOptions options = {});
-
   // Parses the JSON text: an array of job objects. On malformed input (bad
   // JSON, a root that is not an array, an entry that is not an object)
   // returns an empty vector and sets *error (when provided).
@@ -120,12 +116,11 @@ class PhillyTracesImporter {
   int num_users() const { return static_cast<int>(user_ids_.size()); }
   int num_machines() const { return static_cast<int>(machine_ids_.size()); }
 
-  // Parses "YYYY-MM-DD HH:MM:SS" into seconds relative to the options'
-  // epoch_offset. Returns false on malformed input (e.g. "None").
+  // Parses "YYYY-MM-DD HH:MM:SS" into seconds relative to the exporter's
+  // simulated t=0. Returns false on malformed input (e.g. "None").
   bool ParseTimestamp(std::string_view text, SimTime* out) const;
 
  private:
-  PhillyTracesOptions options_;
   Tolerated tolerated_;
   std::map<std::string, VcId, std::less<>> vc_ids_;
   std::map<std::string, UserId, std::less<>> user_ids_;

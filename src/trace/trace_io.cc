@@ -1,6 +1,7 @@
 #include "src/trace/trace_io.h"
 
 #include <algorithm>
+#include <charconv>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -74,12 +75,20 @@ class TraceFile {
   int64_t line_number() const { return line_number_; }
   std::string_view Text(size_t column) const { return fields_[column]; }
 
-  // The whole field as a finite number of type T.
+  // The whole field as a finite number of type T, spelled as CsvWriter
+  // spells it (std::to_chars: the shortest round trip for a double).
   template <typename T>
   T Number(size_t column, const char* what) {
+    const std::string_view field = fields_[column];
     T value{};
-    if (!ParseNumber(fields_[column], &value)) {
-      Fail(column, Quoted(fields_[column]) + " is not " + what);
+    if (!ParseNumber(field, &value)) {
+      Fail(column, Quoted(field) + " is not " + what);
+      return value;
+    }
+    char buf[32];
+    const std::string_view canonical(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+    if (canonical != field) {
+      Fail(column, Quoted(field) + " is not canonical, expected " + Quoted(canonical));
     }
     return value;
   }
@@ -186,18 +195,23 @@ void TraceWriter::WriteStdoutLogs(const std::vector<JobRecord>& jobs,
 
 bool TraceWriter::WriteDirectory(const std::vector<JobRecord>& jobs,
                                  const std::string& directory) {
-  std::ofstream jobs_out(directory + "/" + kFileNames[0]);
-  std::ofstream attempts_out(directory + "/" + kFileNames[1]);
-  std::ofstream util_out(directory + "/" + kFileNames[2]);
-  std::ofstream log_out(directory + "/" + kFileNames[3]);
-  if (!jobs_out || !attempts_out || !util_out || !log_out) {
-    return false;
+  std::ofstream files[kFileNames.size()];
+  for (size_t i = 0; i < kFileNames.size(); ++i) {
+    files[i].open(directory + "/" + kFileNames[i]);
+    if (!files[i]) {
+      return false;
+    }
   }
-  WriteJobs(jobs, jobs_out);
-  WriteAttempts(jobs, attempts_out);
-  WriteUtilSegments(jobs, util_out);
-  WriteStdoutLogs(jobs, log_out);
-  return true;
+  WriteJobs(jobs, files[0]);
+  WriteAttempts(jobs, files[1]);
+  WriteUtilSegments(jobs, files[2]);
+  WriteStdoutLogs(jobs, files[3]);
+  bool ok = true;
+  for (std::ofstream& file : files) {
+    file.flush();
+    ok = file.good() && ok;
+  }
+  return ok;
 }
 
 std::vector<JobRecord> TraceReader::ReadJobs(std::istream& jobs_csv,

@@ -51,8 +51,8 @@ class TraceWriter {
   static constexpr std::array<const char*, 4> kFileNames = {
       "jobs.csv", "attempts.csv", "gpu_util.csv", "stdout.log"};
 
-  // Writes all four streams into `directory` (kFileNames). Returns false if
-  // any file cannot be opened.
+  // Writes all four streams into `directory` (kFileNames). Returns false when
+  // a file cannot be opened or a write to it fails.
   static bool WriteDirectory(const std::vector<JobRecord>& jobs,
                              const std::string& directory);
 };

@@ -18,6 +18,17 @@ static_assert(std::size(kDemandValues) == std::size(kDemandWeights));
 
 constexpr double kMinutes = 60.0;
 
+// Day-periodic modulation of every VC's arrival rate.
+constexpr double kDiurnalAmplitude = 0.25;
+// A deadline-push burst lasts a uniform draw from this range.
+constexpr SimDuration kMinBurstDuration = Hours(12);
+constexpr SimDuration kMaxBurstDuration = Hours(60);
+// The user population the VCs' slices are cut from.
+constexpr int kNumUsers = 300;
+// Fraction of jobs whose frameworks print per-epoch loss (paper: 2502 of
+// 96260 jobs had recoverable convergence information).
+constexpr double kConvergenceLoggingFraction = 0.026;
+
 LognormalMixture MakeDurationMixture(SizeBucket bucket) {
   // Components are (weight, median minutes, sigma): a quick debug/smoke-run
   // mode, the main training mode, and a multi-day tail. Larger jobs shift
@@ -145,8 +156,7 @@ JobSpec WorkloadGenerator::MakeJob(JobId id, VcId vc_id, SimTime submit_time, Rn
   // Users: each VC draws from its own slice of the user population, with a
   // quadratic skew so a handful of engineers submit most of a VC's jobs
   // (failure analysis in §4.2.2 depends on per-user concentration).
-  const int users_per_vc =
-      std::max(3, config_.num_users / static_cast<int>(config_.vcs.size()));
+  const int users_per_vc = std::max(3, kNumUsers / static_cast<int>(config_.vcs.size()));
   const double skew = rng.Uniform();
   const int user_rank = static_cast<int>(skew * skew * users_per_vc);
   job.user = static_cast<UserId>(vc_id * users_per_vc + std::min(user_rank, users_per_vc - 1));
@@ -173,7 +183,7 @@ JobSpec WorkloadGenerator::MakeJob(JobId id, VcId vc_id, SimTime submit_time, Rn
                           BatchUtilizationScale(job.batch_size, profile.reference_batch);
   job.base_utilization = std::clamp(raw_util, 0.05, 1.0);
 
-  job.logs_convergence = rng.Bernoulli(config_.convergence_logging_fraction);
+  job.logs_convergence = rng.Bernoulli(kConvergenceLoggingFraction);
 
   // Loss-curve parameters (§4.1 / Figure 8). `f_star` is the fraction of
   // epochs needed to come within 0.1% of the final minimum.
@@ -257,7 +267,7 @@ std::vector<JobSpec> WorkloadGenerator::Generate() {
     const double weekly_phase = 2.0 * 3.14159265358979 *
                                 static_cast<double>(vc_index) /
                                 static_cast<double>(config_.vcs.size());
-    VcStream s{ArrivalProcess(vc.arrival_rate_per_hour, config_.diurnal_amplitude,
+    VcStream s{ArrivalProcess(vc.arrival_rate_per_hour, kDiurnalAmplitude,
                               config_.weekly_amplitude, weekly_phase),
                root.Fork(), 0};
     // Deadline-push bursts, sampled up front so the schedule is deterministic.
@@ -270,8 +280,8 @@ std::vector<JobSpec> WorkloadGenerator::Generate() {
           break;
         }
         const auto duration = static_cast<SimDuration>(
-            s.rng.Uniform(static_cast<double>(config_.min_burst_duration),
-                          static_cast<double>(config_.max_burst_duration)));
+            s.rng.Uniform(static_cast<double>(kMinBurstDuration),
+                          static_cast<double>(kMaxBurstDuration)));
         s.process.AddBurst(t, t + duration,
                            s.rng.Uniform(config_.min_burst_multiplier,
                                          config_.max_burst_multiplier));

@@ -37,24 +37,17 @@ struct VcConfig {
 struct WorkloadConfig {
   std::vector<VcConfig> vcs;
   SimDuration duration = Days(75);
-  double diurnal_amplitude = 0.25;
   // Week-periodic modulation, phase-shifted per VC so teams peak on
   // different days.
   double weekly_amplitude = 0.20;
   // Transient per-VC demand bursts ("deadline pushes"): exponential gaps with
-  // this mean, uniform durations and rate multipliers in the given ranges.
-  // Bursts are what produce the heavy queueing-delay tails the paper's
-  // Figure 3 shows; set mean_burst_interval to 0 to disable.
+  // this mean, uniform durations (generator.cc) and rate multipliers in the
+  // given range. Bursts are what produce the heavy queueing-delay tails the
+  // paper's Figure 3 shows; set mean_burst_interval to 0 to disable.
   SimDuration mean_burst_interval = Days(18);
-  SimDuration min_burst_duration = Hours(12);
-  SimDuration max_burst_duration = Hours(60);
   double min_burst_multiplier = 1.6;
   double max_burst_multiplier = 2.8;
-  int num_users = 300;
   uint64_t seed = 42;
-  // Fraction of jobs whose frameworks print per-epoch loss (paper: 2502 of
-  // 96260 jobs had recoverable convergence information).
-  double convergence_logging_fraction = 0.026;
 
   // Warm start: inject a cohort of already-in-flight jobs at t=0 whose GPU
   // demand sums to roughly this many GPUs, with length-biased residual

@@ -46,27 +46,25 @@ namespace {
 
 TEST(DalyOptimalPeriodTest, MatchesTheFirstOrderOptimum) {
   // delta = 50 s per write, M = 100 h: tau = sqrt(2 * 50 * 360000) = 6000 s.
-  EXPECT_EQ(DalyOptimalPeriod(50.0, 3600.0 * 100, Minutes(5), Hours(48)),
-            6000);
+  EXPECT_EQ(DalyOptimalPeriod(50.0, 3600.0 * 100), 6000);
 }
 
 TEST(DalyOptimalPeriodTest, ClampsToTheConfiguredBand) {
   // Cheap writes against a flaky machine: the raw optimum undershoots the
   // floor. sqrt(2 * 1 * 3600) = 85 s < 5 min.
-  EXPECT_EQ(DalyOptimalPeriod(1.0, 3600.0, Minutes(5), Hours(48)), Minutes(5));
+  EXPECT_EQ(DalyOptimalPeriod(1.0, 3600.0), Minutes(5));
   // Expensive writes against a solid machine: the raw optimum overshoots the
   // ceiling. sqrt(2 * 10000 * 3.6e9) ~ 8.5e6 s > 48 h.
-  EXPECT_EQ(DalyOptimalPeriod(10000.0, 3.6e9, Minutes(5), Hours(48)),
-            Hours(48));
+  EXPECT_EQ(DalyOptimalPeriod(10000.0, 3.6e9), Hours(48));
 }
 
 TEST(DalyOptimalPeriodTest, DegenerateInputsDisableCheckpointing) {
-  EXPECT_EQ(DalyOptimalPeriod(0.0, 3600.0, Minutes(5), Hours(48)), 0);
-  EXPECT_EQ(DalyOptimalPeriod(-1.0, 3600.0, Minutes(5), Hours(48)), 0);
-  EXPECT_EQ(DalyOptimalPeriod(10.0, 0.0, Minutes(5), Hours(48)), 0);
+  EXPECT_EQ(DalyOptimalPeriod(0.0, 3600.0), 0);
+  EXPECT_EQ(DalyOptimalPeriod(-1.0, 3600.0), 0);
+  EXPECT_EQ(DalyOptimalPeriod(10.0, 0.0), 0);
   const double nan = std::nan("");
-  EXPECT_EQ(DalyOptimalPeriod(nan, 3600.0, Minutes(5), Hours(48)), 0);
-  EXPECT_EQ(DalyOptimalPeriod(10.0, nan, Minutes(5), Hours(48)), 0);
+  EXPECT_EQ(DalyOptimalPeriod(nan, 3600.0), 0);
+  EXPECT_EQ(DalyOptimalPeriod(10.0, nan), 0);
 }
 
 // --------------------------------------------------------- CheckpointIoModel

@@ -220,31 +220,6 @@ TEST(StreamingHistogramTest, QuantileSkipsEmptyBinsOnExactBoundary) {
   EXPECT_DOUBLE_EQ(h.Quantile(1.0), 5.5);
 }
 
-TEST(ReservoirTest, KeepsAllWhenUnderCapacity) {
-  Reservoir r(10);
-  for (int i = 0; i < 5; ++i) {
-    r.Add(i);
-  }
-  EXPECT_EQ(r.Samples().size(), 5u);
-  EXPECT_EQ(r.SeenCount(), 5u);
-}
-
-TEST(ReservoirTest, BoundedAndRepresentative) {
-  Reservoir r(100, 3);
-  for (int i = 0; i < 100000; ++i) {
-    r.Add(i);
-  }
-  EXPECT_EQ(r.Samples().size(), 100u);
-  EXPECT_EQ(r.SeenCount(), 100000u);
-  double mean = 0.0;
-  for (double x : r.Samples()) {
-    mean += x;
-  }
-  mean /= 100.0;
-  // Uniform subset of [0, 1e5): mean near 5e4.
-  EXPECT_NEAR(mean, 50000.0, 10000.0);
-}
-
 // Histogram quantile accuracy across bin counts (property sweep).
 class HistogramBinSweep : public ::testing::TestWithParam<size_t> {};
 

@@ -53,19 +53,6 @@ TEST(RenderTest, CdfProbesFormat) {
   EXPECT_NE(probes.find("50.0%"), std::string::npos);
 }
 
-TEST(RenderTest, SummaryFormat) {
-  Summary summary;
-  summary.count = 10;
-  summary.mean = 1.5;
-  summary.p50 = 1.0;
-  summary.p90 = 3.0;
-  summary.p95 = 4.0;
-  const std::string rendered = RenderSummary(summary, 1);
-  EXPECT_NE(rendered.find("n=10"), std::string::npos);
-  EXPECT_NE(rendered.find("mean=1.5"), std::string::npos);
-  EXPECT_NE(rendered.find("p95=4.0"), std::string::npos);
-}
-
 TEST(RenderTest, WriteCdfCsvRoundTrip) {
   StreamingHistogram hist(0.0, 10.0, 10);
   hist.Add(2.5);

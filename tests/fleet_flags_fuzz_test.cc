@@ -21,6 +21,7 @@
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -307,8 +308,13 @@ TEST(CliOptionsTest, KnownMalformedValuesAreRejectedNamingTheirFlag) {
       }
       for (const std::string& value : bad) {
         std::vector<std::string> words = Base(command);
-        if (option.flag == "--spill-threshold") {
-          words.insert(words.end(), {"--router", "spillover"});
+        // What the option needs to act (--router spillover, --ckpt-bw), so
+        // that its value is what gets checked.
+        if (!option.needs.empty() && !option.needs_absent) {
+          const Option& needed = OptionNamed(option.needs.front());
+          words.insert(words.end(), {needed.flag, option.needs_value.empty()
+                                                      ? ValidValue(needed)
+                                                      : std::string(option.needs_value)});
         }
         // A required option is in the base already: replace its value.
         const auto given = std::find(words.begin(), words.end(), option.flag);
@@ -379,6 +385,33 @@ TEST(CliOptionsTest, MisplacedRepeatedAndIneffectiveFlagsAreRejected) {
     std::string error;
     EXPECT_FALSE(Parse(words, &args, &error));
     EXPECT_EQ(error.rfind("phillyctl " + words[0], 0), 0u) << error;
+  }
+  // Options that act only with another: the message names both, and the
+  // same line with the other option parses.
+  const std::vector<std::pair<std::vector<std::string>, std::string>> kNeeds = {
+      {{"report", "--ckpt-policy", "stagger"}, "--ckpt-policy has no effect without --ckpt-bw"},
+      {{"sweep", "--ckpt-size-gb-per-gpu", "4"},
+       "--ckpt-size-gb-per-gpu has no effect without --ckpt-bw"},
+      {{"fleet", "--collect-spans"}, "--collect-spans has no effect without --out or --html"},
+  };
+  for (const auto& [words, why] : kNeeds) {
+    SCOPED_TRACE(words[1]);
+    Args args;
+    std::string error;
+    EXPECT_FALSE(Parse(words, &args, &error));
+    EXPECT_EQ(error, "phillyctl " + words[0] + ": " + why);
+  }
+  const std::vector<std::pair<std::vector<std::string>, std::string>> kActs = {
+      {{"report", "--ckpt-policy", "stagger", "--ckpt-bw", "1"}, "--ckpt-policy"},
+      {{"sweep", "--ckpt-bw", "1", "--ckpt-size-gb-per-gpu", "4"}, "--ckpt-size-gb-per-gpu"},
+      {{"fleet", "--collect-spans", "--out", "o"}, "--collect-spans"},
+      {{"fleet", "--html", "d.html", "--collect-spans"}, "--collect-spans"},
+  };
+  for (const auto& [words, flag] : kActs) {
+    Args args;
+    std::string error;
+    EXPECT_TRUE(Parse(words, &args, &error)) << error;
+    EXPECT_TRUE(args.Has(flag)) << flag;
   }
   for (const std::vector<std::string>& words : {std::vector<std::string>{},
                                                 std::vector<std::string>{"simulat"}}) {

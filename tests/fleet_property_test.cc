@@ -8,10 +8,6 @@
 //     allocated == useful + machine-fault-lost + ckpt-overhead + ckpt-stall,
 //     exercised with the fault process and checkpoint I/O model enabled so
 //     every term is non-zero.
-//   * Rollup aggregation: the fleet rollup (MergeFrom-fold of per-cluster
-//     rollups) equals a rollup fed the concatenated streams directly —
-//     integer aggregates exactly, floating sums to a tiny relative tolerance
-//     (summation order differs across the two paths).
 //   * Router decision invariants: spillover (and least-loaded) never route to
 //     a cluster whose modeled queue is longer than home's at decision time,
 //     and spillover only leaves home when the home queue exceeds the
@@ -31,7 +27,6 @@
 #include "src/fault/fault_process.h"
 #include "src/fleet/router.h"
 #include "src/obs/event_log.h"
-#include "src/obs/rollup.h"
 
 namespace philly {
 namespace {
@@ -183,67 +178,6 @@ TEST(FleetPropertyTest, FleetGpuTimeLedgerConserves) {
   EXPECT_GT(writes, 0) << "checkpoint I/O model produced no writes";
   EXPECT_GT(fleet.machine_fault_lost_gpu_seconds, 0.0);
   EXPECT_GT(fleet.ckpt_overhead_gpu_seconds, 0.0);
-}
-
-// The fleet rollup is a MergeFrom-fold of per-cluster rollups; feeding one
-// rollup the concatenated streams directly (same cluster order) must agree —
-// integer aggregates exactly, floating sums to 1e-9 relative (the two paths
-// sum in different orders).
-TEST(FleetPropertyTest, FleetRollupEqualsRollupOfMergedStreams) {
-  FleetConfig config = MakeConfig(59, RouterPolicy::kLeastLoaded);
-  const SimDuration window = config.rollup_window;
-  const FleetResult fleet = FleetSimulation(std::move(config)).Run();
-  ASSERT_NE(fleet.fleet_rollup, nullptr);
-
-  TelemetryRollup direct(window);
-  for (const FleetClusterResult& cluster : fleet.clusters) {
-    ASSERT_FALSE(cluster.telemetry.samples().empty()) << cluster.name;
-    direct.AddAll(cluster.telemetry.samples());
-  }
-
-  const auto& merged_windows = fleet.fleet_rollup->windows();
-  const auto& direct_windows = direct.windows();
-  ASSERT_EQ(merged_windows.size(), direct_windows.size());
-  ASSERT_GT(merged_windows.size(), 0u);
-  auto it = direct_windows.begin();
-  for (const auto& [start, merged] : merged_windows) {
-    ASSERT_EQ(start, it->first);
-    const TelemetryWindow& expected = it->second;
-    EXPECT_EQ(merged.samples, expected.samples);
-    EXPECT_EQ(merged.used_gpu_samples, expected.used_gpu_samples);
-    EXPECT_EQ(merged.queued_max, expected.queued_max);
-    EXPECT_EQ(merged.running_max, expected.running_max);
-    EXPECT_DOUBLE_EQ(merged.occupancy_min, expected.occupancy_min);
-    EXPECT_DOUBLE_EQ(merged.occupancy_max, expected.occupancy_max);
-    EXPECT_NEAR(merged.occupancy_sum, expected.occupancy_sum,
-                1e-9 * std::max(1.0, std::abs(expected.occupancy_sum)));
-    EXPECT_NEAR(merged.util_observed_sum, expected.util_observed_sum,
-                1e-9 * std::max(1.0, std::abs(expected.util_observed_sum)));
-    ++it;
-  }
-
-  // Histogram bucket counts are integers, so the digests (and any quantile
-  // read off them) must match exactly; only the running sums are float-order
-  // sensitive.
-  const auto check_histogram = [](const Histogram& merged, const Histogram& expected,
-                                  const char* name) {
-    SCOPED_TRACE(name);
-    EXPECT_EQ(merged.count(), expected.count());
-    ASSERT_GT(merged.count(), 0);
-    EXPECT_DOUBLE_EQ(merged.min(), expected.min());
-    EXPECT_DOUBLE_EQ(merged.max(), expected.max());
-    for (const double q : {0.1, 0.5, 0.9, 0.95, 0.99}) {
-      EXPECT_DOUBLE_EQ(merged.Quantile(q), expected.Quantile(q)) << "q=" << q;
-    }
-    EXPECT_NEAR(merged.sum(), expected.sum(),
-                1e-9 * std::max(1.0, std::abs(expected.sum())));
-  };
-  check_histogram(fleet.fleet_rollup->occupancy_pct(), direct.occupancy_pct(),
-                  "occupancy_pct");
-  check_histogram(fleet.fleet_rollup->util_observed_pct(),
-                  direct.util_observed_pct(), "util_observed_pct");
-  check_histogram(fleet.fleet_rollup->queue_depth(), direct.queue_depth(),
-                  "queue_depth");
 }
 
 // Router decision invariants, read off the route stream's recorded model

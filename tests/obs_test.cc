@@ -369,35 +369,6 @@ TEST(MetricsTest, CustomBucketLayoutValidation) {
                std::invalid_argument);
 }
 
-TEST(MetricsTest, MergeFromRejectsMismatchedBucketBounds) {
-  Histogram default_layout;
-  default_layout.Observe(1.0);
-  Histogram custom({10, 20, 30});
-  custom.Observe(15.0);
-  EXPECT_THROW(default_layout.MergeFrom(custom), std::invalid_argument);
-  EXPECT_THROW(custom.MergeFrom(default_layout), std::invalid_argument);
-  Histogram other_custom({10, 20, 40});
-  EXPECT_THROW(custom.MergeFrom(other_custom), std::invalid_argument);
-  // Matching layouts still merge.
-  Histogram same({10, 20, 30});
-  same.Observe(25.0);
-  custom.MergeFrom(same);
-  EXPECT_EQ(custom.count(), 2);
-}
-
-TEST(MetricsTest, MergeFromFoldsRegistries) {
-  MetricsRegistry a;
-  MetricsRegistry b;
-  a.GetCounter("x")->Increment(3);
-  b.GetCounter("x")->Increment(4);
-  b.GetCounter("only_b")->Increment(1);
-  b.GetHistogram("h")->Observe(2.0);
-  a.MergeFrom(b);
-  EXPECT_EQ(a.GetCounter("x")->value(), 7);
-  EXPECT_EQ(a.GetCounter("only_b")->value(), 1);
-  EXPECT_EQ(a.GetHistogram("h")->count(), 1);
-}
-
 TEST(MetricsTest, WriteJsonSnapshot) {
   MetricsRegistry registry;
   registry.GetCounter("sched.decisions")->Increment(5);

@@ -95,7 +95,9 @@ TEST(PhillyFormatTest, GpuUtilRowsAreSane) {
   options.util_sample_period = Hours(1);
   PhillyTracesExporter exporter(ClusterConfig::PaperScale(), options);
   std::ostringstream out;
-  exporter.WriteGpuUtil(jobs, out);
+  std::ostringstream cpu;
+  std::ostringstream mem;
+  exporter.WriteUtil(jobs, out, cpu, mem);
   std::istringstream in(out.str());
   std::string line;
   std::getline(in, line);
@@ -117,8 +119,10 @@ TEST(PhillyFormatTest, MemUtilAccountsFreeMemory) {
   PhillyTracesOptions options;
   options.util_sample_period = Hours(2);
   PhillyTracesExporter exporter(ClusterConfig::PaperScale(), options);
+  std::ostringstream gpu;
+  std::ostringstream cpu;
   std::ostringstream out;
-  exporter.WriteMemUtil(jobs, out);
+  exporter.WriteUtil(jobs, gpu, cpu, out);
   std::istringstream in(out.str());
   std::string line;
   std::getline(in, line);
@@ -210,7 +214,7 @@ TEST(PhillyImporterTest, CountsWhatItTolerates) {
   PhillyTracesImporter importer;
   std::string error;
   const auto jobs = importer.ImportJobLog(R"([
-      {"status": "Pass", "vc": "a", "user": "u", "submitted_time": "None", "attempts": []},
+      {"status": "Pass", "vc": "b", "user": "w", "submitted_time": "None", "attempts": []},
       {"status": "Weird", "vc": "a", "user": "u", "submitted_time": "2017-10-01 00:00:10",
        "attempts": [
          {"start_time": "None", "end_time": "2017-10-01 00:01:00", "detail": []},
@@ -228,6 +232,16 @@ TEST(PhillyImporterTest, CountsWhatItTolerates) {
   EXPECT_EQ(tolerated.attempts_without_times, 2);
   EXPECT_EQ(tolerated.other_statuses, 1);
   EXPECT_EQ(tolerated.placements_without_gpus, 1);
+  // Only the kept job's VC and user are counted, and they get the first ids.
+  EXPECT_EQ(importer.num_vcs(), 1);
+  EXPECT_EQ(importer.num_users(), 1);
+  EXPECT_EQ(jobs[0].spec.vc, 0);
+  EXPECT_EQ(jobs[0].spec.user, 0);
+  PhillyTracesImporter empty;
+  EXPECT_TRUE(empty.ImportJobLog("[{}]", &error).empty());
+  EXPECT_EQ(empty.tolerated().jobs_without_submit_time, 1);
+  EXPECT_EQ(empty.num_vcs(), 0);
+  EXPECT_EQ(empty.num_users(), 0);
 
   const std::vector<std::pair<std::string, std::string>> kNotAJobLog = {
       {"{}", "root"}, {R"([{}, 5, "x"])", "entry 1"}, {"[[]]", "entry 0"}};

@@ -121,13 +121,12 @@ TEST(SimulationTest, FailedAttemptsCarryLogs) {
 TEST(SimulationTest, RetriesBounded) {
   TestSetup setup;
   const auto result = setup.Run();
-  const int cap = setup.simulation.scheduler.max_retries;
   for (const auto& job : result.jobs) {
     int failures = 0;
     for (const auto& attempt : job.attempts) {
       failures += attempt.failed && !attempt.preempted;
     }
-    EXPECT_LE(failures, cap + 1);
+    EXPECT_LE(failures, kMaxRetries + 1);
   }
 }
 

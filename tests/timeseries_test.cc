@@ -1,6 +1,6 @@
 // Tests for the telemetry stream: stream reading (line-level codec cases are
 // in ndjson_codec_test.cc), the per-minute sampling contract, digest self-checks (sample half and job half), rollup
-// windowing/merging, and the two contracts shared with the event log —
+// windowing, and the two contracts shared with the event log —
 // byte-identical streams regardless of pool thread count, and zero
 // perturbation of simulation output when the sink is attached.
 //
@@ -239,55 +239,13 @@ TEST(TelemetryRollupTest, WindowsDownsampleTheStream) {
     EXPECT_EQ(start % Hours(1), 0);
     EXPECT_GT(window.samples, 0);
     EXPECT_LE(window.samples, 60);  // one-minute cadence, one-hour windows
-    EXPECT_LE(window.occupancy_min, window.occupancy_max);
+    EXPECT_GE(window.MeanOccupancy(), 0.0);
+    EXPECT_LE(window.MeanOccupancy(), 1.0);
     total += window.samples;
   }
   EXPECT_EQ(total, static_cast<int64_t>(ts.samples().size()));
-  EXPECT_EQ(rollup.occupancy_pct().count(),
+  EXPECT_EQ(rollup.util_observed_pct().count(),
             static_cast<int64_t>(ts.samples().size()));
-}
-
-TEST(TelemetryRollupTest, MergeFromFoldsShards) {
-  ClusterTimeSeries a;
-  ClusterTimeSeries b;
-  {
-    ExperimentConfig config = SmallConfig(7);
-    config.simulation.obs.timeseries = &a;
-    RunExperiment(config);
-  }
-  {
-    ExperimentConfig config = SmallConfig(11);
-    config.simulation.obs.timeseries = &b;
-    RunExperiment(config);
-  }
-
-  TelemetryRollup merged(Hours(1));
-  merged.AddAll(a.samples());
-  TelemetryRollup shard(Hours(1));
-  shard.AddAll(b.samples());
-  merged.MergeFrom(shard);
-
-  TelemetryRollup direct(Hours(1));
-  direct.AddAll(a.samples());
-  direct.AddAll(b.samples());
-  ASSERT_EQ(merged.windows().size(), direct.windows().size());
-  for (const auto& [start, window] : direct.windows()) {
-    const auto it = merged.windows().find(start);
-    ASSERT_NE(it, merged.windows().end());
-    EXPECT_EQ(it->second.samples, window.samples);
-    EXPECT_EQ(it->second.queued_max, window.queued_max);
-  }
-  EXPECT_EQ(merged.queue_depth().count(), direct.queue_depth().count());
-
-  std::ostringstream json;
-  merged.WriteJson(json);
-  EXPECT_NE(json.str().find("\"windows\""), std::string::npos);
-}
-
-TEST(TelemetryRollupTest, MergeFromRejectsMismatchedWindows) {
-  TelemetryRollup hourly(Hours(1));
-  TelemetryRollup daily(Hours(24));
-  EXPECT_THROW(hourly.MergeFrom(daily), std::invalid_argument);
 }
 
 TEST(TelemetryRollupTest, RejectsNonPositiveWindow) {

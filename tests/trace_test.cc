@@ -120,6 +120,35 @@ TEST(TraceIoTest, WriteDirectoryFailsForMissingPath) {
   EXPECT_FALSE(TraceWriter::WriteDirectory({}, "/nonexistent/path/here"));
 }
 
+// A directory whose file `name` opens but takes no bytes (a link to
+// /dev/full), or "" where that device does not exist.
+std::string DirWithFullFile(const std::string& label, const char* name) {
+  if (!std::filesystem::exists("/dev/full")) {
+    return "";
+  }
+  const std::string dir = ::testing::TempDir() + "/full_" + label;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  std::filesystem::create_symlink("/dev/full", dir + "/" + name);
+  return dir;
+}
+
+TEST(TraceIoTest, WriteDirectoryFailsWhenAWriteFails) {
+  const std::string dir = DirWithFullFile("native", "jobs.csv");
+  if (dir.empty()) {
+    GTEST_SKIP() << "no /dev/full";
+  }
+  EXPECT_FALSE(TraceWriter::WriteDirectory({}, dir));
+}
+
+TEST(TraceIoTest, PhillyTracesWriteDirectoryFailsWhenAWriteFails) {
+  const std::string dir = DirWithFullFile("philly", "cluster_gpu_util");
+  if (dir.empty()) {
+    GTEST_SKIP() << "no /dev/full";
+  }
+  EXPECT_FALSE(PhillyTracesExporter(ClusterConfig::Small()).WriteDirectory({}, dir));
+}
+
 // A valid two-job trace: one attempt, segment and log frame per job.
 struct TraceText {
   std::string jobs =
@@ -207,6 +236,15 @@ TEST(TraceIoTest, ReaderRejectsMalformedRows) {
        "gpu_util.csv line 2 column 2: expected 5 fields, found 1"},
       {&TraceText::util, "0.25", "nan",
        "gpu_util.csv line 3 column 3: 'nan' is not a finite number"},
+      // Numbers are spelled as the writer spells them (std::to_chars).
+      {&TraceText::jobs, "\n1,0,5", "\n01,0,5",
+       "jobs.csv line 2 column 1: '01' is not canonical, expected '1'"},
+      {&TraceText::jobs, ",39200,", ",39200.0,",
+       "jobs.csv line 2 column 11: '39200.0' is not canonical, expected '39200'"},
+      {&TraceText::jobs, "\n1,0,5", "\n1,-0,5",
+       "jobs.csv line 2 column 2: '-0' is not canonical, expected '0'"},
+      {&TraceText::util, "0.25", "0.250",
+       "gpu_util.csv line 3 column 3: '0.250' is not canonical, expected '0.25'"},
       {&TraceText::log, " lines 1", "",
        "stdout.log line 1 column 1: expected \"=== job"},
       {&TraceText::log, "job 2", "job 424242",

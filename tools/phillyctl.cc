@@ -788,8 +788,8 @@ int RunFleet(const Args& args) {
                               std::to_string(seed) + ", " + std::to_string(days) +
                               " days";
     const auto write = [&result, &section, title, collect_spans](std::ostream& out) {
-      // Fleet-wide inputs: concatenated streams (rollup-of-concatenation
-      // equals the merged fleet rollup) plus the routing section.
+      // Fleet-wide inputs: the members' streams concatenated in cluster
+      // order, plus the routing section.
       std::vector<TelemetrySample> all_samples;
       std::vector<SchedEvent> all_events;
       std::vector<JobRecord> all_jobs;
