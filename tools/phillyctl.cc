@@ -28,171 +28,11 @@
 #include "src/obs/manifest.h"
 #include "src/obs/span.h"
 #include "src/obs/timeseries.h"
-#include "src/obs/trace_profiler.h"
 #include "src/trace/philly_format.h"
 #include "src/trace/trace_io.h"
 
 namespace philly {
 namespace {
-
-// Report sections shared by `report`, `analyze --trace`, and
-// `analyze --from-events`. The first four consume only the scheduler stream
-// (JobRecord scheduling fields + counters), so an event-log join can
-// reproduce them without telemetry or framework logs.
-
-void PrintStatusSection(const std::vector<JobRecord>& jobs) {
-  const auto status = AnalyzeStatus(jobs);
-  std::printf("=== Table 6: job status vs GPU time ===\n");
-  TextTable status_table({"status", "count", "count share", "GPU-time share"});
-  for (int s = 0; s < 3; ++s) {
-    const auto& row = status.by_status[static_cast<size_t>(s)];
-    status_table.AddRow({std::string(ToString(static_cast<JobStatus>(s))),
-                         std::to_string(row.count), FormatPercent(row.count_share, 1),
-                         FormatPercent(row.gpu_time_share, 1)});
-  }
-  std::printf("%s\n", status_table.Render().c_str());
-}
-
-RunTimeResult PrintRunTimeSection(const std::vector<JobRecord>& jobs) {
-  RunTimeResult runtimes = AnalyzeRunTimes(jobs);
-  std::printf("=== Figure 2: run times ===\n");
-  TextTable rt_table({"bucket", "n", "median (min)", "p90 (min)", "p99 (min)"});
-  for (int b = 0; b < kNumSizeBuckets; ++b) {
-    const auto& hist = runtimes.cdf_minutes[static_cast<size_t>(b)];
-    rt_table.AddRow({std::string(ToString(static_cast<SizeBucket>(b))),
-                     FormatDouble(hist.Count(), 0), FormatDouble(hist.Median(), 1),
-                     FormatDouble(hist.Quantile(0.9), 1),
-                     FormatDouble(hist.Quantile(0.99), 1)});
-  }
-  std::printf("%s  jobs over one week: %s\n\n", rt_table.Render().c_str(),
-              FormatPercent(runtimes.fraction_over_one_week, 2).c_str());
-  return runtimes;
-}
-
-QueueDelayResult PrintQueueDelaySection(const std::vector<JobRecord>& jobs) {
-  QueueDelayResult delays = AnalyzeQueueDelays(jobs);
-  std::printf("=== Figure 3: queueing delay ===\n");
-  TextTable d_table({"bucket", "P(<=1min)", "P(<=10min)", "p90 (min)", "p99 (min)"});
-  for (int b = 0; b < kNumSizeBuckets; ++b) {
-    const auto& hist = delays.overall[static_cast<size_t>(b)];
-    d_table.AddRow({std::string(ToString(static_cast<SizeBucket>(b))),
-                    FormatPercent(hist.CdfAt(1.0), 1), FormatPercent(hist.CdfAt(10.0), 1),
-                    FormatDouble(hist.Quantile(0.9), 2),
-                    FormatDouble(hist.Quantile(0.99), 2)});
-  }
-  std::printf("%s\n", d_table.Render().c_str());
-  return delays;
-}
-
-void PrintDelayCauseSection(const std::vector<JobRecord>& jobs,
-                            const SimulationResult* sim) {
-  const auto causes = AnalyzeDelayCauses(jobs, sim);
-  std::printf("=== Table 2: delay causes ===\n");
-  TextTable c_table({"bucket", "fair-share", "fragmentation"});
-  for (int b = 1; b < kNumSizeBuckets; ++b) {
-    const auto& row = causes.by_bucket[static_cast<size_t>(b)];
-    c_table.AddRow({std::string(ToString(static_cast<SizeBucket>(b))),
-                    std::to_string(row.fair_share), std::to_string(row.fragmentation)});
-  }
-  std::printf("%swaiting time: %s fragmentation / %s fair-share\n",
-              c_table.Render().c_str(),
-              FormatPercent(causes.fragmentation_time_fraction, 1).c_str(),
-              FormatPercent(causes.fair_share_time_fraction, 1).c_str());
-  if (sim != nullptr) {
-    std::printf("out-of-order: %s of decisions, %s benign; preemptions %lld; "
-                "migrations %lld\n",
-                FormatPercent(causes.out_of_order_fraction, 1).c_str(),
-                FormatPercent(causes.out_of_order_benign_fraction, 1).c_str(),
-                static_cast<long long>(sim->preemptions),
-                static_cast<long long>(sim->migrations));
-  }
-  std::printf("\n");
-}
-
-// The analyses PrintReport ran that its callers reuse: --figures exports
-// their series, and util.digest is the job half of the telemetry digest.
-struct ReportAnalyses {
-  RunTimeResult runtimes;
-  QueueDelayResult delays;
-  UtilizationResult util;
-};
-
-ReportAnalyses PrintReport(const std::vector<JobRecord>& jobs, const SimulationResult* sim) {
-  ReportAnalyses analyses;
-  PrintStatusSection(jobs);
-  analyses.runtimes = PrintRunTimeSection(jobs);
-  analyses.delays = PrintQueueDelaySection(jobs);
-  PrintDelayCauseSection(jobs, sim);
-
-  analyses.util = AnalyzeUtilization(jobs);
-  const UtilizationResult& util = analyses.util;
-  std::printf("=== Figure 5 / Table 3: GPU utilization ===\n");
-  TextTable u_table({"size", "mean util (%)", "p50", "p90"});
-  for (int i = 0; i < UtilizationResult::kNumRepresentative; ++i) {
-    const auto& hist = util.by_size[static_cast<size_t>(i)];
-    u_table.AddRow({std::to_string(kRepresentativeSizes[i]) + " GPU",
-                    FormatDouble(hist.Mean(), 1), FormatDouble(hist.Median(), 1),
-                    FormatDouble(hist.Quantile(0.9), 1)});
-  }
-  std::printf("%soverall mean: %.1f%%\n\n", u_table.Render().c_str(),
-              util.all.Mean());
-
-  const auto failures = AnalyzeFailures(jobs);
-  std::printf("=== Table 7: failures (top 10 by trials) ===\n");
-  std::vector<const FailureAnalysisResult::ReasonRow*> rows;
-  for (const auto& row : failures.rows) {
-    if (row.trials > 0) {
-      rows.push_back(&row);
-    }
-  }
-  std::sort(rows.begin(), rows.end(),
-            [](const auto* a, const auto* b) { return a->trials > b->trials; });
-  TextTable f_table({"reason", "trials", "jobs", "users", "RTF p50 (min)", "RTF share"});
-  for (size_t i = 0; i < rows.size() && i < 10; ++i) {
-    f_table.AddRow({std::string(ToString(rows[i]->reason)),
-                    std::to_string(rows[i]->trials), std::to_string(rows[i]->jobs),
-                    std::to_string(rows[i]->users),
-                    FormatDouble(rows[i]->rtf_p50_min, 2),
-                    FormatPercent(rows[i]->rtf_total_share, 1)});
-  }
-  std::printf("%stotal trials %lld; unsuccessful rate %s; mean retries %.3f\n",
-              f_table.Render().c_str(), static_cast<long long>(failures.total_trials),
-              FormatPercent(failures.unsuccessful_rate_all, 1).c_str(),
-              failures.mean_retries_all);
-
-  if (sim != nullptr && sim->machine_faults_injected > 0) {
-    std::printf(
-        "\n=== Machine faults ===\n"
-        "%lld fault events; %lld server-downs; %lld attempts killed; "
-        "%.1f GPU-hours lost\n",
-        static_cast<long long>(sim->machine_faults_injected),
-        static_cast<long long>(sim->machine_fault_server_downs),
-        static_cast<long long>(sim->machine_fault_kills),
-        sim->machine_fault_lost_gpu_seconds / 3600.0);
-  }
-  if (sim != nullptr && sim->ckpt_writes_started > 0) {
-    std::printf(
-        "\n=== Checkpoint I/O ===\n"
-        "%lld writes started (%lld completed, %lld interrupted); "
-        "%.1f GPU-hours overhead; %.1f GPU-hours stalled on contention\n",
-        static_cast<long long>(sim->ckpt_writes_started),
-        static_cast<long long>(sim->ckpt_writes_completed),
-        static_cast<long long>(sim->ckpt_writes_interrupted),
-        sim->ckpt_overhead_gpu_seconds / 3600.0,
-        sim->ckpt_stall_gpu_seconds / 3600.0);
-  }
-  return analyses;
-}
-
-// The subset of the report a scheduler event log can reproduce on its own.
-// Utilization, failure, and host-resource tables need the telemetry and
-// framework streams, which the event stream deliberately does not carry.
-void PrintEventReport(const SimulationResult& joined) {
-  PrintStatusSection(joined.jobs);
-  PrintRunTimeSection(joined.jobs);
-  PrintQueueDelaySection(joined.jobs);
-  PrintDelayCauseSection(joined.jobs, &joined);
-}
 
 // Creates the --figures directory, when the flag is given, before any
 // simulation or trace read. Returns false, naming the path, if it cannot.
@@ -211,41 +51,10 @@ bool CreateFiguresDir(const Args& args) {
   return true;
 }
 
-// Writes the figure CDF series into `dir` from the analyses PrintReport ran.
-// Returns false, naming the file, if one cannot be written.
-bool ExportFigures(const std::vector<JobRecord>& jobs, const ReportAnalyses& analyses,
-                   const std::string& dir) {
-  const auto write = [&dir](const StreamingHistogram& hist, const std::string& name) {
-    const std::string path = dir + "/" + name;
-    if (!WriteCdfCsv(hist, path)) {
-      std::fprintf(stderr, "cannot write figure series %s\n", path.c_str());
-      return false;
-    }
-    return true;
-  };
-  for (int b = 0; b < kNumSizeBuckets; ++b) {
-    const std::string bucket = std::to_string(b) + ".csv";
-    if (!write(analyses.runtimes.cdf_minutes[static_cast<size_t>(b)],
-               "fig2_runtime_bucket" + bucket) ||
-        !write(analyses.delays.overall[static_cast<size_t>(b)], "fig3_delay_bucket" + bucket)) {
-      return false;
-    }
-  }
-  for (int i = 0; i < UtilizationResult::kNumRepresentative; ++i) {
-    if (!write(analyses.util.by_size[static_cast<size_t>(i)],
-               "fig5_util_" + std::to_string(kRepresentativeSizes[i]) + "gpu.csv")) {
-      return false;
-    }
-  }
-  const auto host = AnalyzeHostResources(jobs);
-  if (!write(host.cpu_util, "fig7_cpu.csv") || !write(host.memory_util, "fig7_memory.csv")) {
-    return false;
-  }
-  std::printf("figure series written to %s/\n", dir.c_str());
-  return true;
-}
-
 int RunSimulateOrReport(const Args& args) {
+  // Sizes the post-run pipeline; reads PHILLY_BENCH_THREADS, and rejects it
+  // when malformed, before any output exists.
+  const ExperimentPool pool;
   const bool write_output = args.command() == "simulate";
   const int days = static_cast<int>(args.Int("--days"));
   ExperimentConfig config =
@@ -293,39 +102,28 @@ int RunSimulateOrReport(const Args& args) {
   std::printf("simulating %d days (seed %llu, scheduler %s)...\n", days,
               static_cast<unsigned long long>(config.simulation.seed),
               config.simulation.scheduler.name.c_str());
-  const ExperimentRun run = RunExperiment(config);
+  const ExperimentRun& run = KeepUntilExit(RunExperiment(config));
   view.jobs = &run.result.jobs;
   std::printf("%lld jobs completed\n\n", static_cast<long long>(run.num_jobs));
 
+  ReportAnalyses analyses;
+  if (!RunPostRun({.jobs = &run.result.jobs,
+                   .sim = &run.result,
+                   .trace_dir = out_dir,
+                   .native = native,
+                   .philly_traces = philly_traces ? &config.simulation.cluster : nullptr,
+                   .figures_dir = args.Text("--figures"),
+                   .profiler = config.simulation.obs.profiler},
+                  pool, stdout, &analyses)) {
+    return 1;
+  }
+  view.util_digest = analyses.util.digest;
   RunManifest manifest = args.Manifest();
   if (native) {
-    if (!TraceWriter::WriteDirectory(run.result.jobs, out_dir)) {
-      std::fprintf(stderr, "cannot write native trace to %s\n", out_dir.c_str());
-      return 1;
-    }
     manifest.outputs["trace"] = out_dir;
-    std::printf("native trace written to %s/\n", out_dir.c_str());
   }
   if (philly_traces) {
-    PhillyTracesExporter exporter(config.simulation.cluster);
-    if (!exporter.WriteDirectory(run.result.jobs, out_dir)) {
-      std::fprintf(stderr, "cannot write philly-traces files to %s\n",
-                   out_dir.c_str());
-      return 1;
-    }
     manifest.outputs["philly-traces"] = out_dir;
-    std::printf("philly-traces-format files written to %s/\n", out_dir.c_str());
-  }
-
-  {
-    // Scoped so the "analyze" slice closes before the trace file is written.
-    ScopedTimer analyze_timer(config.simulation.obs.profiler, "analyze");
-    const ReportAnalyses analyses = PrintReport(run.result.jobs, &run.result);
-    view.util_digest = analyses.util.digest;
-    if (args.Has("--figures") &&
-        !ExportFigures(run.result.jobs, analyses, args.Text("--figures"))) {
-      return 1;
-    }
   }
   return outputs.Finish(&manifest) ? 0 : 1;
 }
@@ -423,7 +221,7 @@ int RunAnalyzeFromEvents(const Args& args) {
   }
   std::printf("rebuilt %zu jobs from %zu scheduler events in %s\n\n",
               joined.jobs.size(), events.size(), path.c_str());
-  PrintEventReport(joined);
+  PrintEventReport(joined, stdout);
 
   const std::string& spans_path = args.Text("--spans");
   if (!spans_path.empty()) {
@@ -578,11 +376,12 @@ int RunAnalyzeTelemetry(const Args& args) {
 // `analyze --trace DIR`: read a native trace back (or the public release's
 // cluster_job_log) and print every table.
 int RunAnalyzeTrace(const Args& args) {
+  const ExperimentPool pool;  // before any output, as in RunSimulateOrReport
   const std::string& dir = args.Text("--trace");
   if (!CreateFiguresDir(args)) {
     return 1;
   }
-  std::vector<JobRecord> jobs;
+  std::vector<JobRecord>& jobs = KeepUntilExit(std::vector<JobRecord>{});
   if (args.Has("--philly-traces")) {
     // Public-release layout: parse cluster_job_log. Telemetry-dependent
     // analyses are skipped (the job log carries no utilization).
@@ -627,11 +426,11 @@ int RunAnalyzeTrace(const Args& args) {
     std::printf("loaded and validated %zu jobs from %s\n\n", jobs.size(),
                 dir.c_str());
   }
-  const ReportAnalyses analyses = PrintReport(jobs, nullptr);
-  if (args.Has("--figures") && !ExportFigures(jobs, analyses, args.Text("--figures"))) {
-    return 1;
-  }
-  return 0;
+  ReportAnalyses analyses;
+  return RunPostRun({.jobs = &jobs, .figures_dir = args.Text("--figures")}, pool, stdout,
+                    &analyses)
+             ? 0
+             : 1;
 }
 
 // Runs the schedulers x retry-policies x seeds cross product through the
@@ -663,29 +462,36 @@ int RunSweep(const Args& args) {
               pool.num_threads());
   const std::vector<ExperimentRun> runs = pool.RunMany(std::move(configs));
 
+  // Each run's row, computed on the same pool and stored by index.
+  struct Row {
+    double passed_share = 0.0;
+    double mean_queue = 0.0;
+    double mean_util = 0.0;
+  };
+  std::vector<Row> rows(runs.size());
+  pool.ParallelFor(static_cast<int>(runs.size()), [&](int i) {
+    const std::vector<JobRecord>& jobs = runs[static_cast<size_t>(i)].result.jobs;
+    double queue_sum = 0.0;
+    for (const auto& job : jobs) {
+      queue_sum += ToMinutes(job.InitialQueueDelay());
+    }
+    rows[static_cast<size_t>(i)] = {
+        AnalyzeStatus(jobs).by_status[0].count_share,
+        jobs.empty() ? 0.0 : queue_sum / static_cast<double>(jobs.size()),
+        AnalyzeUtilization(jobs).all.Mean()};
+  });
+
   TextTable table({"scheduler", "retry", "seed", "jobs", "passed %",
                    "mean queue (min)", "mean util (%)", "preemptions"});
   for (size_t s = 0; s < scheduler_names.size(); ++s) {
     for (size_t r = 0; r < retry_names.size(); ++r) {
       for (size_t k = 0; k < seeds.size(); ++k) {
-        const ExperimentRun& run =
-            runs[(s * retry_names.size() + r) * seeds.size() + k];
-        const auto status = AnalyzeStatus(run.result.jobs);
-        double queue_sum = 0.0;
-        for (const auto& job : run.result.jobs) {
-          queue_sum += ToMinutes(job.InitialQueueDelay());
-        }
-        const double mean_queue =
-            run.result.jobs.empty()
-                ? 0.0
-                : queue_sum / static_cast<double>(run.result.jobs.size());
+        const size_t i = (s * retry_names.size() + r) * seeds.size() + k;
         table.AddRow({std::string(scheduler_names[s]), std::string(retry_names[r]),
-                      std::to_string(seeds[k]),
-                      std::to_string(run.num_jobs),
-                      FormatPercent(status.by_status[0].count_share, 1),
-                      FormatDouble(mean_queue, 2),
-                      FormatDouble(AnalyzeUtilization(run.result.jobs).all.Mean(), 1),
-                      std::to_string(run.result.preemptions)});
+                      std::to_string(seeds[k]), std::to_string(runs[i].num_jobs),
+                      FormatPercent(rows[i].passed_share, 1),
+                      FormatDouble(rows[i].mean_queue, 2), FormatDouble(rows[i].mean_util, 1),
+                      std::to_string(runs[i].result.preemptions)});
       }
     }
   }
