@@ -65,22 +65,46 @@ bool RunOutputs::Open() {
   if (!RejectSharedPaths(outputs)) {
     return false;
   }
-  if (!dir_.empty()) {
+  // The directories create_directories is about to make, deepest first.
+  std::vector<std::filesystem::path> made;
+  for (std::filesystem::path path = dir_; !path.empty(); path = path.parent_path()) {
     std::error_code error;
-    std::filesystem::create_directories(dir_, error);
-    if (error) {
-      std::fprintf(stderr, "cannot create output directory %s: %s\n",
-                   dir_.c_str(), error.message().c_str());
-      return false;
+    if (std::filesystem::symlink_status(path, error).type() !=
+        std::filesystem::file_type::not_found) {
+      break;
     }
+    made.push_back(path);
   }
-  for (const RunOutput& output : outputs_) {
-    files_.push_back(output.write ? OpenFile(output) : nullptr);
-    if (output.write && files_.back() == nullptr) {
-      return false;
+  const auto open = [&] {
+    if (!dir_.empty()) {
+      std::error_code error;
+      std::filesystem::create_directories(dir_, error);
+      if (error) {
+        std::fprintf(stderr, "cannot create output directory %s: %s\n",
+                     dir_.c_str(), error.message().c_str());
+        return false;
+      }
     }
+    for (const RunOutput& output : outputs_) {
+      files_.push_back(output.write ? OpenFile(output) : nullptr);
+      if (output.write && files_.back() == nullptr) {
+        return false;
+      }
+    }
+    return dir_.empty() || (manifest_ = OpenFile(manifest)) != nullptr;
+  };
+  if (open()) {
+    return true;
   }
-  return dir_.empty() || (manifest_ = OpenFile(manifest)) != nullptr;
+  // Leave nothing behind: closing the files removes their `.partial` files,
+  // and then each directory made above goes if it is empty.
+  files_.clear();
+  manifest_.reset();
+  for (const std::filesystem::path& path : made) {
+    std::error_code error;
+    std::filesystem::remove(path, error);
+  }
+  return false;
 }
 
 void RunOutputs::Attach(SimulateRun* run, ObservabilityConfig* obs) {

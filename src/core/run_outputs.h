@@ -68,7 +68,8 @@ class RunOutputs {
   RunOutputs(std::string dir, std::vector<RunOutput> outputs);
 
   // Before the run: rejects two outputs on one file, creates `dir` and opens
-  // every file. Prints why and returns false on failure.
+  // every file. Prints why and returns false on failure, having removed the
+  // files it opened and the directories it created, as far as they are empty.
   bool Open();
   // After Open: attaches to `obs` every recorder an output needs. A recorder
   // streams into its output's file, holding one batch instead of the whole

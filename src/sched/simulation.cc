@@ -2,6 +2,8 @@
 
 #include <cassert>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 
 #include "src/workload/model_zoo.h"
 
@@ -101,33 +103,25 @@ ClusterSimulation::ClusterSimulation(SimulationConfig config, std::vector<JobSpe
     vcs_.push_back(VcState{vc, 0, {}});
   }
 
-  jobs_.reserve(jobs.size());
+  // The records never move after this, so a live job's state and its arrival
+  // event point at its record.
+  result_.jobs.reserve(jobs.size());
   JobId max_id = 0;
-  for (const auto& spec : jobs) {
+  for (JobSpec& spec : jobs) {
+    assert(spec.vc >= 0 && static_cast<size_t>(spec.vc) < vcs_.size());
     max_id = std::max(max_id, spec.id);
+    result_.jobs.emplace_back().spec = std::move(spec);
   }
   job_index_.assign(static_cast<size_t>(max_id) + 1, SIZE_MAX);
-  for (auto& spec : jobs) {
-    assert(spec.vc >= 0 && static_cast<size_t>(spec.vc) < vcs_.size());
-    JobState state;
-    state.spec = spec;
-    state.plan = injector_.PlanFor(spec);
-    state.record.spec = spec;
-    state.queue_key = static_cast<double>(spec.submit_time);
-    state.comm_intensity = ProfileOf(spec.model).comm_intensity;
-    assert(job_index_[static_cast<size_t>(spec.id)] == SIZE_MAX);
-    job_index_[static_cast<size_t>(spec.id)] = jobs_.size();
-    jobs_.push_back(std::move(state));
-  }
 
   if (EventLog* log = config_.obs.event_log; log != nullptr) {
     // ~5 events/job in practice (submit/queued/schedule/complete + retries
     // and backoffs); reserving avoids growth reallocations that would
     // otherwise dominate append cost.
-    log->Reserve(jobs_.size() * 6);
+    log->Reserve(result_.jobs.size() * 6);
   }
   if (SpanTracer* spans = config_.obs.spans; spans != nullptr) {
-    spans->Reserve(jobs_.size());
+    spans->Reserve(result_.jobs.size());
   }
   if (MetricsRegistry* metrics = config_.obs.metrics; metrics != nullptr) {
     queue_delay_hist_ = metrics->GetHistogram("sched.queue_delay_minutes");
@@ -144,11 +138,11 @@ SchedEvent* ClusterSimulation::EmitEvent(SchedEventKind kind, const JobState* jo
     return nullptr;
   }
   SchedEvent& event = config_.obs.event_log->Append(
-      kind, sim_.Now(), job != nullptr ? job->spec.id : kNoJob);
+      kind, sim_.Now(), job != nullptr ? job->spec().id : kNoJob);
   if (job != nullptr) {
-    event.vc = job->spec.vc;
-    event.user = job->spec.user;
-    event.gpus = job->spec.num_gpus;
+    event.vc = job->spec().vc;
+    event.user = job->spec().user;
+    event.gpus = job->spec().num_gpus;
   }
   return &event;
 }
@@ -156,8 +150,8 @@ SchedEvent* ClusterSimulation::EmitEvent(SchedEventKind kind, const JobState* jo
 SchedEvent* ClusterSimulation::EmitAttemptEvent(SchedEventKind kind,
                                                 const JobState& job) {
   SchedEvent* e = EmitEvent(kind, &job);
-  if (e != nullptr && !job.record.attempts.empty()) {
-    const AttemptRecord& attempt = job.record.attempts.back();
+  if (e != nullptr && !job.record->attempts.empty()) {
+    const AttemptRecord& attempt = job.record->attempts.back();
     e->attempt = attempt.index;
     e->failed = attempt.failed;
     e->preempted = attempt.preempted;
@@ -169,8 +163,8 @@ SchedEvent* ClusterSimulation::EmitAttemptEvent(SchedEventKind kind,
 SchedEvent* ClusterSimulation::EmitScheduleEvent(const JobState& job) {
   SchedEvent* e = EmitEvent(SchedEventKind::kSchedule, &job);
   if (e != nullptr) {
-    const WaitRecord& wait = job.record.waits.back();
-    const AttemptRecord& attempt = job.record.attempts.back();
+    const WaitRecord& wait = job.record->waits.back();
+    const AttemptRecord& attempt = job.record->attempts.back();
     e->attempt = attempt.index;
     e->ready_time = wait.ready_time;
     e->wait = wait.wait;
@@ -206,32 +200,58 @@ void ClusterSimulation::NoteEvalFailure(JobState& job, DelayCause cause) {
     // share the answer, so most calls are a hash lookup instead of an index
     // search (keeps the span sink inside the < ~5% observability budget).
     const int64_t version = cluster_.AllocVersion();
-    auto [it, missed] = span_probe_cache_.try_emplace(job.spec.num_gpus);
+    auto [it, missed] = span_probe_cache_.try_emplace(job.spec().num_gpus);
     if (missed || it->second.first != version) {
       it->second = {version,
-                    placer_.CanPlace(cluster_, job.spec.num_gpus,
+                    placer_.CanPlace(cluster_, job.spec().num_gpus,
                                      config_.scheduler.max_relax_level)};
     }
     code = it->second.second ? BlameCode::kLocalityWait
                              : BlameCode::kFragmentation;
   }
-  spans->OnEvalFail(job.spec.id, sim_.Now(), code);
+  spans->OnEvalFail(job.spec().id, sim_.Now(), code);
 }
 
-ClusterSimulation::JobState& ClusterSimulation::StateOf(JobId id) {
-  assert(id >= 0 && static_cast<size_t>(id) < job_index_.size());
-  const size_t index = job_index_[static_cast<size_t>(id)];
-  assert(index != SIZE_MAX);
-  return jobs_[index];
+size_t ClusterSimulation::SlotOf(JobId id) const {
+  const size_t slot = id >= 0 && static_cast<size_t>(id) < job_index_.size()
+                          ? job_index_[static_cast<size_t>(id)]
+                          : SIZE_MAX;
+  if (slot == SIZE_MAX) {
+    // A stale id would otherwise read whichever job reuses the slot.
+    std::fprintf(stderr, "ClusterSimulation: job %d has no live state\n",
+                 static_cast<int>(id));
+    std::abort();
+  }
+  return slot;
+}
+
+ClusterSimulation::JobState& ClusterSimulation::AddLiveJob(JobRecord& record) {
+  const JobSpec& spec = record.spec;
+  size_t& slot = job_index_[static_cast<size_t>(spec.id)];
+  assert(slot == SIZE_MAX);  // ids are unique
+  if (free_job_slots_.empty()) {
+    slot = job_slots_.size();
+    job_slots_.emplace_back();
+  } else {
+    slot = free_job_slots_.back();
+    free_job_slots_.pop_back();
+    job_slots_[slot] = JobState{};
+  }
+  JobState& job = job_slots_[slot];
+  job.record = &record;
+  // A pure function of (seed, job id): the same plan whenever it is drawn.
+  job.plan = injector_.PlanFor(spec);
+  job.comm_intensity = ProfileOf(spec.model).comm_intensity;
+  job.queue_key = static_cast<double>(spec.submit_time);
+  return job;
 }
 
 SimulationResult ClusterSimulation::Run() {
-  for (const auto& job : jobs_) {
-    const JobId id = job.spec.id;
-    last_arrival_time_ = std::max(last_arrival_time_, job.spec.submit_time);
-    sim_.ScheduleAt(job.spec.submit_time, [this, id] { OnArrival(id); });
+  for (JobRecord& record : result_.jobs) {
+    last_arrival_time_ = std::max(last_arrival_time_, record.spec.submit_time);
+    sim_.ScheduleAt(record.spec.submit_time, [this, &record] { OnArrival(record); });
   }
-  if (!jobs_.empty()) {
+  if (!result_.jobs.empty()) {
     sim_.ScheduleAfter(config_.snapshot_period, [this] { TakeSnapshot(); });
     if (config_.scheduler.enable_migration) {
       sim_.ScheduleAfter(config_.scheduler.migration_period, [this] { MigrationPass(); });
@@ -282,28 +302,28 @@ SimulationResult ClusterSimulation::Run() {
       occupancy->Set(result_.occupancy_snapshots.back().occupancy);
     }
   }
-  result_.jobs.reserve(jobs_.size());
-  for (auto& job : jobs_) {
-    assert(job.phase == Phase::kDone);
-    result_.jobs.push_back(std::move(job.record));
+  // Every job finished, and FinishJob freed its state.
+  if (job_slots_.size() != free_job_slots_.size()) {
+    std::fprintf(stderr, "ClusterSimulation: %zu jobs still live after the run\n",
+                 job_slots_.size() - free_job_slots_.size());
+    std::abort();
   }
   return std::move(result_);
 }
 
-void ClusterSimulation::OnArrival(JobId id) {
-  JobState& job = StateOf(id);
+void ClusterSimulation::OnArrival(JobRecord& record) {
+  JobState& job = AddLiveJob(record);
+  const JobId id = record.spec.id;
   EmitEvent(SchedEventKind::kSubmit, &job);
-  if (job.spec.num_gpus > cluster_.NumGpus()) {
+  if (job.spec().num_gpus > cluster_.NumGpus()) {
     // Cannot ever be satisfied; reject at submission.
-    job.phase = Phase::kRunning;  // FinishJob expects a non-queued phase
     FinishJob(job, JobStatus::kUnsuccessful);
     return;
   }
   // §5 pre-run pool: multi-GPU jobs first run briefly on one pool GPU; a
   // failure whose first RTF fits inside the cap is caught there.
-  if (config_.scheduler.enable_prerun_pool && !job.prerun_done && job.spec.num_gpus > 1 &&
+  if (config_.scheduler.enable_prerun_pool && job.spec().num_gpus > 1 &&
       prerun_in_use_ < kPrerunPoolGpus) {
-    job.prerun_done = true;
     ++prerun_in_use_;
     ++result_.prerun_jobs;
     const bool caught = job.plan.fails && job.failure_trials_used == 0 &&
@@ -311,29 +331,29 @@ void ClusterSimulation::OnArrival(JobId id) {
     const SimDuration duration =
         caught ? std::max<SimDuration>(1, job.plan.trial_rtfs[0])
                : std::min<SimDuration>(kPrerunCap,
-                                       std::max<SimDuration>(1, job.spec.planned_duration));
+                                       std::max<SimDuration>(1, job.spec().planned_duration));
     result_.prerun_gpu_seconds += static_cast<double>(duration);
     job.phase = Phase::kRunning;  // occupying a pool slot
     job.attempt_start = sim_.Now();
     AttemptRecord attempt;
-    attempt.index = static_cast<int>(job.record.attempts.size());
+    attempt.index = static_cast<int>(job.record->attempts.size());
     attempt.start = sim_.Now();
     attempt.end = sim_.Now();
     attempt.prerun = true;
-    job.record.attempts.push_back(std::move(attempt));
+    job.record->attempts.push_back(std::move(attempt));
     WaitRecord wait;
     wait.ready_time = sim_.Now();
-    job.record.waits.push_back(wait);
+    job.record->waits.push_back(wait);
     if (SchedEvent* e = EmitEvent(SchedEventKind::kSchedule, &job); e != nullptr) {
-      e->attempt = job.record.attempts.back().index;
+      e->attempt = job.record->attempts.back().index;
       e->ready_time = sim_.Now();
       e->detail = "prerun";
     }
     if (SpanTracer* spans = config_.obs.spans; spans != nullptr) {
       // Pool attempts skip the queue entirely: open the running span directly
       // (the zero-length pseudo-wait produces no queued span).
-      spans->OnRunStart(id, job.spec.vc, job.spec.user, job.spec.num_gpus,
-                        sim_.Now(), job.record.attempts.back().index);
+      spans->OnRunStart(id, job.spec().vc, job.spec().user, job.spec().num_gpus,
+                        sim_.Now(), job.record->attempts.back().index);
     }
     sim_.ScheduleAfter(duration, [this, id, caught] { OnPrerunEnd(id, caught); });
     return;
@@ -341,8 +361,8 @@ void ClusterSimulation::OnArrival(JobId id) {
   EnterQueue(job);
   EmitEvent(SchedEventKind::kQueued, &job);
   if (SpanTracer* spans = config_.obs.spans; spans != nullptr) {
-    spans->OnEnqueue(job.spec.id, job.spec.vc, job.spec.user,
-                     job.spec.num_gpus, sim_.Now(), /*fault_recovery=*/false);
+    spans->OnEnqueue(job.spec().id, job.spec().vc, job.spec().user,
+                     job.spec().num_gpus, sim_.Now(), /*fault_recovery=*/false);
   }
   RequestSchedulingPass(0);
 }
@@ -350,9 +370,9 @@ void ClusterSimulation::OnArrival(JobId id) {
 void ClusterSimulation::OnPrerunEnd(JobId id, bool caught) {
   JobState& job = StateOf(id);
   --prerun_in_use_;
-  AttemptRecord& attempt = job.record.attempts.back();
+  AttemptRecord& attempt = job.record->attempts.back();
   attempt.end = sim_.Now();
-  job.record.gpu_seconds += attempt.GpuTime();
+  job.record->gpu_seconds += attempt.GpuTime();
   if (!caught) {
     Requeue(job);
     RequestSchedulingPass(0);
@@ -371,14 +391,14 @@ bool ClusterSimulation::FailTrial(JobState& job, AttemptRecord& attempt) {
   attempt.true_reason = job.plan.reason;
   attempt.log_tail = synthesizer_.LinesFor(job.plan.reason, rng_);
   const FailureReason classified = classifier_.Classify(attempt.log_tail);
-  retry_policy_->ObserveFailure(job.spec.user, classified);
+  retry_policy_->ObserveFailure(job.spec().user, classified);
   // The retry policy decides while trials remain, and after the last one of
   // a plan that recovers clean; otherwise the plan's disposition ends the job.
   const bool policy_decides =
       job.failure_trials_used < job.plan.num_failure_trials ||
       job.plan.disposition == PostFailureDisposition::kRecoversClean;
   if (policy_decides &&
-      retry_policy_->ShouldRetryFor(job.spec.user, classified, job.failure_trials_used - 1)) {
+      retry_policy_->ShouldRetryFor(job.spec().user, classified, job.failure_trials_used - 1)) {
     Requeue(job);
     return true;
   }
@@ -413,7 +433,7 @@ int ClusterSimulation::RelaxLevelFor(const JobState& job) const {
   // Sub-server jobs hold out for a single server twice as long: their strict
   // placement frees up at whole-server churn rate, and spreading them is
   // costlier per GPU than for jobs that must cross servers anyway.
-  const SimDuration period = job.spec.num_gpus <= 8 ? 2 * kRelaxPeriod : kRelaxPeriod;
+  const SimDuration period = job.spec().num_gpus <= 8 ? 2 * kRelaxPeriod : kRelaxPeriod;
   const auto level = static_cast<int>((waited - sched.min_wait_before_relax) /
                                       std::max<SimDuration>(1, period));
   return std::min(level, sched.max_relax_level);
@@ -440,7 +460,7 @@ void ClusterSimulation::EnqueueSorted(JobState& job) {
       q.begin(), q.end(), key, [this](double k, JobId other) {
         return k < QueueKeyFor(StateOf(other));
       });
-  q.insert(pos, job.spec.id);
+  q.insert(pos, job.spec().id);
 }
 
 double ClusterSimulation::QueueKeyFor(const JobState& job) const {
@@ -453,7 +473,7 @@ double ClusterSimulation::QueueKeyFor(const JobState& job) const {
       // Discretized 2D-LAS: band by attained GPU-time, FIFO within a band.
       const double band_seconds =
           std::max(1.0, config_.scheduler.las_band_gpu_hours * 3600.0);
-      const double band = std::floor(job.record.gpu_seconds / band_seconds);
+      const double band = std::floor(job.record->gpu_seconds / band_seconds);
       return band * 1e10 + job.queue_key;
     }
   }
@@ -529,14 +549,14 @@ void ClusterSimulation::SchedulingPass() {
         failed_demand_at_level.fill(INT32_MAX);
         freeing_actions_seen = freeing_actions();
       }
-      if (job.spec.num_gpus >= failed_demand_at_level[static_cast<size_t>(level)]) {
+      if (job.spec().num_gpus >= failed_demand_at_level[static_cast<size_t>(level)]) {
         // A smaller-or-equal request already failed at this level this pass.
         NoteEvalFailure(job, VcOf(job).used_gpus >= VcOf(job).config.quota_gpus
                                  ? DelayCause::kFairShare
                                  : DelayCause::kFragmentation);
         any_waiting = true;
         earlier_waiting = true;
-        earlier_min_demand = std::min(earlier_min_demand, job.spec.num_gpus);
+        earlier_min_demand = std::min(earlier_min_demand, job.spec().num_gpus);
         blocked.push_back(id);
         if (!config_.scheduler.allow_out_of_order) {
           break;
@@ -546,14 +566,14 @@ void ClusterSimulation::SchedulingPass() {
       if (TryStartJob(job, earlier_waiting, earlier_min_demand)) {
         if (earlier_waiting) {
           for (JobId bid : blocked) {
-            StateOf(bid).record.overtaken = true;
+            StateOf(bid).record->overtaken = true;
           }
         }
         continue;
       }
       any_waiting = true;
       earlier_waiting = true;
-      earlier_min_demand = std::min(earlier_min_demand, job.spec.num_gpus);
+      earlier_min_demand = std::min(earlier_min_demand, job.spec().num_gpus);
       // The evaluation itself may have freed GPUs (suspension that still
       // left too little room): drop entries that predate the freeing so the
       // fresh failure below is recorded against the current cluster state.
@@ -562,7 +582,7 @@ void ClusterSimulation::SchedulingPass() {
         freeing_actions_seen = freeing_actions();
       }
       failed_demand_at_level[static_cast<size_t>(level)] = std::min(
-          failed_demand_at_level[static_cast<size_t>(level)], job.spec.num_gpus);
+          failed_demand_at_level[static_cast<size_t>(level)], job.spec().num_gpus);
       blocked.push_back(id);
       if (!config_.scheduler.allow_out_of_order) {
         break;  // strict FIFO: the head blocks the queue
@@ -580,7 +600,7 @@ void ClusterSimulation::SchedulingPass() {
 
 bool ClusterSimulation::TryStartJob(JobState& job, bool earlier_job_waiting,
                                     int earlier_waiting_demand) {
-  const int demand = job.spec.num_gpus;
+  const int demand = job.spec().num_gpus;
   VcState& vc = VcOf(job);
   // Fair-share delay per the paper's definition: "the virtual cluster uses up
   // its assigned quota". A VC sitting just under quota that cannot gang-place
@@ -616,7 +636,7 @@ bool ClusterSimulation::TryStartJob(JobState& job, bool earlier_job_waiting,
   bool before_feasible = false;
   if (earlier_job_waiting) {
     ++result_.out_of_order_decisions;
-    job.record.started_out_of_order = true;
+    job.record->started_out_of_order = true;
     benign_pending = true;
     // "Idle GPUs are effectively utilized without prolonging the scheduling
     // time of those waiting jobs" (§3.1.1): the overtaken job is waiting for
@@ -630,14 +650,14 @@ bool ClusterSimulation::TryStartJob(JobState& job, bool earlier_job_waiting,
   if (benign_pending) {
     const bool after_feasible =
         placer_.CanPlace(cluster_, earlier_waiting_demand, kMaxRelaxLevel);
-    job.record.out_of_order_benign = !before_feasible || after_feasible;
-    if (job.record.out_of_order_benign) {
+    job.record->out_of_order_benign = !before_feasible || after_feasible;
+    if (job.record->out_of_order_benign) {
       ++result_.out_of_order_benign;
     }
   }
   if (SchedEvent* e = EmitScheduleEvent(job); e != nullptr) {
     e->out_of_order = benign_pending;
-    e->benign = benign_pending && job.record.out_of_order_benign;
+    e->benign = benign_pending && job.record->out_of_order_benign;
     e->detail = "pass";
   }
   return true;
@@ -646,24 +666,23 @@ bool ClusterSimulation::TryStartJob(JobState& job, bool earlier_job_waiting,
 bool ClusterSimulation::TryPreemptFor(const JobState& job) {
   // Victims: most recently started attempts of jobs whose VC is over quota.
   // One preemption action per scheduling evaluation. The running set is
-  // sorted by id (== jobs_ index order), so iterating it preserves the
-  // original full-scan tie-breaks while skipping queued/done jobs entirely;
-  // prerun pool attempts are not in the set (they hold no cluster GPUs).
+  // sorted by id, so a tie goes to the lowest id; queued jobs and prerun pool
+  // attempts are not in the set (the latter hold no cluster GPUs).
   JobId victim = kNoJob;
   SimTime victim_start = -1;
   for (const auto& entry : running_jobs_) {
-    JobState& candidate = jobs_[entry.second];
+    JobState& candidate = job_slots_[entry.second];
     assert(candidate.phase == Phase::kRunning);
-    if (candidate.spec.vc == job.spec.vc) {
+    if (candidate.spec().vc == job.spec().vc) {
       continue;
     }
-    const VcState& cvc = vcs_[static_cast<size_t>(candidate.spec.vc)];
+    const VcState& cvc = vcs_[static_cast<size_t>(candidate.spec().vc)];
     if (cvc.used_gpus <= cvc.config.quota_gpus) {
       continue;  // only over-quota VCs lose GPUs to fair share
     }
     if (candidate.attempt_start > victim_start) {
       victim_start = candidate.attempt_start;
-      victim = candidate.spec.id;
+      victim = candidate.spec().id;
     }
   }
   if (victim == kNoJob) {
@@ -678,7 +697,7 @@ bool ClusterSimulation::TryPrioritySuspendFor(const JobState& job) {
   JobState* victim = nullptr;
   double worst_key = waiter_key;
   for (const auto& entry : running_jobs_) {
-    JobState& candidate = jobs_[entry.second];
+    JobState& candidate = job_slots_[entry.second];
     assert(candidate.phase == Phase::kRunning);
     if (candidate.kind != AttemptKind::kClean || candidate.kill_at_end) {
       continue;
@@ -709,10 +728,10 @@ void ClusterSimulation::StartAttempt(JobState& job, const Placement& placement) 
   // Close the waiting period.
   job.wait.wait = now - job.ready_time;
   job.wait.sched_attempts = job.eval_failures;
-  job.record.waits.push_back(job.wait);
+  job.record->waits.push_back(job.wait);
   if (queue_delay_hist_ != nullptr) {
     // First-start delay only: this is the Fig. 3 statistic (InitialQueueDelay).
-    if (job.record.waits.size() == 1) {
+    if (job.record->waits.size() == 1) {
       queue_delay_hist_->Observe(ToMinutes(job.wait.wait));
     }
     if (job.wait.fair_share_time > 0) {
@@ -725,11 +744,11 @@ void ClusterSimulation::StartAttempt(JobState& job, const Placement& placement) 
 
   // Remove from the VC queue.
   VcState& vc = VcOf(job);
-  vc.queue.erase(std::remove(vc.queue.begin(), vc.queue.end(), job.spec.id),
+  vc.queue.erase(std::remove(vc.queue.begin(), vc.queue.end(), job.spec().id),
                  vc.queue.end());
-  vc.used_gpus += job.spec.num_gpus;
+  vc.used_gpus += job.spec().num_gpus;
 
-  const bool ok = cluster_.Allocate(job.spec.id, placement);
+  const bool ok = cluster_.Allocate(job.spec().id, placement);
   assert(ok);
   (void)ok;
   job.phase = Phase::kRunning;
@@ -747,9 +766,9 @@ void ClusterSimulation::StartAttempt(JobState& job, const Placement& placement) 
   } else {
     job.kind = AttemptKind::kClean;
     SimDuration remaining = std::max<SimDuration>(1, job.CleanRemaining());
-    if (job.spec.intrinsic == IntrinsicOutcome::kKilledByUser) {
+    if (job.spec().intrinsic == IntrinsicOutcome::kKilledByUser) {
       const auto kill_total = static_cast<SimDuration>(
-          job.spec.kill_fraction * static_cast<double>(job.spec.planned_duration));
+          job.spec().kill_fraction * static_cast<double>(job.spec().planned_duration));
       const SimDuration kill_remaining = kill_total - job.clean_executed;
       if (kill_remaining <= remaining) {
         remaining = std::max<SimDuration>(1, kill_remaining);
@@ -760,19 +779,19 @@ void ClusterSimulation::StartAttempt(JobState& job, const Placement& placement) 
   }
 
   AttemptRecord attempt;
-  attempt.index = static_cast<int>(job.record.attempts.size());
+  attempt.index = static_cast<int>(job.record->attempts.size());
   attempt.start = now;
   attempt.end = now;  // finalized in OnAttemptEnd/PreemptJob
   attempt.placement = placement;
-  job.record.attempts.push_back(std::move(attempt));
+  job.record->attempts.push_back(std::move(attempt));
 
   if (SpanTracer* spans = config_.obs.spans; spans != nullptr) {
-    spans->OnStart(job.spec.id, job.spec.vc, job.spec.user, job.spec.num_gpus,
-                   now, static_cast<int>(job.record.waits.size()) - 1,
-                   job.record.attempts.back().index);
+    spans->OnStart(job.spec().id, job.spec().vc, job.spec().user, job.spec().num_gpus,
+                   now, static_cast<int>(job.record->waits.size()) - 1,
+                   job.record->attempts.back().index);
   }
 
-  const JobId id = job.spec.id;
+  const JobId id = job.spec().id;
   job.end_event = sim_.ScheduleAfter(duration, [this, id] { OnAttemptEnd(id); });
   if (config_.scheduler.time_slicing &&
       duration > config_.scheduler.time_slice_quantum) {
@@ -798,7 +817,7 @@ SimDuration ClusterSimulation::ResolveCheckpointPeriod(const JobState& job) cons
       // footprint: each spanned server contributes the crash and ECC rates,
       // each spanned rack the switch-outage rate.
       const auto& fault = config_.fault;
-      const Placement& placement = job.record.attempts.back().placement;
+      const Placement& placement = job.record->attempts.back().placement;
       double rate_per_hour = 0.0;
       if (fault.server_crash_mtbf_hours > 0.0) {
         rate_per_hour += placement.NumServers() / fault.server_crash_mtbf_hours;
@@ -840,7 +859,7 @@ void ClusterSimulation::CkptSetupAttempt(JobState& job, SimDuration duration) {
   if (period <= 0) {
     return;
   }
-  const Placement& placement = job.record.attempts.back().placement;
+  const Placement& placement = job.record->attempts.back().placement;
   job.ckpt_period = period;
   job.ckpt_progress_needed = duration;
   // Multi-rack gangs write through the rack of their first shard (one
@@ -863,7 +882,7 @@ void ClusterSimulation::CkptSetupAttempt(JobState& job, SimDuration duration) {
 }
 
 void ClusterSimulation::CkptScheduleTrigger(JobState& job, SimTime at) {
-  const JobId id = job.spec.id;
+  const JobId id = job.spec().id;
   job.ckpt_trigger_event = sim_.ScheduleAt(at, [this, id] { OnCkptTrigger(id); });
 }
 
@@ -887,7 +906,7 @@ void ClusterSimulation::CkptAdmitOrQueue(JobState& job) {
       ckpt_model_->Writers(job.ckpt_rack) >=
           config_.ckpt_io.max_writers_per_rack) {
     job.ckpt_waiting = true;
-    ckpt_wait_queue_[static_cast<size_t>(job.ckpt_rack)].push_back(job.spec.id);
+    ckpt_wait_queue_[static_cast<size_t>(job.ckpt_rack)].push_back(job.spec().id);
     return;  // training continues; admitted when a slot frees
   }
   CkptBeginWrite(job);
@@ -905,13 +924,13 @@ void ClusterSimulation::CkptBeginWrite(JobState& job) {
   sim_.Cancel(job.end_event);
   job.end_event = EventId{};
   ++result_.ckpt_writes_started;
-  const Placement& placement = job.record.attempts.back().placement;
-  ckpt_model_->BeginWrite(job.ckpt_rack, job.spec.id,
+  const Placement& placement = job.record->attempts.back().placement;
+  ckpt_model_->BeginWrite(job.ckpt_rack, job.spec().id,
                           config_.ckpt_io.size_gb_per_gpu * placement.NumGpus(),
                           now);
   CkptRescheduleRack(job.ckpt_rack);
   if (SchedEvent* e = EmitEvent(SchedEventKind::kCkptBegin, &job); e != nullptr) {
-    e->attempt = job.record.attempts.back().index;
+    e->attempt = job.record->attempts.back().index;
     e->rack = job.ckpt_rack;
     e->delay = job.ckpt_nominal;
     e->detail = std::string(ToString(config_.scheduler.checkpoint_policy));
@@ -922,7 +941,7 @@ std::pair<SimDuration, SimDuration> ClusterSimulation::CkptChargeWrite(JobState&
   const SimDuration elapsed = sim_.Now() - job.ckpt_write_start;
   const SimDuration overhead = std::min(elapsed, job.ckpt_nominal);
   const SimDuration stall = elapsed - overhead;
-  const int gpus = job.record.attempts.back().placement.NumGpus();
+  const int gpus = job.record->attempts.back().placement.NumGpus();
   job.ckpt_writing = false;
   job.ckpt_time_attempt += elapsed;
   result_.ckpt_overhead_gpu_seconds += static_cast<double>(overhead) * gpus;
@@ -937,27 +956,27 @@ void ClusterSimulation::CkptCompleteWrite(JobState& job) {
   ++result_.ckpt_writes_completed;
   // Resume training for the remaining progress (strictly positive: a write
   // never begins once the attempt's progress target is reached).
-  const JobId id = job.spec.id;
+  const JobId id = job.spec().id;
   job.end_event =
       sim_.ScheduleAfter(job.ckpt_progress_needed - job.ckpt_progress_at_write,
                          [this, id] { OnAttemptEnd(id); });
   CkptScheduleTrigger(job, now + job.ckpt_period);
   if (SchedEvent* e = EmitEvent(SchedEventKind::kCkptEnd, &job); e != nullptr) {
-    e->attempt = job.record.attempts.back().index;
+    e->attempt = job.record->attempts.back().index;
     e->rack = job.ckpt_rack;
     e->delay = elapsed;
   }
   if (stall > 0) {
     if (SchedEvent* e = EmitEvent(SchedEventKind::kCkptStall, &job);
         e != nullptr) {
-      e->attempt = job.record.attempts.back().index;
+      e->attempt = job.record->attempts.back().index;
       e->rack = job.ckpt_rack;
       e->delay = stall;
       e->lost_gpu_seconds =
-          static_cast<double>(stall) * job.record.attempts.back().placement.NumGpus();
+          static_cast<double>(stall) * job.record->attempts.back().placement.NumGpus();
     }
     if (SpanTracer* spans = config_.obs.spans; spans != nullptr) {
-      spans->OnCkptStall(job.spec.id, now, stall, "write");
+      spans->OnCkptStall(job.spec().id, now, stall, "write");
     }
   }
 }
@@ -1011,7 +1030,7 @@ void ClusterSimulation::CkptOnAttemptStopped(JobState& job) {
   }
   if (job.ckpt_waiting) {
     auto& queue = ckpt_wait_queue_[static_cast<size_t>(job.ckpt_rack)];
-    queue.erase(std::remove(queue.begin(), queue.end(), job.spec.id),
+    queue.erase(std::remove(queue.begin(), queue.end(), job.spec().id),
                 queue.end());
     job.ckpt_waiting = false;
   }
@@ -1023,15 +1042,15 @@ void ClusterSimulation::CkptOnAttemptStopped(JobState& job) {
     const SimTime now = sim_.Now();
     const auto [elapsed, stall] = CkptChargeWrite(job);
     ++result_.ckpt_writes_interrupted;
-    ckpt_model_->AbortWrite(job.ckpt_rack, job.spec.id, now);
+    ckpt_model_->AbortWrite(job.ckpt_rack, job.spec().id, now);
     if (SchedEvent* e = EmitEvent(SchedEventKind::kCkptEnd, &job); e != nullptr) {
-      e->attempt = job.record.attempts.back().index;
+      e->attempt = job.record->attempts.back().index;
       e->rack = job.ckpt_rack;
       e->delay = elapsed;
       e->detail = "interrupted";
     }
     if (SpanTracer* spans = config_.obs.spans; spans != nullptr) {
-      spans->OnCkptStall(job.spec.id, now, stall, "interrupted");
+      spans->OnCkptStall(job.spec().id, now, stall, "interrupted");
     }
     CkptAdmitWaiters(job.ckpt_rack);
     CkptRescheduleRack(job.ckpt_rack);
@@ -1052,34 +1071,32 @@ double ClusterSimulation::ComputeExpectedUtil(const JobState& job,
     status_factor = 0.85;
   }
   const auto activity_of = [this](JobId id) {
-    const size_t index = job_index_[static_cast<size_t>(id)];
-    assert(index != SIZE_MAX);
-    const JobState& other = jobs_[index];
+    const JobState& other = StateOf(id);
     JobActivity activity;
-    activity.base_utilization = other.spec.base_utilization;
+    activity.base_utilization = other.spec().base_utilization;
     activity.comm_intensity = other.comm_intensity;
-    activity.num_gpus = other.spec.num_gpus;
+    activity.num_gpus = other.spec().num_gpus;
     activity.num_servers =
-        other.record.attempts.empty()
+        other.record->attempts.empty()
             ? 1
-            : other.record.attempts.back().placement.NumServers();
+            : other.record->attempts.back().placement.NumServers();
     return activity;
   };
   return std::min(
-      1.0, status_factor * util_model_.ExpectedUtilization(job.spec, placement,
+      1.0, status_factor * util_model_.ExpectedUtilization(job.spec(), placement,
                                                            cluster_, activity_of));
 }
 
 void ClusterSimulation::OpenSegment(JobState& job) {
   job.segment_start = sim_.Now();
-  job.segment_util = ComputeExpectedUtil(job, job.record.attempts.back().placement);
+  job.segment_util = ComputeExpectedUtil(job, job.record->attempts.back().placement);
 }
 
 void ClusterSimulation::CloseSegment(JobState& job) {
   const SimDuration duration = sim_.Now() - job.segment_start;
   if (duration > 0) {
-    job.record.util_segments.push_back(
-        {job.segment_util, duration, job.record.attempts.back().placement.NumServers()});
+    job.record->util_segments.push_back(
+        {job.segment_util, duration, job.record->attempts.back().placement.NumServers()});
   }
   job.segment_start = sim_.Now();
 }
@@ -1105,7 +1122,7 @@ void ClusterSimulation::RefreshCotenantSegments(const Placement& placement,
       continue;
     }
     const double updated =
-        ComputeExpectedUtil(job, job.record.attempts.back().placement);
+        ComputeExpectedUtil(job, job.record->attempts.back().placement);
     if (std::abs(updated - job.segment_util) > kSegmentUtilEpsilon) {
       CloseSegment(job);
       job.segment_util = updated;
@@ -1115,7 +1132,7 @@ void ClusterSimulation::RefreshCotenantSegments(const Placement& placement,
 
 void ClusterSimulation::RunningSetInsert(const JobState& job) {
   const std::pair<JobId, size_t> entry{
-      job.spec.id, static_cast<size_t>(&job - jobs_.data())};
+      job.spec().id, static_cast<size_t>(&job - job_slots_.data())};
   const auto it = std::lower_bound(running_jobs_.begin(),
                                    running_jobs_.end(), entry);
   running_jobs_.insert(it, entry);
@@ -1123,9 +1140,9 @@ void ClusterSimulation::RunningSetInsert(const JobState& job) {
 
 void ClusterSimulation::RunningSetErase(const JobState& job) {
   const auto it = std::lower_bound(
-      running_jobs_.begin(), running_jobs_.end(), job.spec.id,
+      running_jobs_.begin(), running_jobs_.end(), job.spec().id,
       [](const auto& entry, JobId id) { return entry.first < id; });
-  assert(it != running_jobs_.end() && it->first == job.spec.id);
+  assert(it != running_jobs_.end() && it->first == job.spec().id);
   running_jobs_.erase(it);
 }
 
@@ -1173,16 +1190,16 @@ void ClusterSimulation::FillTelemetrySample(TelemetrySample& s) {
   double exp_weighted = 0.0;
   double obs_weighted = 0.0;
   int64_t weight = 0;
-  for (const auto& [id, index] : running_jobs_) {
-    const JobState& job = jobs_[index];
+  for (const auto& [id, slot] : running_jobs_) {
+    const JobState& job = job_slots_[slot];
     const double obs_pct = ts->ObserveUtilPct(
-        id, job.record.attempts.back().index, job.segment_util);
-    const int gpus = job.spec.num_gpus;
+        id, job.record->attempts.back().index, job.segment_util);
+    const int gpus = job.spec().num_gpus;
     exp_weighted += job.segment_util * 100.0 * gpus;
     obs_weighted += obs_pct * gpus;
     weight += gpus;
-    ++s.vc_running[static_cast<size_t>(job.spec.vc)];
-    for (const auto& shard : job.record.attempts.back().placement.shards) {
+    ++s.vc_running[static_cast<size_t>(job.spec().vc)];
+    for (const auto& shard : job.record->attempts.back().placement.shards) {
       const auto sv = static_cast<size_t>(shard.server);
       if (telemetry_srv_gpus_[sv] == 0) {
         telemetry_touched_.push_back(shard.server);
@@ -1253,9 +1270,9 @@ AttemptRecord& ClusterSimulation::StopAttempt(JobState& job) {
   sim_.Cancel(job.quantum_event);
   job.quantum_event = EventId{};
   CloseSegment(job);
-  AttemptRecord& attempt = job.record.attempts.back();
+  AttemptRecord& attempt = job.record->attempts.back();
   attempt.end = sim_.Now();
-  job.record.gpu_seconds += attempt.GpuTime();
+  job.record->gpu_seconds += attempt.GpuTime();
   CkptOnAttemptStopped(job);
   return attempt;
 }
@@ -1266,10 +1283,10 @@ void ClusterSimulation::ReleaseAttempt(JobState& job, const AttemptRecord& attem
   result_.useful_gpu_seconds +=
       attempt.GpuTime() - lost -
       static_cast<double>(job.ckpt_time_attempt) * attempt.placement.NumGpus();
-  cluster_.Release(job.spec.id);
+  cluster_.Release(job.spec().id);
   RunningSetErase(job);
-  VcOf(job).used_gpus -= job.spec.num_gpus;
-  RefreshCotenantSegments(attempt.placement, job.spec.id);
+  VcOf(job).used_gpus -= job.spec().num_gpus;
+  RefreshCotenantSegments(attempt.placement, job.spec().id);
 }
 
 void ClusterSimulation::OnAttemptEnd(JobId id) {
@@ -1293,10 +1310,10 @@ void ClusterSimulation::OnAttemptEnd(JobId id) {
 }
 
 void ClusterSimulation::OnQuantumExpired(JobId id) {
+  // StopAttempt cancels the quantum event, so it fires only for a running
+  // attempt, never for a queued or finished job.
   JobState& job = StateOf(id);
-  if (job.phase != Phase::kRunning) {
-    return;
-  }
+  assert(job.phase == Phase::kRunning);
   job.quantum_event = EventId{};
   // Only clean attempts are context-switched; failing attempts run to their
   // failure (their RTF schedule must not be disturbed).
@@ -1307,14 +1324,14 @@ void ClusterSimulation::OnQuantumExpired(JobId id) {
   const VcState& vc = VcOf(job);
   bool waiter = false;
   for (JobId qid : vc.queue) {
-    if (StateOf(qid).spec.num_gpus <=
-        job.spec.num_gpus + cluster_.NumFreeGpus()) {
+    if (StateOf(qid).spec().num_gpus <=
+        job.spec().num_gpus + cluster_.NumFreeGpus()) {
       waiter = true;
       break;
     }
   }
   if (!waiter) {
-    const JobId jid = job.spec.id;
+    const JobId jid = job.spec().id;
     job.quantum_event = sim_.ScheduleAfter(config_.scheduler.time_slice_quantum,
                                            [this, jid] { OnQuantumExpired(jid); });
     return;
@@ -1361,7 +1378,7 @@ void ClusterSimulation::MigrationPass() {
     for (const auto& tenant : cluster_.TenantsOnServer(s)) {
       const JobState& job = StateOf(tenant.job);
       if (job.kind != AttemptKind::kClean ||
-          job.record.attempts.back().placement.NumServers() > 1) {
+          job.record->attempts.back().placement.NumServers() > 1) {
         evacuable = false;
         break;
       }
@@ -1409,7 +1426,7 @@ void ClusterSimulation::MigrationPass() {
     for (JobId id : evacuated) {
       JobState& job = StateOf(id);
       const auto placement =
-          defrag_placer_.FindPlacement(cluster_, job.spec.num_gpus, 0);
+          defrag_placer_.FindPlacement(cluster_, job.spec().num_gpus, 0);
       if (placement.has_value() &&
           !(placement->NumServers() == 1 &&
             placement->shards[0].server == candidate.server)) {
@@ -1423,7 +1440,7 @@ void ClusterSimulation::MigrationPass() {
   if (migrated > 0) {
     RequestSchedulingPass(0);
   }
-  if (jobs_done_ < static_cast<int>(jobs_.size())) {
+  if (!AllJobsDone()) {
     sim_.ScheduleAfter(config_.scheduler.migration_period, [this] { MigrationPass(); });
   }
 }
@@ -1436,7 +1453,7 @@ void ClusterSimulation::PreemptJob(JobState& victim) {
   attempt.log_tail = synthesizer_.LinesFor(FailureReason::kJobPreempted, rng_);
   if (victim.kind == AttemptKind::kClean) {
     // Model-checkpoint preemption: progress persists at epoch granularity.
-    const SimDuration epoch = std::max<SimDuration>(1, victim.spec.EpochDuration());
+    const SimDuration epoch = std::max<SimDuration>(1, victim.spec().EpochDuration());
     victim.clean_executed += (AttemptExecuted(victim, attempt) / epoch) * epoch;
     SyncExecutedEpochs(victim);
   }
@@ -1468,8 +1485,8 @@ void ClusterSimulation::Requeue(JobState& job) {
   if (SpanTracer* spans = config_.obs.spans; spans != nullptr) {
     std::string_view reason = "suspend";
     bool fault_recovery = false;
-    if (!job.record.attempts.empty()) {
-      const AttemptRecord& attempt = job.record.attempts.back();
+    if (!job.record->attempts.empty()) {
+      const AttemptRecord& attempt = job.record->attempts.back();
       if (attempt.machine_fault) {
         reason = "fault";
         fault_recovery = true;
@@ -1481,16 +1498,15 @@ void ClusterSimulation::Requeue(JobState& job) {
         reason = "prerun";
       }
     }
-    spans->OnRunEnd(job.spec.id, sim_.Now(), reason);
-    spans->OnEnqueue(job.spec.id, job.spec.vc, job.spec.user,
-                     job.spec.num_gpus, sim_.Now(), fault_recovery);
+    spans->OnRunEnd(job.spec().id, sim_.Now(), reason);
+    spans->OnEnqueue(job.spec().id, job.spec().vc, job.spec().user,
+                     job.spec().num_gpus, sim_.Now(), fault_recovery);
   }
 }
 
 void ClusterSimulation::FinishJob(JobState& job, JobStatus status) {
-  job.phase = Phase::kDone;
-  job.record.status = status;
-  job.record.finish_time = sim_.Now();
+  job.record->status = status;
+  job.record->finish_time = sim_.Now();
   ++jobs_done_;
   if (SpanTracer* spans = config_.obs.spans; spans != nullptr) {
     const std::string_view reason = status == JobStatus::kPassed ? "passed"
@@ -1498,15 +1514,19 @@ void ClusterSimulation::FinishJob(JobState& job, JobStatus status) {
                                         ? "killed"
                                         : "unsuccessful";
     // No-op for jobs rejected at submission (no running span was opened).
-    spans->OnRunEnd(job.spec.id, sim_.Now(), reason);
+    spans->OnRunEnd(job.spec().id, sim_.Now(), reason);
   }
   if (SchedEvent* e = EmitAttemptEvent(SchedEventKind::kComplete, job); e != nullptr) {
     e->status = static_cast<int>(status);
-    e->started_out_of_order = job.record.started_out_of_order;
+    e->started_out_of_order = job.record->started_out_of_order;
     e->out_of_order_benign =
-        job.record.started_out_of_order && job.record.out_of_order_benign;
-    e->overtaken = job.record.overtaken;
+        job.record->started_out_of_order && job.record->out_of_order_benign;
+    e->overtaken = job.record->overtaken;
   }
+  // Free the job's state last: no caller touches `job` after this returns.
+  size_t& slot = job_index_[static_cast<size_t>(job.spec().id)];
+  free_job_slots_.push_back(slot);
+  slot = SIZE_MAX;
 }
 
 void ClusterSimulation::ScheduleNextFault(ServerId server, RackId rack, SimTime after) {
@@ -1519,7 +1539,7 @@ void ClusterSimulation::ScheduleNextFault(ServerId server, RackId rack, SimTime 
 }
 
 void ClusterSimulation::OnFaultOccurred(const FaultEvent& event, bool sampled) {
-  if (jobs_done_ >= static_cast<int>(jobs_.size())) {
+  if (AllJobsDone()) {
     return;  // trace finished; let the simulator drain
   }
   std::vector<ServerId> affected;
@@ -1553,7 +1573,7 @@ void ClusterSimulation::OnFaultOccurred(const FaultEvent& event, bool sampled) {
 
 void ClusterSimulation::OnFaultDetected(const FaultEvent& event,
                                         std::vector<ServerId> servers, bool sampled) {
-  if (jobs_done_ >= static_cast<int>(jobs_.size())) {
+  if (AllJobsDone()) {
     // Nothing left to protect; skip the drain but keep health bookkeeping
     // consistent so asserts hold.
     for (ServerId s : servers) {
@@ -1599,7 +1619,7 @@ void ClusterSimulation::OnFaultRepaired(const FaultEvent& event,
     cluster_.SetServerOffline(s, false);
     health_.MarkRepaired(s);
   }
-  if (jobs_done_ >= static_cast<int>(jobs_.size())) {
+  if (AllJobsDone()) {
     return;  // no reschedule: let the simulator terminate
   }
   RequestSchedulingPass(0);
@@ -1676,7 +1696,7 @@ void ClusterSimulation::TakeSnapshot() {
   snap.ckpt_overhead_gpu_seconds_total = result_.ckpt_overhead_gpu_seconds;
   snap.ckpt_stall_gpu_seconds_total = result_.ckpt_stall_gpu_seconds;
   result_.occupancy_snapshots.push_back(snap);
-  if (jobs_done_ < static_cast<int>(jobs_.size())) {
+  if (!AllJobsDone()) {
     sim_.ScheduleAfter(config_.snapshot_period, [this] { TakeSnapshot(); });
   }
 }

@@ -69,17 +69,21 @@ class ClusterSimulation {
   SimulationResult Run();
 
  private:
-  enum class Phase { kPending, kQueued, kRunning, kDone };
+  // A job's state exists from its arrival to its finish, so there is no phase
+  // for a job that has not arrived or is done.
+  enum class Phase { kArrived, kQueued, kRunning };
   enum class AttemptKind { kFailing, kClean };
 
+  // The state of one live job: made by AddLiveJob when the job arrives and
+  // freed by FinishJob.
   struct JobState {
-    JobSpec spec;
+    // The job's entry in result_.jobs, which holds the only copy of its spec.
+    JobRecord* record = nullptr;
     FailurePlan plan;
-    JobRecord record;
 
-    Phase phase = Phase::kPending;
-    // Model-zoo communication intensity, resolved once at construction so
-    // the co-tenant utilization join never re-hits the string-keyed zoo.
+    Phase phase = Phase::kArrived;
+    // Model-zoo communication intensity, resolved once at arrival so the
+    // co-tenant utilization join never re-hits the string-keyed zoo.
     double comm_intensity = 0.0;
     // Queueing state.
     SimTime ready_time = 0;
@@ -91,7 +95,6 @@ class ClusterSimulation {
     double queue_key = 0.0;       // ordering key (policy-dependent)
 
     // Execution state.
-    bool prerun_done = false;
     int failure_trials_used = 0;
     SimDuration clean_executed = 0;
     // Checkpointed progress toward the current failure trial. Non-zero only
@@ -128,8 +131,9 @@ class ClusterSimulation {
     // attempt start plus the last *completed* write's capture.
     SimDuration ckpt_durable = 0;
 
+    const JobSpec& spec() const { return record->spec; }
     SimDuration CleanRemaining() const {
-      return std::max<SimDuration>(0, spec.planned_duration - clean_executed);
+      return std::max<SimDuration>(0, spec().planned_duration - clean_executed);
     }
   };
 
@@ -142,7 +146,7 @@ class ClusterSimulation {
   };
 
   // --- event handlers ---
-  void OnArrival(JobId id);
+  void OnArrival(JobRecord& record);
   void OnAttemptEnd(JobId id);
   void OnQuantumExpired(JobId id);
   void OnPrerunEnd(JobId id, bool caught);
@@ -163,7 +167,8 @@ class ClusterSimulation {
   void ReleaseAttempt(JobState& job, const AttemptRecord& attempt, double lost);
   // Consumes the failure trial `attempt` just ran: synthesizes and classifies
   // its log tail, lets the retry policy observe it, then requeues or finishes
-  // the job per the plan's disposition. Returns true if it requeued.
+  // the job per the plan's disposition. Returns true if it requeued; on false
+  // the job's state is gone.
   bool FailTrial(JobState& job, AttemptRecord& attempt);
 
   // --- machine faults (src/fault) ---
@@ -217,6 +222,8 @@ class ClusterSimulation {
   // Evaluates one queued job; returns true if it started.
   bool TryStartJob(JobState& job, bool earlier_job_waiting, int earlier_waiting_demand);
   void StartAttempt(JobState& job, const Placement& placement);
+  // Stamps the record's status and finish time and frees the job's state:
+  // no handler touches `job` after calling it.
   void FinishJob(JobState& job, JobStatus status);
   // Opens a new wait for the job and inserts it into its VC queue.
   void EnterQueue(JobState& job);
@@ -252,18 +259,29 @@ class ClusterSimulation {
   void TelemetryAdvance(SimTime target);
   void FillTelemetrySample(TelemetrySample& sample);
 
-  JobState& StateOf(JobId id);
-  VcState& VcOf(const JobState& job) { return vcs_[static_cast<size_t>(job.spec.vc)]; }
+  // --- live job table ---
+  // Gives the arriving job a slot, reusing a freed one when there is one; the
+  // only place job_slots_ may grow. Draws the job's failure plan.
+  JobState& AddLiveJob(JobRecord& record);
+  // The state of a live job. Aborts, naming the job, when `id` has none: a
+  // handler reached a job that has not arrived or has finished.
+  JobState& StateOf(JobId id) { return job_slots_[SlotOf(id)]; }
+  const JobState& StateOf(JobId id) const { return job_slots_[SlotOf(id)]; }
+  size_t SlotOf(JobId id) const;
+  bool AllJobsDone() const {
+    return jobs_done_ >= static_cast<int>(result_.jobs.size());
+  }
+  VcState& VcOf(const JobState& job) { return vcs_[static_cast<size_t>(job.spec().vc)]; }
 
   // Single write path for record.executed_epochs, recomputed from
   // clean_executed: keeps the cluster-wide running total in sync so
   // TakeSnapshot never rescans all jobs.
   void SyncExecutedEpochs(JobState& job) {
-    const SimDuration epoch = std::max<SimDuration>(1, job.spec.EpochDuration());
+    const SimDuration epoch = std::max<SimDuration>(1, job.spec().EpochDuration());
     const auto epochs = static_cast<int>(
-        std::min<int64_t>(job.spec.planned_epochs, job.clean_executed / epoch));
-    executed_epochs_total_ += epochs - job.record.executed_epochs;
-    job.record.executed_epochs = epochs;
+        std::min<int64_t>(job.spec().planned_epochs, job.clean_executed / epoch));
+    executed_epochs_total_ += epochs - job.record->executed_epochs;
+    job.record->executed_epochs = epochs;
   }
   // Adds/removes the job from the sorted running set (all cluster-GPU-holding
   // jobs; prerun pool attempts excluded).
@@ -312,11 +330,18 @@ class ClusterSimulation {
   std::vector<std::vector<JobId>> ckpt_wait_queue_;  // stagger FIFO deferrals
   std::vector<int> ckpt_stagger_slot_;            // next phase slot per rack
 
-  std::vector<JobState> jobs_;   // dense storage
-  // Flat id -> jobs_ index map (ids are dense and small, so this is a plain
-  // vector lookup on the hottest path in the scheduler); SIZE_MAX = no job.
+  // Live jobs only. A slot is taken when its job arrives and given back to
+  // free_job_slots_ when it finishes, so the table is as large as the most
+  // jobs ever live at once, not as the trace.
+  std::vector<JobState> job_slots_;
+  std::vector<size_t> free_job_slots_;
+  // Flat id -> job_slots_ index map (ids are small, so this is a plain vector
+  // lookup on the hottest path in the scheduler); SIZE_MAX while the job has
+  // no live state.
   std::vector<size_t> job_index_;
   std::vector<VcState> vcs_;
+  // Its jobs are the one job table: one record per input job, in input
+  // order, filled when the simulation is constructed and returned by Run.
   SimulationResult result_;
   bool pass_pending_ = false;
   EventId pending_pass_event_;
@@ -328,11 +353,11 @@ class ClusterSimulation {
   // Cluster-wide executed-epochs total, maintained incrementally through
   // SyncExecutedEpochs (TakeSnapshot reads it in O(1)).
   int64_t executed_epochs_total_ = 0;
-  // Jobs holding cluster GPUs right now, sorted by id (== jobs_ index order),
-  // paired with their jobs_ index. The per-minute sampler iterates it for the
-  // utilization join, and the preemption/priority-suspension victim scans use
-  // it instead of walking every job in the trace. Prerun attempts hold pool
-  // slots, not cluster GPUs, and are excluded.
+  // Jobs holding cluster GPUs right now, sorted by id and paired with their
+  // job_slots_ index. The per-minute sampler iterates it for the utilization
+  // join, and the preemption/priority-suspension victim scans use it instead
+  // of walking every live job. Prerun attempts hold pool slots, not cluster
+  // GPUs, and are excluded.
   std::vector<std::pair<JobId, size_t>> running_jobs_;
   // Per-pass scratch, reserved once and reused so a scheduling pass performs
   // no allocations in steady state.

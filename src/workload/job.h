@@ -87,6 +87,8 @@ struct LossCurveParams {
   double decay_rate = 0.05;
   double end_drift = 0.0005;
   double noise_sigma = 0.0002;
+
+  bool operator==(const LossCurveParams&) const = default;
 };
 
 struct JobSpec {
@@ -120,6 +122,8 @@ struct JobSpec {
   SimDuration EpochDuration() const {
     return planned_epochs > 0 ? planned_duration / planned_epochs : planned_duration;
   }
+
+  bool operator==(const JobSpec&) const = default;
 };
 
 }  // namespace philly

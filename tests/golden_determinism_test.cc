@@ -13,11 +13,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "src/core/analysis.h"
 #include "src/core/experiment.h"
@@ -259,12 +262,18 @@ struct PinnedRun {
   std::string sha256;
 };
 
-PinnedRun RunPinned(ExperimentConfig config) {
+// Runs `jobs` as listed and pins the run. The records must come back in input
+// order, each carrying its input spec unchanged.
+PinnedRun RunPinned(SimulationConfig simulation, const std::vector<JobSpec>& jobs) {
   EventLog log;
   SpanTracer spans;
-  config.simulation.obs.event_log = &log;
-  config.simulation.obs.spans = &spans;
-  PinnedRun run{RunExperiment(config).result, ""};
+  simulation.obs.event_log = &log;
+  simulation.obs.spans = &spans;
+  PinnedRun run{ClusterSimulation(simulation, jobs).Run(), ""};
+  EXPECT_EQ(run.result.jobs.size(), jobs.size());
+  for (size_t i = 0; i < std::min(jobs.size(), run.result.jobs.size()); ++i) {
+    EXPECT_TRUE(run.result.jobs[i].spec == jobs[i]) << "record " << i;
+  }
   std::ostringstream streams[6];
   log.WriteNdjson(streams[0]);
   spans.log().WriteNdjson(streams[1]);
@@ -278,6 +287,11 @@ PinnedRun RunPinned(ExperimentConfig config) {
   }
   run.sha256 = sha.FinishHex();
   return run;
+}
+
+// The generated workload of `config`, run as RunExperiment runs it.
+PinnedRun RunPinned(const ExperimentConfig& config) {
+  return RunPinned(config.simulation, WorkloadGenerator(config.workload).Generate());
 }
 
 ExperimentConfig StopPathConfig(SchedulerConfig scheduler) {
@@ -349,6 +363,90 @@ TEST(GoldenDeterminismTest, FaultKillsAndPreemptionUnderStaggerMatchPin) {
   ASSERT_EQ(run.result.ckpt_writes_interrupted, 1);
   EXPECT_EQ(run.sha256,
             "a7036cb359a89fd7f4ad0a58d97006a5b23aac75c772c8efccd29331a125577b");
+}
+
+// Lifecycle-edge pins: the same recipe over reshaped inputs, reaching what the
+// stop paths do not: a job rejected as it arrives, the sparse ids a fleet
+// member receives, and input out of submit order with arrivals sharing a
+// second.
+std::vector<JobSpec> EdgeJobs() {
+  return WorkloadGenerator(StopPathConfig(SchedulerConfig::Philly()).workload).Generate();
+}
+
+TEST(GoldenDeterminismTest, JobsWiderThanTheClusterRejectedOnArrivalMatchPin) {
+  const SimulationConfig simulation = StopPathConfig(SchedulerConfig::Philly()).simulation;
+  const int cluster_gpus = simulation.cluster.TotalGpus();
+  std::vector<JobSpec> jobs = EdgeJobs();
+  int widened = 0;
+  for (size_t i = 0; i < jobs.size(); i += 97) {
+    jobs[i].num_gpus = cluster_gpus + 8;
+    ++widened;
+  }
+  const PinnedRun run = RunPinned(simulation, jobs);
+  int rejected = 0;
+  for (const JobRecord& job : run.result.jobs) {
+    rejected += job.spec.num_gpus > cluster_gpus && job.attempts.empty() &&
+                job.status == JobStatus::kUnsuccessful &&
+                job.finish_time == job.spec.submit_time;
+  }
+  ASSERT_GT(widened, 0);
+  ASSERT_EQ(rejected, widened);
+  EXPECT_EQ(run.sha256,
+            "c713057fff900a7bd99ccde68512a080bd2701d0017f4e2cd1e0ee009af8a87a");
+}
+
+TEST(GoldenDeterminismTest, SparseFleetMemberJobIdsMatchPin) {
+  // A spillover fleet member runs its own jobs under its id base, minus those
+  // routed away, plus jobs routed in under a lower member's base.
+  std::vector<JobSpec> jobs;
+  for (JobSpec job : EdgeJobs()) {
+    if (job.id % 7 == 3) {
+      continue;  // routed away
+    }
+    job.id += job.id % 5 == 2 ? 1000 : 20000;
+    jobs.push_back(job);
+  }
+  const PinnedRun run =
+      RunPinned(StopPathConfig(SchedulerConfig::Philly()).simulation, jobs);
+  JobId max_id = 0;
+  bool ids_in_input_order = true;
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    max_id = std::max(max_id, jobs[i].id);
+    ids_in_input_order &= i == 0 || jobs[i - 1].id < jobs[i].id;
+  }
+  ASSERT_GT(static_cast<size_t>(max_id), 2 * jobs.size());
+  ASSERT_FALSE(ids_in_input_order);
+  EXPECT_EQ(run.sha256,
+            "77ed9ba0dd9f08768f5b1d5a6c430d1e76235d691b9ace2f576af08850016e67");
+}
+
+TEST(GoldenDeterminismTest, ArrivalsOutOfSubmitOrderAndInOneSecondMatchPin) {
+  // Every three jobs share a submit second, and each run of eight is listed
+  // backwards.
+  std::vector<JobSpec> jobs = EdgeJobs();
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    jobs[i].submit_time = jobs[i - i % 3].submit_time;
+  }
+  for (size_t i = 0; i + 8 <= jobs.size(); i += 8) {
+    std::reverse(jobs.begin() + static_cast<std::ptrdiff_t>(i),
+                 jobs.begin() + static_cast<std::ptrdiff_t>(i + 8));
+  }
+  const PinnedRun run =
+      RunPinned(StopPathConfig(SchedulerConfig::Philly()).simulation, jobs);
+  std::map<SimTime, int> arrivals;
+  for (const JobSpec& job : jobs) {
+    ++arrivals[job.submit_time];
+  }
+  int busiest_second = 0;
+  for (const auto& [second, count] : arrivals) {
+    busiest_second = std::max(busiest_second, count);
+  }
+  ASSERT_FALSE(std::is_sorted(jobs.begin(), jobs.end(), [](const JobSpec& a, const JobSpec& b) {
+    return a.submit_time < b.submit_time;
+  }));
+  ASSERT_GE(busiest_second, 3);
+  EXPECT_EQ(run.sha256,
+            "3eb12b02aadb436c20cd79e599d3bd486f8b88e671b333f96d6a46e0c7592e18");
 }
 
 // The golden stream must also be independent of observability: re-running the

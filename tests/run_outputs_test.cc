@@ -163,13 +163,42 @@ TEST(RunOutputsTest, UnopenablePathFailsBeforeAnythingIsWritten) {
                   "cannot write telemetry to " + dir.File("missing/telemetry.ndjson")),
               std::string::npos);
   }
-  // Only the output directory exists, and it is empty: the files opened
-  // before the failing one leave no `.partial` behind.
+  // Nothing is left: the files opened before the failing one leave no
+  // `.partial` behind, and the output directory Open made is gone again.
   std::vector<std::string> left;
   for (const auto& entry : std::filesystem::recursive_directory_iterator(dir.path())) {
     left.push_back(entry.path().filename().string());
   }
-  EXPECT_EQ(left, std::vector<std::string>{"out"});
+  EXPECT_EQ(left, std::vector<std::string>{});
+}
+
+// A failed Open removes the directories it made, and only those: an output
+// directory's missing parents go too, a directory that was there stays.
+TEST(RunOutputsTest, FailedOpenRemovesOnlyTheDirectoriesItMade) {
+  TempDir dir("run_outputs_made_dirs");
+  std::filesystem::create_directories(dir.path() / "kept");
+  SimulateRun run;
+  std::vector<RunOutput> declared = Declare(&run, {"--events-out", "--telemetry-out"}, dir);
+  declared[0].path = dir.File("kept/o/d/events.ndjson");
+  declared[1].path = dir.File("missing/telemetry.ndjson");
+  RunOutputs outputs(dir.File("kept/o/d"), std::move(declared));
+  ::testing::internal::CaptureStderr();
+  EXPECT_FALSE(outputs.Open());
+  ::testing::internal::GetCapturedStderr();
+  EXPECT_TRUE(std::filesystem::is_directory(dir.path() / "kept"));
+  EXPECT_TRUE(std::filesystem::is_empty(dir.path() / "kept"));
+
+  // The output directory itself was there: it stays, with what it held.
+  std::filesystem::create_directories(dir.path() / "there");
+  std::ofstream(dir.File("there/old.txt")) << "kept";
+  std::vector<RunOutput> again = Declare(&run, {"--telemetry-out"}, dir);
+  again[0].path = dir.File("missing/telemetry.ndjson");
+  RunOutputs into_existing(dir.File("there"), std::move(again));
+  ::testing::internal::CaptureStderr();
+  EXPECT_FALSE(into_existing.Open());
+  ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(ReadFile(dir.File("there/old.txt")), "kept");
+  EXPECT_FALSE(std::filesystem::exists(dir.File("there/manifest.json.partial")));
 }
 
 TEST(RunOutputsTest, FinishedRunRecordsEveryDigestAndWritesTheManifestLast) {
