@@ -362,10 +362,11 @@ StatusResult AnalyzeStatus(const std::vector<JobRecord>& jobs) {
   StatusResult result;
   for (const auto& job : jobs) {
     auto& row = result.by_status[static_cast<size_t>(job.status)];
+    const double gpu_seconds = job.GpuSeconds();
     ++row.count;
-    row.gpu_time_share += job.gpu_seconds;  // raw sum; normalized below
+    row.gpu_time_share += gpu_seconds;  // raw sum; normalized below
     ++result.total_jobs;
-    result.total_gpu_seconds += job.gpu_seconds;
+    result.total_gpu_seconds += gpu_seconds;
   }
   for (auto& row : result.by_status) {
     row.count_share =

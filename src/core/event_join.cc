@@ -184,14 +184,6 @@ SimulationResult JoinSchedulerEvents(const std::vector<SchedEvent>& events,
         break;
     }
   }
-
-  for (JobRecord& job : result.jobs) {
-    double gpu_seconds = 0.0;
-    for (const AttemptRecord& attempt : job.attempts) {
-      gpu_seconds += attempt.GpuTime();
-    }
-    job.gpu_seconds = gpu_seconds;
-  }
   return result;
 }
 

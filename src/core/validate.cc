@@ -55,7 +55,6 @@ ValidationReport ValidateJobs(const std::vector<JobRecord>& jobs,
     }
 
     SimTime prev_end = job.spec.submit_time;
-    double gpu_seconds = 0.0;
     SimDuration attempt_time = 0;
     for (const AttemptRecord& attempt : job.attempts) {
       ++report.attempts_checked;
@@ -92,13 +91,7 @@ ValidationReport ValidateJobs(const std::vector<JobRecord>& jobs,
       if (!attempt.failed && !attempt.log_tail.empty()) {
         Report(&report, options, id, "clean attempt carries a failure log tail");
       }
-      gpu_seconds += attempt.GpuTime();
       prev_end = attempt.end;
-    }
-    if (std::abs(gpu_seconds - job.gpu_seconds) > 0.5) {
-      Report(&report, options, id,
-             "gpu_seconds mismatch: recorded " + std::to_string(job.gpu_seconds) +
-                 " vs recomputed " + std::to_string(gpu_seconds));
     }
     if (options.check_segment_coverage) {
       SimDuration segment_time = 0;

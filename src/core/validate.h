@@ -1,8 +1,8 @@
 // Structural validation of simulation output.
 //
 // ValidateResult checks the invariants every well-formed SimulationResult
-// must satisfy (attempt ordering, gang sizes, GPU-time accounting, segment
-// coverage, wait attribution bounds). The checks live in the library — not
+// must satisfy (attempt ordering, gang sizes, segment coverage, wait
+// attribution bounds). The checks live in the library — not
 // only in tests — so downstream consumers of traces (including phillyctl
 // after loading a trace from disk) can assert integrity before analyzing.
 

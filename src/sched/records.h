@@ -92,7 +92,15 @@ struct JobRecord {
 
   // Execution accounting.
   int executed_epochs = 0;       // clean-training epochs completed
-  double gpu_seconds = 0.0;      // sum over attempts of duration x GPUs
+
+  // Sum over attempts, in index order, of duration x GPUs.
+  double GpuSeconds() const {
+    double total = 0.0;
+    for (const auto& a : attempts) {
+      total += a.GpuTime();
+    }
+    return total;
+  }
 
   // First-start queueing delay (what Fig 3/4 plot). Returns 0 if never ran.
   SimDuration InitialQueueDelay() const {
@@ -117,25 +125,14 @@ struct JobRecord {
 // Everything a simulation run produces.
 struct SimulationResult {
   std::vector<JobRecord> jobs;
-  // Cluster-level snapshots for fragmentation statistics (§3.1.1).
+  // Cluster-level snapshots for fragmentation statistics (§3.1.1). The
+  // per-minute telemetry stream (src/obs/timeseries.h) carries the cumulative
+  // fault and checkpoint counters.
   struct OccupancySnapshot {
     SimTime time = 0;
     double occupancy = 0.0;
     double empty_server_fraction = 0.0;
     int racks_with_empty_servers = 0;
-    // Sum of recorded executed_epochs across all jobs at snapshot time
-    // (epochs are recorded when an attempt ends or is suspended; epochs of
-    // the in-flight portion of a running attempt are not yet included).
-    int64_t executed_epochs_total = 0;
-    // Machine-fault state at snapshot time (all zero when faults disabled).
-    int offline_servers = 0;
-    int64_t machine_fault_kills_total = 0;
-    double machine_fault_lost_gpu_seconds_total = 0.0;
-    // Checkpoint I/O state at snapshot time (all zero when the I/O model is
-    // disabled).
-    int64_t ckpt_writes_completed_total = 0;
-    double ckpt_overhead_gpu_seconds_total = 0.0;
-    double ckpt_stall_gpu_seconds_total = 0.0;
   };
   std::vector<OccupancySnapshot> occupancy_snapshots;
 

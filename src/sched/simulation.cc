@@ -75,7 +75,7 @@ ClusterSimulation::ClusterSimulation(SimulationConfig config, std::vector<JobSpe
             return fc;
           }(),
           cluster_.NumServers(), cluster_.NumRacks()),
-      health_(cluster_.NumServers()) {
+      server_faulted_(static_cast<size_t>(cluster_.NumServers()), 0) {
   if (config_.ckpt_io.Enabled()) {
     ckpt_model_ = std::make_unique<CheckpointIoModel>(
         config_.ckpt_io.rack_bandwidth_gbps, cluster_.NumRacks());
@@ -178,7 +178,7 @@ SchedEvent* ClusterSimulation::EmitScheduleEvent(const JobState& job) {
 
 void ClusterSimulation::NoteEvalFailure(JobState& job, DelayCause cause) {
   AttributeWaitTime(job, cause);
-  ++job.eval_failures;
+  ++job.wait.sched_attempts;
   if (fair_share_evals_ != nullptr) {
     (cause == DelayCause::kFairShare ? fair_share_evals_ : fragmentation_evals_)
         ->Increment();
@@ -333,8 +333,6 @@ void ClusterSimulation::OnArrival(JobRecord& record) {
                : std::min<SimDuration>(kPrerunCap,
                                        std::max<SimDuration>(1, job.spec().planned_duration));
     result_.prerun_gpu_seconds += static_cast<double>(duration);
-    job.phase = Phase::kRunning;  // occupying a pool slot
-    job.attempt_start = sim_.Now();
     AttemptRecord attempt;
     attempt.index = static_cast<int>(job.record->attempts.size());
     attempt.start = sim_.Now();
@@ -372,7 +370,6 @@ void ClusterSimulation::OnPrerunEnd(JobId id, bool caught) {
   --prerun_in_use_;
   AttemptRecord& attempt = job.record->attempts.back();
   attempt.end = sim_.Now();
-  job.record->gpu_seconds += attempt.GpuTime();
   if (!caught) {
     Requeue(job);
     RequestSchedulingPass(0);
@@ -410,23 +407,23 @@ bool ClusterSimulation::FailTrial(JobState& job, AttemptRecord& attempt) {
 
 void ClusterSimulation::RequestSchedulingPass(SimDuration delay) {
   const SimTime t = sim_.Now() + delay;
-  if (pass_pending_ && pending_pass_time_ <= t) {
+  const bool pending = pending_pass_event_.value != 0;
+  if (pending && pending_pass_time_ <= t) {
     return;
   }
-  if (pass_pending_) {
+  if (pending) {
     sim_.Cancel(pending_pass_event_);
   }
-  pass_pending_ = true;
   pending_pass_time_ = t;
   pending_pass_event_ = sim_.ScheduleAt(t, [this] {
-    pass_pending_ = false;
+    pending_pass_event_ = EventId{};
     SchedulingPass();
   });
 }
 
 int ClusterSimulation::RelaxLevelFor(const JobState& job) const {
   const auto& sched = config_.scheduler;
-  const SimDuration waited = sim_.Now() - job.ready_time;
+  const SimDuration waited = sim_.Now() - job.wait.ready_time;
   if (waited < sched.min_wait_before_relax) {
     return 0;
   }
@@ -473,7 +470,7 @@ double ClusterSimulation::QueueKeyFor(const JobState& job) const {
       // Discretized 2D-LAS: band by attained GPU-time, FIFO within a band.
       const double band_seconds =
           std::max(1.0, config_.scheduler.las_band_gpu_hours * 3600.0);
-      const double band = std::floor(job.record->gpu_seconds / band_seconds);
+      const double band = std::floor(job.record->GpuSeconds() / band_seconds);
       return band * 1e10 + job.queue_key;
     }
   }
@@ -611,7 +608,7 @@ bool ClusterSimulation::TryStartJob(JobState& job, bool earlier_job_waiting,
   auto placement = placer_.FindPlacement(cluster_, demand, level);
   if (!placement.has_value() && !over_quota && config_.scheduler.enable_preemption &&
       cluster_.Occupancy() >= kPreemptionThreshold &&
-      sim_.Now() - job.ready_time >= kPreemptionMinWait &&
+      sim_.Now() - job.wait.ready_time >= kPreemptionMinWait &&
       sim_.Now() - last_preemption_time_ >= kPreemptionCooldown) {
     // The job is within its VC's share but the cluster is saturated by
     // borrowers: reclaim GPUs from over-quota VCs (§2.3).
@@ -672,7 +669,6 @@ bool ClusterSimulation::TryPreemptFor(const JobState& job) {
   SimTime victim_start = -1;
   for (const auto& entry : running_jobs_) {
     JobState& candidate = job_slots_[entry.second];
-    assert(candidate.phase == Phase::kRunning);
     if (candidate.spec().vc == job.spec().vc) {
       continue;
     }
@@ -680,8 +676,9 @@ bool ClusterSimulation::TryPreemptFor(const JobState& job) {
     if (cvc.used_gpus <= cvc.config.quota_gpus) {
       continue;  // only over-quota VCs lose GPUs to fair share
     }
-    if (candidate.attempt_start > victim_start) {
-      victim_start = candidate.attempt_start;
+    const SimTime start = candidate.record->attempts.back().start;
+    if (start > victim_start) {
+      victim_start = start;
       victim = candidate.spec().id;
     }
   }
@@ -698,11 +695,10 @@ bool ClusterSimulation::TryPrioritySuspendFor(const JobState& job) {
   double worst_key = waiter_key;
   for (const auto& entry : running_jobs_) {
     JobState& candidate = job_slots_[entry.second];
-    assert(candidate.phase == Phase::kRunning);
     if (candidate.kind != AttemptKind::kClean || candidate.kill_at_end) {
       continue;
     }
-    if (sim_.Now() - candidate.attempt_start < kPriorityPreemptionMinRun) {
+    if (sim_.Now() - candidate.record->attempts.back().start < kPriorityPreemptionMinRun) {
       continue;
     }
     const double key = QueueKeyFor(candidate);
@@ -726,8 +722,7 @@ bool ClusterSimulation::TryPrioritySuspendFor(const JobState& job) {
 void ClusterSimulation::StartAttempt(JobState& job, const Placement& placement) {
   const SimTime now = sim_.Now();
   // Close the waiting period.
-  job.wait.wait = now - job.ready_time;
-  job.wait.sched_attempts = job.eval_failures;
+  job.wait.wait = now - job.wait.ready_time;
   job.record->waits.push_back(job.wait);
   if (queue_delay_hist_ != nullptr) {
     // First-start delay only: this is the Fig. 3 statistic (InitialQueueDelay).
@@ -751,8 +746,6 @@ void ClusterSimulation::StartAttempt(JobState& job, const Placement& placement) 
   const bool ok = cluster_.Allocate(job.spec().id, placement);
   assert(ok);
   (void)ok;
-  job.phase = Phase::kRunning;
-  job.attempt_start = now;
   RunningSetInsert(job);
 
   // Decide what this attempt is.
@@ -850,7 +843,6 @@ void ClusterSimulation::CkptSetupAttempt(JobState& job, SimDuration duration) {
   job.ckpt_period = 0;
   job.ckpt_time_attempt = 0;
   job.ckpt_writing = false;
-  job.ckpt_waiting = false;
   job.ckpt_trigger_event = EventId{};
   if (ckpt_model_ == nullptr || job.kind != AttemptKind::kClean) {
     return;
@@ -859,22 +851,14 @@ void ClusterSimulation::CkptSetupAttempt(JobState& job, SimDuration duration) {
   if (period <= 0) {
     return;
   }
-  const Placement& placement = job.record->attempts.back().placement;
   job.ckpt_period = period;
   job.ckpt_progress_needed = duration;
-  // Multi-rack gangs write through the rack of their first shard (one
-  // storage target per gang; see docs/failure-model.md).
-  job.ckpt_rack = cluster_.ServerRack(placement.shards.front().server);
-  const double size_gb = config_.ckpt_io.size_gb_per_gpu * placement.NumGpus();
-  job.ckpt_nominal = std::max<SimDuration>(
-      1, static_cast<SimDuration>(
-             std::ceil(size_gb / config_.ckpt_io.rack_bandwidth_gbps)));
   job.ckpt_durable = job.clean_executed;
   SimDuration phase = 0;
   if (config_.scheduler.checkpoint_policy ==
       CheckpointPolicy::kCooperativeStagger) {
     const int slots = std::max(1, config_.ckpt_io.stagger_slots);
-    int& slot = ckpt_stagger_slot_[static_cast<size_t>(job.ckpt_rack)];
+    int& slot = ckpt_stagger_slot_[static_cast<size_t>(CkptRack(job))];
     phase = static_cast<SimDuration>(slot) * (period / slots);
     slot = (slot + 1) % slots;
   }
@@ -887,13 +871,13 @@ void ClusterSimulation::CkptScheduleTrigger(JobState& job, SimTime at) {
 }
 
 void ClusterSimulation::OnCkptTrigger(JobId id) {
+  // StopAttempt cancels the trigger, so it fires only for a running attempt
+  // that checkpoints.
   JobState& job = StateOf(id);
+  assert(job.ckpt_period > 0);
   job.ckpt_trigger_event = EventId{};
-  if (job.phase != Phase::kRunning || job.ckpt_period <= 0) {
-    return;  // stale trigger (attempt already ended this instant)
-  }
   const SimDuration progress =
-      (sim_.Now() - job.attempt_start) - job.ckpt_time_attempt;
+      (sim_.Now() - job.record->attempts.back().start) - job.ckpt_time_attempt;
   if (progress >= job.ckpt_progress_needed) {
     return;  // the attempt completes at this same instant; nothing to write
   }
@@ -901,12 +885,11 @@ void ClusterSimulation::OnCkptTrigger(JobId id) {
 }
 
 void ClusterSimulation::CkptAdmitOrQueue(JobState& job) {
+  const RackId rack = CkptRack(job);
   if (config_.scheduler.checkpoint_policy ==
           CheckpointPolicy::kCooperativeStagger &&
-      ckpt_model_->Writers(job.ckpt_rack) >=
-          config_.ckpt_io.max_writers_per_rack) {
-    job.ckpt_waiting = true;
-    ckpt_wait_queue_[static_cast<size_t>(job.ckpt_rack)].push_back(job.spec().id);
+      ckpt_model_->Writers(rack) >= config_.ckpt_io.max_writers_per_rack) {
+    ckpt_wait_queue_[static_cast<size_t>(rack)].push_back(job.spec().id);
     return;  // training continues; admitted when a slot frees
   }
   CkptBeginWrite(job);
@@ -914,34 +897,32 @@ void ClusterSimulation::CkptAdmitOrQueue(JobState& job) {
 
 void ClusterSimulation::CkptBeginWrite(JobState& job) {
   const SimTime now = sim_.Now();
-  job.ckpt_waiting = false;
+  const AttemptRecord& attempt = job.record->attempts.back();
+  const int gpus = attempt.placement.NumGpus();
+  const RackId rack = CkptRack(job);
   job.ckpt_writing = true;
   job.ckpt_write_start = now;
-  job.ckpt_progress_at_write =
-      (now - job.attempt_start) - job.ckpt_time_attempt;
+  job.ckpt_progress_at_write = (now - attempt.start) - job.ckpt_time_attempt;
   // Progress stalls while the write drains: park the end event until the
   // write completes (CkptCompleteWrite reschedules it for the remainder).
   sim_.Cancel(job.end_event);
   job.end_event = EventId{};
   ++result_.ckpt_writes_started;
-  const Placement& placement = job.record->attempts.back().placement;
-  ckpt_model_->BeginWrite(job.ckpt_rack, job.spec().id,
-                          config_.ckpt_io.size_gb_per_gpu * placement.NumGpus(),
-                          now);
-  CkptRescheduleRack(job.ckpt_rack);
+  ckpt_model_->BeginWrite(rack, job.spec().id, config_.ckpt_io.size_gb_per_gpu * gpus, now);
+  CkptRescheduleRack(rack);
   if (SchedEvent* e = EmitEvent(SchedEventKind::kCkptBegin, &job); e != nullptr) {
-    e->attempt = job.record->attempts.back().index;
-    e->rack = job.ckpt_rack;
-    e->delay = job.ckpt_nominal;
+    e->attempt = attempt.index;
+    e->rack = rack;
+    e->delay = CkptNominal(gpus);
     e->detail = std::string(ToString(config_.scheduler.checkpoint_policy));
   }
 }
 
 std::pair<SimDuration, SimDuration> ClusterSimulation::CkptChargeWrite(JobState& job) {
   const SimDuration elapsed = sim_.Now() - job.ckpt_write_start;
-  const SimDuration overhead = std::min(elapsed, job.ckpt_nominal);
-  const SimDuration stall = elapsed - overhead;
   const int gpus = job.record->attempts.back().placement.NumGpus();
+  const SimDuration overhead = std::min(elapsed, CkptNominal(gpus));
+  const SimDuration stall = elapsed - overhead;
   job.ckpt_writing = false;
   job.ckpt_time_attempt += elapsed;
   result_.ckpt_overhead_gpu_seconds += static_cast<double>(overhead) * gpus;
@@ -963,14 +944,14 @@ void ClusterSimulation::CkptCompleteWrite(JobState& job) {
   CkptScheduleTrigger(job, now + job.ckpt_period);
   if (SchedEvent* e = EmitEvent(SchedEventKind::kCkptEnd, &job); e != nullptr) {
     e->attempt = job.record->attempts.back().index;
-    e->rack = job.ckpt_rack;
+    e->rack = CkptRack(job);
     e->delay = elapsed;
   }
   if (stall > 0) {
     if (SchedEvent* e = EmitEvent(SchedEventKind::kCkptStall, &job);
         e != nullptr) {
       e->attempt = job.record->attempts.back().index;
-      e->rack = job.ckpt_rack;
+      e->rack = CkptRack(job);
       e->delay = stall;
       e->lost_gpu_seconds =
           static_cast<double>(stall) * job.record->attempts.back().placement.NumGpus();
@@ -996,11 +977,10 @@ void ClusterSimulation::CkptAdmitWaiters(RackId rack) {
                                config_.ckpt_io.max_writers_per_rack) {
     JobState& job = StateOf(queue.front());
     queue.erase(queue.begin());
-    job.ckpt_waiting = false;
     // A deferred gang kept training; if it reached its progress target while
     // waiting, its end event fires this instant — drop the stale request.
     const SimDuration progress =
-        (sim_.Now() - job.attempt_start) - job.ckpt_time_attempt;
+        (sim_.Now() - job.record->attempts.back().start) - job.ckpt_time_attempt;
     if (progress >= job.ckpt_progress_needed) {
       continue;
     }
@@ -1028,12 +1008,9 @@ void ClusterSimulation::CkptOnAttemptStopped(JobState& job) {
     sim_.Cancel(job.ckpt_trigger_event);
     job.ckpt_trigger_event = EventId{};
   }
-  if (job.ckpt_waiting) {
-    auto& queue = ckpt_wait_queue_[static_cast<size_t>(job.ckpt_rack)];
-    queue.erase(std::remove(queue.begin(), queue.end(), job.spec().id),
-                queue.end());
-    job.ckpt_waiting = false;
-  }
+  const RackId rack = CkptRack(job);
+  auto& queue = ckpt_wait_queue_[static_cast<size_t>(rack)];
+  queue.erase(std::remove(queue.begin(), queue.end(), job.spec().id), queue.end());
   if (job.ckpt_writing) {
     // Abort mid-write: the partial elapsed time is still paid for (split
     // into overhead and stall like a completed write), but nothing becomes
@@ -1042,18 +1019,18 @@ void ClusterSimulation::CkptOnAttemptStopped(JobState& job) {
     const SimTime now = sim_.Now();
     const auto [elapsed, stall] = CkptChargeWrite(job);
     ++result_.ckpt_writes_interrupted;
-    ckpt_model_->AbortWrite(job.ckpt_rack, job.spec().id, now);
+    ckpt_model_->AbortWrite(rack, job.spec().id, now);
     if (SchedEvent* e = EmitEvent(SchedEventKind::kCkptEnd, &job); e != nullptr) {
       e->attempt = job.record->attempts.back().index;
-      e->rack = job.ckpt_rack;
+      e->rack = rack;
       e->delay = elapsed;
       e->detail = "interrupted";
     }
     if (SpanTracer* spans = config_.obs.spans; spans != nullptr) {
       spans->OnCkptStall(job.spec().id, now, stall, "interrupted");
     }
-    CkptAdmitWaiters(job.ckpt_rack);
-    CkptRescheduleRack(job.ckpt_rack);
+    CkptAdmitWaiters(rack);
+    CkptRescheduleRack(rack);
   }
 }
 
@@ -1118,9 +1095,6 @@ void ClusterSimulation::RefreshCotenantSegments(const Placement& placement,
   }
   for (JobId id : touched) {
     JobState& job = StateOf(id);
-    if (job.phase != Phase::kRunning) {
-      continue;
-    }
     const double updated =
         ComputeExpectedUtil(job, job.record->attempts.back().placement);
     if (std::abs(updated - job.segment_util) > kSegmentUtilEpsilon) {
@@ -1264,7 +1238,6 @@ void ClusterSimulation::FillTelemetrySample(TelemetrySample& s) {
 }
 
 AttemptRecord& ClusterSimulation::StopAttempt(JobState& job) {
-  assert(job.phase == Phase::kRunning);
   // Cancelling the end event that is firing right now is a no-op.
   sim_.Cancel(job.end_event);
   sim_.Cancel(job.quantum_event);
@@ -1272,7 +1245,6 @@ AttemptRecord& ClusterSimulation::StopAttempt(JobState& job) {
   CloseSegment(job);
   AttemptRecord& attempt = job.record->attempts.back();
   attempt.end = sim_.Now();
-  job.record->gpu_seconds += attempt.GpuTime();
   CkptOnAttemptStopped(job);
   return attempt;
 }
@@ -1313,7 +1285,6 @@ void ClusterSimulation::OnQuantumExpired(JobId id) {
   // StopAttempt cancels the quantum event, so it fires only for a running
   // attempt, never for a queued or finished job.
   JobState& job = StateOf(id);
-  assert(job.phase == Phase::kRunning);
   job.quantum_event = EventId{};
   // Only clean attempts are context-switched; failing attempts run to their
   // failure (their RTF schedule must not be disturbed).
@@ -1413,9 +1384,6 @@ void ClusterSimulation::MigrationPass() {
         break;
       }
       JobState& job = StateOf(tenant.job);
-      if (job.phase != Phase::kRunning) {
-        continue;
-      }
       SuspendAttempt(job);
       EmitAttemptEvent(SchedEventKind::kMigrate, job);
       Requeue(job);
@@ -1468,11 +1436,8 @@ void ClusterSimulation::PreemptJob(JobState& victim) {
 }
 
 void ClusterSimulation::EnterQueue(JobState& job) {
-  job.phase = Phase::kQueued;
-  job.ready_time = sim_.Now();
   job.wait = WaitRecord{};
   job.wait.ready_time = sim_.Now();
-  job.eval_failures = 0;
   job.last_eval_time = -1;
   job.last_cause = DelayCause::kNone;
   job.relax_emitted = 0;
@@ -1550,13 +1515,15 @@ void ClusterSimulation::OnFaultOccurred(const FaultEvent& event, bool sampled) {
   }
   std::vector<ServerId> marked;
   for (ServerId s : affected) {
-    if (health_.MarkFault(s, event.at, event.kind)) {
+    uint8_t& faulted = server_faulted_[static_cast<size_t>(s)];
+    if (faulted == 0) {
+      faulted = 1;
       marked.push_back(s);
     }
   }
   if (marked.empty()) {
-    // Every target is already faulted/offline (e.g. a rack outage hitting a
-    // crashed server). The renewal stream still continues.
+    // Every target is already faulted (e.g. a rack outage hitting a crashed
+    // server). The renewal stream still continues.
     if (sampled) {
       ScheduleNextFault(event.server, event.rack, sim_.Now());
     }
@@ -1574,16 +1541,11 @@ void ClusterSimulation::OnFaultOccurred(const FaultEvent& event, bool sampled) {
 void ClusterSimulation::OnFaultDetected(const FaultEvent& event,
                                         std::vector<ServerId> servers, bool sampled) {
   if (AllJobsDone()) {
-    // Nothing left to protect; skip the drain but keep health bookkeeping
-    // consistent so asserts hold.
-    for (ServerId s : servers) {
-      health_.MarkOffline(s);
-      health_.MarkRepaired(s);
-    }
-    return;
+    return;  // nothing left to protect, and no fault is marked after this
   }
   // Collect victims before draining: first-seen order over the marked
-  // servers' tenant lists keeps this deterministic.
+  // servers' tenant lists keeps this deterministic. Tenants are running, and
+  // killing one stops no other.
   std::vector<JobId> victims;
   for (ServerId s : servers) {
     for (const auto& tenant : cluster_.TenantsOnServer(s)) {
@@ -1594,13 +1556,9 @@ void ClusterSimulation::OnFaultDetected(const FaultEvent& event,
   }
   const FailureReason reason = ReasonForFault(event.kind);
   for (JobId id : victims) {
-    JobState& job = StateOf(id);
-    if (job.phase == Phase::kRunning) {
-      KillAttemptForFault(job, reason, event.at);
-    }
+    KillAttemptForFault(StateOf(id), reason, event.at);
   }
   for (ServerId s : servers) {
-    health_.MarkOffline(s);
     cluster_.SetServerOffline(s, true);
   }
   result_.machine_fault_server_downs += static_cast<int64_t>(servers.size());
@@ -1617,7 +1575,7 @@ void ClusterSimulation::OnFaultRepaired(const FaultEvent& event,
                                         std::vector<ServerId> servers, bool sampled) {
   for (ServerId s : servers) {
     cluster_.SetServerOffline(s, false);
-    health_.MarkRepaired(s);
+    server_faulted_[static_cast<size_t>(s)] = 0;
   }
   if (AllJobsDone()) {
     return;  // no reschedule: let the simulator terminate
@@ -1688,13 +1646,6 @@ void ClusterSimulation::TakeSnapshot() {
   snap.occupancy = cluster_.Occupancy();
   snap.empty_server_fraction = cluster_.EmptyServerFraction();
   snap.racks_with_empty_servers = cluster_.RacksWithEmptyServers();
-  snap.executed_epochs_total = executed_epochs_total_;
-  snap.offline_servers = cluster_.NumOfflineServers();
-  snap.machine_fault_kills_total = result_.machine_fault_kills;
-  snap.machine_fault_lost_gpu_seconds_total = result_.machine_fault_lost_gpu_seconds;
-  snap.ckpt_writes_completed_total = result_.ckpt_writes_completed;
-  snap.ckpt_overhead_gpu_seconds_total = result_.ckpt_overhead_gpu_seconds;
-  snap.ckpt_stall_gpu_seconds_total = result_.ckpt_stall_gpu_seconds;
   result_.occupancy_snapshots.push_back(snap);
   if (!AllJobsDone()) {
     sim_.ScheduleAfter(config_.snapshot_period, [this] { TakeSnapshot(); });

@@ -20,6 +20,7 @@
 #define SRC_SCHED_SIMULATION_H_
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <vector>
 
@@ -27,7 +28,6 @@
 #include "src/failure/failure_injector.h"
 #include "src/fault/checkpoint_io.h"
 #include "src/fault/fault_process.h"
-#include "src/fault/node_health.h"
 #include "src/failure/failure_logs.h"
 #include "src/failure/retry_policy.h"
 #include "src/obs/observability.h"
@@ -69,26 +69,23 @@ class ClusterSimulation {
   SimulationResult Run();
 
  private:
-  // A job's state exists from its arrival to its finish, so there is no phase
-  // for a job that has not arrived or is done.
-  enum class Phase { kArrived, kQueued, kRunning };
   enum class AttemptKind { kFailing, kClean };
 
   // The state of one live job: made by AddLiveJob when the job arrives and
-  // freed by FinishJob.
+  // freed by FinishJob. What its record already holds is read from there: the
+  // running attempt's start and placement, and the open wait's ready time and
+  // failed evaluations. A job is running while it is in running_jobs_ (or
+  // holds a pre-run pool slot) and queued while it is in its VC's queue.
   struct JobState {
     // The job's entry in result_.jobs, which holds the only copy of its spec.
     JobRecord* record = nullptr;
     FailurePlan plan;
 
-    Phase phase = Phase::kArrived;
     // Model-zoo communication intensity, resolved once at arrival so the
     // co-tenant utilization join never re-hits the string-keyed zoo.
     double comm_intensity = 0.0;
-    // Queueing state.
-    SimTime ready_time = 0;
+    // Queueing state: the open wait, pushed onto the record when it closes.
     WaitRecord wait;
-    int eval_failures = 0;        // failed evaluations in the current wait
     SimTime last_eval_time = -1;  // for cause-time attribution
     DelayCause last_cause = DelayCause::kNone;
     int relax_emitted = 0;        // highest relax level already event-logged
@@ -104,7 +101,6 @@ class ClusterSimulation {
     SimDuration failing_resume = 0;
     AttemptKind kind = AttemptKind::kClean;
     bool kill_at_end = false;
-    SimTime attempt_start = 0;
     SimTime segment_start = 0;
     double segment_util = 0.0;
     EventId end_event;
@@ -112,14 +108,12 @@ class ClusterSimulation {
 
     // Checkpoint I/O state for the current attempt (inert when the model is
     // disabled; see CkptSetupAttempt). Writes stall progress, so an attempt's
-    // wall time is training time + ckpt_time_attempt.
+    // wall time is training time + ckpt_time_attempt. A gang deferred by the
+    // stagger coordinator is in its rack's ckpt_wait_queue_.
     SimDuration ckpt_period = 0;           // policy-resolved cadence; 0 = none
     SimDuration ckpt_progress_needed = 0;  // training time this attempt targets
-    SimDuration ckpt_nominal = 0;          // uncontended write cost, seconds
-    RackId ckpt_rack = -1;                 // rack whose storage the gang writes
     EventId ckpt_trigger_event;
     bool ckpt_writing = false;   // a write is draining (progress stalled)
-    bool ckpt_waiting = false;   // deferred by the rack coordinator (stagger)
     SimTime ckpt_write_start = 0;
     // Training time of this attempt captured by the in-flight write (the
     // checkpoint snapshots state as of the write's begin).
@@ -189,6 +183,17 @@ class ClusterSimulation {
   // its first trigger; called from StartAttempt after the end event exists.
   void CkptSetupAttempt(JobState& job, SimDuration duration);
   SimDuration ResolveCheckpointPeriod(const JobState& job) const;
+  // The rack whose storage the running attempt writes through: that of its
+  // first shard (one storage target per gang; see docs/failure-model.md).
+  RackId CkptRack(const JobState& job) const {
+    return cluster_.ServerRack(job.record->attempts.back().placement.shards.front().server);
+  }
+  // The uncontended cost of one write by a gang of `gpus` GPUs, in seconds.
+  SimDuration CkptNominal(int gpus) const {
+    const double size_gb = config_.ckpt_io.size_gb_per_gpu * gpus;
+    return std::max<SimDuration>(
+        1, static_cast<SimDuration>(std::ceil(size_gb / config_.ckpt_io.rack_bandwidth_gbps)));
+  }
   void CkptScheduleTrigger(JobState& job, SimTime at);
   void OnCkptTrigger(JobId id);
   // Stagger admission control: begins the write or defers the gang into the
@@ -274,14 +279,11 @@ class ClusterSimulation {
   VcState& VcOf(const JobState& job) { return vcs_[static_cast<size_t>(job.spec().vc)]; }
 
   // Single write path for record.executed_epochs, recomputed from
-  // clean_executed: keeps the cluster-wide running total in sync so
-  // TakeSnapshot never rescans all jobs.
+  // clean_executed.
   void SyncExecutedEpochs(JobState& job) {
     const SimDuration epoch = std::max<SimDuration>(1, job.spec().EpochDuration());
-    const auto epochs = static_cast<int>(
+    job.record->executed_epochs = static_cast<int>(
         std::min<int64_t>(job.spec().planned_epochs, job.clean_executed / epoch));
-    executed_epochs_total_ += epochs - job.record->executed_epochs;
-    job.record->executed_epochs = epochs;
   }
   // Adds/removes the job from the sorted running set (all cluster-GPU-holding
   // jobs; prerun pool attempts excluded).
@@ -323,7 +325,10 @@ class ClusterSimulation {
   std::unique_ptr<RetryPolicy> retry_policy_;
   Rng rng_;
   FaultProcess fault_process_;
-  NodeHealthTracker health_;
+  // Per server: a fault struck it and it is not yet repaired. It stays
+  // schedulable until the fault is detected, when Cluster's offline flag is
+  // set too; both clear at the repair. A fault on a set server changes nothing.
+  std::vector<uint8_t> server_faulted_;
   // Checkpoint I/O state (engaged only when config_.ckpt_io.Enabled()).
   std::unique_ptr<CheckpointIoModel> ckpt_model_;
   std::vector<EventId> ckpt_rack_event_;          // one completion event/rack
@@ -343,16 +348,13 @@ class ClusterSimulation {
   // Its jobs are the one job table: one record per input job, in input
   // order, filled when the simulation is constructed and returned by Run.
   SimulationResult result_;
-  bool pass_pending_ = false;
+  // The next scheduling pass, when one is pending (value 0 otherwise).
   EventId pending_pass_event_;
   SimTime pending_pass_time_ = 0;
   SimTime last_arrival_time_ = 0;
   SimTime last_preemption_time_ = -(1 << 30);
   int prerun_in_use_ = 0;
   int jobs_done_ = 0;
-  // Cluster-wide executed-epochs total, maintained incrementally through
-  // SyncExecutedEpochs (TakeSnapshot reads it in O(1)).
-  int64_t executed_epochs_total_ = 0;
   // Jobs holding cluster GPUs right now, sorted by id and paired with their
   // job_slots_ index. The per-minute sampler iterates it for the utilization
   // join, and the preemption/priority-suspension victim scans use it instead

@@ -371,11 +371,6 @@ std::vector<JobRecord> PhillyTracesImporter::ImportJobLog(std::string_view json_
           0, job.attempts.front().start - job.spec.submit_time);
       job.waits.push_back(wait);
       job.finish_time = job.attempts.back().end;
-      double gpu_seconds = 0.0;
-      for (const auto& attempt : job.attempts) {
-        gpu_seconds += attempt.GpuTime();
-      }
-      job.gpu_seconds = gpu_seconds;
     } else {
       job.spec.num_gpus = 1;
       job.finish_time = job.spec.submit_time;

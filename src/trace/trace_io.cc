@@ -140,7 +140,7 @@ void TraceWriter::WriteJobs(const std::vector<JobRecord>& jobs, std::ostream& ou
             job.spec.num_gpus, std::string(ToString(job.status)),
             job.InitialQueueDelay(), job.finish_time,
             static_cast<int64_t>(job.attempts.size()),
-            static_cast<int64_t>(job.NumRetries()), job.gpu_seconds,
+            static_cast<int64_t>(job.NumRetries()), job.GpuSeconds(),
             job.executed_epochs, job.spec.planned_epochs,
             static_cast<int>(job.spec.logs_convergence));
   }
@@ -228,6 +228,7 @@ std::vector<JobRecord> TraceReader::ReadJobs(std::istream& jobs_csv,
     int64_t line = 0;
     int64_t attempts = 0;
     SimDuration queue_delay = 0;
+    double gpu_seconds = 0.0;
   };
   std::vector<Claim> claims;
 
@@ -255,7 +256,7 @@ std::vector<JobRecord> TraceReader::ReadJobs(std::istream& jobs_csv,
     if (job_rows.Int(9) != std::max<int64_t>(claim.attempts - 1, 0)) {
       job_rows.Fail(9, "retries must be one less than attempts");
     }
-    job.gpu_seconds = job_rows.Double(10);
+    claim.gpu_seconds = job_rows.Double(10);
     job.executed_epochs = job_rows.Int32(11);
     job.spec.planned_epochs = job_rows.Int32(12);
     job.spec.logs_convergence = job_rows.Flag(13);
@@ -312,6 +313,8 @@ std::vector<JobRecord> TraceReader::ReadJobs(std::istream& jobs_csv,
                   std::to_string(jobs[i].attempts.size()));
     } else if (jobs[i].InitialQueueDelay() != claims[i].queue_delay) {
       fail(7, "queue_delay_s differs from the first wait_s");
+    } else if (jobs[i].GpuSeconds() != claims[i].gpu_seconds) {
+      fail(11, "gpu_seconds differs from the sum of its attempts' GPU time");
     }
   }
 

@@ -30,7 +30,6 @@ JobRecord MakeJobRecord(JobId id, int gpus, SimDuration run, JobStatus status,
   attempt.end = delay + run;
   attempt.placement.shards.push_back({0, gpus});
   job.attempts.push_back(attempt);
-  job.gpu_seconds = static_cast<double>(run) * gpus;
   return job;
 }
 

@@ -111,10 +111,10 @@ TEST(ExperimentTest, RunExperimentDeterministic) {
   double ga = 0.0;
   double gb = 0.0;
   for (const auto& job : a.result.jobs) {
-    ga += job.gpu_seconds;
+    ga += job.GpuSeconds();
   }
   for (const auto& job : b.result.jobs) {
-    gb += job.gpu_seconds;
+    gb += job.GpuSeconds();
   }
   EXPECT_DOUBLE_EQ(ga, gb);
 }
@@ -125,10 +125,10 @@ TEST(ExperimentTest, SeedChangesOutcome) {
   double ga = 0.0;
   double gb = 0.0;
   for (const auto& job : a.result.jobs) {
-    ga += job.gpu_seconds;
+    ga += job.GpuSeconds();
   }
   for (const auto& job : b.result.jobs) {
-    gb += job.gpu_seconds;
+    gb += job.GpuSeconds();
   }
   EXPECT_NE(ga, gb);
 }

@@ -3,8 +3,9 @@
 //
 //   * FaultProcess: per-(seed, server) deterministic renewal streams,
 //     independent of query interleaving; disabled configs emit nothing.
-//   * NodeHealthTracker: the healthy -> fault-pending -> offline -> healthy
-//     state machine and its counters.
+//   * Server health in ClusterSimulation: a fault on a server that is
+//     already faulted (pending detection or offline) changes nothing, and a
+//     repaired server takes placements again.
 //   * Rack outage end-to-end: every gang on the failed rack is killed after
 //     exactly the configured detection delay, the rack drains for the repair
 //     window, and the jobs recover afterwards.
@@ -19,11 +20,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <thread>
 #include <vector>
 
 #include "src/core/runner.h"
-#include "src/fault/node_health.h"
+#include "src/obs/timeseries.h"
 #include "src/sched/simulation.h"
 
 namespace philly {
@@ -105,38 +107,6 @@ TEST(FaultProcessTest, RackStreamEmitsSwitchOutages) {
   }
 }
 
-// -------------------------------------------------------- NodeHealthTracker
-
-TEST(NodeHealthTrackerTest, StateMachineAndCounters) {
-  NodeHealthTracker health(4);
-  for (ServerId s = 0; s < 4; ++s) {
-    EXPECT_TRUE(health.Healthy(s));
-  }
-  EXPECT_EQ(health.num_offline(), 0);
-
-  EXPECT_TRUE(health.MarkFault(1, Hours(2), FaultKind::kGpuEccDegraded));
-  EXPECT_FALSE(health.Healthy(1));
-  EXPECT_EQ(health.StateOf(1), NodeHealthTracker::State::kFaultPending);
-  EXPECT_EQ(health.KindOf(1), FaultKind::kGpuEccDegraded);
-  EXPECT_EQ(health.FaultTimeOf(1), Hours(2));
-  // A second fault on a pending/offline server is swallowed.
-  EXPECT_FALSE(health.MarkFault(1, Hours(3), FaultKind::kServerCrash));
-  EXPECT_EQ(health.KindOf(1), FaultKind::kGpuEccDegraded);
-
-  health.MarkOffline(1);
-  EXPECT_EQ(health.StateOf(1), NodeHealthTracker::State::kOffline);
-  EXPECT_EQ(health.num_offline(), 1);
-  EXPECT_FALSE(health.MarkFault(1, Hours(4), FaultKind::kServerCrash));
-
-  health.MarkRepaired(1);
-  EXPECT_TRUE(health.Healthy(1));
-  EXPECT_EQ(health.num_offline(), 0);
-  EXPECT_EQ(health.faults_marked(), 1);
-  EXPECT_EQ(health.repairs_completed(), 1);
-  // Repaired servers can fault again.
-  EXPECT_TRUE(health.MarkFault(1, Hours(5), FaultKind::kServerCrash));
-}
-
 // ------------------------------------------------------ simulation scenarios
 
 JobSpec MakeJob(JobId id, SimTime submit, int gpus, SimDuration planned,
@@ -180,6 +150,8 @@ TEST(MachineFaultSimulationTest, RackOutageKillsEveryGangAfterDetectionDelay) {
   for (JobId id = 1; id <= 4; ++id) {
     jobs.push_back(MakeJob(id, 0, 8, Hours(10), 10));
   }
+  ClusterTimeSeries telemetry;
+  config.obs.timeseries = &telemetry;
   ClusterSimulation sim(config, std::move(jobs));
   const SimulationResult result = sim.Run();
 
@@ -213,15 +185,74 @@ TEST(MachineFaultSimulationTest, RackOutageKillsEveryGangAfterDetectionDelay) {
   const double per_gang = static_cast<double>(Hours(1) + Minutes(7)) * 8.0;
   EXPECT_DOUBLE_EQ(result.machine_fault_lost_gpu_seconds, 4.0 * per_gang);
 
-  // The 2h snapshot lands inside the outage: the whole rack reads offline.
+  // The 2h snapshot and telemetry sample land inside the outage: the whole
+  // rack reads offline, after all four kills.
   ASSERT_FALSE(result.occupancy_snapshots.empty());
   const auto& snap = result.occupancy_snapshots.front();
   EXPECT_EQ(snap.time, Hours(2));
-  EXPECT_EQ(snap.offline_servers, 4);
-  EXPECT_EQ(snap.machine_fault_kills_total, 4);
-  EXPECT_GT(snap.machine_fault_lost_gpu_seconds_total, 0.0);
   EXPECT_EQ(snap.empty_server_fraction, 0.0);
   EXPECT_EQ(snap.racks_with_empty_servers, 0);
+  const std::vector<TelemetrySample>& samples = telemetry.samples();
+  const auto sample = std::find_if(samples.begin(), samples.end(),
+                                   [](const TelemetrySample& s) { return s.time == Hours(2); });
+  ASSERT_NE(sample, samples.end());
+  EXPECT_EQ(sample->offline_servers, 4);
+  EXPECT_EQ(sample->fault_kills, 4);
+  EXPECT_GT(sample->lost_gpu_seconds, 0.0);
+}
+
+// Faults landing on servers that are already faulted: a crash on server 1, a
+// switch outage over its rack while that crash is still undetected, and a
+// second crash on server 1 while it is offline. Only the first two count,
+// the outage takes down only the three healthy servers, and server 1 takes a
+// placement again once its repair completes.
+TEST(MachineFaultSimulationTest, FaultsOnFaultedServersChangeNothing) {
+  SimulationConfig config = BaseConfig(1, 4, 8, SchedulerConfig::Philly());
+  config.fault.detection_delay = Minutes(10);
+  config.fault.scripted = {
+      {FaultKind::kServerCrash, 1, -1, Hours(1), Hours(2)},
+      {FaultKind::kSwitchOutage, -1, 0, Hours(1) + Minutes(5), Hours(1)},
+      {FaultKind::kServerCrash, 1, -1, Hours(2), Hours(1)},
+  };
+  std::vector<JobSpec> jobs;
+  for (JobId id = 1; id <= 4; ++id) {
+    jobs.push_back(MakeJob(id, 0, 8, Hours(10), 10));
+  }
+  const SimulationResult result = ClusterSimulation(config, std::move(jobs)).Run();
+
+  EXPECT_EQ(result.machine_faults_injected, 2);
+  EXPECT_EQ(result.machine_fault_server_downs, 4);
+  EXPECT_EQ(result.machine_fault_kills, 4);
+
+  const SimTime crash_detected = Hours(1) + Minutes(10);
+  const SimTime outage_detected = Hours(1) + Minutes(15);
+  const SimTime outage_repaired = outage_detected + Hours(1);
+  const SimTime crash_repaired = crash_detected + Hours(2);
+  int restarted_on_server1 = 0;
+  for (const JobRecord& job : result.jobs) {
+    ASSERT_EQ(job.attempts.size(), 2u) << "job " << job.spec.id;
+    const AttemptRecord& killed = job.attempts[0];
+    const AttemptRecord& retry = job.attempts[1];
+    ASSERT_EQ(killed.placement.NumServers(), 1);
+    ASSERT_EQ(retry.placement.NumServers(), 1);
+    EXPECT_TRUE(killed.machine_fault);
+    if (killed.placement.shards[0].server == 1) {
+      EXPECT_EQ(killed.end, crash_detected);
+      EXPECT_EQ(killed.true_reason, FailureReason::kNodeCrash);
+    } else {
+      EXPECT_EQ(killed.end, outage_detected);
+      EXPECT_EQ(killed.true_reason, FailureReason::kRackSwitchOutage);
+    }
+    if (retry.placement.shards[0].server == 1) {
+      ++restarted_on_server1;
+      EXPECT_EQ(retry.start, crash_repaired);
+    } else {
+      EXPECT_EQ(retry.start, outage_repaired);
+    }
+    EXPECT_FALSE(retry.machine_fault);
+    EXPECT_EQ(job.status, JobStatus::kPassed);
+  }
+  EXPECT_EQ(restarted_on_server1, 1);
 }
 
 // Checkpoint-aware recovery: a server crash 6h into a 10h job. With hourly
@@ -283,6 +314,8 @@ TEST(MachineFaultSimulationTest, CheckpointPeriodBoundsTheLoss) {
 // the byte-identity guarantee.
 TEST(MachineFaultSimulationTest, DisabledFaultsLeaveNoTrace) {
   ExperimentConfig config = ExperimentConfig::BenchScale(1);
+  ClusterTimeSeries telemetry;
+  config.simulation.obs.timeseries = &telemetry;
   const ExperimentRun run = RunExperiment(config);
   EXPECT_EQ(run.result.machine_faults_injected, 0);
   EXPECT_EQ(run.result.machine_fault_server_downs, 0);
@@ -293,10 +326,11 @@ TEST(MachineFaultSimulationTest, DisabledFaultsLeaveNoTrace) {
       EXPECT_FALSE(attempt.machine_fault);
     }
   }
-  for (const auto& snap : run.result.occupancy_snapshots) {
-    EXPECT_EQ(snap.offline_servers, 0);
-    EXPECT_EQ(snap.machine_fault_kills_total, 0);
-    EXPECT_EQ(snap.machine_fault_lost_gpu_seconds_total, 0.0);
+  ASSERT_FALSE(telemetry.samples().empty());
+  for (const TelemetrySample& sample : telemetry.samples()) {
+    EXPECT_EQ(sample.offline_servers, 0);
+    EXPECT_EQ(sample.fault_kills, 0);
+    EXPECT_EQ(sample.lost_gpu_seconds, 0.0);
   }
 }
 
@@ -307,7 +341,7 @@ void ExpectJobRecordsEqual(const JobRecord& a, const JobRecord& b) {
   EXPECT_EQ(a.status, b.status);
   EXPECT_EQ(a.finish_time, b.finish_time);
   EXPECT_EQ(a.executed_epochs, b.executed_epochs);
-  EXPECT_EQ(a.gpu_seconds, b.gpu_seconds);
+  EXPECT_EQ(a.GpuSeconds(), b.GpuSeconds());
   ASSERT_EQ(a.attempts.size(), b.attempts.size());
   for (size_t i = 0; i < a.attempts.size(); ++i) {
     const AttemptRecord& x = a.attempts[i];
@@ -346,10 +380,8 @@ void ExpectRunsEqual(const ExperimentRun& a, const ExperimentRun& b) {
     const auto& y = b.result.occupancy_snapshots[i];
     EXPECT_EQ(x.time, y.time);
     EXPECT_EQ(x.occupancy, y.occupancy);
-    EXPECT_EQ(x.offline_servers, y.offline_servers);
-    EXPECT_EQ(x.machine_fault_kills_total, y.machine_fault_kills_total);
-    EXPECT_EQ(x.machine_fault_lost_gpu_seconds_total,
-              y.machine_fault_lost_gpu_seconds_total);
+    EXPECT_EQ(x.empty_server_fraction, y.empty_server_fraction);
+    EXPECT_EQ(x.racks_with_empty_servers, y.racks_with_empty_servers);
   }
   ASSERT_EQ(a.result.jobs.size(), b.result.jobs.size());
   for (size_t i = 0; i < a.result.jobs.size(); ++i) {

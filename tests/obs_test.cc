@@ -113,7 +113,7 @@ void ExpectJoinMatchesNative(const ExperimentConfig& base) {
     EXPECT_EQ(a.started_out_of_order, b.started_out_of_order);
     EXPECT_EQ(a.out_of_order_benign, b.out_of_order_benign);
     EXPECT_EQ(a.overtaken, b.overtaken);
-    EXPECT_DOUBLE_EQ(a.gpu_seconds, b.gpu_seconds);
+    EXPECT_DOUBLE_EQ(a.GpuSeconds(), b.GpuSeconds());
     ASSERT_EQ(a.waits.size(), b.waits.size());
     for (size_t w = 0; w < a.waits.size(); ++w) {
       EXPECT_EQ(a.waits[w].ready_time, b.waits[w].ready_time);
@@ -238,7 +238,7 @@ TEST(ObservabilityTest, EnabledSinksDoNotPerturbSimulation) {
     EXPECT_EQ(a.finish_time, b.finish_time);
     EXPECT_EQ(a.InitialQueueDelay(), b.InitialQueueDelay());
     EXPECT_EQ(a.attempts.size(), b.attempts.size());
-    EXPECT_EQ(a.gpu_seconds, b.gpu_seconds);
+    EXPECT_EQ(a.GpuSeconds(), b.GpuSeconds());
     EXPECT_EQ(a.executed_epochs, b.executed_epochs);
   }
   // And the sinks did observe the run.

@@ -132,16 +132,20 @@ TEST_F(PipelineInvariantsTest, UtilizationAnalysisSurvivesRoundTrip) {
 }
 
 TEST_F(PipelineInvariantsTest, GpuTimeConservation) {
-  // Total GPU-time must equal the sum over attempts, independent of path.
-  double from_jobs = 0.0;
-  double from_attempts = 0.0;
+  // Total GPU-time is the same through the trace round trip, and equals what
+  // the simulation booked as it released each attempt (plus the pre-run pool).
+  double from_run = 0.0;
+  double from_trace = 0.0;
   for (const auto& job : run_->result.jobs) {
-    from_jobs += job.gpu_seconds;
-    for (const auto& attempt : job.attempts) {
-      from_attempts += attempt.GpuTime();
-    }
+    from_run += job.GpuSeconds();
   }
-  EXPECT_DOUBLE_EQ(from_jobs, from_attempts);
+  for (const auto& job : *restored_) {
+    from_trace += job.GpuSeconds();
+  }
+  EXPECT_EQ(from_run, from_trace);
+  EXPECT_NEAR(from_run,
+              run_->result.allocated_gpu_seconds + run_->result.prerun_gpu_seconds,
+              1e-9 * from_run);
 }
 
 TEST_F(PipelineInvariantsTest, EveryFailedAttemptClassifiable) {

@@ -55,16 +55,18 @@ TEST(SimulationTest, AttemptsAreWellFormed) {
   }
 }
 
-TEST(SimulationTest, GpuSecondsMatchAttempts) {
+// The jobs' GPU-seconds, summed from their attempts, add up to the GPU-time
+// the simulation booked as it released each attempt plus the pre-run pool's.
+TEST(SimulationTest, GpuSecondsMatchTheLedger) {
   TestSetup setup;
   const auto result = setup.Run();
+  double total = 0.0;
   for (const auto& job : result.jobs) {
-    double expected = 0.0;
-    for (const auto& attempt : job.attempts) {
-      expected += attempt.GpuTime();
-    }
-    EXPECT_DOUBLE_EQ(job.gpu_seconds, expected);
+    total += job.GpuSeconds();
   }
+  ASSERT_GT(total, 0.0);
+  EXPECT_NEAR(total, result.allocated_gpu_seconds + result.prerun_gpu_seconds,
+              1e-9 * total);
 }
 
 TEST(SimulationTest, UtilSegmentsCoverAttemptTime) {
@@ -138,7 +140,7 @@ TEST(SimulationTest, DeterministicAcrossRuns) {
   ASSERT_EQ(ra.jobs.size(), rb.jobs.size());
   for (size_t i = 0; i < ra.jobs.size(); ++i) {
     EXPECT_EQ(ra.jobs[i].status, rb.jobs[i].status);
-    EXPECT_DOUBLE_EQ(ra.jobs[i].gpu_seconds, rb.jobs[i].gpu_seconds);
+    EXPECT_DOUBLE_EQ(ra.jobs[i].GpuSeconds(), rb.jobs[i].GpuSeconds());
     EXPECT_EQ(ra.jobs[i].finish_time, rb.jobs[i].finish_time);
   }
   EXPECT_EQ(ra.scheduling_decisions, rb.scheduling_decisions);

@@ -159,7 +159,7 @@ TEST(ClusterTimeSeriesTest, EnabledSinkDoesNotPerturbSimulation) {
     ASSERT_EQ(a.spec.id, b.spec.id);
     EXPECT_EQ(a.status, b.status);
     EXPECT_EQ(a.finish_time, b.finish_time);
-    EXPECT_EQ(a.gpu_seconds, b.gpu_seconds);
+    EXPECT_EQ(a.GpuSeconds(), b.GpuSeconds());
     EXPECT_EQ(a.util_segments.size(), b.util_segments.size());
   }
   EXPECT_GT(ts.samples().size(), 0u);

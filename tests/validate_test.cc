@@ -24,7 +24,6 @@ JobRecord CleanJob() {
   attempt.placement.shards = {{0, 8}};
   job.attempts.push_back(attempt);
   job.util_segments.push_back({0.5, 550, 1});
-  job.gpu_seconds = 550.0 * 8;
   return job;
 }
 
@@ -38,7 +37,6 @@ TEST(ValidateTest, CleanRecordPasses) {
 TEST(ValidateTest, DetectsGangSizeMismatch) {
   auto job = CleanJob();
   job.attempts[0].placement.shards = {{0, 4}};
-  job.gpu_seconds = 550.0 * 4;
   const auto report = ValidateJobs({job});
   ASSERT_FALSE(report.ok());
   EXPECT_NE(report.issues[0].what.find("gang size"), std::string::npos);
@@ -53,18 +51,9 @@ TEST(ValidateTest, DetectsOverlappingAttempts) {
   job.attempts.push_back(second);
   job.waits.push_back(WaitRecord{});
   job.util_segments.push_back({0.5, 300, 1});
-  job.gpu_seconds += 300.0 * 8;
   const auto report = ValidateJobs({job});
   ASSERT_FALSE(report.ok());
   EXPECT_NE(report.issues[0].what.find("starts before"), std::string::npos);
-}
-
-TEST(ValidateTest, DetectsGpuTimeMismatch) {
-  auto job = CleanJob();
-  job.gpu_seconds = 1.0;
-  const auto report = ValidateJobs({job});
-  ASSERT_FALSE(report.ok());
-  EXPECT_NE(report.issues[0].what.find("gpu_seconds"), std::string::npos);
 }
 
 TEST(ValidateTest, DetectsSegmentGap) {
@@ -91,7 +80,7 @@ TEST(ValidateTest, IssueCapRespected) {
   for (int i = 0; i < 50; ++i) {
     auto job = CleanJob();
     job.spec.id = i + 1;
-    job.gpu_seconds = -1.0;
+    job.finish_time = 0;  // before its submission
     jobs.push_back(job);
   }
   ValidateOptions options;
