@@ -17,7 +17,7 @@
 // reproducible under policy changes.
 //
 // The scheduler-facing half (heartbeat detection delay, draining,
-// blacklisting, repair return) lives in NodeHealthTracker and
+// blacklisting, repair return, the per-server fault flag) lives in
 // ClusterSimulation; this class only emits the exogenous event timeline.
 
 #ifndef SRC_FAULT_FAULT_PROCESS_H_

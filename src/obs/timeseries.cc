@@ -1,8 +1,6 @@
 #include "src/obs/timeseries.h"
 
-#include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <istream>
 #include <ostream>
 
@@ -115,21 +113,14 @@ double ClusterTimeSeries::ObserveUtilPct(JobId job, int attempt,
   }
   UtilStream& stream = util_streams_[static_cast<size_t>(job)];
   if (stream.attempt != attempt) {
-    // New attempt: reseed, stationary start (same construction as
-    // GangliaSampler::SampleSegment).
+    // New attempt: a new series.
     stream.attempt = attempt;
-    stream.seed = Mix64(run_seed_ ^ (static_cast<uint64_t>(job) << 18) ^
-                        (static_cast<uint64_t>(attempt) + 0x9E3779B97F4A7C15ull));
-    stream.x = sampler_.jitter_sigma * sampler_internal::HashedNormal(stream.seed, 0);
-    stream.next_index = 1;
+    stream.jitter = Ar1Jitter(
+        sampler_.jitter_sigma,
+        Mix64(run_seed_ ^ (static_cast<uint64_t>(job) << 18) ^
+              (static_cast<uint64_t>(attempt) + 0x9E3779B97F4A7C15ull)));
   }
-  const double value = std::clamp(expected_util + stream.x, 0.0, 1.0) * 100.0;
-  const double innovation_sigma =
-      sampler_.jitter_sigma * std::sqrt(1.0 - kAr1Rho * kAr1Rho);
-  stream.x = kAr1Rho * stream.x +
-             innovation_sigma * sampler_internal::HashedNormal(
-                                    stream.seed, static_cast<uint64_t>(stream.next_index++));
-  return value;
+  return stream.jitter.NextPct(expected_util);
 }
 
 void ClusterTimeSeries::WriteNdjson(std::ostream& out,

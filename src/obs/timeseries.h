@@ -12,8 +12,8 @@
 // and shortest-round-trip doubles, so streams are byte-identical across
 // PHILLY_BENCH_THREADS.
 //
-// Per-server GPU utilization is joined in with the same AR(1) jitter model
-// GangliaSampler applies in analysis: one observed-utilization step per
+// Per-server GPU utilization is joined in with the same AR(1) jitter series
+// GangliaSampler applies in analysis (Ar1Jitter, sampler.h): one step per
 // running job per sampled minute, seeded per (run seed, job, attempt), so
 // the stream's observed utilization is deterministic and cross-checkable
 // against AnalyzeUtilization's digest (see rollup.h).
@@ -194,9 +194,7 @@ class ClusterTimeSeries {
  private:
   struct UtilStream {
     int attempt = -1;
-    uint64_t seed = 0;
-    int64_t next_index = 0;  // next HashedNormal index to consume
-    double x = 0.0;          // current AR(1) deviation
+    Ar1Jitter jitter;
   };
 
   SimDuration period_;

@@ -1636,7 +1636,15 @@ void ClusterSimulation::KillAttemptForFault(JobState& job, FailureReason reason,
   }
   // Machine faults are the cluster's fault, not the job's: no retry-policy
   // consult, no ObserveFailure (they must not poison the predictive
-  // blacklist), no failure-trial consumption — just requeue and resume.
+  // blacklist), no failure-trial consumption — just requeue and resume, up to
+  // the fault-requeue budget.
+  const auto fault_kills = std::count_if(
+      job.record->attempts.begin(), job.record->attempts.end(),
+      [](const AttemptRecord& a) { return a.machine_fault; });
+  if (fault_kills >= kMaxFaultKills) {
+    FinishJob(job, JobStatus::kUnsuccessful);
+    return;
+  }
   Requeue(job);
 }
 

@@ -176,6 +176,9 @@ class ClusterSimulation {
                        bool sampled);
   void OnFaultRepaired(const FaultEvent& event, std::vector<ServerId> servers,
                        bool sampled);
+  // Stops the job's attempt for a machine fault and requeues the job, or
+  // finishes it Unsuccessful (freeing its state) once faults have killed
+  // kMaxFaultKills of its attempts.
   void KillAttemptForFault(JobState& job, FailureReason reason, SimTime fault_time);
 
   // --- checkpoint I/O (src/fault/checkpoint_io; no-ops when disabled) ---

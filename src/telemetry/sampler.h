@@ -24,7 +24,7 @@
 namespace philly {
 
 // AR(1) coefficient of the per-minute jitter around a segment's expected
-// utilization (GangliaSampler and ClusterTimeSeries draw the same series).
+// utilization.
 inline constexpr double kAr1Rho = 0.80;
 
 struct SamplerConfig {
@@ -42,6 +42,34 @@ inline double HashedNormal(uint64_t seed, uint64_t index) {
 }
 
 }  // namespace sampler_internal
+
+// The per-minute jitter around an expected utilization, as a stationary
+// AR(1) series: x_0 = sigma * N(seed, 0) and
+// x_{i+1} = rho * x_i + sigma * sqrt(1 - rho^2) * N(seed, i + 1), so every
+// x_i has stddev sigma. GangliaSampler draws one series per segment and
+// ClusterTimeSeries one per running attempt.
+class Ar1Jitter {
+ public:
+  Ar1Jitter() = default;
+  Ar1Jitter(double sigma, uint64_t seed)
+      : seed_(seed),
+        innovation_sigma_(sigma * std::sqrt(1.0 - kAr1Rho * kAr1Rho)),
+        x_(sigma * sampler_internal::HashedNormal(seed, 0)) {}
+
+  // The current observation of `expected_util` (a fraction) in percent, as
+  // Ganglia reports it; then steps the series.
+  double NextPct(double expected_util) {
+    const double value = std::clamp(expected_util + x_, 0.0, 1.0) * 100.0;
+    x_ = kAr1Rho * x_ + innovation_sigma_ * sampler_internal::HashedNormal(seed_, ++index_);
+    return value;
+  }
+
+ private:
+  uint64_t seed_ = 0;
+  uint64_t index_ = 0;  // of the last draw
+  double innovation_sigma_ = 0.0;
+  double x_ = 0.0;
+};
 
 class GangliaSampler {
  public:
@@ -64,19 +92,9 @@ class GangliaSampler {
     const int samples = static_cast<int>(std::min<double>(
         config_.max_samples_per_segment, std::ceil(total_minutes)));
     const double weight = total_minutes / samples;
-
-    // AR(1) around the expected level, stationary: x_t = rho*x_{t-1} + e_t
-    // with e ~ N(0, sigma*sqrt(1-rho^2)) so the marginal stddev is
-    // jitter_sigma.
-    const double innovation_sigma =
-        config_.jitter_sigma * std::sqrt(1.0 - kAr1Rho * kAr1Rho);
-    double x = config_.jitter_sigma * sampler_internal::HashedNormal(seed, 0);
+    Ar1Jitter jitter(config_.jitter_sigma, seed);
     for (int i = 0; i < samples; ++i) {
-      const double value = std::clamp(expected_util + x, 0.0, 1.0);
-      sink(value * 100.0, weight);  // Ganglia reports percent
-      x = kAr1Rho * x + innovation_sigma *
-                        sampler_internal::HashedNormal(
-                            seed, static_cast<uint64_t>(i) + 1);
+      sink(jitter.NextPct(expected_util), weight);
     }
   }
 

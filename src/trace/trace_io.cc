@@ -15,7 +15,7 @@ namespace {
 
 constexpr std::string_view kJobsHeader =
     "job_id,vc,user,submit_time,num_gpus,status,queue_delay_s,finish_time,"
-    "attempts,retries,gpu_seconds,executed_epochs,planned_epochs,logs_convergence";
+    "attempts,retries,gpu_seconds,executed_epochs,planned_epochs,logs_convergence,model";
 constexpr std::string_view kAttemptsHeader =
     "job_id,attempt,start,end,failed,preempted,placement,ready_time,wait_s,"
     "fair_share_s,fragmentation_s,sched_attempts,prerun";
@@ -142,7 +142,7 @@ void TraceWriter::WriteJobs(const std::vector<JobRecord>& jobs, std::ostream& ou
             static_cast<int64_t>(job.attempts.size()),
             static_cast<int64_t>(job.NumRetries()), job.GpuSeconds(),
             job.executed_epochs, job.spec.planned_epochs,
-            static_cast<int>(job.spec.logs_convergence));
+            static_cast<int>(job.spec.logs_convergence), std::string(ToString(job.spec.model)));
   }
 }
 
@@ -260,6 +260,15 @@ std::vector<JobRecord> TraceReader::ReadJobs(std::istream& jobs_csv,
     job.executed_epochs = job_rows.Int32(11);
     job.spec.planned_epochs = job_rows.Int32(12);
     job.spec.logs_convergence = job_rows.Flag(13);
+    const std::string_view model = job_rows.Text(14);
+    int family = 0;
+    while (family < kNumModelFamilies && ToString(static_cast<ModelFamily>(family)) != model) {
+      ++family;
+    }
+    if (family == kNumModelFamilies) {
+      job_rows.Fail(14, "unknown model " + Quoted(model));
+    }
+    job.spec.model = static_cast<ModelFamily>(family);
     if (!index.emplace(job.spec.id, jobs.size()).second) {
       job_rows.Fail(0, "job " + std::to_string(job.spec.id) + " appears twice");
     }

@@ -10,7 +10,9 @@
 // Schemas (one header row each):
 //   jobs.csv:     job_id,vc,user,submit_time,num_gpus,status,queue_delay_s,
 //                 finish_time,attempts,retries,gpu_seconds,executed_epochs,
-//                 planned_epochs,logs_convergence
+//                 planned_epochs,logs_convergence,model
+//                 (gpu_seconds is the sum of the job's attempts' GPU time;
+//                 model is the family name, e.g. "resnet")
 //   attempts.csv: job_id,attempt,start,end,failed,preempted,placement,
 //                 ready_time,wait_s,fair_share_s,fragmentation_s,
 //                 sched_attempts,prerun

@@ -12,6 +12,8 @@
 //   * Checkpoint-aware recovery: a faulted job resumes from its last periodic
 //     checkpoint; without checkpointing it restarts from zero and both the
 //     lost GPU-time and the finish time grow accordingly.
+//   * The fault-requeue budget: a gang that machine faults kill
+//     kMaxFaultKills times ends Unsuccessful instead of requeueing again.
 //   * Determinism: with faults enabled, SimulationResult is byte-identical
 //     across repeated serial runs and across experiment-pool thread counts
 //     (this test carries the `tsan` ctest label alongside runner_test).
@@ -25,6 +27,7 @@
 #include <vector>
 
 #include "src/core/runner.h"
+#include "src/obs/event_log.h"
 #include "src/obs/timeseries.h"
 #include "src/sched/simulation.h"
 
@@ -307,6 +310,55 @@ TEST(MachineFaultSimulationTest, CheckpointPeriodBoundsTheLoss) {
   EXPECT_LT(ckpt.machine_fault_lost_gpu_seconds,
             restart.machine_fault_lost_gpu_seconds);
   EXPECT_LT(resumed.finish_time, scratch.finish_time);
+}
+
+// A server crash every two hours under a 100-hour gang with no checkpoints:
+// each kill requeues the job until the kMaxFaultKills-th, which ends it
+// Unsuccessful at that detection. The crash after it finds no job to kill.
+TEST(MachineFaultSimulationTest, FaultRequeueBudgetEndsTheJob) {
+  SimulationConfig config = BaseConfig(1, 1, 8, SchedulerConfig::Philly());
+  config.fault.detection_delay = Minutes(10);
+  for (int k = 0; k <= kMaxFaultKills; ++k) {
+    config.fault.scripted.push_back(
+        {FaultKind::kServerCrash, 0, -1, Hours(1 + 2 * k), Minutes(30)});
+  }
+  EventLog log;
+  config.obs.event_log = &log;
+  std::vector<JobSpec> jobs;
+  jobs.push_back(MakeJob(1, 0, 8, Hours(100), 100));
+  const SimulationResult result = ClusterSimulation(config, std::move(jobs)).Run();
+
+  EXPECT_EQ(result.machine_fault_kills, kMaxFaultKills);
+  ASSERT_EQ(result.jobs.size(), 1u);
+  const JobRecord& job = result.jobs[0];
+  EXPECT_EQ(job.status, JobStatus::kUnsuccessful);
+  const SimTime last_detection = Hours(1 + 2 * (kMaxFaultKills - 1)) + Minutes(10);
+  EXPECT_EQ(job.finish_time, last_detection);
+  ASSERT_EQ(job.attempts.size(), static_cast<size_t>(kMaxFaultKills));
+  for (const AttemptRecord& attempt : job.attempts) {
+    EXPECT_TRUE(attempt.failed);
+    EXPECT_TRUE(attempt.machine_fault);
+    EXPECT_EQ(attempt.true_reason, FailureReason::kNodeCrash);
+    EXPECT_FALSE(attempt.log_tail.empty());
+  }
+  EXPECT_EQ(job.attempts.back().end, last_detection);
+
+  // The job's last event completes it, naming the killed attempt.
+  const SchedEvent* last = nullptr;
+  int requeues = 0;
+  for (const SchedEvent& e : log.events()) {
+    if (e.job == 1) {
+      last = &e;
+      requeues += e.kind == SchedEventKind::kRequeue;
+    }
+  }
+  EXPECT_EQ(requeues, kMaxFaultKills - 1);
+  ASSERT_NE(last, nullptr);
+  EXPECT_EQ(last->kind, SchedEventKind::kComplete);
+  EXPECT_EQ(last->time, last_detection);
+  EXPECT_EQ(last->status, static_cast<int>(JobStatus::kUnsuccessful));
+  EXPECT_EQ(last->attempt, kMaxFaultKills - 1);
+  EXPECT_TRUE(last->machine_fault);
 }
 
 // With the fault process disabled, every fault-related counter must stay

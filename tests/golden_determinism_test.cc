@@ -312,7 +312,7 @@ TEST(GoldenDeterminismTest, TimeSliceSuspensionMatchesPin) {
   }
   ASSERT_EQ(suspensions, 266);
   EXPECT_EQ(run.sha256,
-            "beaeb4662db5c84ae2bbbff82592c5d50e7aca47d90eeac275076c7e23ce8d65");
+            "6e5ae3dd6638334b0cb39b6f029617d53581fa1e57af1baf7c9ac15aea22b6d2");
 }
 
 TEST(GoldenDeterminismTest, PrioritySuspensionWithPredictiveRetryMatchesPin) {
@@ -321,7 +321,7 @@ TEST(GoldenDeterminismTest, PrioritySuspensionWithPredictiveRetryMatchesPin) {
   const PinnedRun run = RunPinned(StopPathConfig(scheduler));
   ASSERT_EQ(run.result.priority_preemptions, 671);
   EXPECT_EQ(run.sha256,
-            "d81fb7e51565b8b234e7607376017ea5f1ca9cfdbac34beb94586923b58f384f");
+            "ffa70c12fd7ac536c383bfecf6d72aaf1e0231567dfa56c8ff7ea07362a234ba");
 }
 
 TEST(GoldenDeterminismTest, PrioritySuspensionWithAdaptiveRetryMatchesPin) {
@@ -330,7 +330,7 @@ TEST(GoldenDeterminismTest, PrioritySuspensionWithAdaptiveRetryMatchesPin) {
   const PinnedRun run = RunPinned(StopPathConfig(scheduler));
   ASSERT_EQ(run.result.priority_preemptions, 124);
   EXPECT_EQ(run.sha256,
-            "f8dacc31d7a0d1af7389b2fc69a75130a570ad5762a9e43b86dd9dcbc48a4a14");
+            "8d793f05d2d2a34dcfd57f1f33ec80ff3f720c9a813099509748004becd9930d");
 }
 
 TEST(GoldenDeterminismTest, FaultKillsMigrationAndPrerunMatchPin) {
@@ -347,7 +347,7 @@ TEST(GoldenDeterminismTest, FaultKillsMigrationAndPrerunMatchPin) {
   ASSERT_EQ(run.result.machine_fault_kills, 12);
   ASSERT_EQ(run.result.prerun_jobs, 632);
   EXPECT_EQ(run.sha256,
-            "3020f1733366290f4ff304ba9442701114a2dcf23139429d18396b98b32b2e69");
+            "bfc2b71d0c2307fea193fc3592d0b05276a7448399f5878a55225416b7ae1a68");
 }
 
 TEST(GoldenDeterminismTest, FaultKillsAndPreemptionUnderStaggerMatchPin) {
@@ -362,7 +362,7 @@ TEST(GoldenDeterminismTest, FaultKillsAndPreemptionUnderStaggerMatchPin) {
   ASSERT_EQ(run.result.preemptions, 1);
   ASSERT_EQ(run.result.ckpt_writes_interrupted, 1);
   EXPECT_EQ(run.sha256,
-            "a7036cb359a89fd7f4ad0a58d97006a5b23aac75c772c8efccd29331a125577b");
+            "f062a1bb3ca40548305822eef548976fd284925f7a5c837d6eb67ecf186dd516");
 }
 
 // Lifecycle-edge pins: the same recipe over reshaped inputs, reaching what the
@@ -392,7 +392,7 @@ TEST(GoldenDeterminismTest, JobsWiderThanTheClusterRejectedOnArrivalMatchPin) {
   ASSERT_GT(widened, 0);
   ASSERT_EQ(rejected, widened);
   EXPECT_EQ(run.sha256,
-            "c713057fff900a7bd99ccde68512a080bd2701d0017f4e2cd1e0ee009af8a87a");
+            "463e08c483ef9c4c32230f3f7f9c6eb319ecbbc55c288b8007c738474d8e8f17");
 }
 
 TEST(GoldenDeterminismTest, SparseFleetMemberJobIdsMatchPin) {
@@ -417,7 +417,7 @@ TEST(GoldenDeterminismTest, SparseFleetMemberJobIdsMatchPin) {
   ASSERT_GT(static_cast<size_t>(max_id), 2 * jobs.size());
   ASSERT_FALSE(ids_in_input_order);
   EXPECT_EQ(run.sha256,
-            "77ed9ba0dd9f08768f5b1d5a6c430d1e76235d691b9ace2f576af08850016e67");
+            "d787ed6a549a80c3d5f94f521ec782240b29688dd33f1ab3f66bfce526cb7040");
 }
 
 TEST(GoldenDeterminismTest, ArrivalsOutOfSubmitOrderAndInOneSecondMatchPin) {
@@ -446,7 +446,7 @@ TEST(GoldenDeterminismTest, ArrivalsOutOfSubmitOrderAndInOneSecondMatchPin) {
   }));
   ASSERT_GE(busiest_second, 3);
   EXPECT_EQ(run.sha256,
-            "3eb12b02aadb436c20cd79e599d3bd486f8b88e671b333f96d6a46e0c7592e18");
+            "100cce491f7073a1f89930fcd490f637edd7cbd9f9b3b2938d54025c33183263");
 }
 
 // The golden stream must also be independent of observability: re-running the

@@ -154,9 +154,9 @@ struct TraceText {
   std::string jobs =
       "job_id,vc,user,submit_time,num_gpus,status,queue_delay_s,finish_time,"
       "attempts,retries,gpu_seconds,executed_epochs,planned_epochs,"
-      "logs_convergence\n"
-      "1,0,5,100,8,Passed,0,5000,1,0,39200,10,10,0\n"
-      "2,1,6,200,1,Unsuccessful,60,9000,1,0,8740,3,20,1\n";
+      "logs_convergence,model\n"
+      "1,0,5,100,8,Passed,0,5000,1,0,39200,10,10,0,resnet\n"
+      "2,1,6,200,1,Unsuccessful,60,9000,1,0,8740,3,20,1,lstm\n";
   std::string attempts =
       "job_id,attempt,start,end,failed,preempted,placement,ready_time,wait_s,"
       "fair_share_s,fragmentation_s,sched_attempts,prerun\n"
@@ -186,6 +186,8 @@ TEST(TraceIoTest, ReaderReadsValidTrace) {
   EXPECT_EQ(error, "");
   ASSERT_EQ(jobs.size(), 2u);
   EXPECT_EQ(jobs[1].status, JobStatus::kUnsuccessful);
+  EXPECT_EQ(jobs[1].spec.model, ModelFamily::kLstm);
+  EXPECT_EQ(jobs[1].GpuSeconds(), 8740);
   ASSERT_EQ(jobs[1].waits.size(), 1u);
   EXPECT_EQ(jobs[1].waits[0].ready_time, 200);
   EXPECT_EQ(jobs[1].waits[0].wait, 60);
@@ -208,8 +210,8 @@ TEST(TraceIoTest, ReaderRejectsMalformedRows) {
   const std::vector<Case> cases = {
       {&TraceText::jobs, "job_id,vc", "id,vc",
        "jobs.csv line 1 column 1: expected the header"},
-      {&TraceText::jobs, "20,1\n", "20,1\ngarbage row\n",
-       "jobs.csv line 4 column 2: expected 14 fields, found 1"},
+      {&TraceText::jobs, "lstm\n", "lstm\ngarbage row\n",
+       "jobs.csv line 4 column 2: expected 15 fields, found 1"},
       {&TraceText::jobs, "Unsuccessful", "Lost",
        "jobs.csv line 3 column 6: unknown status 'Lost'"},
       {&TraceText::jobs, "\n2,1,6", "\n2,4294967296,6",
@@ -221,6 +223,13 @@ TEST(TraceIoTest, ReaderRejectsMalformedRows) {
        "jobs.csv line 2 column 9: 2 attempts, but job 1 has 1 in attempts.csv"},
       {&TraceText::jobs, "Unsuccessful,60", "Unsuccessful,61",
        "jobs.csv line 3 column 7: queue_delay_s differs from the first wait_s"},
+      {&TraceText::jobs, ",8740,", ",8741,",
+       "jobs.csv line 3 column 11: gpu_seconds differs from the sum of its attempts' GPU "
+       "time in attempts.csv"},
+      {&TraceText::jobs, ",lstm", ",gpt",
+       "jobs.csv line 3 column 15: unknown model 'gpt'"},
+      {&TraceText::jobs, ",resnet", ",ResNet",
+       "jobs.csv line 2 column 15: unknown model 'ResNet'"},
       {&TraceText::attempts, "\n1,0,100", "\n999,0,100",
        "attempts.csv line 2 column 1: unknown job 999"},
       {&TraceText::attempts, "\n2,0,260", "\n2,1,260",
@@ -352,7 +361,7 @@ TEST(TraceIoTest, LogTailFramingSurvivesMarkerInjection) {
 // writers' bytes: the native trace's CsvWriter rows and log frames, and the
 // philly-traces exporter's JSON and CSV.
 constexpr std::pair<const char*, const char*> kOneDayTraceDigests[] = {
-    {"jobs.csv", "dc231035bbfc4729feeccbf65c71a8565aa39d66efbdd1be88e54c494adc7791"},
+    {"jobs.csv", "5c37302b5950b097e378ebc84f40a6857a73e620dba510cfd9f32288601bcd82"},
     {"attempts.csv", "d2f4469cbd83280f9add51e6e3a9838e43f137d58f921f44fd3d4d8050a2dcbb"},
     {"gpu_util.csv", "58b6845ba6750f73dac2497af93d33607dac899e5549f59773a8d5333ae7a1cb"},
     {"stdout.log", "3714077022e942add66e5e0f79aef045bec7b9d4c06941a23aac4ba002280689"},
