@@ -93,15 +93,6 @@ struct JobRecord {
   // Execution accounting.
   int executed_epochs = 0;       // clean-training epochs completed
 
-  // Sum over attempts, in index order, of duration x GPUs.
-  double GpuSeconds() const {
-    double total = 0.0;
-    for (const auto& a : attempts) {
-      total += a.GpuTime();
-    }
-    return total;
-  }
-
   // First-start queueing delay (what Fig 3/4 plot). Returns 0 if never ran.
   SimDuration InitialQueueDelay() const {
     return waits.empty() ? 0 : waits.front().wait;
@@ -110,6 +101,14 @@ struct JobRecord {
     SimDuration total = 0;
     for (const auto& a : attempts) {
       total += a.Duration();
+    }
+    return total;
+  }
+  // Sum over attempts, in index order, of duration x GPUs.
+  double GpuSeconds() const {
+    double total = 0.0;
+    for (const auto& a : attempts) {
+      total += a.GpuTime();
     }
     return total;
   }

@@ -876,9 +876,7 @@ void ClusterSimulation::OnCkptTrigger(JobId id) {
   JobState& job = StateOf(id);
   assert(job.ckpt_period > 0);
   job.ckpt_trigger_event = EventId{};
-  const SimDuration progress =
-      (sim_.Now() - job.record->attempts.back().start) - job.ckpt_time_attempt;
-  if (progress >= job.ckpt_progress_needed) {
+  if (CkptProgress(job) >= job.ckpt_progress_needed) {
     return;  // the attempt completes at this same instant; nothing to write
   }
   CkptAdmitOrQueue(job);
@@ -900,9 +898,9 @@ void ClusterSimulation::CkptBeginWrite(JobState& job) {
   const AttemptRecord& attempt = job.record->attempts.back();
   const int gpus = attempt.placement.NumGpus();
   const RackId rack = CkptRack(job);
+  job.ckpt_progress_at_write = CkptProgress(job);
   job.ckpt_writing = true;
   job.ckpt_write_start = now;
-  job.ckpt_progress_at_write = (now - attempt.start) - job.ckpt_time_attempt;
   // Progress stalls while the write drains: park the end event until the
   // write completes (CkptCompleteWrite reschedules it for the remainder).
   sim_.Cancel(job.end_event);
@@ -979,9 +977,7 @@ void ClusterSimulation::CkptAdmitWaiters(RackId rack) {
     queue.erase(queue.begin());
     // A deferred gang kept training; if it reached its progress target while
     // waiting, its end event fires this instant — drop the stale request.
-    const SimDuration progress =
-        (sim_.Now() - job.record->attempts.back().start) - job.ckpt_time_attempt;
-    if (progress >= job.ckpt_progress_needed) {
+    if (CkptProgress(job) >= job.ckpt_progress_needed) {
       continue;
     }
     CkptBeginWrite(job);

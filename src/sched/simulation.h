@@ -191,6 +191,11 @@ class ClusterSimulation {
   RackId CkptRack(const JobState& job) const {
     return cluster_.ServerRack(job.record->attempts.back().placement.shards.front().server);
   }
+  // Training time the running attempt has made by now: the time since it
+  // started less its completed writes (called with no write in flight).
+  SimDuration CkptProgress(const JobState& job) const {
+    return (sim_.Now() - job.record->attempts.back().start) - job.ckpt_time_attempt;
+  }
   // The uncontended cost of one write by a gang of `gpus` GPUs, in seconds.
   SimDuration CkptNominal(int gpus) const {
     const double size_gb = config_.ckpt_io.size_gb_per_gpu * gpus;
