@@ -113,7 +113,6 @@ double ClusterTimeSeries::ObserveUtilPct(JobId job, int attempt,
   }
   UtilStream& stream = util_streams_[static_cast<size_t>(job)];
   if (stream.attempt != attempt) {
-    // New attempt: a new series.
     stream.attempt = attempt;
     stream.jitter = Ar1Jitter(
         sampler_.jitter_sigma,
