@@ -4,6 +4,7 @@
 #include <map>
 #include <set>
 
+#include "src/common/sha256.h"
 #include "src/failure/failure_catalog.h"
 #include "src/failure/failure_injector.h"
 #include "src/failure/failure_logs.h"
@@ -311,6 +312,51 @@ TEST(RetryPolicyTest, AdaptiveStopsDeterministicUserErrors) {
 TEST(RetryPolicyTest, Names) {
   EXPECT_EQ(FixedRetryPolicy().Name(), "fixed");
   EXPECT_EQ(AdaptiveRetryPolicy().Name(), "adaptive");
+}
+
+// Every decision of `policy` for users 1 and 2, every reason and attempt
+// indices 0-5, one '0'/'1' per query, asked before and after each of four
+// rounds of ObserveFailure calls. Round k observes (user 1, reason r) for
+// every r with r % 4 >= k, so user 1's pairs reach 1 to 4 observations, and
+// (user 2, reason r) for r % 3 == k % 3.
+std::string RetryDecisionBits(RetryPolicy& policy) {
+  std::string bits;
+  const auto query = [&] {
+    for (const UserId user : {UserId{1}, UserId{2}}) {
+      for (int r = 0; r < kNumFailureReasons; ++r) {
+        for (int attempt = 0; attempt <= 5; ++attempt) {
+          bits += policy.ShouldRetryFor(user, static_cast<FailureReason>(r), attempt) ? '1' : '0';
+        }
+      }
+    }
+  };
+  query();
+  for (int round = 0; round < 4; ++round) {
+    for (int r = 0; r < kNumFailureReasons; ++r) {
+      if (r % 4 >= round) {
+        policy.ObserveFailure(1, static_cast<FailureReason>(r));
+      }
+      if (r % 3 == round % 3) {
+        policy.ObserveFailure(2, static_cast<FailureReason>(r));
+      }
+    }
+    query();
+  }
+  return bits;
+}
+
+// Pinned at the production budget (kMaxRetries = 4) and predictive
+// threshold (3) before the three policy classes became one.
+TEST(RetryPolicyTest, DecisionsMatchPin) {
+  FixedRetryPolicy fixed(4);
+  AdaptiveRetryPolicy adaptive(4);
+  PredictiveRetryPolicy predictive(4, 3);
+  EXPECT_EQ(Sha256Hex(RetryDecisionBits(fixed)),
+            "bf7dfa8354029bcac03677586e9f50dd9321699fa85aa427f3d81e677d023d0c");
+  EXPECT_EQ(Sha256Hex(RetryDecisionBits(adaptive)),
+            "95f82dc99e1a3e19a05bab5d6796cf6dff557ae647b76656e033bfa29fa573a3");
+  EXPECT_EQ(Sha256Hex(RetryDecisionBits(predictive)),
+            "763b73a8b6011f41c725ff260331e3045d0950fbea0975255eeb7c3309284343");
 }
 
 }  // namespace
