@@ -121,7 +121,7 @@ int Placement::NumGpus() const {
   return n;
 }
 
-Cluster::Cluster(const ClusterConfig& config) : config_(config) {
+Cluster::Cluster(const ClusterConfig& config) {
   for (const auto& sku : config.skus) {
     assert(sku.racks > 0 && sku.servers_per_rack > 0 && sku.gpus_per_server > 0);
     for (int r = 0; r < sku.racks; ++r) {
@@ -255,16 +255,7 @@ bool Cluster::Allocate(JobId job, const Placement& placement) {
     IndexMoveRack(rack, rack_free_[rack] + shard.gpus, rack_free_[rack]);
     IndexSelfCheck(shard.server);
   }
-  auto shards = placement.shards;
-  const auto by_server = [](const PlacementShard& a, const PlacementShard& b) {
-    return a.server < b.server;
-  };
-  // Placers emit shards in server-id order for most shapes; skip the sort
-  // when they did.
-  if (!std::is_sorted(shards.begin(), shards.end(), by_server)) {
-    std::sort(shards.begin(), shards.end(), by_server);
-  }
-  job_shards_.emplace(job, std::move(shards));
+  job_shards_.emplace(job, placement.shards);
   ++alloc_version_;
   return true;
 }
@@ -295,15 +286,6 @@ int Cluster::Release(JobId job) {
   job_shards_.erase(it);
   ++alloc_version_;
   return freed;
-}
-
-Placement Cluster::PlacementOf(JobId job) const {
-  Placement p;
-  const auto it = job_shards_.find(job);
-  if (it != job_shards_.end()) {
-    p.shards = it->second;
-  }
-  return p;
 }
 
 double Cluster::EmptyServerFraction() const {
@@ -446,16 +428,6 @@ bool Cluster::DebugCheckIndex(std::string* error) const {
     return fail("ranked rack order diverges from rescan");
   }
   return true;
-}
-
-double Cluster::CpuCoresFor(ServerId s, int gpus) const {
-  return config_.cpu_cores_per_server * static_cast<double>(gpus) /
-         static_cast<double>(server_capacity_[s]);
-}
-
-double Cluster::MemoryGbFor(ServerId s, int gpus) const {
-  return config_.memory_gb_per_server * static_cast<double>(gpus) /
-         static_cast<double>(server_capacity_[s]);
 }
 
 }  // namespace philly

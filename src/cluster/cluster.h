@@ -4,7 +4,10 @@
 // carry either 2 or 8 GPUs of the same model, servers are grouped into racks,
 // and each rack is an RDMA (InfiniBand) domain — workers placed within one
 // rack synchronize over the 100 Gbps fabric, across racks over Ethernet.
-// Host CPU cores and memory are allocated proportionally to requested GPUs.
+// Host CPU cores and memory are allocated proportionally to requested GPUs
+// (§2.3). The Cluster does not track them: the host model
+// (src/telemetry/host_model.h) and the philly-traces exporter's CPU and memory
+// rows derive a job's share from its GPUs.
 //
 // The Cluster owns allocation bookkeeping only; policy (which servers to pick)
 // lives in src/sched.
@@ -35,8 +38,6 @@ struct SkuGroup {
 
 struct ClusterConfig {
   std::vector<SkuGroup> skus;
-  int cpu_cores_per_server = 64;
-  int memory_gb_per_server = 512;
 
   // Paper-like scale: thousands of GPUs, two SKUs, homogeneous racks
   // (the dominant SKU is the 8-GPU server).
@@ -123,10 +124,6 @@ class Cluster {
   };
   const std::vector<Tenant>& TenantsOnServer(ServerId s) const { return server_tenants_[s]; }
 
-  // The placement currently held by `job` (empty if none).
-  Placement PlacementOf(JobId job) const;
-  bool Holds(JobId job) const { return job_shards_.count(job) > 0; }
-
   // Fraction of servers with zero GPUs allocated (paper §3.1.1: at 2/3
   // occupancy fewer than 4.5% of servers are completely empty).
   double EmptyServerFraction() const;
@@ -134,11 +131,6 @@ class Cluster {
   // Number of distinct racks that contain at least one completely empty
   // server (paper: empty servers are spread across RDMA domains).
   int RacksWithEmptyServers() const;
-
-  // Host-resource proportionality: a job holding g GPUs on a server with c
-  // GPUs gets g/c of that server's cores and memory (§2.3).
-  double CpuCoresFor(ServerId s, int gpus) const;
-  double MemoryGbFor(ServerId s, int gpus) const;
 
   // Monotone counter bumped by every successful Allocate/Release/
   // SetServerOffline. Two calls observing the same version see identical
@@ -217,7 +209,6 @@ class Cluster {
   int offline_gpus_ = 0;
   int num_offline_ = 0;
   int64_t alloc_version_ = 0;
-  ClusterConfig config_;
   std::vector<int> server_capacity_;
   std::vector<int> server_used_;
   std::vector<RackId> server_rack_;
@@ -226,8 +217,7 @@ class Cluster {
   std::vector<int> rack_free_;
   std::vector<uint8_t> server_offline_;
   std::vector<std::vector<Tenant>> server_tenants_;
-  // JobId -> shards held; PlacementOf() returns shards sorted by server id so
-  // iteration order stays deterministic.
+  // JobId -> shards held, in the order Allocate was given them.
   std::unordered_map<JobId, std::vector<PlacementShard>> job_shards_;
 
   // Free-capacity index state (see the public index section above).

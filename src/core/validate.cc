@@ -18,9 +18,11 @@ constexpr double kFailureShareTolerance = 0.13;
 // judge; the check passes vacuously.
 constexpr int64_t kFailureShareMinTrials = 200;
 
-void Report(ValidationReport* report, const ValidateOptions& options, JobId job,
-            std::string what) {
-  if (report->issues.size() < options.max_issues) {
+// Cap on recorded issues (validation keeps scanning but stops recording).
+constexpr size_t kMaxIssues = 100;
+
+void Report(ValidationReport* report, JobId job, std::string what) {
+  if (report->issues.size() < kMaxIssues) {
     report->issues.push_back({job, std::move(what)});
   }
 }
@@ -36,20 +38,19 @@ std::string ValidationReport::Summary(size_t max_issues) const {
   return out.str();
 }
 
-ValidationReport ValidateJobs(const std::vector<JobRecord>& jobs,
-                              ValidateOptions options) {
+ValidationReport ValidateJobs(const std::vector<JobRecord>& jobs) {
   ValidationReport report;
   for (const JobRecord& job : jobs) {
     ++report.jobs_checked;
     const JobId id = job.spec.id;
     if (job.spec.num_gpus <= 0) {
-      Report(&report, options, id, "non-positive GPU demand");
+      Report(&report, id, "non-positive GPU demand");
     }
     if (job.finish_time < job.spec.submit_time) {
-      Report(&report, options, id, "finished before submission");
+      Report(&report, id, "finished before submission");
     }
     if (job.waits.size() != job.attempts.size() && !job.attempts.empty()) {
-      Report(&report, options, id,
+      Report(&report, id,
              "waits (" + std::to_string(job.waits.size()) + ") != attempts (" +
                  std::to_string(job.attempts.size()) + ")");
     }
@@ -59,21 +60,21 @@ ValidationReport ValidateJobs(const std::vector<JobRecord>& jobs,
     for (const AttemptRecord& attempt : job.attempts) {
       ++report.attempts_checked;
       if (attempt.start < prev_end) {
-        Report(&report, options, id,
+        Report(&report, id,
                "attempt " + std::to_string(attempt.index) + " starts before the "
                "previous attempt ended");
       }
       if (attempt.end < attempt.start) {
-        Report(&report, options, id,
+        Report(&report, id,
                "attempt " + std::to_string(attempt.index) + " ends before it starts");
       }
       if (attempt.prerun) {
         if (!attempt.placement.Empty()) {
-          Report(&report, options, id, "pre-run attempt carries a gang placement");
+          Report(&report, id, "pre-run attempt carries a gang placement");
         }
       } else {
         if (attempt.placement.NumGpus() != job.spec.num_gpus) {
-          Report(&report, options, id,
+          Report(&report, id,
                  "attempt " + std::to_string(attempt.index) + " gang size " +
                      std::to_string(attempt.placement.NumGpus()) + " != demand " +
                      std::to_string(job.spec.num_gpus));
@@ -82,40 +83,38 @@ ValidationReport ValidateJobs(const std::vector<JobRecord>& jobs,
           for (size_t k = 0; k < i; ++k) {
             if (attempt.placement.shards[i].server ==
                 attempt.placement.shards[k].server) {
-              Report(&report, options, id, "placement repeats a server");
+              Report(&report, id, "placement repeats a server");
             }
           }
         }
         attempt_time += attempt.Duration();
       }
       if (!attempt.failed && !attempt.log_tail.empty()) {
-        Report(&report, options, id, "clean attempt carries a failure log tail");
+        Report(&report, id, "clean attempt carries a failure log tail");
       }
       prev_end = attempt.end;
     }
-    if (options.check_segment_coverage) {
-      SimDuration segment_time = 0;
-      for (const UtilSegment& segment : job.util_segments) {
-        if (segment.expected_util < 0.0 || segment.expected_util > 1.0) {
-          Report(&report, options, id, "segment utilization out of [0, 1]");
-        }
-        if (segment.duration <= 0) {
-          Report(&report, options, id, "non-positive segment duration");
-        }
-        segment_time += segment.duration;
+    SimDuration segment_time = 0;
+    for (const UtilSegment& segment : job.util_segments) {
+      if (segment.expected_util < 0.0 || segment.expected_util > 1.0) {
+        Report(&report, id, "segment utilization out of [0, 1]");
       }
-      if (segment_time != attempt_time) {
-        Report(&report, options, id,
-               "segments cover " + std::to_string(segment_time) +
-                   "s but gang attempts total " + std::to_string(attempt_time) + "s");
+      if (segment.duration <= 0) {
+        Report(&report, id, "non-positive segment duration");
       }
+      segment_time += segment.duration;
+    }
+    if (segment_time != attempt_time) {
+      Report(&report, id,
+             "segments cover " + std::to_string(segment_time) +
+                 "s but gang attempts total " + std::to_string(attempt_time) + "s");
     }
     for (const WaitRecord& wait : job.waits) {
       if (wait.wait < 0) {
-        Report(&report, options, id, "negative wait");
+        Report(&report, id, "negative wait");
       }
       if (wait.fair_share_time + wait.fragmentation_time > wait.wait) {
-        Report(&report, options, id, "wait cause attribution exceeds the wait");
+        Report(&report, id, "wait cause attribution exceeds the wait");
       }
     }
   }
@@ -145,7 +144,7 @@ ValidationReport ValidateFailureShares(const std::vector<JobRecord>& jobs) {
       what << "failure share of '" << ToString(row.reason) << "' is "
            << measured << " vs published " << expected << " (|diff| "
            << deviation << " > tolerance " << kFailureShareTolerance << ")";
-      Report(&report, ValidateOptions{}, kNoJob, what.str());
+      Report(&report, kNoJob, what.str());
     }
   }
   return report;

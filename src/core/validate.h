@@ -31,17 +31,10 @@ struct ValidationReport {
   std::string Summary(size_t max_issues = 10) const;
 };
 
-struct ValidateOptions {
-  // When true, require utilization segments to exactly cover attempt time
-  // (true for simulator output; trace round trips preserve it).
-  bool check_segment_coverage = true;
-  // Cap on recorded issues (validation keeps scanning but stops recording).
-  size_t max_issues = 100;
-};
-
-// Validates per-job invariants. Cheap: O(total attempts + segments).
-ValidationReport ValidateJobs(const std::vector<JobRecord>& jobs,
-                              ValidateOptions options = {});
+// Validates per-job invariants, among them that utilization segments exactly
+// cover attempt time (simulator output does; trace round trips preserve it).
+// Cheap: O(total attempts + segments).
+ValidationReport ValidateJobs(const std::vector<JobRecord>& jobs);
 
 // Distributional validation: the classified failure-reason mix of a simulated
 // workload must track the published Table 7 shares. Reasons absent from the

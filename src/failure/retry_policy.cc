@@ -1,11 +1,9 @@
 #include "src/failure/retry_policy.h"
 
 namespace philly {
+namespace {
 
-bool AdaptiveRetryPolicy::ShouldRetry(FailureReason reason, int attempt_index) const {
-  if (attempt_index >= max_retries_) {
-    return false;
-  }
+bool RetriesCanFix(FailureReason reason) {
   switch (reason) {
     // Deterministic user/programming errors: retrying re-runs the same bug.
     case FailureReason::kSyntaxError:
@@ -40,6 +38,31 @@ bool AdaptiveRetryPolicy::ShouldRetry(FailureReason reason, int attempt_index) c
       return true;
   }
   return true;
+}
+
+}  // namespace
+
+bool RetryPolicy::ShouldRetry(UserId user, FailureReason reason, int attempt_index) const {
+  if (attempt_index >= kMaxRetries) {
+    return false;
+  }
+  switch (kind_) {
+    case RetryPolicyKind::kFixed:
+      return true;
+    case RetryPolicyKind::kAdaptive:
+      return RetriesCanFix(reason);
+    case RetryPolicyKind::kPredictive: {
+      const auto it = pair_failures_.find({user, reason});
+      return it == pair_failures_.end() || it->second < kPredictiveRepeatThreshold;
+    }
+  }
+  return true;
+}
+
+void RetryPolicy::ObserveFailure(UserId user, FailureReason reason) {
+  if (kind_ == RetryPolicyKind::kPredictive) {
+    ++pair_failures_[{user, reason}];
+  }
 }
 
 }  // namespace philly

@@ -4,14 +4,14 @@
 // unsuccessful. The paper argues for an adaptive policy that classifies the
 // failure in real time and stops retrying error categories that retries
 // cannot fix (user/programming errors), while still retrying transient ones
-// (network timeouts, preemption). Both are implemented here; the ablation
-// bench quantifies the GPU-time the adaptive policy saves.
+// (network timeouts, preemption), and for a predictive one that correlates
+// failures across a user's jobs. All three are implemented here; the ablation
+// bench quantifies the GPU-time the §5 policies save.
 
 #ifndef SRC_FAILURE_RETRY_POLICY_H_
 #define SRC_FAILURE_RETRY_POLICY_H_
 
 #include <map>
-#include <memory>
 #include <utility>
 
 #include "src/failure/failure_catalog.h"
@@ -19,114 +19,44 @@
 
 namespace philly {
 
+// Failure retries (§2.3 fixed budget): a failed job is resubmitted at most
+// this many times, whichever retry policy decides.
+inline constexpr int kMaxRetries = 4;
+
+// The predictive policy stops retrying a (user, reason) pair once it has
+// failed this many times across that user's jobs.
+inline constexpr int kPredictiveRepeatThreshold = 3;
+
+enum class RetryPolicyKind {
+  // The production baseline: always retry, up to kMaxRetries.
+  kFixed,
+  // Stop immediately on failure reasons that are deterministic
+  // user/programming errors; keep the budget for everything else.
+  kAdaptive,
+  // §5's predictive mitigation system: watches failures online and, once a
+  // (user, reason) pair has repeated kPredictiveRepeatThreshold times across
+  // that user's jobs, stops retrying it entirely. It is the generalized form
+  // of "input data blacklisting" and the per-user error correlation the paper
+  // motivates with the engineer whose jobs all died of the same CPU OOM
+  // (§4.2.2).
+  kPredictive,
+};
+
 class RetryPolicy {
  public:
-  virtual ~RetryPolicy() = default;
+  explicit RetryPolicy(RetryPolicyKind kind) : kind_(kind) {}
 
-  // Whether to re-execute a job whose attempt `attempt_index` (0-based) just
-  // failed with `reason` (as classified from its logs).
-  virtual bool ShouldRetry(FailureReason reason, int attempt_index) const = 0;
+  // Whether to re-execute `user`'s job whose attempt `attempt_index`
+  // (0-based) just failed with `reason` (as classified from its logs).
+  bool ShouldRetry(UserId user, FailureReason reason, int attempt_index) const;
 
-  // User-aware refinement used by the scheduler runtime; the default ignores
-  // the user. Stateful policies override this to correlate failures across a
-  // user's jobs (§5: "classify error messages in real time ... adapting
-  // scheduling parameters per job as well as across jobs").
-  virtual bool ShouldRetryFor(UserId /*user*/, FailureReason reason,
-                              int attempt_index) const {
-    return ShouldRetry(reason, attempt_index);
-  }
-
-  // Online observation hook, called once per failure trial. Default no-op.
-  virtual void ObserveFailure(UserId /*user*/, FailureReason /*reason*/) {}
-
-  virtual std::string_view Name() const = 0;
-};
-
-// The production baseline: always retry, up to a fixed budget.
-class FixedRetryPolicy final : public RetryPolicy {
- public:
-  explicit FixedRetryPolicy(int max_retries = 2) : max_retries_(max_retries) {}
-
-  bool ShouldRetry(FailureReason /*reason*/, int attempt_index) const override {
-    return attempt_index < max_retries_;
-  }
-  std::string_view Name() const override { return "fixed"; }
+  // Online observation, called once per failure trial (§5: "classify error
+  // messages in real time ... adapting scheduling parameters per job as well
+  // as across jobs"). Only the predictive policy keeps what it observes.
+  void ObserveFailure(UserId user, FailureReason reason);
 
  private:
-  int max_retries_;
-};
-
-// The paper's proposed improvement: stop immediately on failure reasons that
-// are deterministic user/programming errors; keep the fixed budget for
-// everything else.
-class AdaptiveRetryPolicy : public RetryPolicy {
- public:
-  explicit AdaptiveRetryPolicy(int max_retries = 2) : max_retries_(max_retries) {}
-
-  bool ShouldRetry(FailureReason reason, int attempt_index) const override;
-  std::string_view Name() const override { return "adaptive"; }
-
- private:
-  int max_retries_;
-};
-
-// §5's predictive mitigation system: watches failures online and, once a
-// (user, reason) pair has repeated `repeat_threshold` times across that
-// user's jobs, stops retrying it entirely — the generalized form of "input
-// data blacklisting" and per-user error correlation the paper motivates with
-// the engineer whose jobs all died of the same CPU OOM (§4.2.2).
-class PredictiveRetryPolicy final : public RetryPolicy {
- public:
-  explicit PredictiveRetryPolicy(int max_retries = 2, int repeat_threshold = 3)
-      : max_retries_(max_retries), repeat_threshold_(repeat_threshold) {}
-
-  // Both overloads route through Decide so the blacklist is always consulted.
-  // Without a user context the policy is conservative: a reason blacklisted
-  // for *any* user stops retries (the caller cannot prove it is a different
-  // user's job). Previously this overload ignored pair_failures_ entirely.
-  bool ShouldRetry(FailureReason reason, int attempt_index) const override {
-    return Decide(nullptr, reason, attempt_index);
-  }
-
-  bool ShouldRetryFor(UserId user, FailureReason reason,
-                      int attempt_index) const override {
-    return Decide(&user, reason, attempt_index);
-  }
-
-  void ObserveFailure(UserId user, FailureReason reason) override {
-    ++pair_failures_[{user, reason}];
-  }
-
-  // Pairs currently blacklisted (for reporting).
-  int NumBlacklistedPairs() const {
-    int n = 0;
-    for (const auto& [pair, count] : pair_failures_) {
-      n += count >= repeat_threshold_;
-    }
-    return n;
-  }
-
-  std::string_view Name() const override { return "predictive"; }
-
- private:
-  bool Decide(const UserId* user, FailureReason reason, int attempt_index) const {
-    if (attempt_index >= max_retries_) {
-      return false;
-    }
-    if (user != nullptr) {
-      const auto it = pair_failures_.find({*user, reason});
-      return it == pair_failures_.end() || it->second < repeat_threshold_;
-    }
-    for (const auto& [pair, count] : pair_failures_) {
-      if (pair.second == reason && count >= repeat_threshold_) {
-        return false;
-      }
-    }
-    return true;
-  }
-
-  int max_retries_;
-  int repeat_threshold_;
+  RetryPolicyKind kind_;
   std::map<std::pair<UserId, FailureReason>, int> pair_failures_;
 };
 

@@ -43,18 +43,18 @@ struct CheckpointIoConfig {
   // The gang's write is size_gb_per_gpu x its GPU count.
   double size_gb_per_gpu = 2.0;
 
-  // kCooperativeStagger admission limit: concurrent writers allowed per rack.
-  // Requests beyond the limit defer (training continues) until a slot frees.
-  int max_writers_per_rack = 2;
-
-  // kCooperativeStagger phase-shift granularity: a rack's gangs take first-
-  // write phases of slot/stagger_slots of their period, round-robin.
-  int stagger_slots = 8;
-
   bool Enabled() const {
     return rack_bandwidth_gbps > 0.0 && size_gb_per_gpu > 0.0;
   }
 };
+
+// kCooperativeStagger admission limit: concurrent writers allowed per rack.
+// Requests beyond the limit defer (training continues) until a slot frees.
+inline constexpr int kMaxWritersPerRack = 2;
+
+// kCooperativeStagger phase-shift granularity: a rack's gangs take first-write
+// phases of slot/kStaggerSlots of their period, round-robin.
+inline constexpr int kStaggerSlots = 8;
 
 // Clamps for the kDalyOptimal per-gang period.
 inline constexpr SimDuration kDalyMinPeriod = Minutes(5);

@@ -11,6 +11,13 @@
 namespace philly {
 namespace {
 
+// Lognormal repair times, fitted from (median, p90) in hours. Server
+// repairs (reimage, GPU swap) take longer than switch restarts.
+constexpr double kServerRepairMedianHours = 4.0;
+constexpr double kServerRepairP90Hours = 12.0;
+constexpr double kRackRepairMedianHours = 1.0;
+constexpr double kRackRepairP90Hours = 4.0;
+
 SimDuration HoursToSeconds(double hours) {
   return std::max<SimDuration>(1, static_cast<SimDuration>(hours * 3600.0));
 }
@@ -24,26 +31,16 @@ void ValidateConfig(const FaultProcessConfig& config) {
     if (!ok) {
       throw std::invalid_argument(
           std::string("FaultProcessConfig: ") + field + " = " +
-          std::to_string(value) + " is invalid (must be finite and >= 0; " +
-          "repair medians/p90s must be > 0)");
+          std::to_string(value) + " is invalid (must be finite and >= 0)");
     }
   };
   const auto mtbf_ok = [](double v) { return std::isfinite(v) && v >= 0.0; };
-  const auto repair_ok = [](double v) { return std::isfinite(v) && v > 0.0; };
   require(mtbf_ok(config.server_crash_mtbf_hours), "server_crash_mtbf_hours",
           config.server_crash_mtbf_hours);
   require(mtbf_ok(config.gpu_ecc_mtbf_hours), "gpu_ecc_mtbf_hours",
           config.gpu_ecc_mtbf_hours);
   require(mtbf_ok(config.rack_outage_mtbf_hours), "rack_outage_mtbf_hours",
           config.rack_outage_mtbf_hours);
-  require(repair_ok(config.server_repair_median_hours),
-          "server_repair_median_hours", config.server_repair_median_hours);
-  require(repair_ok(config.server_repair_p90_hours), "server_repair_p90_hours",
-          config.server_repair_p90_hours);
-  require(repair_ok(config.rack_repair_median_hours),
-          "rack_repair_median_hours", config.rack_repair_median_hours);
-  require(repair_ok(config.rack_repair_p90_hours), "rack_repair_p90_hours",
-          config.rack_repair_p90_hours);
   require(config.detection_delay >= 0, "detection_delay",
           static_cast<double>(config.detection_delay));
 }
@@ -74,14 +71,10 @@ FaultProcessConfig FaultProcessConfig::Calibrated() {
 FaultProcess::FaultProcess(const FaultProcessConfig& config, int num_servers,
                            int num_racks)
     : config_((ValidateConfig(config), config)),
-      server_repair_fit_(LognormalSpec::FromMedianP90(
-          config.server_repair_median_hours,
-          std::max(config.server_repair_median_hours,
-                   config.server_repair_p90_hours))),
-      rack_repair_fit_(LognormalSpec::FromMedianP90(
-          config.rack_repair_median_hours,
-          std::max(config.rack_repair_median_hours,
-                   config.rack_repair_p90_hours))) {
+      server_repair_fit_(
+          LognormalSpec::FromMedianP90(kServerRepairMedianHours, kServerRepairP90Hours)),
+      rack_repair_fit_(
+          LognormalSpec::FromMedianP90(kRackRepairMedianHours, kRackRepairP90Hours)) {
   assert(num_servers >= 0 && num_racks >= 0);
   server_rng_.reserve(static_cast<size_t>(num_servers));
   for (int s = 0; s < num_servers; ++s) {

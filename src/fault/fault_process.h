@@ -64,13 +64,6 @@ struct FaultProcessConfig {
   double gpu_ecc_mtbf_hours = 0.0;
   double rack_outage_mtbf_hours = 0.0;
 
-  // Lognormal repair times, fitted from (median, p90) in hours. Server
-  // repairs (reimage, GPU swap) take longer than switch restarts.
-  double server_repair_median_hours = 4.0;
-  double server_repair_p90_hours = 12.0;
-  double rack_repair_median_hours = 1.0;
-  double rack_repair_p90_hours = 4.0;
-
   // Heartbeat timeout: the scheduler learns of a fault only this long after
   // it occurs. Attempts on the faulted machine keep "running" (and burning
   // GPU time) until detection.
@@ -93,9 +86,8 @@ struct FaultProcessConfig {
 class FaultProcess {
  public:
   // Throws std::invalid_argument for degenerate configs: negative or
-  // non-finite MTBFs, non-positive or non-finite repair medians/p90s, or a
-  // negative detection delay. A 0 MTBF remains the documented "class
-  // disabled" value.
+  // non-finite MTBFs, or a negative detection delay. A 0 MTBF remains the
+  // documented "class disabled" value.
   FaultProcess(const FaultProcessConfig& config, int num_servers, int num_racks);
 
   bool enabled() const { return config_.Enabled(); }

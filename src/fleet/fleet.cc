@@ -159,7 +159,6 @@ FleetResult FleetSimulation::Run() {
     FleetClusterResult& cluster = out.clusters[static_cast<size_t>(i)];
     cluster.name = config_.clusters[static_cast<size_t>(i)].name;
     cluster.num_jobs = static_cast<int64_t>(routed[static_cast<size_t>(i)].size());
-    cluster.telemetry = ClusterTimeSeries(config_.telemetry_period);
   }
   pool.ParallelFor(n, [&](int i) {
     FleetClusterResult& cluster = out.clusters[static_cast<size_t>(i)];

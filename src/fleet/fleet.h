@@ -52,7 +52,6 @@ struct FleetConfig {
   // marked router-queued at their destination tracer before the run, so the
   // pre-evaluation stretch of their first wait is blamed on kRouterQueue.
   bool collect_spans = false;
-  SimDuration telemetry_period = Minutes(1);
 
   // ExperimentPool worker count; <= 0 means DefaultPoolThreads()
   // (PHILLY_BENCH_THREADS-aware).

@@ -17,6 +17,7 @@
 #include <string_view>
 
 #include "src/common/sim_time.h"
+#include "src/failure/retry_policy.h"
 #include "src/sched/placement.h"
 
 namespace philly {
@@ -47,10 +48,6 @@ std::string_view ToString(CheckpointPolicy policy);
 // 2 minute backoff): a pass that leaves jobs waiting schedules the next one
 // this far ahead.
 inline constexpr SimDuration kSchedBackoff = Minutes(2);
-
-// Failure retries (§2.3 fixed budget): a failed job is resubmitted at most
-// this many times, whichever retry policy decides.
-inline constexpr int kMaxRetries = 4;
 
 // Machine-fault requeues, the analogue of YARN's application max-attempts: a
 // job whose attempts machine faults have killed this many times ends
@@ -130,9 +127,8 @@ struct SchedulerConfig {
 
   // Failure retries (§2.3 fixed budget of kMaxRetries; §5 proposes adaptive
   // and predictive alternatives — see src/failure/retry_policy.h).
-  enum class RetryPolicyKind { kFixed, kAdaptive, kPredictive };
+  using RetryPolicyKind = philly::RetryPolicyKind;
   RetryPolicyKind retry_policy = RetryPolicyKind::kFixed;
-  int predictive_repeat_threshold = 3;
 
   // Checkpoint-aware machine-fault recovery: with period K > 0, a job killed
   // by a machine fault resumes from the largest multiple of K of its clean

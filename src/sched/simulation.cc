@@ -39,6 +39,10 @@ constexpr SimDuration kPriorityPreemptionMinRun = Minutes(10);
 constexpr int kPrerunPoolGpus = 16;
 constexpr SimDuration kPrerunCap = Minutes(10);
 
+// Cadence of the occupancy snapshots behind the §3.1.1 fragmentation
+// statistics.
+constexpr SimDuration kSnapshotPeriod = Hours(6);
+
 FailureReason ReasonForFault(FaultKind kind) {
   switch (kind) {
     case FaultKind::kServerCrash:
@@ -67,6 +71,7 @@ ClusterSimulation::ClusterSimulation(SimulationConfig config, std::vector<JobSpe
         fc.seed ^= config_.seed;
         return fc;
       }()),
+      retry_policy_(config_.scheduler.retry_policy),
       rng_(config_.seed ^ 0xC0FFEEull),
       fault_process_(
           [&] {
@@ -83,20 +88,6 @@ ClusterSimulation::ClusterSimulation(SimulationConfig config, std::vector<JobSpe
     ckpt_wait_queue_.assign(static_cast<size_t>(cluster_.NumRacks()), {});
     ckpt_stagger_slot_.assign(static_cast<size_t>(cluster_.NumRacks()), 0);
   }
-  switch (config_.scheduler.retry_policy) {
-    case SchedulerConfig::RetryPolicyKind::kAdaptive:
-      retry_policy_ =
-          std::make_unique<AdaptiveRetryPolicy>(kMaxRetries);
-      break;
-    case SchedulerConfig::RetryPolicyKind::kPredictive:
-      retry_policy_ = std::make_unique<PredictiveRetryPolicy>(
-          kMaxRetries, config_.scheduler.predictive_repeat_threshold);
-      break;
-    case SchedulerConfig::RetryPolicyKind::kFixed:
-      retry_policy_ = std::make_unique<FixedRetryPolicy>(kMaxRetries);
-      break;
-  }
-
   assert(!config_.vcs.empty());
   vcs_.reserve(config_.vcs.size());
   for (const auto& vc : config_.vcs) {
@@ -241,7 +232,6 @@ ClusterSimulation::JobState& ClusterSimulation::AddLiveJob(JobRecord& record) {
   job.record = &record;
   // A pure function of (seed, job id): the same plan whenever it is drawn.
   job.plan = injector_.PlanFor(spec);
-  job.comm_intensity = ProfileOf(spec.model).comm_intensity;
   job.queue_key = static_cast<double>(spec.submit_time);
   return job;
 }
@@ -252,7 +242,7 @@ SimulationResult ClusterSimulation::Run() {
     sim_.ScheduleAt(record.spec.submit_time, [this, &record] { OnArrival(record); });
   }
   if (!result_.jobs.empty()) {
-    sim_.ScheduleAfter(config_.snapshot_period, [this] { TakeSnapshot(); });
+    sim_.ScheduleAfter(kSnapshotPeriod, [this] { TakeSnapshot(); });
     if (config_.scheduler.enable_migration) {
       sim_.ScheduleAfter(config_.scheduler.migration_period, [this] { MigrationPass(); });
     }
@@ -388,14 +378,14 @@ bool ClusterSimulation::FailTrial(JobState& job, AttemptRecord& attempt) {
   attempt.true_reason = job.plan.reason;
   attempt.log_tail = synthesizer_.LinesFor(job.plan.reason, rng_);
   const FailureReason classified = classifier_.Classify(attempt.log_tail);
-  retry_policy_->ObserveFailure(job.spec().user, classified);
+  retry_policy_.ObserveFailure(job.spec().user, classified);
   // The retry policy decides while trials remain, and after the last one of
   // a plan that recovers clean; otherwise the plan's disposition ends the job.
   const bool policy_decides =
       job.failure_trials_used < job.plan.num_failure_trials ||
       job.plan.disposition == PostFailureDisposition::kRecoversClean;
   if (policy_decides &&
-      retry_policy_->ShouldRetryFor(job.spec().user, classified, job.failure_trials_used - 1)) {
+      retry_policy_.ShouldRetry(job.spec().user, classified, job.failure_trials_used - 1)) {
     Requeue(job);
     return true;
   }
@@ -857,10 +847,9 @@ void ClusterSimulation::CkptSetupAttempt(JobState& job, SimDuration duration) {
   SimDuration phase = 0;
   if (config_.scheduler.checkpoint_policy ==
       CheckpointPolicy::kCooperativeStagger) {
-    const int slots = std::max(1, config_.ckpt_io.stagger_slots);
     int& slot = ckpt_stagger_slot_[static_cast<size_t>(CkptRack(job))];
-    phase = static_cast<SimDuration>(slot) * (period / slots);
-    slot = (slot + 1) % slots;
+    phase = static_cast<SimDuration>(slot) * (period / kStaggerSlots);
+    slot = (slot + 1) % kStaggerSlots;
   }
   CkptScheduleTrigger(job, sim_.Now() + period + phase);
 }
@@ -886,7 +875,7 @@ void ClusterSimulation::CkptAdmitOrQueue(JobState& job) {
   const RackId rack = CkptRack(job);
   if (config_.scheduler.checkpoint_policy ==
           CheckpointPolicy::kCooperativeStagger &&
-      ckpt_model_->Writers(rack) >= config_.ckpt_io.max_writers_per_rack) {
+      ckpt_model_->Writers(rack) >= kMaxWritersPerRack) {
     ckpt_wait_queue_[static_cast<size_t>(rack)].push_back(job.spec().id);
     return;  // training continues; admitted when a slot frees
   }
@@ -972,7 +961,7 @@ void ClusterSimulation::OnCkptRackEvent(RackId rack) {
 void ClusterSimulation::CkptAdmitWaiters(RackId rack) {
   auto& queue = ckpt_wait_queue_[static_cast<size_t>(rack)];
   while (!queue.empty() && ckpt_model_->Writers(rack) <
-                               config_.ckpt_io.max_writers_per_rack) {
+                               kMaxWritersPerRack) {
     JobState& job = StateOf(queue.front());
     queue.erase(queue.begin());
     // A deferred gang kept training; if it reached its progress target while
@@ -1047,7 +1036,7 @@ double ClusterSimulation::ComputeExpectedUtil(const JobState& job,
     const JobState& other = StateOf(id);
     JobActivity activity;
     activity.base_utilization = other.spec().base_utilization;
-    activity.comm_intensity = other.comm_intensity;
+    activity.comm_intensity = ProfileOf(other.spec().model).comm_intensity;
     activity.num_gpus = other.spec().num_gpus;
     activity.num_servers =
         other.record->attempts.empty()
@@ -1484,6 +1473,9 @@ void ClusterSimulation::FinishJob(JobState& job, JobStatus status) {
         job.record->started_out_of_order && job.record->out_of_order_benign;
     e->overtaken = job.record->overtaken;
   }
+  // A finished job's segments never grow again: drop the spare capacity
+  // CloseSegment's push_back doubling left behind.
+  job.record->util_segments.shrink_to_fit();
   // Free the job's state last: no caller touches `job` after this returns.
   size_t& slot = job_index_[static_cast<size_t>(job.spec().id)];
   free_job_slots_.push_back(slot);
@@ -1652,7 +1644,7 @@ void ClusterSimulation::TakeSnapshot() {
   snap.racks_with_empty_servers = cluster_.RacksWithEmptyServers();
   result_.occupancy_snapshots.push_back(snap);
   if (!AllJobsDone()) {
-    sim_.ScheduleAfter(config_.snapshot_period, [this] { TakeSnapshot(); });
+    sim_.ScheduleAfter(kSnapshotPeriod, [this] { TakeSnapshot(); });
   }
 }
 

@@ -54,7 +54,6 @@ struct SimulationConfig {
   // workload config so indices line up.
   std::vector<VcConfig> vcs;
   uint64_t seed = 42;
-  SimDuration snapshot_period = Hours(6);
   // Optional observability sinks (non-owning; all null by default). Sinks
   // observe scheduler decisions without influencing them: a run with sinks
   // attached produces byte-identical records to a run without.
@@ -81,9 +80,6 @@ class ClusterSimulation {
     JobRecord* record = nullptr;
     FailurePlan plan;
 
-    // Model-zoo communication intensity, resolved once at arrival so the
-    // co-tenant utilization join never re-hits the string-keyed zoo.
-    double comm_intensity = 0.0;
     // Queueing state: the open wait, pushed onto the record when it closes.
     WaitRecord wait;
     SimTime last_eval_time = -1;  // for cause-time attribution
@@ -330,7 +326,7 @@ class ClusterSimulation {
   FailureInjector injector_;
   FailureLogSynthesizer synthesizer_;
   FailureClassifier classifier_;
-  std::unique_ptr<RetryPolicy> retry_policy_;
+  RetryPolicy retry_policy_;
   Rng rng_;
   FaultProcess fault_process_;
   // Per server: a fault struck it and it is not yet repaired. It stays

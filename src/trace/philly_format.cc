@@ -19,6 +19,15 @@ namespace {
 // (2017-10-01 00:00:00 UTC, matching the paper's collection window).
 constexpr int64_t kEpochOffset = 1506816000;
 
+// Sampling period of the utilization CSVs. The public trace is per-minute;
+// 10 minutes keeps full-scale exports a few hundred MB smaller while
+// preserving the curves.
+constexpr SimDuration kUtilSamplePeriod = Minutes(10);
+
+// Host memory of every server, of which a job gets the share its GPUs are of
+// the server's (§2.3).
+constexpr double kMemoryGbPerServer = 512.0;
+
 std::string Hex(uint64_t v, int digits) {
   // Keep exactly `digits` hex characters (the public trace uses short hashes).
   if (digits < 16) {
@@ -53,9 +62,8 @@ void ForEachSegmentInterval(const JobRecord& job, Visitor&& visit) {
 
 }  // namespace
 
-PhillyTracesExporter::PhillyTracesExporter(const ClusterConfig& cluster,
-                                           PhillyTracesOptions options)
-    : cluster_(cluster), options_(options), num_servers_(cluster.TotalServers()) {}
+PhillyTracesExporter::PhillyTracesExporter(const ClusterConfig& cluster)
+    : cluster_(cluster), num_servers_(cluster.TotalServers()) {}
 
 std::string PhillyTracesExporter::Timestamp(SimTime t) const {
   const std::time_t wall = static_cast<std::time_t>(kEpochOffset + t);
@@ -156,7 +164,7 @@ std::vector<PhillyTracesExporter::MachineSeries> PhillyTracesExporter::BuildSeri
       horizon = std::max(horizon, attempt.end);
     }
   }
-  const SimDuration period = std::max<SimDuration>(60, options_.util_sample_period);
+  const SimDuration period = kUtilSamplePeriod;
   *num_buckets = static_cast<size_t>(horizon / period) + 1;
 
   std::vector<MachineSeries> series(static_cast<size_t>(num_servers_));
@@ -202,9 +210,9 @@ void PhillyTracesExporter::WriteUtil(const std::vector<JobRecord>& jobs, std::os
   gpu.Row("time", "machineId", "gpu_util");
   cpu.Row("time", "machineId", "cpu_util");
   mem.Row("time", "machineId", "mem_total_gb", "mem_free_gb");
-  const SimDuration period = std::max<SimDuration>(60, options_.util_sample_period);
+  const SimDuration period = kUtilSamplePeriod;
   Cluster cluster(cluster_);
-  const double total = cluster_.memory_gb_per_server;
+  const double total = kMemoryGbPerServer;
   for (size_t bucket = 0; bucket < num_buckets; ++bucket) {
     const std::string when = Timestamp(static_cast<SimTime>(bucket) *
                                        static_cast<SimTime>(period));

@@ -35,16 +35,9 @@
 
 namespace philly {
 
-struct PhillyTracesOptions {
-  // Sampling period for the utilization CSVs. The public trace is per-minute;
-  // 10 minutes keeps full-scale exports a few hundred MB smaller while
-  // preserving the curves.
-  SimDuration util_sample_period = Minutes(10);
-};
-
 class PhillyTracesExporter {
  public:
-  PhillyTracesExporter(const ClusterConfig& cluster, PhillyTracesOptions options = {});
+  explicit PhillyTracesExporter(const ClusterConfig& cluster);
 
   void WriteJobLog(const std::vector<JobRecord>& jobs, std::ostream& out) const;
   void WriteMachineList(std::ostream& out) const;
@@ -83,7 +76,6 @@ class PhillyTracesExporter {
                                          size_t* num_buckets) const;
 
   ClusterConfig cluster_;
-  PhillyTracesOptions options_;
   int num_servers_ = 0;
 };
 

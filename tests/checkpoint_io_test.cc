@@ -5,13 +5,14 @@
 //     and degenerate inputs.
 //   * CheckpointIoModel: per-rack fair-share bandwidth, nominal single-writer
 //     service, stretching under contention, aborts, rack independence.
-//   * FaultProcess config validation: degenerate MTBF/repair/detection values
+//   * FaultProcess config validation: degenerate MTBF and detection values
 //     are rejected at construction (regression for the silent-clamp bug).
 //   * Durable recovery end-to-end: with the I/O model on, a fault rolls a job
 //     back to its last *completed* checkpoint write, with exact timelines for
 //     both the clean-kill and the killed-mid-write case.
-//   * Cooperative stagger: phase shifts and the per-rack admission limit
-//     remove contention stalls that the fixed-period policy incurs.
+//   * Cooperative stagger: phase shifts remove contention stalls that the
+//     fixed-period policy incurs, and the per-rack admission limit defers
+//     the writers beyond it.
 //   * Byte-identity: with the I/O model disabled, the policy knob must leave
 //     every output stream byte-identical; with it enabled, streams must be
 //     identical across experiment-pool thread counts (runs under
@@ -25,6 +26,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <random>
 #include <sstream>
 #include <stdexcept>
@@ -154,19 +156,6 @@ TEST(FaultProcessValidationTest, RejectsDegenerateConfigs) {
   expect_throws(config);
   config = {};
   config.rack_outage_mtbf_hours = -0.5;
-  expect_throws(config);
-
-  config = {};
-  config.server_repair_median_hours = 0.0;
-  expect_throws(config);
-  config = {};
-  config.server_repair_p90_hours = -2.0;
-  expect_throws(config);
-  config = {};
-  config.rack_repair_median_hours = std::nan("");
-  expect_throws(config);
-  config = {};
-  config.rack_repair_p90_hours = std::numeric_limits<double>::infinity();
   expect_throws(config);
 
   config = {};
@@ -331,31 +320,64 @@ TEST(CheckpointStaggerTest, PhaseShiftRemovesContentionStall) {
             fixed.ckpt_overhead_gpu_seconds + fixed.ckpt_stall_gpu_seconds);
 }
 
-// With a single stagger slot every phase collapses to zero, so the admission
-// limit is what prevents the overlap: the second gang's write is deferred
-// (training continues — deferral is not a stall) and admitted when the first
-// finishes. Both writes run at nominal speed.
+// Seventeen 1-GPU gangs on one rack, hourly checkpoints (2 GB at 1 GB/s: 2 s
+// nominal). Stagger slots go round-robin over kStaggerSlots = 8, so the 1st,
+// 9th and 17th gang to start share slot 0 and ask to write together at
+// t=3600, one more than kMaxWritersPerRack = 2. The first two are admitted
+// and share the bandwidth (4 s each); the third is deferred (training
+// continues: deferral is not a stall), admitted when they finish, and writes
+// alone at nominal cost.
 TEST(CheckpointStaggerTest, AdmissionLimitDefersInsteadOfStalling) {
-  SimulationConfig config = BaseConfig(1, 1, 8, SchedulerConfig::Philly());
+  static_assert(kStaggerSlots == 8 && kMaxWritersPerRack == 2);
+  SimulationConfig config = BaseConfig(1, 3, 8, SchedulerConfig::Philly());
   config.scheduler.checkpoint_period = Hours(1);
   config.scheduler.checkpoint_policy = CheckpointPolicy::kCooperativeStagger;
   config.ckpt_io.rack_bandwidth_gbps = 1.0;
   config.ckpt_io.size_gb_per_gpu = 2.0;
-  config.ckpt_io.stagger_slots = 1;
-  config.ckpt_io.max_writers_per_rack = 1;
   std::vector<JobSpec> jobs;
-  jobs.push_back(MakeJob(1, 0, 4, Hours(2), 2));
-  jobs.push_back(MakeJob(2, 0, 4, Hours(2), 2));
+  for (JobId id = 1; id <= 17; ++id) {
+    jobs.push_back(MakeJob(id, 0, 1, Hours(2), 2));
+  }
+  EventLog log;
+  config.obs.event_log = &log;
   ClusterSimulation sim(config, std::move(jobs));
   const SimulationResult result = sim.Run();
 
-  EXPECT_EQ(result.ckpt_writes_completed, 2);
-  EXPECT_DOUBLE_EQ(result.ckpt_overhead_gpu_seconds, 2.0 * 8 * 4);
-  EXPECT_DOUBLE_EQ(result.ckpt_stall_gpu_seconds, 0.0);
-  // Both gangs finish at the same time: each paused for exactly one nominal
-  // write (job 2's deferred write started 8 s later but cost the same).
-  ASSERT_EQ(result.jobs.size(), 2u);
-  EXPECT_EQ(result.jobs[0].finish_time, result.jobs[1].finish_time);
+  // Each slot-0 gang's first write: when it began, what it cost, whether it
+  // stalled.
+  struct FirstWrite {
+    SimTime begin = -1;
+    SimDuration elapsed = -1;
+    bool stalled = false;
+  };
+  std::map<JobId, FirstWrite> writes;
+  for (const SchedEvent& e : log.events()) {
+    if (e.job != 1 && e.job != 9 && e.job != 17) {
+      continue;
+    }
+    FirstWrite& write = writes[e.job];
+    if (e.kind == SchedEventKind::kCkptBegin && write.begin < 0) {
+      write.begin = e.time;
+    } else if (e.kind == SchedEventKind::kCkptEnd && write.elapsed < 0) {
+      write.elapsed = e.delay;
+    } else if (e.kind == SchedEventKind::kCkptStall && e.time == write.begin + write.elapsed) {
+      write.stalled = true;
+    }
+  }
+  ASSERT_EQ(writes.size(), 3u);
+  for (const JobId id : {1, 9}) {
+    SCOPED_TRACE("job " + std::to_string(id));
+    EXPECT_EQ(writes[id].begin, Hours(1));
+    EXPECT_EQ(writes[id].elapsed, 4);
+    EXPECT_TRUE(writes[id].stalled);
+  }
+  EXPECT_EQ(writes[17].begin, Hours(1) + 4);
+  EXPECT_EQ(writes[17].elapsed, 2);
+  EXPECT_FALSE(writes[17].stalled);
+
+  for (const JobRecord& job : result.jobs) {
+    EXPECT_EQ(job.status, JobStatus::kPassed);
+  }
   EXPECT_DOUBLE_EQ(result.GpuTimeResidual(), 0.0);
 }
 

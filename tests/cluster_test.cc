@@ -41,10 +41,12 @@ TEST(ClusterTest, AllocateAndRelease) {
   EXPECT_EQ(cluster.ServerUsed(0), 4);
   EXPECT_EQ(cluster.ServerFree(1), 4);
   EXPECT_EQ(cluster.RackFreeGpus(0), 24);
-  EXPECT_TRUE(cluster.Holds(7));
+  ASSERT_EQ(cluster.TenantsOnServer(1).size(), 1u);
+  EXPECT_EQ(cluster.TenantsOnServer(1)[0].job, 7);
   EXPECT_EQ(cluster.Release(7), 8);
   EXPECT_EQ(cluster.NumUsedGpus(), 0);
-  EXPECT_FALSE(cluster.Holds(7));
+  EXPECT_TRUE(cluster.TenantsOnServer(1).empty());
+  EXPECT_EQ(cluster.Release(7), 0);  // holds nothing any more
 }
 
 TEST(ClusterTest, GangAllocationIsAtomic) {
@@ -97,18 +99,16 @@ TEST(ClusterTest, TenantsTracked) {
   EXPECT_EQ(cluster.TenantsOnServer(0)[0].job, 2);
 }
 
-TEST(ClusterTest, PlacementOfReturnsSortedShards) {
+TEST(ClusterTest, ReleaseFreesShardsGivenOutOfServerOrder) {
   Cluster cluster(ClusterConfig::Small());
   Placement p;
   p.shards.push_back({3, 1});
   p.shards.push_back({1, 2});
   ASSERT_TRUE(cluster.Allocate(5, p));
-  const Placement held = cluster.PlacementOf(5);
-  ASSERT_EQ(held.shards.size(), 2u);
-  EXPECT_EQ(held.shards[0].server, 1);
-  EXPECT_EQ(held.shards[1].server, 3);
-  EXPECT_EQ(held.NumGpus(), 3);
-  EXPECT_TRUE(cluster.PlacementOf(999).Empty());
+  EXPECT_EQ(cluster.Release(5), 3);
+  EXPECT_EQ(cluster.ServerFree(1), cluster.ServerCapacity(1));
+  EXPECT_EQ(cluster.ServerFree(3), cluster.ServerCapacity(3));
+  EXPECT_EQ(cluster.NumFreeGpus(), cluster.NumGpus());
 }
 
 TEST(ClusterTest, FragmentationMetrics) {
@@ -133,26 +133,14 @@ TEST(ClusterTest, OccupancyFraction) {
   EXPECT_NEAR(cluster.Occupancy(), 8.0 / 72.0, 1e-12);
 }
 
-TEST(ClusterTest, HostResourceProportionality) {
-  ClusterConfig config = ClusterConfig::Small();
-  config.cpu_cores_per_server = 64;
-  config.memory_gb_per_server = 512;
-  Cluster cluster(config);
-  // Server 0 has 8 GPUs: 2 GPUs get a quarter of the host.
-  EXPECT_DOUBLE_EQ(cluster.CpuCoresFor(0, 2), 16.0);
-  EXPECT_DOUBLE_EQ(cluster.MemoryGbFor(0, 2), 128.0);
-  // The 2-GPU SKU (rack 2): 1 GPU gets half.
-  const ServerId small_server = cluster.ServersInRack(2)[0];
-  EXPECT_DOUBLE_EQ(cluster.CpuCoresFor(small_server, 1), 32.0);
-}
-
 // Property: random allocate/release sequences conserve GPU accounting.
 class ClusterFuzz : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ClusterFuzz, ConservationUnderRandomOps) {
   Cluster cluster(ClusterConfig::Small());
   Rng rng(GetParam());
-  std::vector<JobId> held;
+  // The jobs holding GPUs, with the GPUs each placement claimed.
+  std::vector<std::pair<JobId, int>> held;
   int expected_used = 0;
 
   for (int step = 0; step < 2000; ++step) {
@@ -169,15 +157,14 @@ TEST_P(ClusterFuzz, ConservationUnderRandomOps) {
       const JobId id = step + 1;
       const int gpus = p.NumGpus();
       if (cluster.Allocate(id, p)) {
-        held.push_back(id);
+        held.emplace_back(id, gpus);
         expected_used += gpus;
       }
     } else if (!held.empty()) {
       const size_t pick = rng.Below(held.size());
-      const JobId id = held[pick];
-      const Placement held_placement = cluster.PlacementOf(id);
-      EXPECT_EQ(cluster.Release(id), held_placement.NumGpus());
-      expected_used -= held_placement.NumGpus();
+      const auto [id, gpus] = held[pick];
+      EXPECT_EQ(cluster.Release(id), gpus);
+      expected_used -= gpus;
       held.erase(held.begin() + static_cast<long>(pick));
     }
     ASSERT_EQ(cluster.NumUsedGpus(), expected_used);

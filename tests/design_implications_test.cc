@@ -33,53 +33,29 @@ struct SimSetup {
 // ---------------------------------------------------------------- predictive
 
 TEST(PredictiveRetryPolicyTest, BlacklistsRepeatingPairs) {
-  PredictiveRetryPolicy policy(/*max_retries=*/5, /*repeat_threshold=*/3);
+  RetryPolicy policy(RetryPolicyKind::kPredictive);
   const UserId user = 7;
-  EXPECT_TRUE(policy.ShouldRetryFor(user, FailureReason::kCpuOutOfMemory, 0));
+  EXPECT_TRUE(policy.ShouldRetry(user, FailureReason::kCpuOutOfMemory, 0));
   policy.ObserveFailure(user, FailureReason::kCpuOutOfMemory);
   policy.ObserveFailure(user, FailureReason::kCpuOutOfMemory);
-  EXPECT_TRUE(policy.ShouldRetryFor(user, FailureReason::kCpuOutOfMemory, 0));
+  EXPECT_TRUE(policy.ShouldRetry(user, FailureReason::kCpuOutOfMemory, 0));
   policy.ObserveFailure(user, FailureReason::kCpuOutOfMemory);
-  EXPECT_FALSE(policy.ShouldRetryFor(user, FailureReason::kCpuOutOfMemory, 0));
+  EXPECT_FALSE(policy.ShouldRetry(user, FailureReason::kCpuOutOfMemory, 0));
   // Other users and other reasons are unaffected.
-  EXPECT_TRUE(policy.ShouldRetryFor(user + 1, FailureReason::kCpuOutOfMemory, 0));
-  EXPECT_TRUE(policy.ShouldRetryFor(user, FailureReason::kMpiError, 0));
-  EXPECT_EQ(policy.NumBlacklistedPairs(), 1);
+  EXPECT_TRUE(policy.ShouldRetry(user + 1, FailureReason::kCpuOutOfMemory, 0));
+  EXPECT_TRUE(policy.ShouldRetry(user, FailureReason::kMpiError, 0));
 }
 
 TEST(PredictiveRetryPolicyTest, RespectsRetryBudget) {
-  PredictiveRetryPolicy policy(/*max_retries=*/2, /*repeat_threshold=*/100);
-  EXPECT_TRUE(policy.ShouldRetryFor(1, FailureReason::kMpiError, 1));
-  EXPECT_FALSE(policy.ShouldRetryFor(1, FailureReason::kMpiError, 2));
-}
-
-// Regression: the reason-only overload used to return `attempt_index <
-// max_retries` without ever consulting pair_failures_, so any caller without
-// a user context silently bypassed the blacklist. Both overloads now route
-// through one decision; without a user the policy is conservative and treats
-// a reason blacklisted for *any* user as stop-worthy.
-TEST(PredictiveRetryPolicyTest, ReasonOnlyOverloadConsultsBlacklist) {
-  PredictiveRetryPolicy policy(/*max_retries=*/5, /*repeat_threshold=*/3);
-  const UserId user = 11;
-  EXPECT_TRUE(policy.ShouldRetry(FailureReason::kCpuOutOfMemory, 0));
-  policy.ObserveFailure(user, FailureReason::kCpuOutOfMemory);
-  policy.ObserveFailure(user, FailureReason::kCpuOutOfMemory);
-  EXPECT_TRUE(policy.ShouldRetry(FailureReason::kCpuOutOfMemory, 0));
-  policy.ObserveFailure(user, FailureReason::kCpuOutOfMemory);
-  // Pre-fix this returned true: the blacklist only worked via ShouldRetryFor.
-  EXPECT_FALSE(policy.ShouldRetry(FailureReason::kCpuOutOfMemory, 0));
-  // Other reasons still retry, and the user-aware overload agrees.
-  EXPECT_TRUE(policy.ShouldRetry(FailureReason::kMpiError, 0));
-  EXPECT_FALSE(policy.ShouldRetryFor(user, FailureReason::kCpuOutOfMemory, 0));
-  // The budget cap still applies through the shared path.
-  EXPECT_FALSE(policy.ShouldRetry(FailureReason::kMpiError, 5));
+  RetryPolicy policy(RetryPolicyKind::kPredictive);
+  EXPECT_TRUE(policy.ShouldRetry(1, FailureReason::kMpiError, kMaxRetries - 1));
+  EXPECT_FALSE(policy.ShouldRetry(1, FailureReason::kMpiError, kMaxRetries));
 }
 
 TEST(PredictiveRetryPolicyTest, ReducesWastedGpuTimeInSimulation) {
   SchedulerConfig fixed = SchedulerConfig::Philly();
   SchedulerConfig predictive = SchedulerConfig::Philly();
   predictive.retry_policy = SchedulerConfig::RetryPolicyKind::kPredictive;
-  predictive.predictive_repeat_threshold = 2;
   const auto wasted = [](const SimulationResult& result) {
     double gpu = 0.0;
     for (const auto& job : result.jobs) {

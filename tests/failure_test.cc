@@ -292,26 +292,22 @@ INSTANTIATE_TEST_SUITE_P(AllReasons, ClassifierRoundTrip,
 // ------------------------------------------------------------- retry policy
 
 TEST(RetryPolicyTest, FixedRespectsBudget) {
-  FixedRetryPolicy policy(2);
-  EXPECT_TRUE(policy.ShouldRetry(FailureReason::kSyntaxError, 0));
-  EXPECT_TRUE(policy.ShouldRetry(FailureReason::kSyntaxError, 1));
-  EXPECT_FALSE(policy.ShouldRetry(FailureReason::kSyntaxError, 2));
+  RetryPolicy policy(RetryPolicyKind::kFixed);
+  for (int attempt = 0; attempt < kMaxRetries; ++attempt) {
+    EXPECT_TRUE(policy.ShouldRetry(1, FailureReason::kSyntaxError, attempt));
+  }
+  EXPECT_FALSE(policy.ShouldRetry(1, FailureReason::kSyntaxError, kMaxRetries));
 }
 
 TEST(RetryPolicyTest, AdaptiveStopsDeterministicUserErrors) {
-  AdaptiveRetryPolicy policy(5);
-  EXPECT_FALSE(policy.ShouldRetry(FailureReason::kSyntaxError, 0));
-  EXPECT_FALSE(policy.ShouldRetry(FailureReason::kIncorrectInputs, 0));
-  EXPECT_FALSE(policy.ShouldRetry(FailureReason::kCpuOutOfMemory, 0));
-  EXPECT_TRUE(policy.ShouldRetry(FailureReason::kMpiRuntimeFailure, 0));
-  EXPECT_TRUE(policy.ShouldRetry(FailureReason::kModelCkptError, 0));
-  EXPECT_TRUE(policy.ShouldRetry(FailureReason::kJobPreempted, 0));
-  EXPECT_FALSE(policy.ShouldRetry(FailureReason::kMpiRuntimeFailure, 5));
-}
-
-TEST(RetryPolicyTest, Names) {
-  EXPECT_EQ(FixedRetryPolicy().Name(), "fixed");
-  EXPECT_EQ(AdaptiveRetryPolicy().Name(), "adaptive");
+  RetryPolicy policy(RetryPolicyKind::kAdaptive);
+  EXPECT_FALSE(policy.ShouldRetry(1, FailureReason::kSyntaxError, 0));
+  EXPECT_FALSE(policy.ShouldRetry(1, FailureReason::kIncorrectInputs, 0));
+  EXPECT_FALSE(policy.ShouldRetry(1, FailureReason::kCpuOutOfMemory, 0));
+  EXPECT_TRUE(policy.ShouldRetry(1, FailureReason::kMpiRuntimeFailure, 0));
+  EXPECT_TRUE(policy.ShouldRetry(1, FailureReason::kModelCkptError, 0));
+  EXPECT_TRUE(policy.ShouldRetry(1, FailureReason::kJobPreempted, 0));
+  EXPECT_FALSE(policy.ShouldRetry(1, FailureReason::kMpiRuntimeFailure, 5));
 }
 
 // Every decision of `policy` for users 1 and 2, every reason and attempt
@@ -319,13 +315,14 @@ TEST(RetryPolicyTest, Names) {
 // rounds of ObserveFailure calls. Round k observes (user 1, reason r) for
 // every r with r % 4 >= k, so user 1's pairs reach 1 to 4 observations, and
 // (user 2, reason r) for r % 3 == k % 3.
-std::string RetryDecisionBits(RetryPolicy& policy) {
+std::string RetryDecisionBits(RetryPolicyKind kind) {
+  RetryPolicy policy(kind);
   std::string bits;
   const auto query = [&] {
     for (const UserId user : {UserId{1}, UserId{2}}) {
       for (int r = 0; r < kNumFailureReasons; ++r) {
         for (int attempt = 0; attempt <= 5; ++attempt) {
-          bits += policy.ShouldRetryFor(user, static_cast<FailureReason>(r), attempt) ? '1' : '0';
+          bits += policy.ShouldRetry(user, static_cast<FailureReason>(r), attempt) ? '1' : '0';
         }
       }
     }
@@ -348,14 +345,11 @@ std::string RetryDecisionBits(RetryPolicy& policy) {
 // Pinned at the production budget (kMaxRetries = 4) and predictive
 // threshold (3) before the three policy classes became one.
 TEST(RetryPolicyTest, DecisionsMatchPin) {
-  FixedRetryPolicy fixed(4);
-  AdaptiveRetryPolicy adaptive(4);
-  PredictiveRetryPolicy predictive(4, 3);
-  EXPECT_EQ(Sha256Hex(RetryDecisionBits(fixed)),
+  EXPECT_EQ(Sha256Hex(RetryDecisionBits(RetryPolicyKind::kFixed)),
             "bf7dfa8354029bcac03677586e9f50dd9321699fa85aa427f3d81e677d023d0c");
-  EXPECT_EQ(Sha256Hex(RetryDecisionBits(adaptive)),
+  EXPECT_EQ(Sha256Hex(RetryDecisionBits(RetryPolicyKind::kAdaptive)),
             "95f82dc99e1a3e19a05bab5d6796cf6dff557ae647b76656e033bfa29fa573a3");
-  EXPECT_EQ(Sha256Hex(RetryDecisionBits(predictive)),
+  EXPECT_EQ(Sha256Hex(RetryDecisionBits(RetryPolicyKind::kPredictive)),
             "763b73a8b6011f41c725ff260331e3045d0950fbea0975255eeb7c3309284343");
 }
 

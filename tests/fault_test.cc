@@ -144,7 +144,6 @@ SimulationConfig BaseConfig(int racks, int servers_per_rack, int gpus_per_server
 // repair and pass.
 TEST(MachineFaultSimulationTest, RackOutageKillsEveryGangAfterDetectionDelay) {
   SimulationConfig config = BaseConfig(1, 4, 8, SchedulerConfig::Philly());
-  config.snapshot_period = Hours(2);
   config.fault.detection_delay = Minutes(7);
   config.fault.scripted.push_back(
       {FaultKind::kSwitchOutage, -1, 0, Hours(1), Hours(2)});
@@ -188,18 +187,15 @@ TEST(MachineFaultSimulationTest, RackOutageKillsEveryGangAfterDetectionDelay) {
   const double per_gang = static_cast<double>(Hours(1) + Minutes(7)) * 8.0;
   EXPECT_DOUBLE_EQ(result.machine_fault_lost_gpu_seconds, 4.0 * per_gang);
 
-  // The 2h snapshot and telemetry sample land inside the outage: the whole
-  // rack reads offline, after all four kills.
-  ASSERT_FALSE(result.occupancy_snapshots.empty());
-  const auto& snap = result.occupancy_snapshots.front();
-  EXPECT_EQ(snap.time, Hours(2));
-  EXPECT_EQ(snap.empty_server_fraction, 0.0);
-  EXPECT_EQ(snap.racks_with_empty_servers, 0);
+  // The 2h telemetry sample lands inside the outage: the whole rack reads
+  // offline, with no server empty, after all four kills.
   const std::vector<TelemetrySample>& samples = telemetry.samples();
   const auto sample = std::find_if(samples.begin(), samples.end(),
                                    [](const TelemetrySample& s) { return s.time == Hours(2); });
   ASSERT_NE(sample, samples.end());
   EXPECT_EQ(sample->offline_servers, 4);
+  EXPECT_EQ(sample->empty_servers, 0);
+  EXPECT_EQ(sample->racks_with_empty, 0);
   EXPECT_EQ(sample->fault_kills, 4);
   EXPECT_GT(sample->lost_gpu_seconds, 0.0);
 }

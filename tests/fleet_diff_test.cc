@@ -35,8 +35,6 @@
 namespace philly {
 namespace {
 
-constexpr SimDuration kTelemetryPeriod = Minutes(30);
-
 // Three heterogeneous small clusters (128 / 128 / 32 GPUs, one with 4-GPU
 // servers) built through the same spec parser phillyctl uses.
 std::vector<FleetClusterSpec> MakeSpecs(uint64_t base_seed, int days) {
@@ -63,7 +61,6 @@ FleetConfig MakeConfig(uint64_t base_seed, RouterPolicy policy, int threads) {
   config.router.policy = policy;
   config.collect_events = true;
   config.collect_telemetry = true;
-  config.telemetry_period = kTelemetryPeriod;
   config.threads = threads;
   return config;
 }
@@ -154,7 +151,7 @@ TEST(FleetDiffTest, PinnedFleetMatchesStandaloneRunsByteForByte) {
     ASSERT_FALSE(trace.empty());
 
     EventLog log;
-    ClusterTimeSeries timeseries(kTelemetryPeriod);
+    ClusterTimeSeries timeseries;
     SimulationConfig sim = experiment.simulation;
     sim.obs = ObservabilityConfig{};
     sim.obs.event_log = &log;

@@ -55,7 +55,6 @@ FleetConfig MakeConfig(uint64_t base_seed, RouterPolicy policy) {
   config.router.policy = policy;
   config.collect_events = true;
   config.collect_telemetry = true;
-  config.telemetry_period = Minutes(30);
   return config;
 }
 

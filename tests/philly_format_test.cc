@@ -91,9 +91,7 @@ TEST(PhillyFormatTest, MachineListMatchesCluster) {
 
 TEST(PhillyFormatTest, GpuUtilRowsAreSane) {
   const auto jobs = RunTiny();
-  PhillyTracesOptions options;
-  options.util_sample_period = Hours(1);
-  PhillyTracesExporter exporter(ClusterConfig::PaperScale(), options);
+  PhillyTracesExporter exporter(ClusterConfig::PaperScale());
   std::ostringstream out;
   std::ostringstream cpu;
   std::ostringstream mem;
@@ -116,9 +114,7 @@ TEST(PhillyFormatTest, GpuUtilRowsAreSane) {
 
 TEST(PhillyFormatTest, MemUtilAccountsFreeMemory) {
   const auto jobs = RunTiny();
-  PhillyTracesOptions options;
-  options.util_sample_period = Hours(2);
-  PhillyTracesExporter exporter(ClusterConfig::PaperScale(), options);
+  PhillyTracesExporter exporter(ClusterConfig::PaperScale());
   std::ostringstream gpu;
   std::ostringstream cpu;
   std::ostringstream out;
