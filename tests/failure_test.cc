@@ -310,9 +310,9 @@ TEST(RetryPolicyTest, AdaptiveStopsDeterministicUserErrors) {
   EXPECT_FALSE(policy.ShouldRetry(1, FailureReason::kMpiRuntimeFailure, 5));
 }
 
-// Every decision of `policy` for users 1 and 2, every reason and attempt
-// indices 0-5, one '0'/'1' per query, asked before and after each of four
-// rounds of ObserveFailure calls. Round k observes (user 1, reason r) for
+// Every decision of a `kind` policy for users 1 and 2, every reason and
+// attempt indices 0-5, one '0'/'1' per query, asked before and after each of
+// four rounds of ObserveFailure calls. Round k observes (user 1, reason r) for
 // every r with r % 4 >= k, so user 1's pairs reach 1 to 4 observations, and
 // (user 2, reason r) for r % 3 == k % 3.
 std::string RetryDecisionBits(RetryPolicyKind kind) {
@@ -342,8 +342,8 @@ std::string RetryDecisionBits(RetryPolicyKind kind) {
   return bits;
 }
 
-// Pinned at the production budget (kMaxRetries = 4) and predictive
-// threshold (3) before the three policy classes became one.
+// Pins every decision at the production budget (kMaxRetries = 4) and
+// predictive threshold (3).
 TEST(RetryPolicyTest, DecisionsMatchPin) {
   EXPECT_EQ(Sha256Hex(RetryDecisionBits(RetryPolicyKind::kFixed)),
             "bf7dfa8354029bcac03677586e9f50dd9321699fa85aa427f3d81e677d023d0c");
