@@ -120,24 +120,28 @@ QueueDelayResult::QueueDelayResult()
 
 QueueDelayResult AnalyzeQueueDelays(const std::vector<JobRecord>& jobs) {
   QueueDelayResult result;
+  AddQueueDelays(jobs, &result);
+  return result;
+}
+
+void AddQueueDelays(const std::vector<JobRecord>& jobs, QueueDelayResult* result) {
   for (const auto& job : jobs) {
     if (job.waits.empty()) {
       continue;
     }
     const double minutes = ToMinutes(job.InitialQueueDelay());
     const auto bucket = static_cast<size_t>(BucketOf(job.spec.num_gpus));
-    auto it = result.by_vc.find(job.spec.vc);
-    if (it == result.by_vc.end()) {
-      it = result.by_vc
+    auto it = result->by_vc.find(job.spec.vc);
+    if (it == result->by_vc.end()) {
+      it = result->by_vc
                .emplace(job.spec.vc, std::array<StreamingHistogram, kNumSizeBuckets>{
                                          MinutesLogHistogram(), MinutesLogHistogram(),
                                          MinutesLogHistogram(), MinutesLogHistogram()})
                .first;
     }
     it->second[bucket].Add(minutes);
-    result.overall[bucket].Add(minutes);
+    result->overall[bucket].Add(minutes);
   }
-  return result;
 }
 
 // ------------------------------------------------------------------- Fig 4
@@ -388,10 +392,11 @@ ConvergenceResult::ConvergenceResult()
 
 ConvergenceResult AnalyzeConvergence(const std::vector<JobRecord>& jobs) {
   ConvergenceResult result;
-  double passed_last_sum = 0.0;
-  int64_t passed_n = 0;
-  double killed_last_sum = 0.0;
-  int64_t killed_n = 0;
+  AddConvergence(jobs, &result);
+  return result;
+}
+
+void AddConvergence(const std::vector<JobRecord>& jobs, ConvergenceResult* result) {
   for (const auto& job : jobs) {
     if (!job.spec.logs_convergence || job.executed_epochs < 2) {
       continue;
@@ -399,7 +404,7 @@ ConvergenceResult AnalyzeConvergence(const std::vector<JobRecord>& jobs) {
     if (job.status != JobStatus::kPassed && job.status != JobStatus::kKilled) {
       continue;
     }
-    ++result.jobs_with_convergence_info;
+    ++result->jobs_with_convergence_info;
     const LossCurve curve(job.spec.loss_curve, job.spec.planned_epochs,
                           LossCurveSeed(job.spec.id));
     const int executed = std::min(job.executed_epochs, job.spec.planned_epochs);
@@ -407,22 +412,23 @@ ConvergenceResult AnalyzeConvergence(const std::vector<JobRecord>& jobs) {
     const double lowest_frac = curve.BestEpoch(executed) / denom;
     const double within_frac = curve.FirstEpochWithin(0.001, executed) / denom;
     if (job.status == JobStatus::kPassed) {
-      result.passed_lowest.Add(lowest_frac);
-      result.passed_within.Add(within_frac);
-      passed_last_sum += 1.0 - within_frac;
-      ++passed_n;
+      result->passed_lowest.Add(lowest_frac);
+      result->passed_within.Add(within_frac);
+      result->passed_last_tenth_sum += 1.0 - within_frac;
     } else {
-      result.killed_lowest.Add(lowest_frac);
-      result.killed_within.Add(within_frac);
-      killed_last_sum += 1.0 - within_frac;
-      ++killed_n;
+      result->killed_lowest.Add(lowest_frac);
+      result->killed_within.Add(within_frac);
+      result->killed_last_tenth_sum += 1.0 - within_frac;
     }
   }
-  result.passed_gpu_time_for_last_tenth_pct =
-      passed_n > 0 ? passed_last_sum / passed_n : 0.0;
-  result.killed_gpu_time_for_last_tenth_pct =
-      killed_n > 0 ? killed_last_sum / killed_n : 0.0;
-  return result;
+  // Each job adds one unit weight to its status's histograms, so their counts
+  // are the job counts.
+  const double passed_n = result->passed_within.Count();
+  const double killed_n = result->killed_within.Count();
+  result->passed_gpu_time_for_last_tenth_pct =
+      passed_n > 0 ? result->passed_last_tenth_sum / passed_n : 0.0;
+  result->killed_gpu_time_for_last_tenth_pct =
+      killed_n > 0 ? result->killed_last_tenth_sum / killed_n : 0.0;
 }
 
 // --------------------------------------------------------- per-VC load

@@ -51,6 +51,9 @@ struct QueueDelayResult {
   QueueDelayResult();
 };
 QueueDelayResult AnalyzeQueueDelays(const std::vector<JobRecord>& jobs);
+// Adds `jobs` into *result: adding several job vectors in turn gives what
+// AnalyzeQueueDelays gives for their concatenation.
+void AddQueueDelays(const std::vector<JobRecord>& jobs, QueueDelayResult* result);
 
 // ---------------------------------------------------------------- Figure 4
 struct LocalityDelayResult {
@@ -175,10 +178,15 @@ struct ConvergenceResult {
   double passed_gpu_time_for_last_tenth_pct = 0.0;
   double killed_gpu_time_for_last_tenth_pct = 0.0;
   int64_t jobs_with_convergence_info = 0;
+  // The sums behind the two means, in job order.
+  double passed_last_tenth_sum = 0.0;
+  double killed_last_tenth_sum = 0.0;
 
   ConvergenceResult();
 };
 ConvergenceResult AnalyzeConvergence(const std::vector<JobRecord>& jobs);
+// Adds `jobs` into *result, as AddQueueDelays does.
+void AddConvergence(const std::vector<JobRecord>& jobs, ConvergenceResult* result);
 
 // ----------------------------------- per-VC load (§2.3 / Figure 3 context)
 struct VcLoadResult {

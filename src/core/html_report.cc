@@ -8,7 +8,6 @@
 #include <sstream>
 
 #include "src/core/analysis.h"
-#include "src/core/span_analysis.h"
 #include "src/obs/rollup.h"
 #include "src/workload/job.h"
 
@@ -22,9 +21,6 @@ constexpr double kPadLeft = 56.0;
 constexpr double kPadRight = 16.0;
 constexpr double kPadTop = 28.0;
 constexpr double kPadBottom = 40.0;
-
-// Downsampling window for the time-series charts.
-constexpr SimDuration kRollupWindow = Hours(1);
 
 const char* const kPalette[] = {"#2563eb", "#dc2626", "#059669", "#d97706",
                                 "#7c3aed", "#0891b2"};
@@ -199,17 +195,106 @@ void SummaryTile(std::ostringstream& out, const std::string& label,
 
 }  // namespace
 
-std::string RenderHtmlDashboard(const HtmlDashboardInput& input) {
-  static const std::vector<TelemetrySample> kNoSamples;
-  const std::vector<TelemetrySample>& samples =
-      input.samples != nullptr ? *input.samples : kNoSamples;
+void DashboardFold::Add(const TelemetryPoint& point) {
+  rollup.Add(point);
+  ++samples;
+  peak_occupancy = std::max(peak_occupancy, point.occupancy);
+  peak_queue = std::max<int64_t>(peak_queue, point.queued_jobs);
+}
 
-  TelemetryRollup rollup(kRollupWindow);
-  rollup.AddAll(samples);
+DashboardFold::Counters DashboardFold::CountersOf(const TelemetrySample& sample) {
+  return {sample.locality_relaxations, sample.backoffs, sample.preemptions, sample.fault_kills};
+}
+
+void DashboardFold::Add(const TelemetrySample& sample) {
+  Add(PointOf(sample));
+  last = CountersOf(sample);
+}
+
+void DashboardFold::Add(const SchedEvent& event) {
+  ++event_counts[static_cast<size_t>(event.kind)];
+}
+
+void DashboardFold::Add(const SpanRecord& span) {
+  ++spans;
+  if (span.kind != SpanKind::kBlame && span.kind != SpanKind::kCkpt) {
+    return;
+  }
+  const size_t vc = span.vc >= 0 ? static_cast<size_t>(span.vc) : 0;
+  if (vc >= vc_blame.size()) {
+    vc_blame.resize(vc + 1, {});
+  }
+  vc_blame[vc][static_cast<size_t>(span.code)] += span.dur;
+}
+
+void DashboardFold::AddCounts(const DashboardFold& other) {
+  has_events = has_events || other.has_events;
+  for (size_t k = 0; k < event_counts.size(); ++k) {
+    event_counts[k] += other.event_counts[k];
+  }
+  spans += other.spans;
+  if (other.vc_blame.size() > vc_blame.size()) {
+    vc_blame.resize(other.vc_blame.size(), {});
+  }
+  for (size_t vc = 0; vc < other.vc_blame.size(); ++vc) {
+    for (size_t c = 0; c < kNumBlameCodes; ++c) {
+      vc_blame[vc][c] += other.vc_blame[vc][c];
+    }
+  }
+}
+
+void DashboardFold::Follow(ClusterTimeSeries& telemetry) {
+  telemetry.FoldInto([this](const TelemetrySample& sample) { Add(sample); });
+}
+
+void DashboardFold::Follow(EventLog& events) {
+  has_events = true;
+  events.FoldInto([this](const SchedEvent& event) { Add(event); });
+}
+
+void DashboardFold::Follow(SpanLog& spans) {
+  spans.FoldInto([this](const SpanRecord& span) { Add(span); });
+}
+
+std::string RenderHtmlDashboard(const HtmlDashboardInput& input) {
+  DashboardFold run;
+  if (input.samples != nullptr) {
+    for (const TelemetrySample& sample : *input.samples) {
+      run.Add(sample);
+    }
+  }
+  if (input.events != nullptr) {
+    run.has_events = true;
+    for (const SchedEvent& event : *input.events) {
+      run.Add(event);
+    }
+  }
+  if (input.spans != nullptr) {
+    for (const SpanRecord& span : *input.spans) {
+      run.Add(span);
+    }
+  }
+  if (input.jobs != nullptr) {
+    run.jobs.push_back(input.jobs);
+  }
+  return RenderHtmlDashboard(input.title, run, input.fleet);
+}
+
+std::string RenderHtmlDashboard(const std::string& title, const DashboardFold& run,
+                                const FleetDashboardSection* fleet_section) {
+  const TelemetryRollup& rollup = run.rollup;
+  size_t jobs = 0;
+  QueueDelayResult delays;
+  ConvergenceResult conv;
+  for (const std::vector<JobRecord>* part : run.jobs) {
+    jobs += part->size();
+    AddQueueDelays(*part, &delays);
+    AddConvergence(*part, &conv);
+  }
 
   std::ostringstream out;
   out << "<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n"
-      << "<title>" << HtmlEscape(input.title) << "</title>\n"
+      << "<title>" << HtmlEscape(title) << "</title>\n"
       << "<style>\n"
       << "body{font-family:system-ui,sans-serif;margin:24px;color:#111}\n"
       << "h1{font-size:20px}h2{font-size:16px;margin-top:28px}\n"
@@ -229,31 +314,24 @@ std::string RenderHtmlDashboard(const HtmlDashboardInput& input) {
       << "text-align:right}\nth{background:#f5f5f5}td:first-child,"
       << "th:first-child{text-align:left}\n"
       << "</style>\n</head>\n<body>\n"
-      << "<h1>" << HtmlEscape(input.title) << "</h1>\n";
+      << "<h1>" << HtmlEscape(title) << "</h1>\n";
 
   // ---- summary tiles ----
   out << "<div class=\"tiles\">\n";
-  SummaryTile(out, "telemetry samples", std::to_string(samples.size()));
-  double peak_occ = 0.0;
-  int64_t queue_max = 0;
-  for (const TelemetrySample& s : samples) {
-    peak_occ = std::max(peak_occ, s.occupancy);
-    queue_max = std::max<int64_t>(queue_max, s.queued_jobs);
-  }
-  SummaryTile(out, "peak occupancy", Num(peak_occ * 100.0) + "%");
-  SummaryTile(out, "peak queue depth", std::to_string(queue_max));
+  SummaryTile(out, "telemetry samples", std::to_string(run.samples));
+  SummaryTile(out, "peak occupancy", Num(run.peak_occupancy * 100.0) + "%");
+  SummaryTile(out, "peak queue depth", std::to_string(run.peak_queue));
   SummaryTile(out, "median util (observed)",
               Num(rollup.util_observed_pct().Quantile(0.5)) + "%");
-  if (!samples.empty()) {
-    const TelemetrySample& last = samples.back();
+  if (run.samples > 0) {
     SummaryTile(out, "locality relaxations",
-                std::to_string(last.locality_relaxations));
-    SummaryTile(out, "scheduler backoffs", std::to_string(last.backoffs));
-    SummaryTile(out, "preemptions", std::to_string(last.preemptions));
-    SummaryTile(out, "fault kills", std::to_string(last.fault_kills));
+                std::to_string(run.last.locality_relaxations));
+    SummaryTile(out, "scheduler backoffs", std::to_string(run.last.backoffs));
+    SummaryTile(out, "preemptions", std::to_string(run.last.preemptions));
+    SummaryTile(out, "fault kills", std::to_string(run.last.fault_kills));
   }
-  if (input.jobs != nullptr) {
-    SummaryTile(out, "jobs", std::to_string(input.jobs->size()));
+  if (!run.jobs.empty()) {
+    SummaryTile(out, "jobs", std::to_string(jobs));
   }
   out << "</div>\n";
 
@@ -286,8 +364,8 @@ std::string RenderHtmlDashboard(const HtmlDashboardInput& input) {
   out << "</div>\n";
 
   // ---- fleet routing section (phillyctl fleet --html) ----
-  if (input.fleet != nullptr) {
-    const FleetDashboardSection& fleet = *input.fleet;
+  if (fleet_section != nullptr) {
+    const FleetDashboardSection& fleet = *fleet_section;
     out << "<h2>Fleet routing (" << HtmlEscape(fleet.router) << ")</h2>\n";
     out << "<div class=\"tiles\">\n";
     SummaryTile(out, "clusters", std::to_string(fleet.clusters.size()));
@@ -312,25 +390,21 @@ std::string RenderHtmlDashboard(const HtmlDashboardInput& input) {
   }
 
   // ---- Fig 1 analogue: lifecycle funnel from the event stream ----
-  if (input.events != nullptr) {
-    std::array<int64_t, kNumSchedEventKinds> counts = {};
-    for (const SchedEvent& e : *input.events) {
-      ++counts[static_cast<size_t>(e.kind)];
-    }
+  if (run.has_events) {
     std::vector<std::pair<std::string, int64_t>> rows;
     rows.reserve(kNumSchedEventKinds);
     for (int k = 0; k < kNumSchedEventKinds; ++k) {
       rows.emplace_back(std::string(ToString(static_cast<SchedEventKind>(k))),
-                        counts[static_cast<size_t>(k)]);
+                        run.event_counts[static_cast<size_t>(k)]);
     }
     out << "<h2>Job lifecycle (Fig 1 analogue)</h2>\n<div class=\"charts\">\n"
         << BarChartSvg("Scheduler events by kind", rows) << "</div>\n";
   }
 
   // ---- "Why jobs waited": per-VC x per-cause blame from the span stream ----
-  if (input.spans != nullptr && !input.spans->empty()) {
-    const auto totals = VcBlameTotalsFromSpans(*input.spans);
+  if (run.spans > 0) {
     std::array<int64_t, kNumBlameCodes> overall = {};
+    const auto& totals = run.vc_blame;
     for (const auto& per_vc : totals) {
       for (int c = 0; c < kNumBlameCodes; ++c) {
         overall[static_cast<size_t>(c)] += per_vc[static_cast<size_t>(c)];
@@ -369,8 +443,7 @@ std::string RenderHtmlDashboard(const HtmlDashboardInput& input) {
   }
 
   // ---- Fig 3 / Fig 8 analogues from job records ----
-  if (input.jobs != nullptr) {
-    const QueueDelayResult delays = AnalyzeQueueDelays(*input.jobs);
+  if (!run.jobs.empty()) {
     std::vector<Series> delay_series;
     for (int b = 0; b < kNumSizeBuckets; ++b) {
       delay_series.push_back(CdfSeriesOf(
@@ -382,7 +455,6 @@ std::string RenderHtmlDashboard(const HtmlDashboardInput& input) {
                         "log10 minutes", "CDF")
         << "</div>\n";
 
-    const ConvergenceResult conv = AnalyzeConvergence(*input.jobs);
     const std::vector<Series> conv_series = {
         CdfSeriesOf(conv.passed_lowest, "passed: lowest loss", false),
         CdfSeriesOf(conv.passed_within, "passed: within 0.1%", false),

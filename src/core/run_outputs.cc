@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "src/core/analysis.h"
-#include "src/core/html_report.h"
 
 namespace philly {
 namespace {
@@ -109,9 +108,11 @@ bool RunOutputs::Open() {
 
 void RunOutputs::Attach(SimulateRun* run, ObservabilityConfig* obs) {
   unsigned reads = 0;
+  unsigned folds = 0;
   for (const RunOutput& output : outputs_) {
     run->attached |= output.attaches;
     reads |= output.reads;
+    folds |= output.folds;
   }
   // A recorder no output needs stays null in `obs` and costs the run nothing.
   const unsigned attached = run->attached;
@@ -120,21 +121,38 @@ void RunOutputs::Attach(SimulateRun* run, ObservabilityConfig* obs) {
   obs->profiler = (attached & kProfiler) ? &run->profiler : nullptr;
   obs->timeseries = (attached & kTimeSeries) ? &run->telemetry : nullptr;
   obs->spans = (attached & kSpanTracer) ? &run->spans : nullptr;
+  const auto wire = [&](auto& recorder, unsigned bit) {
+    if ((attached & bit) == 0) {
+      return;
+    }
+    std::ostream* file = nullptr;
+    for (size_t i = 0; i < outputs_.size(); ++i) {
+      if (outputs_[i].streams == bit) {
+        file = &files_[i]->stream();
+      }
+    }
+    if (folds & bit) {
+      run->dashboard.Follow(recorder);
+    }
+    if (reads & bit) {
+      kept_ |= bit;
+      return;
+    }
+    recorder.StreamTo(file);
+    streamed_ |= file != nullptr ? bit : 0;
+  };
+  wire(run->events, kEventLog);
+  wire(run->telemetry, kTimeSeries);
+  wire(run->spans.log(), kSpanTracer);
+}
+
+std::ostream* RunOutputs::stream(const std::string& sink) const {
   for (size_t i = 0; i < outputs_.size(); ++i) {
-    const unsigned recorder = outputs_[i].streams;
-    if (recorder == 0 || (reads & recorder) != 0) {
-      continue;
+    if (outputs_[i].sink == sink && files_[i] != nullptr) {
+      return &files_[i]->stream();
     }
-    std::ostream* out = &files_[i]->stream();
-    if (recorder == kEventLog) {
-      run->events.StreamTo(out);
-    } else if (recorder == kTimeSeries) {
-      run->telemetry.StreamTo(out);
-    } else {
-      run->spans.log().StreamTo(out);
-    }
-    streamed_ |= recorder;
   }
+  return nullptr;
 }
 
 bool RunOutputs::Finish(RunManifest* manifest) {
@@ -169,7 +187,7 @@ bool RunOutputs::Finish(RunManifest* manifest) {
   return true;
 }
 
-std::vector<RunOutput> SimulateOutputs(const SimulateRun* run) {
+std::vector<RunOutput> SimulateOutputs(SimulateRun* run) {
   return {
       {.flag = "--events-out", .sink = "events", .what = "event log",
        .attaches = kEventLog, .streams = kEventLog,
@@ -219,23 +237,22 @@ std::vector<RunOutput> SimulateOutputs(const SimulateRun* run) {
        .line = [](const std::string& path) {
          return "span trace written to " + path + " (open in ui.perfetto.dev)";
        }},
-      // The dashboard joins the telemetry and scheduler streams, and shows
-      // spans when they were asked for. It does not attach the span tracer:
-      // with it attached the telemetry stream grows per-VC blame columns, so
-      // --html would change --telemetry-out bytes.
+      // The dashboard folds the telemetry and scheduler streams, and the spans
+      // when they were asked for, so it keeps none of them. It does not
+      // attach the span tracer: with it attached the telemetry stream grows
+      // per-VC blame columns, so --html would change --telemetry-out bytes.
       {.flag = kDashboardFlag, .sink = "dashboard", .what = "dashboard",
-       .attaches = kEventLog | kTimeSeries, .reads = kEventLog | kTimeSeries | kSpanTracer,
+       .attaches = kEventLog | kTimeSeries, .folds = kEventLog | kTimeSeries | kSpanTracer,
        .write =
            [run](std::ostream& out) {
-             HtmlDashboardInput dashboard;
-             dashboard.title = run->title;
-             dashboard.samples = &run->telemetry.samples();
-             dashboard.events = &run->events.events();
-             dashboard.jobs = run->jobs;
-             if (run->attached & kSpanTracer) {
-               dashboard.spans = &run->spans.log().spans();
+             // The run is over, so the records still held are final.
+             run->events.FoldHeld();
+             run->telemetry.FoldHeld();
+             run->spans.log().FoldHeld();
+             if (run->jobs != nullptr) {
+               run->dashboard.jobs.assign(1, run->jobs);
              }
-             out << RenderHtmlDashboard(dashboard);
+             out << RenderHtmlDashboard(run->title, run->dashboard);
            },
        .line = [](const std::string& path) { return "dashboard written to " + path; }},
   };

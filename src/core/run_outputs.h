@@ -2,8 +2,8 @@
 // its file, its manifest key, the recorders it needs and how it is written.
 // `phillyctl simulate`, `report` and `fleet` each build one list. Before the
 // run, Open checks and opens every file (as `<path>.partial` until committed,
-// src/obs/output_file.h) and Attach wires the recorders; after it, Finish
-// writes and digests every file, then the manifest.
+// src/obs/output_file.h) and the recorders are wired (Attach); after it,
+// Finish writes and digests every file, then the manifest.
 
 #ifndef SRC_CORE_RUN_OUTPUTS_H_
 #define SRC_CORE_RUN_OUTPUTS_H_
@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "src/core/html_report.h"
 #include "src/obs/manifest.h"
 #include "src/obs/observability.h"
 #include "src/obs/output_file.h"
@@ -44,6 +45,7 @@ struct SimulateRun {
   // report's Table 3 pass), set with `jobs`.
   TelemetryDigest util_digest;
   std::string title;                             // the dashboard's
+  DashboardFold dashboard;                       // what the dashboard reads
 };
 
 struct RunOutput {
@@ -52,7 +54,8 @@ struct RunOutput {
   std::string sink{};  // manifest key
   std::string what{};  // names it in messages: "cannot write WHAT to PATH"
   unsigned attaches = 0;  // Recorder mask: what the run must record for it
-  unsigned reads = 0;     // what it reads back after the run
+  unsigned reads = 0;     // what it reads back after the run, which keeps it whole
+  unsigned folds = 0;     // what it reads through the run's DashboardFold
   unsigned streams = 0;   // the recorder that may write into its file during the run
   // Writes what the run has not streamed into the file. Null for a file
   // another writer fills (the native trace), declared so its path is checked.
@@ -71,11 +74,18 @@ class RunOutputs {
   // every file. Prints why and returns false on failure, having removed the
   // files it opened and the directories it created, as far as they are empty.
   bool Open();
-  // After Open: attaches to `obs` every recorder an output needs. A recorder
-  // streams into its output's file, holding one batch instead of the whole
-  // run, exactly when no output reads it after the run.
+  // After Open: attaches to `obs` every recorder an output needs and wires
+  // each by the rule `fleet` follows too (src/fleet/fleet_outputs.h). A
+  // recorder keeps its whole run only when an output reads its records after
+  // the run. Otherwise it holds one batch, writing each full batch into its
+  // output's file, or with none encoding nothing. The dashboard's fold
+  // follows what the dashboard reads.
   void Attach(SimulateRun* run, ObservabilityConfig* obs);
-  unsigned streamed() const { return streamed_; }  // Recorder mask
+  unsigned streamed() const { return streamed_; }  // Recorder masks
+  unsigned kept() const { return kept_; }
+
+  // After Open: the file of the output recorded under `sink`, or null.
+  std::ostream* stream(const std::string& sink) const;
 
   // After Open and the run: writes, commits and records in `manifest` each
   // output's path and SHA-256, printing its line, then writes the manifest.
@@ -88,11 +98,12 @@ class RunOutputs {
   std::vector<std::unique_ptr<OutputFile>> files_;  // null: filled elsewhere
   std::unique_ptr<OutputFile> manifest_;
   unsigned streamed_ = 0;
+  unsigned kept_ = 0;
 };
 
 // The outputs `simulate` and `report` have a flag for, with empty paths, in
 // the order they are written. Their write steps and lines read `*run`.
-std::vector<RunOutput> SimulateOutputs(const SimulateRun* run);
+std::vector<RunOutput> SimulateOutputs(SimulateRun* run);
 
 // The dashboard's option, which `fleet` shares with `simulate` and `report`.
 inline constexpr char kDashboardFlag[] = "--html";

@@ -319,22 +319,6 @@ bool CrossCheckDelayCauses(const DelayCauseResult& native,
   return true;
 }
 
-std::vector<std::array<int64_t, kNumBlameCodes>> VcBlameTotalsFromSpans(
-    const std::vector<SpanRecord>& spans) {
-  std::vector<std::array<int64_t, kNumBlameCodes>> totals;
-  for (const SpanRecord& s : spans) {
-    if (s.kind != SpanKind::kBlame && s.kind != SpanKind::kCkpt) {
-      continue;
-    }
-    const size_t vc = s.vc >= 0 ? static_cast<size_t>(s.vc) : 0;
-    if (vc >= totals.size()) {
-      totals.resize(vc + 1, {});
-    }
-    totals[vc][static_cast<size_t>(s.code)] += s.dur;
-  }
-  return totals;
-}
-
 std::string RenderJobExplanation(JobId job,
                                  const std::vector<SpanRecord>& spans) {
   std::vector<const SpanRecord*> mine;

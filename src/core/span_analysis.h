@@ -55,11 +55,6 @@ bool CrossCheckDelayCauses(const DelayCauseResult& native,
                            const DelayCauseResult& from_spans,
                            std::string* error);
 
-// Per-VC x per-blame-code attributed seconds summed from the stream
-// (queueing blame spans plus ckpt_stall spans), VC-major; index = VC id.
-std::vector<std::array<int64_t, kNumBlameCodes>> VcBlameTotalsFromSpans(
-    const std::vector<SpanRecord>& spans);
-
 // Renders the causal timeline of one job from the span stream alone, in
 // chronological order with per-wait blame breakdowns and a "why it waited"
 // summary. Returns an empty string when the stream has no spans for `job`

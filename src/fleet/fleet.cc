@@ -53,6 +53,12 @@ FleetSimulation::FleetSimulation(FleetConfig config) : config_(std::move(config)
 }
 
 FleetResult FleetSimulation::Run() {
+  FleetResult out;
+  Run(&out);
+  return out;
+}
+
+void FleetSimulation::Run(FleetResult* result) {
   const int n = static_cast<int>(config_.clusters.size());
   const bool pinned = config_.router.policy == RouterPolicy::kPinnedHome;
   ExperimentPool pool(config_.threads);
@@ -84,8 +90,14 @@ FleetResult FleetSimulation::Run() {
   // global submit-time order, ties by home-cluster index, each trace's
   // internal order preserved (traces are submit-sorted, and equal-time jobs
   // within one trace stay in generator order).
-  FleetResult out;
-  out.clusters.resize(static_cast<size_t>(n));
+  FleetResult& out = *result;
+  if (out.clusters.empty()) {
+    out.clusters.resize(static_cast<size_t>(n));
+  } else if (out.clusters.size() != static_cast<size_t>(n)) {
+    throw std::invalid_argument("fleet result sized for " +
+                                std::to_string(out.clusters.size()) + " clusters, not " +
+                                std::to_string(n));
+  }
   std::vector<int> cluster_gpus;
   cluster_gpus.reserve(static_cast<size_t>(n));
   size_t total_jobs = 0;
@@ -150,6 +162,7 @@ FleetResult FleetSimulation::Run() {
     routed[static_cast<size_t>(d.dest)].push_back(std::move(job));
   }
   out.total_jobs = static_cast<int64_t>(total_jobs);
+  out.route_events.FoldHeld();
   traces.clear();
 
   // 3. Per-cluster simulations on the pool. Sinks live in the (pre-sized)
@@ -175,6 +188,9 @@ FleetResult FleetSimulation::Run() {
     }
     cluster.result =
         ClusterSimulation(sim, std::move(routed[static_cast<size_t>(i)])).Run();
+    cluster.events.FoldHeld();
+    cluster.telemetry.FoldHeld();
+    cluster.spans.log().FoldHeld();
   });
 
   // 4. Aggregate the fleet GPU-time ledger.
@@ -185,7 +201,6 @@ FleetResult FleetSimulation::Run() {
     out.ckpt_overhead_gpu_seconds += cluster.result.ckpt_overhead_gpu_seconds;
     out.ckpt_stall_gpu_seconds += cluster.result.ckpt_stall_gpu_seconds;
   }
-  return out;
 }
 
 bool ParseClustersSpec(std::string_view text, std::vector<ClusterConfig>* clusters,

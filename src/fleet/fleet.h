@@ -45,7 +45,8 @@ struct FleetConfig {
 
   // Observability for the per-cluster runs. Sinks live in the FleetResult
   // (one event log / telemetry recorder per cluster), so enabling them never
-  // shares state across the pool's threads.
+  // shares state across the pool's threads. A sink the caller has not wired
+  // (Run(FleetResult*)) keeps the member's whole stream.
   bool collect_events = false;
   bool collect_telemetry = false;
   // Per-cluster causal span streams. Jobs spilled off their home cluster are
@@ -105,6 +106,13 @@ class FleetSimulation {
   // submission stream through the JobRouter (serially, deterministically),
   // runs the per-cluster simulations on the pool, and aggregates. Call once.
   FleetResult Run();
+  // The same run into `out`, whose route log and whose members' sinks (one
+  // FleetClusterResult per cluster, in order, when sized) the caller may
+  // have wired before: to stream into files and to fold (src/core/
+  // run_outputs.h). Each member's sinks see only its own pool thread, which
+  // folds their held records (FoldHeld) once its run is over; the route
+  // log's are folded once routing is.
+  void Run(FleetResult* out);
 
  private:
   FleetConfig config_;

@@ -16,6 +16,7 @@
 #define SRC_OBS_EVENT_LOG_H_
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <string>
 #include <string_view>
@@ -128,9 +129,17 @@ bool SchedEventFromNdjsonLine(std::string_view line, SchedEvent* event,
 // produces it (record_buffer.h).
 class EventLog {
  public:
-  // Writes every later full batch of events to `out` instead of keeping the
-  // whole stream; WriteNdjson then writes the tail. Call before the run.
+  // Writes every later full batch of events to `out` (null: nowhere) instead
+  // of keeping the whole stream; WriteNdjson then writes the tail. Call
+  // before the run.
   void StreamTo(std::ostream* out) { events_.StreamTo(out); }
+  // Hands `fold` every event once it is final (record_buffer.h): as its
+  // batch drops, and at FoldHeld, once the run is over, the events still
+  // held. Call before the run.
+  void FoldInto(std::function<void(const SchedEvent&)> fold) {
+    events_.FoldInto(std::move(fold));
+  }
+  void FoldHeld() { events_.FoldHeld(); }
 
   // Appends and returns a new event for the caller to fill in. The reference
   // is valid until the next Append.

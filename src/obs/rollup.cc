@@ -82,22 +82,27 @@ TelemetryRollup::TelemetryRollup(SimDuration window)
   }
 }
 
-void TelemetryRollup::Add(const TelemetrySample& sample) {
-  const SimTime start = (sample.time / window_) * window_;
+TelemetryPoint PointOf(const TelemetrySample& s) {
+  return {s.time, s.occupancy, s.util_expected_pct, s.util_observed_pct, s.queued_jobs,
+          s.running_jobs};
+}
+
+void TelemetryRollup::Add(const TelemetryPoint& point) {
+  const SimTime start = (point.time / window_) * window_;
   TelemetryWindow& w = windows_[start];
   w.start = start;
   ++w.samples;
-  w.occupancy_sum += sample.occupancy;
-  w.util_expected_sum += sample.util_expected_pct;
-  w.util_observed_sum += sample.util_observed_pct;
-  w.queued_max = std::max<int64_t>(w.queued_max, sample.queued_jobs);
-  w.running_max = std::max<int64_t>(w.running_max, sample.running_jobs);
-  util_observed_pct_.Observe(sample.util_observed_pct);
+  w.occupancy_sum += point.occupancy;
+  w.util_expected_sum += point.util_expected_pct;
+  w.util_observed_sum += point.util_observed_pct;
+  w.queued_max = std::max<int64_t>(w.queued_max, point.queued_jobs);
+  w.running_max = std::max<int64_t>(w.running_max, point.running_jobs);
+  util_observed_pct_.Observe(point.util_observed_pct);
 }
 
 void TelemetryRollup::AddAll(const std::vector<TelemetrySample>& samples) {
   for (const TelemetrySample& sample : samples) {
-    Add(sample);
+    Add(PointOf(sample));
   }
 }
 

@@ -22,6 +22,7 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <string>
 #include <string_view>
@@ -101,9 +102,15 @@ bool SpanRecordFromNdjsonLine(std::string_view line, SpanRecord* span,
 // streamed to disk as the run produces it (record_buffer.h).
 class SpanLog {
  public:
-  // Writes every later full batch of spans to `out` instead of keeping the
-  // whole stream; WriteNdjson then writes the tail. Call before the run.
+  // Writes every later full batch of spans to `out` (null: nowhere) instead
+  // of keeping the whole stream; WriteNdjson then writes the tail. Call
+  // before the run.
   void StreamTo(std::ostream* out) { spans_.StreamTo(out); }
+  // Hands `fold` every span once it is final, as EventLog::FoldInto does.
+  void FoldInto(std::function<void(const SpanRecord&)> fold) {
+    spans_.FoldInto(std::move(fold));
+  }
+  void FoldHeld() { spans_.FoldHeld(); }
   // The reference is valid until the next Append.
   SpanRecord& Append() { return spans_.Append(); }
   void Reserve(size_t n) { spans_.Reserve(n); }

@@ -23,6 +23,7 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <string>
 #include <string_view>
@@ -141,10 +142,17 @@ class ClusterTimeSeries {
 
   SimDuration period() const { return period_; }
 
-  // Writes every later full batch of samples to `out` instead of keeping the
-  // whole stream; WriteNdjson then writes the tail and the digest line. Call
-  // before the run.
+  // Writes every later full batch of samples to `out` (null: nowhere)
+  // instead of keeping the whole stream; WriteNdjson then writes the tail and
+  // the digest line. Call before the run.
   void StreamTo(std::ostream* out) { samples_.StreamTo(out); }
+  // Hands `fold` every sample once it is final, as EventLog::FoldInto does,
+  // then runs `end` at FoldHeld.
+  void FoldInto(std::function<void(const TelemetrySample&)> fold,
+                std::function<void()> end = nullptr) {
+    samples_.FoldInto(std::move(fold), std::move(end));
+  }
+  void FoldHeld() { samples_.FoldHeld(); }
 
   // Pre-sizes the sample buffer (cheap enabled-path, like EventLog::Reserve).
   void Reserve(size_t samples);

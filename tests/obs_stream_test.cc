@@ -11,6 +11,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <streambuf>
 #include <string>
@@ -19,6 +20,8 @@
 #include "src/common/sha256.h"
 #include "src/core/analysis.h"
 #include "src/core/experiment.h"
+#include "src/fleet/fleet.h"
+#include "src/fleet/fleet_outputs.h"
 #include "src/obs/event_log.h"
 #include "src/obs/metrics.h"
 #include "src/obs/output_file.h"
@@ -299,6 +302,79 @@ TEST(ObsStreamTest, RecordBufferDropsFullBatchesOnTheNextAppend) {
   stream.WriteNdjson(streamed);
   whole.WriteNdjson(buffered);
   EXPECT_TRUE(streamed.str() == buffered.str());
+}
+
+// A fleet's streamed members: `phillyctl fleet --out DIR --collect-spans`
+// wires every member's recorders and the route log to stream into their files
+// during the run (src/fleet/fleet_outputs.h). Each file must equal what the
+// buffered FleetResult writes, digest line included, on any pool size, and
+// no streaming recorder may hold more than one batch.
+TEST(ObsStreamTest, StreamedFleetMembersEqualBufferedMembers) {
+  const auto fleet_config = [](int threads) {
+    std::vector<ClusterConfig> clusters;
+    std::string error;
+    EXPECT_TRUE(ParseClustersSpec("16x16x8,20x12x8,30x8x8", &clusters, &error)) << error;
+    FleetConfig config;
+    config.router.policy = RouterPolicy::kSpillover;
+    config.router.spill_threshold = 2;
+    config.collect_spans = true;
+    config.threads = threads;
+    for (size_t i = 0; i < clusters.size(); ++i) {
+      config.clusters.push_back(
+          {"cluster" + std::to_string(i),
+           FleetClusterExperiment(clusters[i], /*days=*/7, /*base_seed=*/11, static_cast<int>(i))});
+    }
+    return config;
+  };
+  FleetConfig buffered_config = fleet_config(4);
+  buffered_config.collect_events = true;
+  buffered_config.collect_telemetry = true;
+  const FleetResult buffered = FleetSimulation(buffered_config).Run();
+  std::map<std::string, std::string> expected;
+  std::ostringstream route;
+  buffered.route_events.WriteNdjson(route);
+  expected["fleet_events.ndjson"] = route.str();
+  for (const FleetClusterResult& cluster : buffered.clusters) {
+    std::ostringstream events;
+    std::ostringstream telemetry;
+    std::ostringstream spans;
+    cluster.events.WriteNdjson(events);
+    const TelemetryDigest digest = TelemetryStreamDigest(cluster.telemetry, cluster.result.jobs);
+    cluster.telemetry.WriteNdjson(telemetry, &digest);
+    cluster.spans.log().WriteNdjson(spans);
+    expected[cluster.name + ".events.ndjson"] = events.str();
+    expected[cluster.name + ".telemetry.ndjson"] = telemetry.str();
+    expected[cluster.name + ".spans.ndjson"] = spans.str();
+    // Every member stream crosses at least two batch boundaries.
+    EXPECT_GT(cluster.events.size(), 2 * kBatch) << cluster.name;
+    EXPECT_GT(cluster.telemetry.size(), 2 * kBatch) << cluster.name;
+    EXPECT_GT(cluster.spans.log().size(), 2 * kBatch) << cluster.name;
+  }
+  EXPECT_GT(buffered.route_events.size(), 2 * kBatch);
+
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    TempDir dir("obs_stream_fleet");
+    FleetConfig config = fleet_config(threads);
+    FleetRun run;
+    RunOutputs outputs(dir.File("out"), FleetOutputs(&run, config, dir.File("out"), ""));
+    ASSERT_TRUE(outputs.Open());
+    AttachFleet(outputs, &run, &config);
+    FleetSimulation(config).Run(&run.result);
+    EXPECT_LE(run.result.route_events.events().capacity(), kBatch);
+    for (const FleetClusterResult& cluster : run.result.clusters) {
+      EXPECT_LE(cluster.events.events().capacity(), kBatch) << cluster.name;
+      EXPECT_LE(cluster.telemetry.samples().capacity(), kBatch) << cluster.name;
+      EXPECT_LE(cluster.spans.log().spans().capacity(), kBatch) << cluster.name;
+    }
+    RunManifest manifest;
+    ::testing::internal::CaptureStdout();
+    ASSERT_TRUE(outputs.Finish(&manifest));
+    ::testing::internal::GetCapturedStdout();
+    for (const auto& [name, bytes] : expected) {
+      EXPECT_TRUE(ReadFile(dir.File("out/" + name)) == bytes) << name;
+    }
+  }
 }
 
 // --------------------------------------------------------------- OutputFile

@@ -44,7 +44,7 @@ std::string ReadFile(const std::string& path) {
 }
 
 // Simulate's outputs for the given flags, each with a file in `dir`.
-std::vector<RunOutput> Declare(const SimulateRun* run, const std::set<std::string>& flags,
+std::vector<RunOutput> Declare(SimulateRun* run, const std::set<std::string>& flags,
                                const TempDir& dir) {
   std::vector<RunOutput> outputs;
   for (RunOutput& output : SimulateOutputs(run)) {
@@ -66,9 +66,10 @@ TEST(RunOutputsTest, EveryOutputFlagIsDeclaredOnce) {
                                           "--spans-trace-out", "--html"}));
 }
 
-// --html implies the event and telemetry recorders, the span tracer attaches
-// only for a span output, and a stream goes to disk during the run unless the
-// dashboard or the span Chrome trace reads its records afterwards.
+// --html implies the event and telemetry recorders and the span tracer
+// attaches only for a span output. The dashboard folds what it reads, so a
+// recorder is kept whole only for the span Chrome trace; every other streams
+// into its file during the run, or holds one batch when it has none.
 TEST(RunOutputsTest, EveryStreamSubsetAttachesAndStreamsAsTheRuleSays) {
   const std::vector<std::string> kStreams = {"--events-out", "--telemetry-out", "--spans-out",
                                              "--spans-trace-out", "--html"};
@@ -98,16 +99,18 @@ TEST(RunOutputsTest, EveryStreamSubsetAttachesAndStreamsAsTheRuleSays) {
     EXPECT_EQ(obs.metrics, nullptr);
     EXPECT_EQ(obs.profiler, nullptr);
     unsigned streamed = 0;
-    if (events && !html) {
+    if (events) {
       streamed |= kEventLog;
     }
-    if (telemetry && !html) {
+    if (telemetry) {
       streamed |= kTimeSeries;
     }
-    if (spans && !html && !spans_trace) {
+    if (spans && !spans_trace) {
       streamed |= kSpanTracer;
     }
     EXPECT_EQ(outputs.streamed(), streamed);
+    EXPECT_EQ(outputs.kept(), spans_trace ? kSpanTracer : 0u);
+    EXPECT_EQ(run.dashboard.has_events, html);
   }
 }
 

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <map>
 #include <sstream>
 #include <string>
@@ -24,6 +23,7 @@
 #include "src/core/span_analysis.h"
 #include "src/core/validate.h"
 #include "src/fleet/fleet.h"
+#include "src/fleet/fleet_outputs.h"
 #include "src/obs/event_log.h"
 #include "src/obs/manifest.h"
 #include "src/obs/span.h"
@@ -499,23 +499,6 @@ int RunSweep(const Args& args) {
   return 0;
 }
 
-// p95 of initial queueing delay, in minutes (what bench/fleet_router and the
-// fleet summary table report).
-double P95QueueDelayMinutes(const std::vector<JobRecord>& jobs) {
-  std::vector<double> delays;
-  delays.reserve(jobs.size());
-  for (const JobRecord& job : jobs) {
-    delays.push_back(ToMinutes(job.InitialQueueDelay()));
-  }
-  if (delays.empty()) {
-    return 0.0;
-  }
-  std::sort(delays.begin(), delays.end());
-  const size_t index = static_cast<size_t>(
-      0.95 * static_cast<double>(delays.size() - 1) + 0.5);
-  return delays[std::min(index, delays.size() - 1)];
-}
-
 // `fleet`: run N clusters behind the front-door router and summarize routing,
 // queueing, and the fleet GPU-time ledger.
 int RunFleet(const Args& args) {
@@ -525,15 +508,12 @@ int RunFleet(const Args& args) {
   std::vector<ClusterConfig> cluster_configs;
   ParseClustersSpec(args.Text("--clusters"), &cluster_configs, nullptr);  // checked by the table
   const std::string& router_name = args.Text("--router");
-  const bool collect_spans = args.Has("--collect-spans");
   FleetConfig config;
   config.router.policy = static_cast<RouterPolicy>(args.Choice("--router"));
   if (args.Has("--spill-threshold")) {
     config.router.spill_threshold = args.Int("--spill-threshold");
   }
-  config.collect_events = true;
-  config.collect_telemetry = true;
-  config.collect_spans = collect_spans;
+  config.collect_spans = args.Has("--collect-spans");
   // PHILLY_BENCH_THREADS is read, and rejected when malformed, before any
   // output exists.
   config.threads = threads > 0 ? threads : DefaultPoolThreads();
@@ -544,134 +524,37 @@ int RunFleet(const Args& args) {
                                 static_cast<int>(i))});
   }
 
-  // Every output is checked and opened before the run. The members' streams
-  // stay in memory, because the dashboard reads them all, and are written
-  // after it.
-  const std::string& out_dir = args.Text("--out");
-  const std::string& html_out = args.Text(kDashboardFlag);
-  FleetResult result;
-  FleetDashboardSection section;
-  std::vector<RunOutput> declared;
-  if (!out_dir.empty()) {
-    declared.push_back({.flag = "--out", .path = out_dir + "/fleet_events.ndjson",
-                       .sink = "fleet-events", .what = "fleet route stream",
-                       .write = [&result](std::ostream& out) {
-                         result.route_events.WriteNdjson(out);
-                       }});
-    for (size_t i = 0; i < config.clusters.size(); ++i) {
-      const std::string& name = config.clusters[i].name;
-      const auto member = [&](const std::string& stream, const char* what,
-                              std::function<void(std::ostream&)> write) {
-        declared.push_back({.flag = "--out",
-                            .path = out_dir + "/" + name + "." + stream + ".ndjson",
-                            .sink = name + "-" + stream,
-                            .what = what,
-                            .write = std::move(write)});
-      };
-      member("events", "event log", [&result, i](std::ostream& out) {
-        result.clusters[i].events.WriteNdjson(out);
-      });
-      // Same embedded digest the simulate path writes, so each per-cluster
-      // stream verifies under `analyze --telemetry` on its own.
-      member("telemetry", "telemetry", [&result, i](std::ostream& out) {
-        const FleetClusterResult& cluster = result.clusters[i];
-        const TelemetryDigest digest =
-            TelemetryStreamDigest(cluster.telemetry, cluster.result.jobs);
-        cluster.telemetry.WriteNdjson(out, &digest);
-      });
-      if (collect_spans) {
-        member("spans", "span stream", [&result, i](std::ostream& out) {
-          result.clusters[i].spans.log().WriteNdjson(out);
-        });
-      }
-    }
-    declared.back().line = [out_dir](const std::string&) {
-      return "fleet streams written to " + out_dir + "/";
-    };
-  }
-  if (!html_out.empty()) {
-    const std::string title = "philly fleet (" + router_name + ") seed " +
-                              std::to_string(seed) + ", " + std::to_string(days) +
-                              " days";
-    const auto write = [&result, &section, title, collect_spans](std::ostream& out) {
-      // Fleet-wide inputs: the members' streams concatenated in cluster
-      // order, plus the routing section.
-      std::vector<TelemetrySample> all_samples;
-      std::vector<SchedEvent> all_events;
-      std::vector<JobRecord> all_jobs;
-      std::vector<SpanRecord> all_spans;
-      const auto append = [](auto* all, const auto& part) {
-        all->insert(all->end(), part.begin(), part.end());
-      };
-      for (const FleetClusterResult& cluster : result.clusters) {
-        append(&all_samples, cluster.telemetry.samples());
-        append(&all_events, cluster.events.events());
-        append(&all_jobs, cluster.result.jobs);
-        append(&all_spans, cluster.spans.log().spans());
-      }
-      append(&all_events, result.route_events.events());
-      HtmlDashboardInput dashboard;
-      dashboard.title = title;
-      dashboard.samples = &all_samples;
-      dashboard.events = &all_events;
-      dashboard.jobs = &all_jobs;
-      if (collect_spans) {
-        dashboard.spans = &all_spans;
-      }
-      dashboard.fleet = &section;
-      out << RenderHtmlDashboard(dashboard);
-    };
-    declared.push_back({.flag = kDashboardFlag,
-                        .path = html_out,
-                        .sink = "dashboard",
-                        .what = "dashboard",
-                        .write = write,
-                        .line = [](const std::string& path) {
-                          return "fleet dashboard written to " + path;
-                        }});
-  }
-  RunOutputs outputs(out_dir, std::move(declared));
+  // Every output is checked and opened before the run, and the members'
+  // recorders stream into their files and the dashboard's folds during it.
+  FleetRun run;
+  run.title = "philly fleet (" + router_name + ") seed " + std::to_string(seed) + ", " +
+              std::to_string(days) + " days";
+  RunOutputs outputs(args.Text("--out"),
+                     FleetOutputs(&run, config, args.Text("--out"), args.Text(kDashboardFlag)));
   if (!outputs.Open()) {
     return 1;
   }
+  AttachFleet(outputs, &run, &config);
 
   std::printf("simulating a %zu-cluster fleet for %d days (seed %llu, router "
               "%s)...\n",
               config.clusters.size(), days,
               static_cast<unsigned long long>(seed), router_name.c_str());
-  FleetSimulation fleet(std::move(config));
-  result = fleet.Run();
+  FleetSimulation(config).Run(&run.result);
+  const FleetResult& result = run.result;
   std::printf("%lld jobs routed (%lld off their home cluster)\n\n",
               static_cast<long long>(result.total_jobs),
               static_cast<long long>(result.spilled_jobs));
 
-  section.router = router_name;
-  section.total_jobs = result.total_jobs;
-  section.spilled_jobs = result.spilled_jobs;
+  SummarizeFleet(config, router_name, &run);
   TextTable table({"cluster", "GPUs", "jobs", "home", "in", "away",
                    "mean occ %", "p95 queue (min)"});
-  for (size_t i = 0; i < result.clusters.size(); ++i) {
-    const FleetClusterResult& cluster = result.clusters[i];
-    double occupancy_sum = 0.0;
-    for (const TelemetrySample& s : cluster.telemetry.samples()) {
-      occupancy_sum += s.occupancy;
-    }
-    const double mean_occ =
-        cluster.telemetry.samples().empty()
-            ? 0.0
-            : occupancy_sum /
-                  static_cast<double>(cluster.telemetry.samples().size());
-    const double p95 = P95QueueDelayMinutes(cluster.result.jobs);
-    const int gpus = cluster_configs[i].TotalGpus();
-    table.AddRow({cluster.name, std::to_string(gpus),
-                  std::to_string(cluster.num_jobs),
-                  std::to_string(cluster.home_jobs),
-                  std::to_string(cluster.routed_in),
-                  std::to_string(cluster.routed_away),
-                  FormatDouble(mean_occ * 100.0, 1), FormatDouble(p95, 2)});
-    section.clusters.push_back({cluster.name, gpus, cluster.num_jobs,
-                                cluster.home_jobs, cluster.routed_in,
-                                cluster.routed_away, mean_occ, p95});
+  for (const FleetDashboardSection::Cluster& cluster : run.section.clusters) {
+    table.AddRow({cluster.name, std::to_string(cluster.total_gpus),
+                  std::to_string(cluster.jobs), std::to_string(cluster.home_jobs),
+                  std::to_string(cluster.routed_in), std::to_string(cluster.routed_away),
+                  FormatDouble(cluster.mean_occupancy * 100.0, 1),
+                  FormatDouble(cluster.p95_queue_minutes, 2)});
   }
   std::printf("%s\n", table.Render().c_str());
   std::printf("fleet GPU-time ledger: %.1f allocated GPU-hours = %.1f useful "
