@@ -106,53 +106,45 @@ bool RunOutputs::Open() {
   return false;
 }
 
-void RunOutputs::Attach(SimulateRun* run, ObservabilityConfig* obs) {
-  unsigned reads = 0;
-  unsigned folds = 0;
+unsigned RunOutputs::attaches() const {
+  unsigned mask = 0;
   for (const RunOutput& output : outputs_) {
-    run->attached |= output.attaches;
-    reads |= output.reads;
-    folds |= output.folds;
+    mask |= output.attaches;
   }
+  return mask;
+}
+
+void RunOutputs::Attach(const std::vector<StreamRecorder>& recorders) {
+  for (const StreamRecorder& recorder : recorders) {
+    bool read = false;
+    std::ostream* file = nullptr;
+    for (size_t i = 0; i < outputs_.size(); ++i) {
+      read = read || outputs_[i].reads == recorder;
+      if (outputs_[i].streams == recorder && files_[i] != nullptr) {
+        file = &files_[i]->stream();
+      }
+    }
+    if (!read) {
+      recorder.StreamTo(file);
+    }
+  }
+  for (const RunOutput& output : outputs_) {
+    if (output.follow) {
+      output.follow();
+    }
+  }
+}
+
+void RunOutputs::Attach(SimulateRun* run, ObservabilityConfig* obs) {
   // A recorder no output needs stays null in `obs` and costs the run nothing.
+  run->attached = attaches();
   const unsigned attached = run->attached;
   obs->event_log = (attached & kEventLog) ? &run->events : nullptr;
   obs->metrics = (attached & kMetrics) ? &run->metrics : nullptr;
   obs->profiler = (attached & kProfiler) ? &run->profiler : nullptr;
   obs->timeseries = (attached & kTimeSeries) ? &run->telemetry : nullptr;
   obs->spans = (attached & kSpanTracer) ? &run->spans : nullptr;
-  const auto wire = [&](auto& recorder, unsigned bit) {
-    if ((attached & bit) == 0) {
-      return;
-    }
-    std::ostream* file = nullptr;
-    for (size_t i = 0; i < outputs_.size(); ++i) {
-      if (outputs_[i].streams == bit) {
-        file = &files_[i]->stream();
-      }
-    }
-    if (folds & bit) {
-      run->dashboard.Follow(recorder);
-    }
-    if (reads & bit) {
-      kept_ |= bit;
-      return;
-    }
-    recorder.StreamTo(file);
-    streamed_ |= file != nullptr ? bit : 0;
-  };
-  wire(run->events, kEventLog);
-  wire(run->telemetry, kTimeSeries);
-  wire(run->spans.log(), kSpanTracer);
-}
-
-std::ostream* RunOutputs::stream(const std::string& sink) const {
-  for (size_t i = 0; i < outputs_.size(); ++i) {
-    if (outputs_[i].sink == sink && files_[i] != nullptr) {
-      return &files_[i]->stream();
-    }
-  }
-  return nullptr;
+  Attach({&run->events, &run->telemetry, &run->spans.log()});
 }
 
 bool RunOutputs::Finish(RunManifest* manifest) {
@@ -190,7 +182,7 @@ bool RunOutputs::Finish(RunManifest* manifest) {
 std::vector<RunOutput> SimulateOutputs(SimulateRun* run) {
   return {
       {.flag = "--events-out", .sink = "events", .what = "event log",
-       .attaches = kEventLog, .streams = kEventLog,
+       .attaches = kEventLog, .streams = &run->events,
        .write = [run](std::ostream& out) { run->events.WriteNdjson(out); },
        .line = [run](const std::string& path) {
          return std::to_string(run->events.size()) +
@@ -207,7 +199,7 @@ std::vector<RunOutput> SimulateOutputs(SimulateRun* run) {
              " phase slices written to " + path + " (open in ui.perfetto.dev)";
        }},
       {.flag = "--telemetry-out", .sink = "telemetry", .what = "telemetry",
-       .attaches = kTimeSeries, .streams = kTimeSeries,
+       .attaches = kTimeSeries, .streams = &run->telemetry,
        .write =
            [run](std::ostream& out) {
              // The embedded digest carries both halves of the cross-check:
@@ -222,14 +214,14 @@ std::vector<RunOutput> SimulateOutputs(SimulateRun* run) {
              " telemetry samples written to " + path;
        }},
       {.flag = "--spans-out", .sink = "spans", .what = "span stream",
-       .attaches = kSpanTracer, .streams = kSpanTracer,
+       .attaches = kSpanTracer, .streams = &run->spans.log(),
        .write = [run](std::ostream& out) { run->spans.log().WriteNdjson(out); },
        .line = [run](const std::string& path) {
          return std::to_string(run->spans.log().size()) +
              " causal spans written to " + path;
        }},
       {.flag = "--spans-trace-out", .sink = "spans-trace", .what = "span trace",
-       .attaches = kSpanTracer, .reads = kSpanTracer,
+       .attaches = kSpanTracer, .reads = &run->spans.log(),
        .write =
            [run](std::ostream& out) {
              WriteSpanChromeTrace(out, run->spans.log().spans());
@@ -242,7 +234,13 @@ std::vector<RunOutput> SimulateOutputs(SimulateRun* run) {
       // attach the span tracer: with it attached the telemetry stream grows
       // per-VC blame columns, so --html would change --telemetry-out bytes.
       {.flag = kDashboardFlag, .sink = "dashboard", .what = "dashboard",
-       .attaches = kEventLog | kTimeSeries, .folds = kEventLog | kTimeSeries | kSpanTracer,
+       .attaches = kEventLog | kTimeSeries,
+       .follow =
+           [run] {
+             run->dashboard.Follow(run->events);
+             run->dashboard.Follow(run->telemetry);
+             run->dashboard.Follow(run->spans.log());
+           },
        .write =
            [run](std::ostream& out) {
              // The run is over, so the records still held are final.

@@ -2,8 +2,9 @@
 // its file, its manifest key, the recorders it needs and how it is written.
 // `phillyctl simulate`, `report` and `fleet` each build one list. Before the
 // run, Open checks and opens every file (as `<path>.partial` until committed,
-// src/obs/output_file.h) and the recorders are wired (Attach); after it,
-// Finish writes and digests every file, then the manifest.
+// src/obs/output_file.h) and Attach wires the run's recorders, by one rule
+// for a single run and a fleet's members alike; after it, Finish writes and
+// digests every file, then the manifest.
 
 #ifndef SRC_CORE_RUN_OUTPUTS_H_
 #define SRC_CORE_RUN_OUTPUTS_H_
@@ -48,15 +49,35 @@ struct SimulateRun {
   DashboardFold dashboard;                       // what the dashboard reads
 };
 
+// A recorder of an NDJSON stream (EventLog, ClusterTimeSeries or SpanLog),
+// named by its address, so that outputs naming one recorder name the same.
+class StreamRecorder {
+ public:
+  StreamRecorder() = default;
+  template <typename Recorder>
+  StreamRecorder(Recorder* recorder)  // NOLINT(google-explicit-constructor)
+      : address_(recorder),
+        stream_to_([recorder](std::ostream* out) { recorder->StreamTo(out); }) {}
+
+  bool operator==(const StreamRecorder& other) const { return address_ == other.address_; }
+  void StreamTo(std::ostream* out) const { stream_to_(out); }
+
+ private:
+  const void* address_ = nullptr;
+  std::function<void(std::ostream*)> stream_to_;
+};
+
 struct RunOutput {
   std::string flag{};  // the option that asks for it; "--out" for a directory's files
   std::string path{};
   std::string sink{};  // manifest key
   std::string what{};  // names it in messages: "cannot write WHAT to PATH"
   unsigned attaches = 0;  // Recorder mask: what the run must record for it
-  unsigned reads = 0;     // what it reads back after the run, which keeps it whole
-  unsigned folds = 0;     // what it reads through the run's DashboardFold
-  unsigned streams = 0;   // the recorder that may write into its file during the run
+  StreamRecorder streams{};  // may write into its file during the run
+  StreamRecorder reads{};    // read back after the run, which keeps it whole
+  // Before the run, once the recorders are wired: makes the output's fold
+  // follow the records it reads during the run. Null for none.
+  std::function<void()> follow{};
   // Writes what the run has not streamed into the file. Null for a file
   // another writer fills (the native trace), declared so its path is checked.
   std::function<void(std::ostream&)> write{};
@@ -74,18 +95,17 @@ class RunOutputs {
   // every file. Prints why and returns false on failure, having removed the
   // files it opened and the directories it created, as far as they are empty.
   bool Open();
-  // After Open: attaches to `obs` every recorder an output needs and wires
-  // each by the rule `fleet` follows too (src/fleet/fleet_outputs.h). A
-  // recorder keeps its whole run only when an output reads its records after
-  // the run. Otherwise it holds one batch, writing each full batch into its
-  // output's file, or with none encoding nothing. The dashboard's fold
-  // follows what the dashboard reads.
+  // The Recorder mask of what the outputs need recorded.
+  unsigned attaches() const;
+  // After Open and before the run: wires each of `recorders`, every stream
+  // recorder of the run, by one rule, then lets each output's fold follow. A
+  // recorder keeps its whole run only when an output reads it after the run.
+  // Otherwise it holds one batch, writing each full batch into the file of
+  // the output that streams it, or with none encoding nothing.
+  void Attach(const std::vector<StreamRecorder>& recorders);
+  // The same for `simulate` and `report`, after attaching to `obs` every
+  // recorder of `run` an output needs.
   void Attach(SimulateRun* run, ObservabilityConfig* obs);
-  unsigned streamed() const { return streamed_; }  // Recorder masks
-  unsigned kept() const { return kept_; }
-
-  // After Open: the file of the output recorded under `sink`, or null.
-  std::ostream* stream(const std::string& sink) const;
 
   // After Open and the run: writes, commits and records in `manifest` each
   // output's path and SHA-256, printing its line, then writes the manifest.
@@ -97,8 +117,6 @@ class RunOutputs {
   std::vector<RunOutput> outputs_;
   std::vector<std::unique_ptr<OutputFile>> files_;  // null: filled elsewhere
   std::unique_ptr<OutputFile> manifest_;
-  unsigned streamed_ = 0;
-  unsigned kept_ = 0;
 };
 
 // The outputs `simulate` and `report` have a flag for, with empty paths, in

@@ -79,38 +79,43 @@ const DashboardFold& FleetDashboardFold::Finish(const FleetResult& result) {
 
 std::vector<RunOutput> FleetOutputs(FleetRun* run, const FleetConfig& config,
                                     const std::string& out_dir, const std::string& html) {
+  std::vector<FleetClusterResult>& members = run->result.clusters;
+  members.resize(config.clusters.size());
   std::vector<RunOutput> outputs;
   if (!out_dir.empty()) {
     outputs.push_back({.flag = "--out", .path = out_dir + "/fleet_events.ndjson",
                        .sink = "fleet-events", .what = "fleet route stream",
+                       .streams = &run->result.route_events,
                        .write = [run](std::ostream& out) {
                          run->result.route_events.WriteNdjson(out);
                        }});
-    for (size_t i = 0; i < config.clusters.size(); ++i) {
+    for (size_t i = 0; i < members.size(); ++i) {
+      FleetClusterResult& member = members[i];
       const std::string& name = config.clusters[i].name;
-      const auto member = [&](const std::string& stream, const char* what,
-                              std::function<void(std::ostream&)> write) {
+      const auto declare = [&](const std::string& stream, const char* what, unsigned attaches,
+                               StreamRecorder recorder,
+                               std::function<void(std::ostream&)> write) {
         outputs.push_back({.flag = "--out",
                            .path = out_dir + "/" + name + "." + stream + ".ndjson",
                            .sink = name + "-" + stream,
                            .what = what,
+                           .attaches = attaches,
+                           .streams = std::move(recorder),
                            .write = std::move(write)});
       };
-      member("events", "event log", [run, i](std::ostream& out) {
-        run->result.clusters[i].events.WriteNdjson(out);
-      });
+      declare("events", "event log", kEventLog, &member.events,
+              [&member](std::ostream& out) { member.events.WriteNdjson(out); });
       // Same embedded digest the simulate path writes, so each per-cluster
       // stream verifies under `analyze --telemetry` on its own.
-      member("telemetry", "telemetry", [run, i](std::ostream& out) {
-        const FleetClusterResult& cluster = run->result.clusters[i];
-        const TelemetryDigest digest =
-            TelemetryStreamDigest(cluster.telemetry, cluster.result.jobs);
-        cluster.telemetry.WriteNdjson(out, &digest);
-      });
+      declare("telemetry", "telemetry", kTimeSeries, &member.telemetry,
+              [&member](std::ostream& out) {
+                const TelemetryDigest digest =
+                    TelemetryStreamDigest(member.telemetry, member.result.jobs);
+                member.telemetry.WriteNdjson(out, &digest);
+              });
       if (config.collect_spans) {
-        member("spans", "span stream", [run, i](std::ostream& out) {
-          run->result.clusters[i].spans.log().WriteNdjson(out);
-        });
+        declare("spans", "span stream", kSpanTracer, &member.spans.log(),
+                [&member](std::ostream& out) { member.spans.log().WriteNdjson(out); });
       }
     }
     outputs.back().line = [out_dir](const std::string&) {
@@ -118,12 +123,24 @@ std::vector<RunOutput> FleetOutputs(FleetRun* run, const FleetConfig& config,
     };
   }
   if (!html.empty()) {
-    run->dashboard = std::make_unique<FleetDashboardFold>(config.clusters.size());
+    run->dashboard = std::make_unique<FleetDashboardFold>(members.size());
     outputs.push_back(
         {.flag = kDashboardFlag,
          .path = html,
          .sink = "dashboard",
          .what = "dashboard",
+         .attaches = kEventLog | kTimeSeries,
+         .follow =
+             [run] {
+               FleetDashboardFold& dashboard = *run->dashboard;
+               for (size_t i = 0; i < run->result.clusters.size(); ++i) {
+                 FleetClusterResult& member = run->result.clusters[i];
+                 dashboard.Follow(i, member.events);
+                 dashboard.Follow(i, member.telemetry);
+                 dashboard.Follow(i, member.spans.log());
+               }
+               dashboard.FollowRoute(run->result.route_events);
+             },
          .write =
              [run](std::ostream& out) {
                out << RenderHtmlDashboard(run->title, run->dashboard->Finish(run->result),
@@ -134,36 +151,14 @@ std::vector<RunOutput> FleetOutputs(FleetRun* run, const FleetConfig& config,
   return outputs;
 }
 
-void AttachFleet(const RunOutputs& outputs, FleetRun* run, FleetConfig* config) {
-  const size_t n = config->clusters.size();
-  FleetDashboardFold* dashboard = run->dashboard.get();
-  config->collect_events = dashboard != nullptr || outputs.stream("fleet-events") != nullptr;
+void AttachFleet(RunOutputs* outputs, FleetRun* run, FleetConfig* config) {
+  config->collect_events = (outputs->attaches() & kEventLog) != 0;
   config->collect_telemetry = true;
-  run->result.clusters.resize(n);
-  // Simulate's rule: no output reads a recorder after the run, so each holds
-  // one batch, streaming into its file, if it has one.
-  for (size_t i = 0; i < n; ++i) {
-    FleetClusterResult& member = run->result.clusters[i];
-    const std::string& name = config->clusters[i].name;
-    if (config->collect_events) {
-      member.events.StreamTo(outputs.stream(name + "-events"));
-    }
-    member.telemetry.StreamTo(outputs.stream(name + "-telemetry"));
-    if (config->collect_spans) {
-      member.spans.log().StreamTo(outputs.stream(name + "-spans"));
-    }
-    if (dashboard != nullptr) {
-      dashboard->Follow(i, member.events);
-      dashboard->Follow(i, member.telemetry);
-      if (config->collect_spans) {
-        dashboard->Follow(i, member.spans.log());
-      }
-    }
+  std::vector<StreamRecorder> recorders = {&run->result.route_events};
+  for (FleetClusterResult& member : run->result.clusters) {
+    recorders.insert(recorders.end(), {&member.events, &member.telemetry, &member.spans.log()});
   }
-  run->result.route_events.StreamTo(outputs.stream("fleet-events"));
-  if (dashboard != nullptr) {
-    dashboard->FollowRoute(run->result.route_events);
-  }
+  outputs->Attach(recorders);
 }
 
 void SummarizeFleet(const FleetConfig& config, const std::string& router, FleetRun* run) {

@@ -1,10 +1,10 @@
 // The outputs of `phillyctl fleet`, declared once as simulate's are
 // (src/core/run_outputs.h): under `--out`, the route stream and each
 // member's event, telemetry and span streams; at `--html`, the dashboard.
-// Before the run every recorder is wired by simulate's rule
-// (RunOutputs::Attach), so each stream goes to its file as the member
-// produces it and the dashboard folds what it reads. What the fleet holds
-// after its run is then its job records, the fold and one batch per
+// Before the run RunOutputs::Attach wires every member's recorders and the
+// route log by simulate's rule, so each stream goes to its file as the
+// member produces it and the dashboard folds what it reads. What the fleet
+// holds after its run is then its job records, the fold and one batch per
 // recorder, not its streams.
 
 #ifndef SRC_FLEET_FLEET_OUTPUTS_H_
@@ -71,16 +71,17 @@ struct FleetRun {
 // The outputs for the members of `config`, in the order they are written:
 // under `out_dir` (empty: none) the route stream and each member's streams
 // (spans with `config.collect_spans`), and the dashboard at `html` (empty:
-// none). Their write steps read `*run`.
+// none). Sizes `run->result` to one member per cluster, whose recorders the
+// outputs name; their write steps read `*run`.
 std::vector<RunOutput> FleetOutputs(FleetRun* run, const FleetConfig& config,
                                     const std::string& out_dir, const std::string& html);
 
 // After RunOutputs::Open and before the run: sets which recorders `config`
-// attaches (the events when an output reads them, the telemetry always,
-// because the fleet table reads its digest) and wires each member's and the
-// route log's into its file and the dashboard's fold. Nothing reads a
-// recorder after the run, so none keeps more than one batch.
-void AttachFleet(const RunOutputs& outputs, FleetRun* run, FleetConfig* config);
+// attaches (the events when an output needs them, the telemetry always,
+// because the fleet table reads its digest) and has `outputs` attach the
+// members' recorders and the route log (RunOutputs::Attach). No output
+// reads a recorder after the run, so none keeps more than one batch.
+void AttachFleet(RunOutputs* outputs, FleetRun* run, FleetConfig* config);
 
 // After the run: the dashboard's routing section, one row per member with
 // its GPUs, routing counters, mean occupancy (over its telemetry digest) and

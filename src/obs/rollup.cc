@@ -100,10 +100,4 @@ void TelemetryRollup::Add(const TelemetryPoint& point) {
   util_observed_pct_.Observe(point.util_observed_pct);
 }
 
-void TelemetryRollup::AddAll(const std::vector<TelemetrySample>& samples) {
-  for (const TelemetrySample& sample : samples) {
-    Add(PointOf(sample));
-  }
-}
-
 }  // namespace philly

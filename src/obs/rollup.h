@@ -84,7 +84,6 @@ class TelemetryRollup {
   explicit TelemetryRollup(SimDuration window = Hours(1));
 
   void Add(const TelemetryPoint& point);
-  void AddAll(const std::vector<TelemetrySample>& samples);
 
   // Windows keyed (and iterated) by start time.
   const std::map<SimTime, TelemetryWindow>& windows() const { return windows_; }

@@ -95,9 +95,12 @@ std::string ReportDashboard(std::vector<const char*> argv) {
   RunOutputs outputs("", std::move(declared));
   EXPECT_TRUE(outputs.Open());
   outputs.Attach(&view, &command.config.simulation.obs);
-  EXPECT_EQ(outputs.kept(), 0u);
   const ExperimentRun run = RunExperiment(command.config);
   view.jobs = &run.result.jobs;
+  // No recorder is kept whole: each held at most one batch.
+  EXPECT_LE(view.events.events().capacity(), RecordBuffer<SchedEvent>::kBatchRecords);
+  EXPECT_LE(view.telemetry.samples().capacity(), RecordBuffer<TelemetrySample>::kBatchRecords);
+  EXPECT_LE(view.spans.log().spans().capacity(), RecordBuffer<SpanRecord>::kBatchRecords);
   RunManifest manifest;
   ::testing::internal::CaptureStdout();
   EXPECT_TRUE(outputs.Finish(&manifest));
@@ -177,7 +180,7 @@ std::string FleetDashboard(bool collect_spans, int threads) {
   RunOutputs outputs(dir.File("out"),
                      FleetOutputs(&run, config, dir.File("out"), dir.File("dashboard.html")));
   EXPECT_TRUE(outputs.Open());
-  AttachFleet(outputs, &run, &config);
+  AttachFleet(&outputs, &run, &config);
   FleetSimulation(config).Run(&run.result);
   SummarizeFleet(config, "spillover", &run);
   RunManifest manifest;

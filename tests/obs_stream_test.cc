@@ -359,7 +359,7 @@ TEST(ObsStreamTest, StreamedFleetMembersEqualBufferedMembers) {
     FleetRun run;
     RunOutputs outputs(dir.File("out"), FleetOutputs(&run, config, dir.File("out"), ""));
     ASSERT_TRUE(outputs.Open());
-    AttachFleet(outputs, &run, &config);
+    AttachFleet(&outputs, &run, &config);
     FleetSimulation(config).Run(&run.result);
     EXPECT_LE(run.result.route_events.events().capacity(), kBatch);
     for (const FleetClusterResult& cluster : run.result.clusters) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -56,9 +57,35 @@ std::vector<RunOutput> Declare(SimulateRun* run, const std::set<std::string>& fl
   return outputs;
 }
 
+// What each stream recorder of `run` holds after one record more than a
+// batch: one when it streams or drops its batches, all of them when it is
+// kept whole. The stream files then hold every record either way.
+struct Held {
+  size_t events = 0;
+  size_t samples = 0;
+  size_t spans = 0;
+};
+constexpr size_t kBatch = RecordBuffer<SchedEvent>::kBatchRecords;
+
+Held AppendPastOneBatch(SimulateRun* run) {
+  for (size_t i = 0; i <= kBatch; ++i) {
+    run->events.Append(SchedEventKind::kSubmit, static_cast<SimTime>(i), 1);
+    run->telemetry.AppendSample(run->telemetry.NextSampleTime());
+    run->spans.log().Append().job = 1;
+  }
+  return {run->events.events().size(), run->telemetry.samples().size(),
+          run->spans.log().spans().size()};
+}
+
+size_t LineCount(const std::string& path) {
+  const std::string bytes = ReadFile(path);
+  return static_cast<size_t>(std::count(bytes.begin(), bytes.end(), '\n'));
+}
+
 TEST(RunOutputsTest, EveryOutputFlagIsDeclaredOnce) {
+  SimulateRun run;
   std::set<std::string> flags;
-  for (const RunOutput& output : SimulateOutputs(nullptr)) {
+  for (const RunOutput& output : SimulateOutputs(&run)) {
     EXPECT_TRUE(flags.insert(output.flag).second) << output.flag;
   }
   EXPECT_EQ(flags, (std::set<std::string>{"--events-out", "--metrics-out", "--trace-out",
@@ -70,6 +97,8 @@ TEST(RunOutputsTest, EveryOutputFlagIsDeclaredOnce) {
 // attaches only for a span output. The dashboard folds what it reads, so a
 // recorder is kept whole only for the span Chrome trace; every other streams
 // into its file during the run, or holds one batch when it has none.
+// Streaming shows as a recorder that holds one record while its file, once
+// finished, holds them all.
 TEST(RunOutputsTest, EveryStreamSubsetAttachesAndStreamsAsTheRuleSays) {
   const std::vector<std::string> kStreams = {"--events-out", "--telemetry-out", "--spans-out",
                                              "--spans-trace-out", "--html"};
@@ -98,19 +127,31 @@ TEST(RunOutputsTest, EveryStreamSubsetAttachesAndStreamsAsTheRuleSays) {
     EXPECT_EQ(obs.spans != nullptr, spans || spans_trace);
     EXPECT_EQ(obs.metrics, nullptr);
     EXPECT_EQ(obs.profiler, nullptr);
-    unsigned streamed = 0;
+    EXPECT_EQ(run.dashboard.has_events, html);
+
+    const Held held = AppendPastOneBatch(&run);
+    EXPECT_EQ(held.events, 1u);
+    EXPECT_EQ(held.samples, 1u);
+    EXPECT_EQ(held.spans, spans_trace ? kBatch + 1 : 1u);
+    RunManifest manifest;
+    ::testing::internal::CaptureStdout();
+    ASSERT_TRUE(outputs.Finish(&manifest));
+    ::testing::internal::GetCapturedStdout();
     if (events) {
-      streamed |= kEventLog;
+      EXPECT_EQ(LineCount(dir.File("events-out")), kBatch + 1);
     }
     if (telemetry) {
-      streamed |= kTimeSeries;
+      EXPECT_EQ(LineCount(dir.File("telemetry-out")), kBatch + 2);  // and the digest
     }
-    if (spans && !spans_trace) {
-      streamed |= kSpanTracer;
+    if (spans) {
+      EXPECT_EQ(LineCount(dir.File("spans-out")), kBatch + 1);
     }
-    EXPECT_EQ(outputs.streamed(), streamed);
-    EXPECT_EQ(outputs.kept(), spans_trace ? kSpanTracer : 0u);
-    EXPECT_EQ(run.dashboard.has_events, html);
+    if (html) {
+      EXPECT_EQ(run.dashboard.samples, static_cast<int64_t>(kBatch + 1));
+      EXPECT_EQ(run.dashboard.event_counts[static_cast<size_t>(SchedEventKind::kSubmit)],
+                static_cast<int64_t>(kBatch + 1));
+      EXPECT_EQ(run.dashboard.spans, static_cast<int64_t>(kBatch + 1));
+    }
   }
 }
 
@@ -126,7 +167,10 @@ TEST(RunOutputsTest, MetricsAndPhaseTraceAttachTheirRecordersOnly) {
   EXPECT_EQ(obs.event_log, nullptr);
   EXPECT_EQ(obs.timeseries, nullptr);
   EXPECT_EQ(obs.spans, nullptr);
-  EXPECT_EQ(outputs.streamed(), 0u);
+  const Held held = AppendPastOneBatch(&run);
+  EXPECT_EQ(held.events, 1u);
+  EXPECT_EQ(held.samples, 1u);
+  EXPECT_EQ(held.spans, 1u);
 }
 
 TEST(RunOutputsTest, TwoOutputsOnOnePathFailNamingBothFlags) {
@@ -208,7 +252,7 @@ TEST(RunOutputsTest, FinishedRunRecordsEveryDigestAndWritesTheManifestLast) {
   TempDir dir("run_outputs_finish");
   SimulateRun run;
   std::set<std::string> flags;
-  for (const RunOutput& output : SimulateOutputs(nullptr)) {
+  for (const RunOutput& output : SimulateOutputs(&run)) {
     flags.insert(output.flag);
   }
   RunOutputs outputs(dir.File("out"), Declare(&run, flags, dir));

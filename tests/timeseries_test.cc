@@ -231,7 +231,9 @@ TEST(TelemetryRollupTest, WindowsDownsampleTheStream) {
   RunExperiment(config);
 
   TelemetryRollup rollup(Hours(1));
-  rollup.AddAll(ts.samples());
+  for (const TelemetrySample& sample : ts.samples()) {
+    rollup.Add(PointOf(sample));
+  }
   ASSERT_FALSE(rollup.windows().empty());
 
   int64_t total = 0;

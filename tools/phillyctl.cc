@@ -534,7 +534,7 @@ int RunFleet(const Args& args) {
   if (!outputs.Open()) {
     return 1;
   }
-  AttachFleet(outputs, &run, &config);
+  AttachFleet(&outputs, &run, &config);
 
   std::printf("simulating a %zu-cluster fleet for %d days (seed %llu, router "
               "%s)...\n",
