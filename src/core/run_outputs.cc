@@ -137,8 +137,7 @@ void RunOutputs::Attach(const std::vector<StreamRecorder>& recorders) {
 
 void RunOutputs::Attach(SimulateRun* run, ObservabilityConfig* obs) {
   // A recorder no output needs stays null in `obs` and costs the run nothing.
-  run->attached = attaches();
-  const unsigned attached = run->attached;
+  const unsigned attached = attaches();
   obs->event_log = (attached & kEventLog) ? &run->events : nullptr;
   obs->metrics = (attached & kMetrics) ? &run->metrics : nullptr;
   obs->profiler = (attached & kProfiler) ? &run->profiler : nullptr;

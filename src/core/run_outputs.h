@@ -40,7 +40,6 @@ struct SimulateRun {
   TraceProfiler profiler;
   ClusterTimeSeries telemetry;
   SpanTracer spans;
-  unsigned attached = 0;                         // Recorder mask
   const std::vector<JobRecord>* jobs = nullptr;  // set once the run is over
   // The job half of the telemetry digest (UtilizationResult::digest of the
   // report's Table 3 pass), set with `jobs`.
